@@ -15,7 +15,7 @@ from cavitree.cavity import (
 from cavitree.cavity.core import round0_table
 from cavitree.model import ModelError
 from cavitree.oracle import feasible_set, unroll
-from cavitree.trees import DegreeDistribution, TreeGraph, edge_perspective
+from cavitree.trees import DegreeDistribution, TreeGraph, edge_perspective, regular_tree
 
 TRIANGLE = TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)), hubs=frozenset({2}))
 LOOPY = TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
@@ -138,6 +138,48 @@ def test_active_two_node_matches_enumeration(model15, bayes):
     engine.run(2)
     expected = _enumerate_two_node_active(model15, p)
     np.testing.assert_allclose(engine.q[1], expected, atol=1e-12)
+
+
+def test_active_replay_matches_monte_carlo(model15, bayes):
+    """Replay the engine's tables on regular_tree(3, 2) with random activations.
+
+    Every undirected edge fires once per round with probability p, and both
+    endpoints see the same pattern.  The root's ball of radius 2 is a tree
+    with every inner node of degree 3, so its error through round 2 is the
+    infinite-tree value.
+    """
+    d, p, rounds, samples = 3, 0.5, 2, 200_000
+    engine = ActiveEdgeEngine(model15, d, bayes, p=p)
+    engine.run(rounds)
+    graph = regular_tree(d, rounds)
+    n_a = engine.n_actions
+    e = n_a + 1
+    rng = np.random.default_rng(20110207)
+    state = (rng.random(samples) >= model15.prior[0]).astype(np.int64)
+    lik0 = model15.likelihood[state, 0]
+    signals = (rng.random((graph.n, samples)) >= lik0).astype(np.int64)
+    active = {edge: rng.random((rounds, samples)) < p for edge in graph.edges}
+    depth = {0: 0}
+    for i, j in graph.edges:  # level order: parents come first
+        depth[j] = depth[i] + 1
+    votes = [engine.g[0][signals, 0].astype(np.int64)]
+    for t in range(1, rounds + 1):
+        now = np.zeros_like(votes[0])
+        for i in (i for i in range(graph.n) if depth[i] <= rounds - t):
+            j_idx = np.zeros(samples, dtype=np.int64)
+            for k, nbr in enumerate(graph.observed[i]):
+                seen = active[tuple(sorted((i, nbr)))]
+                code = sum(np.where(seen[r], votes[r][nbr], n_a) * e ** r
+                           for r in range(t))
+                j_idx += code * (e ** t) ** k
+            own = engine.g[t][signals[i], j_idx]
+            now[i] = own // n_a ** t
+        votes.append(now)
+    for t in range(rounds + 1):
+        exact = engine.error_probability(t)
+        rate = float(np.mean(votes[t][0] != state))
+        se = np.sqrt(exact * (1 - exact) / samples)
+        assert abs(rate - exact) <= 4 * se, (t, rate, exact, se)
 
 
 def test_active_step_free_function(model15, bayes):
