@@ -1,14 +1,12 @@
 """Dynamic cavity engines: homogeneous, finite-tree, degree-mixture, extensions."""
 
-from .active import ActiveEdgeEngine, cavity_step_active_edges
-from .core import COUPLING_TOL, DRIFT_WARN, accurate_sum
+from .active import ActiveEdgeEngine
+from .core import COUPLING_TOL, DRIFT_WARN
 from .finite import FiniteTreeEngine
 from .homogeneous import (
     ConfigModelEngine,
     CouplingError,
     RegularTreeEngine,
-    cavity_step,
-    cavity_step_config_model,
 )
 from .hubs import posterior_with_hubs
 from .tables import (
@@ -34,12 +32,8 @@ __all__ = [
     "FiniteTreeEngine",
     "RegularTreeEngine",
     "TableError",
-    "accurate_sum",
     "COUPLING_TOL",
     "DRIFT_WARN",
-    "cavity_step",
-    "cavity_step_active_edges",
-    "cavity_step_config_model",
     "cavity_table_from_bytes",
     "cavity_table_from_json",
     "cavity_table_to_bytes",

@@ -1,346 +1,93 @@
-"""Random edge activation: observations over the extended alphabet A + {*}.
+"""Random edge activation: the regular-tree recursion over an erasure channel.
 
-Each edge is independently active with probability p in every round; an
-inactive round shows the observer a ``*`` instead of the vote.  Trajectories
-as observed take values in the extended alphabet (star encoded as the digit
-``n_actions``), and the cavity recursion additionally sums over activation
-patterns with Bernoulli weights.  Conventions: a message at horizon t
-carries the Bernoulli weight of its own edge's round-t activation, while the
-activation pattern of rounds 0..t-1 is fixed by the conditioning trajectory
-(the pattern of what the observer showed is the pattern of what it saw).
+Each edge is independently active with probability p in every round, one
+draw for both endpoints; an inactive round shows the observer a ``*``
+instead of the vote.  Observed trajectories take values in the extended
+alphabet A + {*} (star encoded as the digit ``n_actions``), while a node's
+own trajectory stays in A.  Conventions: a message at horizon h carries the
+Bernoulli weight of its own edge's round-h activation, while the activation
+pattern of rounds 0..h-1 is fixed by the conditioning trajectory (the
+pattern of what the observer showed is the pattern of what it saw).
 
-The loops mirror the standard dense core term for term, so with p = 1 the
-surviving terms, their order and hence the accumulated values coincide
-exactly with the all-active engine.
+The engine is ``RegularTreeEngine`` with the channel swapped, and the
+channel changes only two things in the shared recursion.  A cavity step
+emits each trajectory through round t twice: masked like the observer's
+trajectory in rounds 0..t-1, then active (weight p) or starred (weight
+1-p).  And each message is folded once, before the next steps read it,
+into the slot table indexed by the action trajectory a of the node that
+reads it:
+
+    Q~_h[c, a, s] = bern_h(pat(c)) * Q_h[c, mask_h(a, pat(c)), s],
+
+where pat(c) is the activation pattern of rounds 0..h-1 of c, mask_h shows
+a through that pattern and bern_h is the pattern's probability.  The
+core's loops then run unchanged, with no per-slot mask or Bernoulli
+lookups.  With p = 1 there is no star: the engine keeps the all-active
+channel and its tables are the regular-tree engine's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..model import ModelError, SignalModel, UpdateRule, UtilityTable
-from .core import (
-    CHUNK,
-    COUPLING_TOL,
-    DRIFT_WARN,
-    _bayesian_actions,
-    _segment_add,
-    _sorted_segments,
-    check_budget,
-    round0_table,
-)
-from .homogeneous import CouplingError, _resolve_actions
-from .tables import CavityTable
-
-import logging
-
-logger = logging.getLogger(__name__)
+from ..model import ModelError, SignalModel, UpdateRule
+from .homogeneous import RegularTreeEngine
 
 
-class _MaskTables:
-    """Per-length lookups between action codes, patterns and extended codes."""
+class ErasureChannel:
+    """Observation channel of edges that fire with probability p per round."""
 
-    def __init__(self, n_actions: int, p: float, max_len: int):
-        self.n_a = n_actions
-        self.e = n_actions + 1
+    def __init__(self, n_actions: int, p: float):
+        self.n_actions = n_actions
+        self.size = n_actions + 1
         self.p = p
-        self.pattern: list[np.ndarray] = []
-        self.mask: list[np.ndarray] = []
-        self.bernoulli: list[np.ndarray] = []
-        for length in range(max_len + 1):
-            self.pattern.append(self._pattern_table(length))
-            self.mask.append(self._mask_table(length))
-            self.bernoulli.append(self._bernoulli_table(length))
 
-    def _pattern_table(self, length: int) -> np.ndarray:
-        codes = np.arange(self.e ** length, dtype=np.int64)
-        pat = np.zeros_like(codes)
-        for r in range(length):
-            digit = (codes // self.e ** r) % self.e
-            pat |= (digit != self.n_a).astype(np.int64) << r
-        return pat
+    def emit(self, out: np.ndarray, tau: np.ndarray, t: int):
+        """Observed codes of action trajectories ``out`` through round t.
 
-    def _mask_table(self, length: int) -> np.ndarray:
-        acts = np.arange(self.n_a ** length, dtype=np.int64)
-        out = np.zeros((len(acts), 1 << length), dtype=np.int64)
-        for pat in range(1 << length):
-            code = np.zeros_like(acts)
-            for r in range(length):
-                digit = np.where((pat >> r) & 1,
-                                 (acts // self.n_a ** r) % self.n_a,
-                                 self.n_a)
-                code += digit * self.e ** r
-            out[:, pat] = code
-        return out
+        Rounds 0..t-1 show the activation pattern of the observer's observed
+        trajectory ``tau``; round t is active or starred.
+        """
+        n_a, e = self.n_actions, self.size
+        seen = np.zeros_like(out)
+        for r in range(t):
+            starred = (tau // e ** r) % e == n_a
+            seen += np.where(starred, n_a, (out // n_a ** r) % n_a) * e ** r
+        return [(seen + (out // n_a ** t) * e ** t, self.p),
+                (seen + n_a * e ** t, 1.0 - self.p)]
 
-    def _bernoulli_table(self, length: int) -> np.ndarray:
-        out = np.empty(1 << length)
-        for pat in range(1 << length):
-            active = bin(pat).count("1")
-            out[pat] = self.p ** active * (1.0 - self.p) ** (length - active)
-        return out
+    def fold(self, q: np.ndarray, h: int) -> np.ndarray:
+        """Slot table Q~_h[c, a, s] of the horizon-h message ``q``."""
+        n_a, e = self.n_actions, self.size
+        c = np.arange(e ** (h + 1), dtype=np.int64)[:, None]
+        a = np.arange(n_a ** h, dtype=np.int64)[None, :]
+        tau = np.zeros((c.shape[0], a.shape[1]), dtype=np.int64)
+        fired = np.zeros_like(c)
+        for r in range(h):
+            active = (c // e ** r) % e != n_a
+            tau += np.where(active, (a // n_a ** r) % n_a, n_a) * e ** r
+            fired += active
+        bern = self.p ** fired * (1.0 - self.p) ** (h - fired)
+        return bern[:, :, None] * q[c, tau]
 
 
-class ActiveEdgeEngine:
+class ActiveEdgeEngine(RegularTreeEngine):
     """Homogeneous d-regular engine with i.i.d. edge activations.
 
-    Bayesian deterministic rules only; observed trajectories are packed in
-    base n_actions+1 with star as the top digit value.  With p = 1 every
-    starred entry has probability zero and the engine reproduces the
-    all-active tables exactly.
+    Bayesian deterministic rules only.  For p < 1 the cavity tables and the
+    inputs of the decision tables are packed in base n_actions+1 with star
+    as the top digit value; with p = 1 every table equals the all-active
+    engine's.
     """
 
-    def __init__(self, model: SignalModel, d: int, rule: UpdateRule, p: float,
-                 max_rounds: int = 8):
+    def __init__(self, model: SignalModel, d: int, rule: UpdateRule, p: float):
         if not 0.0 < p <= 1.0:
             raise ModelError("activation probability must be in (0, 1]; an edge "
                              "that can never fire is not an edge")
-        if rule.variant != "bayesian" or not rule.deterministic_for_degree(d):
+        if rule.variant != "bayesian":
             raise ModelError("the active-edge engine supports deterministic "
                              "Bayesian updates only")
-        self.model = model
-        self.d = d
-        self.rule = rule
+        super().__init__(model, d, rule)
         self.p = p
-        self.n_actions = _resolve_actions(model, rule)
-        self.e = self.n_actions + 1
-        self.tabs = _MaskTables(self.n_actions, p, max_rounds + 1)
-        self.g: list[np.ndarray] = [round0_table(model, rule, self.n_actions)]
-        self.q: list[np.ndarray] = []
-        self.drifts: list[float] = []
-
-    @property
-    def horizon(self) -> int:
-        return len(self.q)
-
-    # -- internals ----------------------------------------------------------
-
-    def _valid(self, codes: np.ndarray, length: int) -> np.ndarray:
-        """With p = 1 only fully active patterns carry weight; prune them."""
-        if self.p < 1.0:
-            return np.ones(len(codes), dtype=bool)
-        full = (1 << length) - 1
-        return self.tabs.pattern[length][codes] == full
-
-    def advance(self) -> None:
-        t = len(self.q)
-        if t == 0:
-            self.q.append(self._initial_cavity())
-            self.drifts.append(0.0)
-        else:
-            q_t, drift = self._cavity_step(t)
-            self.q.append(q_t)
-            self.drifts.append(drift)
-            if drift > DRIFT_WARN:
-                logger.warning("active cavity step t=%d drift %.3e", t, drift)
-        self.g.append(self._decision_step(t))
-
-    def run(self, rounds: int) -> None:
-        while self.horizon < rounds:
-            self.advance()
-
-    def _initial_cavity(self, g0: np.ndarray | None = None) -> np.ndarray:
-        g0 = self.g[0] if g0 is None else g0
-        model, n_s = self.model, self.model.n_states
-        q = np.zeros((self.e, 1, n_s))
-        for s in range(n_s):
-            for x in range(model.n_signals):
-                q[int(g0[x, 0]), 0, s] += model.likelihood[s, x]
-        q[:self.n_actions] *= self.p
-        q[self.n_actions, 0, :] = 1.0 - self.p
-        return q
-
-    def _cavity_step(self, t: int, g_t: np.ndarray | None = None,
-                     q_prev: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-        model, n_s, n_x = self.model, self.model.n_states, self.model.n_signals
-        d, e, n_a, tabs = self.d, self.e, self.n_actions, self.tabs
-        m_e = e ** t
-        n_out = e ** (t + 1)
-        n_tau = m_e
-        cond_mod = max(n_a ** (t - 1), 1)
-        total = m_e ** d
-        check_budget(total + n_out * n_tau * n_s)
-        acc = [np.zeros(n_out * n_tau, dtype=np.longdouble) for _ in range(n_s)]
-        colsum = [np.zeros(n_tau, dtype=np.longdouble) for _ in range(n_s)]
-        q_prev = self.q[t - 1] if q_prev is None else q_prev
-        g_t = self.g[t] if g_t is None else g_t
-        for start in range(0, total, CHUNK):
-            j_all = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-            digits = [(j_all // m_e ** k) % m_e for k in range(d)]
-            keep = np.ones(len(j_all), dtype=bool)
-            for k in range(d):
-                keep &= self._valid(digits[k], t)
-            j = j_all[keep]
-            digits = [dig[keep] for dig in digits]
-            tau = digits[0]
-            pat_tau = tabs.pattern[t][tau]
-            child_pats = [tabs.pattern[t][dig] & ((1 << (t - 1)) - 1)
-                          for dig in digits[1:]]
-            child_bw = [tabs.bernoulli[t - 1][cp] for cp in child_pats]
-            for x in range(n_x):
-                out_a = g_t[x, j].astype(np.int64)
-                cond_a = out_a % cond_mod
-                child_cond = [tabs.mask[t - 1][cond_a, cp] for cp in child_pats]
-                out_active = (tabs.mask[t + 1][out_a, pat_tau | (1 << t)]
-                              * n_tau + tau)
-                out_star = tabs.mask[t + 1][out_a, pat_tau] * n_tau + tau
-                seg_a = _sorted_segments(out_active)
-                seg_s = _sorted_segments(out_star) if self.p < 1.0 else None
-                tau_seg = _sorted_segments(tau)
-                for s in range(n_s):
-                    w = np.full(len(j), model.likelihood[s, x])
-                    for k in range(d - 1):
-                        w = w * child_bw[k]
-                        w = w * q_prev[digits[k + 1], child_cond[k], s]
-                    _segment_add(acc[s], *seg_a, w * self.p)
-                    if seg_s is not None:
-                        _segment_add(acc[s], *seg_s, w * (1.0 - self.p))
-                    _segment_add(colsum[s], *tau_seg, w)
-        q = np.empty((n_out, n_tau, n_s))
-        drift = 0.0
-        for s in range(n_s):
-            col = colsum[s]
-            live = col > 0
-            if np.any(live):
-                drift = max(drift, float(np.max(np.abs(col[live] - 1.0))))
-            safe = np.where(live, col, 1.0)
-            q[:, :, s] = (acc[s].reshape(n_out, n_tau) / safe).astype(np.float64)
-        return q, drift
-
-    def _decision_step(self, t: int) -> np.ndarray:
-        model, n_s, n_x = self.model, self.model.n_states, self.model.n_signals
-        d, e, n_a, tabs = self.d, self.e, self.n_actions, self.tabs
-        n_in = e ** (t + 1)
-        m_e = e ** t
-        m_a = n_a ** t
-        total = n_in ** d
-        check_budget(total * (n_x + 2))
-        utility = self.rule.utility or UtilityTable.identity(n_s)
-        g_next = np.zeros((n_x, total), dtype=np.int32)
-        q_t = self.q[t]
-        for start in range(0, total, CHUNK):
-            j_all = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-            digits = [(j_all // n_in ** k) % n_in for k in range(d)]
-            keep = np.ones(len(j_all), dtype=bool)
-            for k in range(d):
-                keep &= self._valid(digits[k], t + 1)
-            j = j_all[keep]
-            digits = [dig[keep] for dig in digits]
-            j_prev = np.zeros_like(j)
-            for k in range(d):
-                j_prev += (digits[k] % m_e) * m_e ** k
-            pats = [tabs.pattern[t + 1][dig] & ((1 << t) - 1) for dig in digits]
-            for x in range(n_x):
-                own = self.g[t][x, j_prev].astype(np.int64)
-                own_cond = own % m_a
-                like = np.empty((n_s, len(j)))
-                for s in range(n_s):
-                    w = np.full(len(j), model.prior[s] * model.likelihood[s, x])
-                    for k in range(d):
-                        cond = tabs.mask[t][own_cond, pats[k]]
-                        w = w * q_t[digits[k], cond, s]
-                    like[s] = w
-                mass = like.sum(axis=0)
-                post = np.divide(like, mass, out=np.zeros_like(like),
-                                 where=mass > 0)
-                action = _bayesian_actions(post, x, self.rule, utility)
-                g_next[x, j] = own + action.astype(np.int64) * n_a ** (t + 1)
-        return g_next
-
-    # -- queries -------------------------------------------------------------
-
-    def error_probability(self, t: int, condition_state: int | None = None) -> float:
-        if t > self.horizon:
-            raise ModelError(f"advance through round {t} first")
-        model, n_s, n_x = self.model, self.model.n_states, self.model.n_signals
-        d, e, n_a, tabs = self.d, self.e, self.n_actions, self.tabs
-        states = range(n_s) if condition_state is None else [condition_state]
-        if t == 0:
-            err = 0.0
-            for s in states:
-                w = model.prior[s] if condition_state is None else 1.0
-                for x in range(n_x):
-                    if int(self.g[0][x, 0]) != s:
-                        err += w * model.likelihood[s, x]
-            return err
-        m_e = e ** t
-        m_a = n_a ** t
-        cond_mod = max(n_a ** (t - 1), 1)
-        total = m_e ** d
-        check_budget(total)
-        q_prev = self.q[t - 1]
-        err_acc = np.zeros((n_s, n_x), dtype=np.longdouble)
-        mass_acc = np.zeros((n_s, n_x), dtype=np.longdouble)
-        for start in range(0, total, CHUNK):
-            j_all = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-            digits = [(j_all // m_e ** k) % m_e for k in range(d)]
-            keep = np.ones(len(j_all), dtype=bool)
-            for k in range(d):
-                keep &= self._valid(digits[k], t)
-            j = j_all[keep]
-            digits = [dig[keep] for dig in digits]
-            pats = [tabs.pattern[t][dig] & ((1 << (t - 1)) - 1) for dig in digits]
-            bws = [tabs.bernoulli[t - 1][pp] for pp in pats]
-            for x in range(n_x):
-                own = self.g[t][x, j].astype(np.int64)
-                own_cond = own % cond_mod
-                vote = own // m_a
-                for s in range(n_s):
-                    w = np.ones(len(j))
-                    for k in range(d):
-                        cond = tabs.mask[t - 1][own_cond, pats[k]]
-                        w = w * bws[k]
-                        w = w * q_prev[digits[k], cond, s]
-                    wl = w.astype(np.longdouble)
-                    mass_acc[s, x] += np.sum(wl)
-                    err_acc[s, x] += np.sum(wl[vote != s])
-        dev = float(np.max(np.abs(mass_acc - 1.0)))
-        if dev > COUPLING_TOL:
-            raise CouplingError(f"coupling mass deviates by {dev:.3e} at t={t}")
-        err = 0.0
-        for s in states:
-            weight = model.prior[s] if condition_state is None else 1.0
-            for x in range(n_x):
-                err += weight * model.likelihood[s, x] * float(err_acc[s, x])
-        return err
-
-    def posterior(self, x: int, observed: tuple[int, ...], t: int) -> np.ndarray:
-        """P(s | x, d extended observations through t-1)."""
-        from ..model import signal_posterior
-
-        if t == 0:
-            return signal_posterior(self.model, x)
-        e, n_a, tabs = self.e, self.n_actions, self.tabs
-        m_e = e ** t
-        m_e_prev = e ** (t - 1)
-        m_a_prev = n_a ** (t - 1)
-        j_prev = sum((c % m_e_prev) * m_e_prev ** k for k, c in enumerate(observed))
-        own = int(self.g[t - 1][x, j_prev])
-        own_cond = own % m_a_prev
-        weights = self.model.prior * self.model.likelihood[:, x]
-        for k, c in enumerate(observed):
-            pat = int(tabs.pattern[t][c]) & ((1 << (t - 1)) - 1)
-            cond = int(tabs.mask[t - 1][own_cond, pat])
-            weights = weights * self.q[t - 1][c, cond, :]
-        total = weights.sum()
-        if total <= 0.0:
-            raise ModelError("observation has probability zero under every state")
-        return weights / total
-
-    def cavity_table(self, t: int) -> CavityTable:
-        return CavityTable(horizon=t, alphabet_size=self.e, scope="homogeneous",
-                           array=self.q[t], drift=self.drifts[t])
-
-
-def cavity_step_active_edges(q_prev: np.ndarray | None, g_t: np.ndarray, t: int,
-                             d: int, p: float, model: SignalModel,
-                             rule: UpdateRule) -> tuple[np.ndarray, float]:
-    """One active-edge cavity step on the extended alphabet (free function).
-
-    ``g_t`` must be indexed by extended observation codes; at t = 0 it is the
-    round-0 vote table and ``q_prev`` is ignored.
-    """
-    engine = ActiveEdgeEngine(model, d, rule, p, max_rounds=t + 1)
-    if t == 0:
-        return engine._initial_cavity(g0=g_t), 0.0
-    return engine._cavity_step(t, g_t=g_t, q_prev=q_prev)
+        if p < 1.0:
+            self.channel = ErasureChannel(self.n_actions, p)

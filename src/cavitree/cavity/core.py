@@ -2,12 +2,16 @@
 
 A node of degree ``deg`` indexes its neighbors by *slots* in canonical order.
 A decision table at horizon t is a dense integer array ``g[x, J]`` where J
-packs the ``deg`` observed trajectories (horizon t-1, codes < n_a**t) with
-slot k contributing ``code_k * (n_a**t)**k``; the value is the node's own
-packed trajectory through round t.  Cavity tables are arrays
+packs the ``deg`` observed trajectories (horizon t-1, codes < n_obs**t)
+with slot k contributing ``code_k * (n_obs**t)**k``; the value is the node's
+own packed action trajectory through round t (code < n_a**(t+1)).  The
+observed alphabet has ``n_obs`` letters per round: the n_a actions, plus a
+star on the erasure channel of ``active.py``.  Cavity tables are arrays
 ``Q[sigma, tau, s]`` with the conditioning axis one horizon shorter than the
 trajectory axis (a round-t vote cannot depend on the observer's round-t
-action).
+action).  The slot tables the steps read are indexed ``[sigma, a, s]`` by
+the node's own action trajectory a; on the all-active channel they are the
+cavity tables themselves.
 
 Big sums accumulate in extended precision with per-bucket compensated
 segment reduction; every (tau, s) slice is renormalized after a step and the
@@ -29,11 +33,6 @@ CHUNK = 1 << 20
 DRIFT_WARN = 1e-9
 COUPLING_TOL = 1e-9
 MEMORY_BUDGET = 4 << 30  # bytes of table workspace allowed per step
-
-
-def accurate_sum(values: np.ndarray) -> float:
-    """Sum in extended precision (pairwise over long doubles)."""
-    return float(np.sum(np.asarray(values, dtype=np.longdouble)))
 
 
 def _sorted_segments(keys: np.ndarray):
@@ -58,6 +57,23 @@ def check_budget(n_entries: int, bytes_per_entry: int = 8,
             f"over the {budget / 2 ** 30:.2f} GiB budget")
 
 
+def cavity_step_entries(t: int, deg: int, n_obs: int, n_states: int,
+                        observer: bool = True) -> int:
+    """Entries a horizon-t cavity step sums over plus those it returns."""
+    m = n_obs ** t
+    return m ** deg + n_obs ** (t + 1) * (m if observer else 1) * n_states
+
+
+def decision_step_entries(t: int, deg: int, n_obs: int, n_signals: int) -> int:
+    """Entries of the horizon-(t+1) decision table and its workspace."""
+    return n_obs ** ((t + 1) * deg) * (n_signals + 2)
+
+
+def all_active(out: np.ndarray, tau: np.ndarray, t: int):
+    """The all-active channel: an observer sees the action codes, weight 1."""
+    return [(out, 1.0)]
+
+
 # ---------------------------------------------------------------------------
 # Round 0
 # ---------------------------------------------------------------------------
@@ -74,12 +90,14 @@ def round0_table(model: SignalModel, rule: UpdateRule, n_actions: int) -> np.nda
     return out
 
 
-def initial_cavity(model: SignalModel, g0: np.ndarray, n_actions: int) -> np.ndarray:
-    """Q^0[a, 0, s] = P(round-0 vote = a | s)."""
-    q = np.zeros((n_actions, 1, model.n_states))
-    for s in range(model.n_states):
-        for x in range(model.n_signals):
-            q[int(g0[x, 0]), 0, s] += model.likelihood[s, x]
+def initial_cavity(model: SignalModel, g0: np.ndarray, n_actions: int,
+                   n_obs: int | None = None, emit=all_active) -> np.ndarray:
+    """Q^0[sigma, 0, s] = P(round-0 observation = sigma | s)."""
+    q = np.zeros((n_obs or n_actions, 1, model.n_states))
+    for x in range(model.n_signals):
+        vote = g0[x, :1].astype(np.int64)
+        for codes, weight in emit(vote, np.zeros_like(vote), 0):
+            q[codes[0], 0, :] += weight * model.likelihood[:, x]
     return q
 
 
@@ -95,25 +113,28 @@ def cavity_step_general(
     child_qs: list[tuple[np.ndarray, bool]],
     model: SignalModel,
     n_actions: int,
-    scale: float = 1.0,
+    n_obs: int | None = None,
+    emit=all_active,
 ) -> tuple[np.ndarray, float, int]:
     """One application of the cavity recursion for a node of degree ``deg``.
 
     ``g_flat`` is the node's horizon-t decision table; slot ``tau_pos`` holds
     the observer's fixed (zombie) trajectory and the remaining slots carry
-    child messages ``child_qs`` at horizon t-1.  Returns the horizon-t table
-    Q[sigma, tau, s] (renormalized per (tau, s) slice), the maximum
-    pre-renormalization drift |column sum - 1|, and the number of summed
-    terms.  ``scale`` multiplies every accumulated weight (used by the
-    degree-mixture recursion).
+    child messages ``child_qs`` at horizon t-1.  ``emit(out, tau, t)`` maps
+    the node's action codes through round t, as seen by an observer whose
+    trajectory is ``tau``, to (observed code, weight) pairs.  Returns the
+    horizon-t table Q[sigma, tau, s] (renormalized per (tau, s) slice), the
+    maximum pre-renormalization drift |column sum - 1|, and the number of
+    summed terms.
     """
     n_s, n_x = model.likelihood.shape
-    m = n_actions ** t
-    n_out = n_actions ** (t + 1)
+    n_obs = n_obs or n_actions
+    m = n_obs ** t
+    n_out = n_obs ** (t + 1)
     n_tau = m if tau_pos is not None else 1
     cond_mod = max(n_actions ** (t - 1), 1)
     total = m ** deg
-    check_budget(total + n_out * n_tau * n_s)
+    check_budget(cavity_step_entries(t, deg, n_obs, n_s, tau_pos is not None))
 
     acc = [np.zeros(n_out * n_tau, dtype=np.longdouble) for _ in range(n_s)]
     colsum = [np.zeros(n_tau, dtype=np.longdouble) for _ in range(n_s)]
@@ -123,17 +144,18 @@ def cavity_step_general(
         j = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
         digits = [(j // m ** k) % m for k in range(deg)]
         tau_digit = digits[tau_pos] if tau_pos is not None else np.zeros_like(j)
+        tau_seg = _sorted_segments(tau_digit) if n_tau > 1 else None
         for x in range(n_x):
             out_codes = g_flat[x, j].astype(np.int64)
             cond = out_codes % cond_mod
-            keys = out_codes * n_tau + tau_digit
-            seg = _sorted_segments(keys)
-            tau_seg = _sorted_segments(tau_digit) if n_tau > 1 else None
+            segs = [(_sorted_segments(codes * n_tau + tau_digit), weight)
+                    for codes, weight in emit(out_codes, tau_digit, t)]
             for s in range(n_s):
-                w = np.full(len(j), model.likelihood[s, x] * scale)
+                w = np.full(len(j), model.likelihood[s, x])
                 for k, (q_prev, has_cond) in zip(slots, child_qs):
                     w = w * q_prev[digits[k], cond if has_cond else 0, s]
-                _segment_add(acc[s], *seg, w)
+                for seg, weight in segs:
+                    _segment_add(acc[s], *seg, w * weight)
                 if tau_seg is None:
                     colsum[s][0] += np.sum(w.astype(np.longdouble))
                 else:
@@ -179,8 +201,9 @@ def decision_step_general(
     model: SignalModel,
     rule: UpdateRule,
     n_actions: int,
+    n_obs: int | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Extend the decision table to horizon t+1 from Q tables at horizon t.
+    """Extend the decision table to horizon t+1 from slot tables at horizon t.
 
     Inputs are the ``deg`` observed trajectories at horizon t; the output
     appends the round-(t+1) vote to the agent's horizon-t trajectory, which
@@ -189,10 +212,11 @@ def decision_step_general(
     if not rule.deterministic_for_degree(deg):
         raise ValueError("dense decision tables require a deterministic rule")
     n_s, n_x = model.likelihood.shape
-    n_in = n_actions ** (t + 1)
-    m = n_actions ** t
+    n_obs = n_obs or n_actions
+    n_in = n_obs ** (t + 1)
+    m = n_obs ** t
     total = n_in ** deg
-    check_budget(total * (n_x + 2))
+    check_budget(decision_step_entries(t, deg, n_obs, n_x))
     utility = rule.utility or UtilityTable.identity(model.n_states)
     g_next = np.empty((n_x, total), dtype=np.int32)
     ops = 0
@@ -213,7 +237,7 @@ def decision_step_general(
                     raise ValueError("majority tie reached the dense path")
                 action = (margin > 0).astype(np.int64)
             else:
-                own_cond = own % m
+                own_cond = own % n_actions ** t
                 like = np.empty((n_s, len(j)))
                 for s in range(n_s):
                     w = np.full(len(j), model.prior[s] * model.likelihood[s, x])
@@ -225,7 +249,7 @@ def decision_step_general(
                                  where=total_mass > 0)
                 action = _bayesian_actions(post, x, rule, utility)
                 ops += n_s * len(j)
-            g_next[x, j] = own + action * n_in
+            g_next[x, j] = own + action * n_actions ** (t + 1)
     return g_next, ops
 
 
@@ -241,22 +265,22 @@ def posterior_general(
     slot_qs: list[tuple[np.ndarray, bool]],
     model: SignalModel,
     n_actions: int,
+    n_obs: int | None = None,
 ) -> np.ndarray:
     """P(s | x, neighbor trajectories through t-1) via the cavity factorization.
 
     ``observed`` holds one horizon-(t-1) code per slot; ``slot_qs`` the
-    horizon-(t-1) cavity tables.  The agent's own trajectory is derived from
+    horizon-(t-1) slot tables.  The agent's own trajectory is derived from
     the decision table on the truncated observation.
     """
     from ..model import ModelError, signal_posterior
 
     if t == 0:
         return signal_posterior(model, x)
-    m = n_actions ** t
-    m_prev = n_actions ** (t - 1)
+    m_prev = (n_obs or n_actions) ** (t - 1)
     j_prev = sum((code % m_prev) * m_prev ** k for k, code in enumerate(observed))
     own = int(g_prev[x, j_prev])
-    own_cond = own % m_prev
+    own_cond = own % n_actions ** (t - 1)
     weights = model.prior * model.likelihood[:, x]
     for k, (q, has_cond) in enumerate(slot_qs):
         weights = weights * q[observed[k], own_cond if has_cond else 0, :]
@@ -275,6 +299,7 @@ def error_probability_general(
     model: SignalModel,
     n_actions: int,
     condition_state: int | None = None,
+    n_obs: int | None = None,
 ) -> tuple[float, float, int]:
     """P(round-t vote != state) plus the worst coupling-mass deviation.
 
@@ -293,7 +318,7 @@ def error_probability_general(
                     err += weight * model.likelihood[s, x]
         return err, 0.0, n_x * len(list(states))
 
-    m = n_actions ** t
+    m = (n_obs or n_actions) ** t
     cond_mod = max(n_actions ** (t - 1), 1)
     total = m ** deg
     check_budget(total)
@@ -306,7 +331,7 @@ def error_probability_general(
         for x in range(n_x):
             own = g_t[x, j].astype(np.int64)
             own_cond = own % cond_mod
-            vote = own // m
+            vote = own // n_actions ** t
             for s in range(n_s):
                 w = np.ones(len(j))
                 for k, (q_prev, has_cond) in enumerate(slot_qs):

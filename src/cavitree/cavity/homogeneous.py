@@ -1,12 +1,14 @@
-"""Exact engine for the infinite d-regular tree and its degree-mixture variant.
+"""Exact engine for homogeneous trees: the degree-mixture recursion.
 
-Homogeneity means one cavity table and one decision table per horizon stand
-for every edge and node; this is what makes the infinite tree computable.
-Slots are exchangeable here, so the observer's fixed trajectory occupies
-slot 0 of the child's table and the remaining slots carry i.i.d. child
-messages.  The degree-mixture engine implements the unknown-graph recursion:
-the child's degree is drawn from the edge-perspective law, and one shared
-scope-free cavity table feeds per-degree decision tables.
+Homogeneity means one cavity table per horizon, and one decision table per
+degree, stand for every edge and node; this is what makes the infinite tree
+computable.  Slots are exchangeable here, so the observer's fixed trajectory
+occupies slot 0 of the child's table and the remaining slots carry i.i.d.
+child messages.  ``ConfigModelEngine`` implements the unknown-graph
+recursion: the child's degree is drawn from the edge-perspective law, and
+one shared scope-free cavity table feeds per-degree decision tables.
+``RegularTreeEngine`` is the one-point degree law, and ``ActiveEdgeEngine``
+(``active.py``) runs it over the erasure observation channel.
 """
 
 from __future__ import annotations
@@ -14,10 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import ModelError, SignalModel, UpdateRule
-from ..trees import DegreeDistribution
+from ..trees import DegreeDistribution, edge_perspective
 from .core import (
     COUPLING_TOL,
+    all_active,
+    cavity_step_entries,
     cavity_step_general,
+    check_budget,
+    decision_step_entries,
     decision_step_general,
     error_probability_general,
     initial_cavity,
@@ -37,31 +43,58 @@ def _resolve_actions(model: SignalModel, rule: UpdateRule) -> int:
     return model.n_states
 
 
-class RegularTreeEngine:
-    """Cavity tables and decision tables for the infinite d-regular tree.
+class AllActive:
+    """Observation channel of edges that fire every round."""
 
-    ``advance`` runs one step of the calculation schedule: the cavity table
-    at the next horizon, then the decision table one round further.  After k
-    calls the error probability is available through round k.
+    emit = staticmethod(all_active)
+
+    def __init__(self, n_actions: int):
+        self.size = n_actions
+
+    @staticmethod
+    def fold(q: np.ndarray, h: int) -> np.ndarray:
+        """The slot table of a horizon-h message: the message itself."""
+        return q
+
+
+class ConfigModelEngine:
+    """Exact calculations for agents who know only the degree law and their degree.
+
+    Carries one shared cavity table plus a decision table per degree in the
+    support; the error probability can be reported per degree or averaged
+    under the node-perspective law.  ``advance`` runs one step of the
+    calculation schedule: the cavity table at the next horizon, then each
+    decision table one round further.  After k calls the error probability
+    is available through round k.
     """
 
-    def __init__(self, model: SignalModel, d: int, rule: UpdateRule):
-        if d < 1:
-            raise ModelError("degree must be >= 1")
-        if not rule.deterministic_for_degree(d):
-            raise ModelError(
-                "the dense homogeneous engine needs a deterministic rule for "
-                f"degree {d}; use the finite kernel engine for stochastic rules")
+    def __init__(self, model: SignalModel, rho_v: DegreeDistribution,
+                 rule: UpdateRule):
         if rule.variant == "majority" and model.n_states != 2:
             raise ModelError("majority dynamics is defined for binary actions")
         self.model = model
-        self.d = d
         self.rule = rule
+        self.rho_v = rho_v
+        self.rho_e = edge_perspective(rho_v)
+        self.degrees = [d for d in self.rho_e.support]
+        for d in self.degrees:
+            if not rule.deterministic_for_degree(d):
+                raise ModelError(
+                    f"the dense homogeneous engine needs a deterministic rule for "
+                    f"degree {d}; use the finite kernel engine for stochastic rules")
         self.n_actions = _resolve_actions(model, rule)
-        self.g: list[np.ndarray] = [round0_table(model, rule, self.n_actions)]
+        self.channel = AllActive(self.n_actions)
+        g0 = round0_table(model, rule, self.n_actions)
+        self.decisions: dict[int, list[np.ndarray]] = {d: [g0] for d in self.degrees}
         self.q: list[np.ndarray] = []
+        self.slot_tables: list[np.ndarray] = []
         self.drifts: list[float] = []
         self.ops: list[int] = []
+
+    @property
+    def g(self) -> dict[int, list[np.ndarray]]:
+        """Decision tables per degree, then per horizon."""
+        return self.decisions
 
     @property
     def horizon(self) -> int:
@@ -70,187 +103,116 @@ class RegularTreeEngine:
 
     def advance(self, extend_decisions: bool = True) -> None:
         t = len(self.q)
-        if len(self.g) <= t:
+        if any(len(g) <= t for g in self.decisions.values()):
             raise ModelError("a previous advance skipped its decision table")
+        n_obs, emit = self.channel.size, self.channel.emit
         ops = 0
         if t == 0:
-            q_t = initial_cavity(self.model, self.g[0], self.n_actions)
+            q_t = initial_cavity(self.model, self.decisions[self.degrees[0]][0],
+                                 self.n_actions, n_obs, emit)
             drift = 0.0
         else:
-            q_t, drift, n = cavity_step_general(
-                self.g[t], t, self.d, 0,
-                [(self.q[t - 1], True)] * (self.d - 1),
-                self.model, self.n_actions)
-            ops += n
+            q_t, drift = None, 0.0
+            for d, p in zip(self.rho_e.support, self.rho_e.probs):
+                if p == 0.0:
+                    continue
+                q_d, drift_d, n = cavity_step_general(
+                    self.decisions[d][t], t, d, 0,
+                    [(self.slot_tables[t - 1], True)] * (d - 1),
+                    self.model, self.n_actions, n_obs, emit)
+                ops += n
+                drift = max(drift, drift_d)
+                q_t = p * q_d if q_t is None else q_t + p * q_d
         self.q.append(q_t)
         self.drifts.append(drift)
+        self.slot_tables.append(self.channel.fold(q_t, t))
         if extend_decisions:
-            g_next, n = decision_step_general(
-                self.g[t], t, self.d, [(q_t, True)] * self.d,
-                self.model, self.rule, self.n_actions)
-            ops += n
-            self.g.append(g_next)
+            for d in self.degrees:
+                g_next, n = decision_step_general(
+                    self.decisions[d][t], t, d, [(self.slot_tables[t], True)] * d,
+                    self.model, self.rule, self.n_actions, n_obs)
+                ops += n
+                self.decisions[d].append(g_next)
         self.ops.append(ops)
 
     def run(self, rounds: int) -> None:
-        while self.horizon < rounds:
-            self.advance()
-
-    def error_probability(self, t: int, condition_state: int | None = None) -> float:
-        if t > self.horizon:
-            raise ModelError(f"advance through round {t} first (at {self.horizon})")
-        slot_qs = [(self.q[t - 1], True)] * self.d if t >= 1 else []
-        err, coupling_dev, _ = error_probability_general(
-            self.g[t], t, self.d, slot_qs, self.model, self.n_actions,
-            condition_state=condition_state)
-        if coupling_dev > COUPLING_TOL:
-            raise CouplingError(
-                f"coupling mass deviates by {coupling_dev:.3e} at t={t}")
-        return err
-
-    def error_curve(self, rounds: int,
-                    condition_state: int | None = None) -> list[float]:
-        self.run(rounds)
-        return [self.error_probability(t, condition_state) for t in range(rounds + 1)]
-
-    def posterior(self, x: int, observed: tuple[int, ...], t: int) -> np.ndarray:
-        """P(s | x, d neighbor trajectories through t-1)."""
-        if len(observed) != self.d:
-            raise ModelError(f"expected {self.d} observed trajectories")
-        if t == 0:
-            return posterior_general(x, (), None, 0, [], self.model, self.n_actions)
-        if t > len(self.q):
-            raise ModelError("advance further first")
-        return posterior_general(x, tuple(observed), self.g[t - 1], t,
-                                 [(self.q[t - 1], True)] * self.d,
-                                 self.model, self.n_actions)
-
-    def cavity_table(self, t: int) -> CavityTable:
-        return CavityTable(horizon=t, alphabet_size=self.n_actions,
-                           scope="homogeneous", array=self.q[t],
-                           drift=self.drifts[t])
-
-    def decision_table(self, t: int) -> DecisionTable:
-        return DecisionTable(horizon=t, alphabet_size=self.n_actions,
-                             scope="homogeneous", degree=self.d, array=self.g[t])
-
-
-def cavity_step(q_prev: np.ndarray | None, g_t: np.ndarray, t: int, d: int,
-                model: SignalModel, rule: UpdateRule | None = None,
-                n_actions: int | None = None) -> tuple[np.ndarray, float]:
-    """One homogeneous cavity step; returns (Q at horizon t, drift)."""
-    n_actions = n_actions or model.n_states
-    if t == 0:
-        return initial_cavity(model, g_t, n_actions), 0.0
-    q, drift, _ = cavity_step_general(g_t, t, d, 0, [(q_prev, True)] * (d - 1),
-                                      model, n_actions)
-    return q, drift
-
-
-# ---------------------------------------------------------------------------
-# Unknown graph: configuration-model recursion
-# ---------------------------------------------------------------------------
-
-def cavity_step_config_model(
-    q_prev: np.ndarray | None,
-    g_per_degree: dict[int, np.ndarray],
-    t: int,
-    rho_e: DegreeDistribution,
-    model: SignalModel,
-    n_actions: int | None = None,
-) -> tuple[np.ndarray, float]:
-    """Degree-mixture cavity step: the child degree is drawn from rho_E.
-
-    The output is scope-free (identical for every edge): an outer sum over
-    the support of rho_E of the fixed-degree recursion, all sharing one
-    previous table.  Every supported degree needs a decision table.
-    """
-    n_actions = n_actions or model.n_states
-    missing = [d for d in rho_e.support if d not in g_per_degree]
-    if missing:
-        raise ModelError(f"degrees {missing} in the support lack decision tables")
-    if t == 0:
-        any_g = g_per_degree[rho_e.support[0]]
-        return initial_cavity(model, any_g, n_actions), 0.0
-    mix = None
-    worst = 0.0
-    for d, p in zip(rho_e.support, rho_e.probs):
-        if p == 0.0:
-            continue
-        q_d, drift, _ = cavity_step_general(
-            g_per_degree[d], t, d, 0, [(q_prev, True)] * (d - 1),
-            model, n_actions)
-        worst = max(worst, drift)
-        mix = p * q_d if mix is None else mix + p * q_d
-    return mix, worst
-
-
-class ConfigModelEngine:
-    """Exact calculations for agents who know only the degree law and their degree.
-
-    Carries one shared cavity table plus a decision table per degree in the
-    support; the error probability can be reported per degree or averaged
-    under the node-perspective law.
-    """
-
-    def __init__(self, model: SignalModel, rho_v: DegreeDistribution,
-                 rule: UpdateRule):
-        from ..trees import edge_perspective
-
-        self.model = model
-        self.rule = rule
-        self.rho_v = rho_v
-        self.rho_e = edge_perspective(rho_v)
-        self.degrees = [d for d in self.rho_e.support]
-        for d in self.degrees:
-            if not rule.deterministic_for_degree(d):
-                raise ModelError(f"rule is stochastic at degree {d}; "
-                                 "the degree-mixture engine is dense-only")
-        self.n_actions = _resolve_actions(model, rule)
-        g0 = round0_table(model, rule, self.n_actions)
-        self.g: dict[int, list[np.ndarray]] = {d: [g0] for d in self.degrees}
-        self.q: list[np.ndarray] = []
-        self.drifts: list[float] = []
-
-    @property
-    def horizon(self) -> int:
-        return len(self.q)
-
-    def advance(self) -> None:
-        t = len(self.q)
-        g_t = {d: self.g[d][t] for d in self.degrees}
-        q_prev = self.q[t - 1] if t > 0 else None
-        q_t, drift = cavity_step_config_model(q_prev, g_t, t, self.rho_e,
-                                              self.model, self.n_actions)
-        self.q.append(q_t)
-        self.drifts.append(drift)
-        for d in self.degrees:
-            g_next, _ = decision_step_general(
-                self.g[d][t], t, d, [(q_t, True)] * d,
-                self.model, self.rule, self.n_actions)
-            self.g[d].append(g_next)
-
-    def run(self, rounds: int) -> None:
+        """Advance through round ``rounds``, refusing up front a run whose
+        last cavity or decision step would exceed the table budget."""
+        if rounds > self.horizon:
+            t, n_obs = rounds - 1, self.channel.size
+            n_s, n_x = self.model.likelihood.shape
+            for d, p in zip(self.rho_e.support, self.rho_e.probs):
+                if t >= 1 and p > 0.0:
+                    check_budget(cavity_step_entries(t, d, n_obs, n_s))
+                check_budget(decision_step_entries(t, d, n_obs, n_x))
         while self.horizon < rounds:
             self.advance()
 
     def error_probability(self, t: int, degree: int | None = None,
                           condition_state: int | None = None) -> float:
         if t > self.horizon:
-            raise ModelError(f"advance through round {t} first")
+            raise ModelError(f"advance through round {t} first (at {self.horizon})")
         if degree is None:
             return float(sum(
                 p * self.error_probability(t, degree=d,
                                            condition_state=condition_state)
                 for d, p in zip(self.rho_v.support, self.rho_v.probs) if p > 0))
-        slot_qs = [(self.q[t - 1], True)] * degree if t >= 1 else []
+        slot_qs = [(self.slot_tables[t - 1], True)] * degree if t >= 1 else []
         err, coupling_dev, _ = error_probability_general(
-            self.g[degree][t], t, degree, slot_qs, self.model, self.n_actions,
-            condition_state=condition_state)
+            self.decisions[degree][t], t, degree, slot_qs, self.model,
+            self.n_actions, condition_state=condition_state,
+            n_obs=self.channel.size)
         if coupling_dev > COUPLING_TOL:
             raise CouplingError(
                 f"coupling mass deviates by {coupling_dev:.3e} at t={t}, d={degree}")
         return err
 
-    def decision_arrays(self) -> dict[int, list[np.ndarray]]:
-        return self.g
+    def error_curve(self, rounds: int,
+                    condition_state: int | None = None) -> list[float]:
+        self.run(rounds)
+        return [self.error_probability(t, condition_state=condition_state)
+                for t in range(rounds + 1)]
+
+    def posterior(self, x: int, observed: tuple[int, ...], t: int) -> np.ndarray:
+        """P(s | x, one observed trajectory through t-1 per neighbor)."""
+        deg = len(observed)
+        if deg not in self.decisions:
+            raise ModelError(f"no decision tables for {deg} observed trajectories")
+        if t == 0:
+            return posterior_general(x, (), None, 0, [], self.model, self.n_actions)
+        if t > len(self.q):
+            raise ModelError("advance further first")
+        return posterior_general(x, tuple(observed), self.decisions[deg][t - 1], t,
+                                 [(self.slot_tables[t - 1], True)] * deg,
+                                 self.model, self.n_actions, self.channel.size)
+
+    def cavity_table(self, t: int) -> CavityTable:
+        return CavityTable(horizon=t, alphabet_size=self.channel.size,
+                           scope="homogeneous", array=self.q[t],
+                           drift=self.drifts[t])
+
+
+class RegularTreeEngine(ConfigModelEngine):
+    """Cavity tables and decision tables for the infinite d-regular tree.
+
+    The one-point degree law: one cavity table and one decision table per
+    round represent every edge and node.
+    """
+
+    def __init__(self, model: SignalModel, d: int, rule: UpdateRule):
+        if d < 1:
+            raise ModelError("degree must be >= 1")
+        super().__init__(model, DegreeDistribution((d,), np.array([1.0])), rule)
+        self.d = d
+
+    @property
+    def g(self) -> list[np.ndarray]:
+        """Decision tables per horizon."""
+        return self.decisions[self.d]
+
+    def decision_table(self, t: int) -> DecisionTable:
+        if self.channel.size != self.n_actions:
+            raise ModelError("a DecisionTable has one alphabet; these inputs "
+                             "are observed over a larger one")
+        return DecisionTable(horizon=t, alphabet_size=self.n_actions,
+                             scope="homogeneous", degree=self.d, array=self.g[t])

@@ -77,9 +77,21 @@ def _rule(name: str, tie: TieBreakRule) -> UpdateRule:
     return UpdateRule(variant=name, tie_break=tie)
 
 
-def _condition(args) -> int | None:
+def _condition(args, model: SignalModel) -> int | None:
     cond = getattr(args, "condition", "average")
-    return None if cond == "average" else int(cond)
+    if cond == "average":
+        return None
+    if not (cond.isdigit() and int(cond) < model.n_states):
+        raise ModelError(f"--condition must be 'average' or a state index "
+                         f"0..{model.n_states - 1}, not {cond!r}")
+    return int(cond)
+
+
+def _check_counts(args) -> None:
+    if getattr(args, "rounds", 0) < 0:
+        raise ModelError(f"--rounds must be >= 0, not {args.rounds}")
+    if getattr(args, "samples", 1) < 1:
+        raise ModelError(f"--samples must be >= 1, not {args.samples}")
 
 
 def _error_column(rule_name: str, d: int, model: SignalModel, tie: TieBreakRule,
@@ -93,7 +105,7 @@ def _error_column(rule_name: str, d: int, model: SignalModel, tie: TieBreakRule,
 def cmd_table(args) -> int:
     t0 = time.monotonic()
     model, tie = _resolve_model(args)
-    condition = _condition(args)
+    condition = _condition(args, model)
     errs = _error_column(args.rule, args.d, model, tie, args.rounds, condition)
     flags = [{"round": t, "value": e, "reason": "below reliability floor"}
              for t, e in enumerate(errs) if e < UNRELIABLE_FLOOR]
@@ -113,7 +125,7 @@ def cmd_table(args) -> int:
 def cmd_curve(args) -> int:
     t0 = time.monotonic()
     model, tie = _resolve_model(args)
-    condition = _condition(args)
+    condition = _condition(args, model)
     ds = [int(v) for v in args.d.split(",")]
     rows = ["d,noise,round,error_prob,loglog,slope"]
     flags = []
@@ -214,7 +226,7 @@ def cmd_simulate(args) -> int:
 def cmd_conjecture(args) -> int:
     t0 = time.monotonic()
     model, tie = _resolve_model(args)
-    condition = _condition(args)
+    condition = _condition(args, model)
     bayes = _error_column("bayesian", args.d, model, tie, args.rounds, condition)
     major = _error_column("majority", args.d, model, tie, args.rounds, condition)
     report = bounds_mod.conjecture_check(bayes, major)
@@ -300,6 +312,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.fn(args)
     except BudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)

@@ -203,7 +203,7 @@ class DegreeTables:
             raise ModelError(f"engine lacks tables for degrees {missing}")
 
     def action_table(self, node: int, t: int) -> np.ndarray:
-        g = self.engine.g[self.deg[node]][t]
+        g = self.engine.decisions[self.deg[node]][t]
         return (g // self.engine.n_actions ** t).astype(np.int8)
 
 

@@ -3,16 +3,24 @@ import itertools
 import numpy as np
 import pytest
 
-from cavitree.cavity import RegularTreeEngine, cavity_step
-from cavitree.cavity.core import round0_table
+import cavitree.cavity
+from cavitree.cavity import RegularTreeEngine
 from cavitree.model import ModelError, UpdateRule
 from cavitree.oracle import unroll
 from cavitree.trees import path_graph
 
 
+def test_cavity_exports_resolve():
+    missing = [name for name in cavitree.cavity.__all__
+               if not hasattr(cavitree.cavity, name)]
+    assert missing == []
+
+
 def test_initial_cavity_matches_signal_law(model15, bayes):
-    q0, drift = cavity_step(None, round0_table(model15, bayes, 2), 0, 5, model15)
-    assert drift == 0.0
+    engine = RegularTreeEngine(model15, 5, bayes)
+    engine.advance()
+    q0 = engine.q[0]
+    assert engine.drifts[0] == 0.0
     np.testing.assert_allclose(q0[:, 0, 0], [0.85, 0.15], rtol=1e-15)
     np.testing.assert_allclose(q0[:, 0, 1], [0.15, 0.85], rtol=1e-15)
 

@@ -104,6 +104,9 @@ def test_configuration_error_exit_code(tmp_path):
     assert run(tmp_path, "table", "--noise", "0.7", "--rounds", "1") == 2
     assert run(tmp_path, "simulate", "--rule", "majority", "--rounds", "1",
                "--samples", "10") == 2
+    assert run(tmp_path, "table", "--rounds", "-1") == 2
+    assert run(tmp_path, "simulate", "--tree", "3:2", "--samples", "0") == 2
+    assert run(tmp_path, "table", "--condition", "5") == 2
 
 
 def test_budget_exit_code(tmp_path):

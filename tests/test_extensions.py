@@ -7,12 +7,9 @@ from cavitree.cavity import (
     ActiveEdgeEngine,
     ConfigModelEngine,
     RegularTreeEngine,
-    cavity_step,
-    cavity_step_active_edges,
-    cavity_step_config_model,
     posterior_with_hubs,
 )
-from cavitree.cavity.core import round0_table
+from cavitree.cavity.core import cavity_step_general
 from cavitree.model import ModelError
 from cavitree.oracle import feasible_set, unroll
 from cavitree.trees import DegreeDistribution, TreeGraph, edge_perspective, regular_tree
@@ -50,16 +47,10 @@ def test_two_point_mixture_is_weighted_average(model15, bayes):
     q_prev = cfg.q[0]
     by_hand = None
     for d, p in zip(rho_e.support, rho_e.probs):
-        q_d = cavity_step(q_prev, cfg.g[d][1], 1, d, model15)[0]
+        q_d = cavity_step_general(cfg.g[d][1], 1, d, 0, [(q_prev, True)] * (d - 1),
+                                  model15, 2)[0]
         by_hand = p * q_d if by_hand is None else by_hand + p * q_d
     np.testing.assert_allclose(cfg.q[1], by_hand, atol=1e-12)
-
-
-def test_mixture_missing_degree_table(model15, bayes):
-    rho_e = DegreeDistribution((3,), np.array([1.0]))
-    g0 = round0_table(model15, bayes, 2)
-    with pytest.raises(ModelError):
-        cavity_step_config_model(None, {2: g0}, 0, rho_e, model15)
 
 
 def test_mixture_columns_normalized(model15, bayes):
@@ -81,14 +72,11 @@ def test_active_p1_reduces_exactly(model15, bayes):
     act.run(2)
     hom = RegularTreeEngine(model15, 5, bayes)
     hom.run(2)
-    assert act.error_probability(2) == hom.error_probability(2)
-    # starred entries carry probability zero
-    q1 = act.q[1]
-    star = 2
-    for e in range(q1.shape[0]):
-        digits = (e % 3, e // 3)
-        if star in digits:
-            assert np.all(q1[e] == 0.0)
+    assert len(act.q) == len(hom.q) == 2
+    for q_act, q_hom in zip(act.q, hom.q):
+        assert np.array_equal(q_act, q_hom)
+    for t in range(3):
+        assert act.error_probability(t) == hom.error_probability(t)
 
 
 def test_active_round0_split(model15, bayes):
@@ -180,14 +168,6 @@ def test_active_replay_matches_monte_carlo(model15, bayes):
         rate = float(np.mean(votes[t][0] != state))
         se = np.sqrt(exact * (1 - exact) / samples)
         assert abs(rate - exact) <= 4 * se, (t, rate, exact, se)
-
-
-def test_active_step_free_function(model15, bayes):
-    engine = ActiveEdgeEngine(model15, 3, bayes, p=0.5)
-    engine.run(2)
-    q1, drift = cavity_step_active_edges(engine.q[0], engine.g[1], 1, 3, 0.5,
-                                         model15, bayes)
-    np.testing.assert_allclose(q1, engine.q[1], atol=0)
 
 
 # -- hubs ---------------------------------------------------------------------
