@@ -1,4 +1,4 @@
-"""Shared numerics for the cavity recursion, decision tables and error sums.
+"""Shared numerics for the cavity recursion and the decision tables.
 
 A node of degree ``deg`` indexes its neighbors by *slots* in canonical order.
 A decision table at horizon t is a dense integer array ``g[x, J]`` where J
@@ -15,7 +15,9 @@ cavity tables themselves.
 
 Big sums accumulate in extended precision with per-bucket compensated
 segment reduction; every (tau, s) slice is renormalized after a step and the
-pre-renormalization drift is reported.
+pre-renormalization drift is reported.  The error sum has no loop of its
+own: the decision step that builds a table also sums its cavity product per
+(state, signal), and engines weight those sums on request.
 """
 
 from __future__ import annotations
@@ -48,25 +50,26 @@ def _segment_add(acc: np.ndarray, order, uniq, starts, weights: np.ndarray):
     acc[uniq] += np.add.reduceat(ws, starts)
 
 
-def check_budget(n_entries: int, bytes_per_entry: int = 8,
-                 budget: int = MEMORY_BUDGET):
-    need = n_entries * bytes_per_entry
+def check_budget(need: int, budget: int = MEMORY_BUDGET):
+    """Refuse a step that needs ``need`` bytes of table workspace."""
     if need > budget:
         raise BudgetError(
-            f"table of {n_entries} entries needs about {need / 2 ** 30:.2f} GiB, "
-            f"over the {budget / 2 ** 30:.2f} GiB budget")
+            f"table workspace of {need / 2 ** 30:.2f} GiB is over the "
+            f"{budget / 2 ** 30:.2f} GiB budget")
 
 
-def cavity_step_entries(t: int, deg: int, n_obs: int, n_states: int,
-                        observer: bool = True) -> int:
-    """Entries a horizon-t cavity step sums over plus those it returns."""
+def cavity_step_bytes(t: int, deg: int, n_obs: int, n_states: int,
+                      observer: bool = True) -> int:
+    """Bytes of a horizon-t cavity step: 8 per summed term, plus a
+    long-double accumulator and a float64 copy per returned entry."""
     m = n_obs ** t
-    return m ** deg + n_obs ** (t + 1) * (m if observer else 1) * n_states
+    n_out = n_obs ** (t + 1) * (m if observer else 1) * n_states
+    return 8 * m ** deg + (np.dtype(np.longdouble).itemsize + 8) * n_out
 
 
-def decision_step_entries(t: int, deg: int, n_obs: int, n_signals: int) -> int:
-    """Entries of the horizon-(t+1) decision table and its workspace."""
-    return n_obs ** ((t + 1) * deg) * (n_signals + 2)
+def decision_step_bytes(t: int, deg: int, n_obs: int, n_signals: int) -> int:
+    """Bytes of the horizon-(t+1) decision table and its workspace."""
+    return 8 * n_obs ** ((t + 1) * deg) * (n_signals + 2)
 
 
 def all_active(out: np.ndarray, tau: np.ndarray, t: int):
@@ -134,7 +137,7 @@ def cavity_step_general(
     n_tau = m if tau_pos is not None else 1
     cond_mod = max(n_actions ** (t - 1), 1)
     total = m ** deg
-    check_budget(cavity_step_entries(t, deg, n_obs, n_s, tau_pos is not None))
+    check_budget(cavity_step_bytes(t, deg, n_obs, n_s, tau_pos is not None))
 
     acc = [np.zeros(n_out * n_tau, dtype=np.longdouble) for _ in range(n_s)]
     colsum = [np.zeros(n_tau, dtype=np.longdouble) for _ in range(n_s)]
@@ -181,7 +184,9 @@ def cavity_step_general(
 def _bayesian_actions(post: np.ndarray, x: int, rule: UpdateRule,
                       utility: UtilityTable) -> np.ndarray:
     """Vectorized argmax with tolerance ties, deterministic tie-breaks only."""
-    eu = utility.values @ post  # (n_actions, batch)
+    # einsum's own loop, not BLAS: for so few states a BLAS call costs more
+    # than it saves and, unpinned, spreads over every core.
+    eu = np.einsum("as,sb->ab", utility.values, post)  # (n_actions, batch)
     top = eu.max(axis=0)
     tied = eu >= top - TIE_TOL
     first = np.argmax(tied, axis=0)
@@ -193,6 +198,17 @@ def _bayesian_actions(post: np.ndarray, x: int, rule: UpdateRule,
     return np.where(use_own, choice, first)
 
 
+def _multiply_slots(products: list[np.ndarray], digits, flats, own_cond):
+    """Multiply row s of each array in ``products`` by Q_k[c_k, own, s],
+    slot by slot; each slot weight is gathered once for all of them."""
+    for digit, (flat, n_cond, has_cond) in zip(digits, flats):
+        idx = digit * n_cond + own_cond if has_cond else digit * n_cond
+        for s, row in enumerate(flat):
+            w = row.take(idx)
+            for p in products:
+                np.multiply(p[s], w, out=p[s])
+
+
 def decision_step_general(
     g_prev: np.ndarray,
     t: int,
@@ -202,12 +218,16 @@ def decision_step_general(
     rule: UpdateRule,
     n_actions: int,
     n_obs: int | None = None,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Extend the decision table to horizon t+1 from slot tables at horizon t.
 
     Inputs are the ``deg`` observed trajectories at horizon t; the output
     appends the round-(t+1) vote to the agent's horizon-t trajectory, which
-    is itself looked up from ``g_prev`` on the truncated inputs.
+    is itself looked up from ``g_prev`` on the truncated inputs.  Returns
+    the table, the number of posterior terms, and the round-(t+1) error and
+    coupling sums: long-double (n_states, n_signals) sums of the cavity
+    product prod_k Q_k[c_k, own, s] over the inputs whose new vote differs
+    from s, and over all inputs (1 on consistent tables).
     """
     if not rule.deterministic_for_degree(deg):
         raise ValueError("dense decision tables require a deterministic rule")
@@ -216,9 +236,15 @@ def decision_step_general(
     n_in = n_obs ** (t + 1)
     m = n_obs ** t
     total = n_in ** deg
-    check_budget(decision_step_entries(t, deg, n_obs, n_x))
+    check_budget(decision_step_bytes(t, deg, n_obs, n_x))
     utility = rule.utility or UtilityTable.identity(model.n_states)
+    bayesian = rule.variant != "majority"
+    # Each slot table as contiguous (n_states, codes * conditions) rows.
+    flats = [(np.ascontiguousarray(np.moveaxis(q_t, 2, 0)).reshape(n_s, -1),
+              q_t.shape[1], has_cond) for q_t, has_cond in slot_qs]
     g_next = np.empty((n_x, total), dtype=np.int32)
+    err_acc = np.zeros((n_s, n_x), dtype=np.longdouble)
+    mass_acc = np.zeros((n_s, n_x), dtype=np.longdouble)
     ops = 0
     for start in range(0, total, CHUNK):
         j = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
@@ -226,31 +252,41 @@ def decision_step_general(
         j_prev = np.zeros_like(j)
         for k in range(deg):
             j_prev += (digits[k] % m) * m ** k
+        rows = slice(start, start + len(j))
+        pure = np.empty((n_s, len(j)))
+        del j  # chunk arrays die once spent: this step sets the peak memory
         for x in range(n_x):
             own = g_prev[x, j_prev].astype(np.int64)
-            if rule.variant == "majority":
-                votes = np.zeros(len(j), dtype=np.int64)
+            own_cond = own % n_actions ** t
+            # The cavity product, alone and after prior * likelihood.
+            pure[:] = 1.0
+            if bayesian:
+                like = np.empty_like(pure)
+                like[:] = (model.prior * model.likelihood[:, x])[:, None]
+            _multiply_slots([pure, like] if bayesian else [pure], digits, flats,
+                            own_cond)
+            if bayesian:
+                total_mass = like.sum(axis=0)
+                # In place; where the mass is 0 every row is already 0.
+                np.divide(like, total_mass, out=like, where=total_mass > 0)
+                del total_mass
+                action = _bayesian_actions(like, x, rule, utility)
+                del like
+                ops += pure.size
+            else:
+                votes = np.zeros(pure.shape[1], dtype=np.int64)
                 for k in range(deg):
                     votes += digits[k] // m  # round-t vote of slot k (binary)
                 margin = 2 * votes - deg
                 if np.any(margin == 0):
                     raise ValueError("majority tie reached the dense path")
                 action = (margin > 0).astype(np.int64)
-            else:
-                own_cond = own % n_actions ** t
-                like = np.empty((n_s, len(j)))
-                for s in range(n_s):
-                    w = np.full(len(j), model.prior[s] * model.likelihood[s, x])
-                    for k, (q_t, has_cond) in enumerate(slot_qs):
-                        w = w * q_t[digits[k], own_cond if has_cond else 0, s]
-                    like[s] = w
-                total_mass = like.sum(axis=0)
-                post = np.divide(like, total_mass, out=np.zeros_like(like),
-                                 where=total_mass > 0)
-                action = _bayesian_actions(post, x, rule, utility)
-                ops += n_s * len(j)
-            g_next[x, j] = own + action * n_actions ** (t + 1)
-    return g_next, ops
+            g_next[x, rows] = own + action * n_actions ** (t + 1)
+            for s in range(n_s):
+                wl = pure[s].astype(np.longdouble)
+                mass_acc[s, x] += np.sum(wl)
+                err_acc[s, x] += np.sum(wl[action != s])
+    return g_next, ops, err_acc, mass_acc
 
 
 # ---------------------------------------------------------------------------
@@ -291,59 +327,22 @@ def posterior_general(
     return weights / total
 
 
-def error_probability_general(
-    g_t: np.ndarray,
-    t: int,
-    deg: int,
-    slot_qs: list[tuple[np.ndarray, bool]],
-    model: SignalModel,
-    n_actions: int,
-    condition_state: int | None = None,
-    n_obs: int | None = None,
-) -> tuple[float, float, int]:
-    """P(round-t vote != state) plus the worst coupling-mass deviation.
+def round0_sums(model: SignalModel, g0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The round-0 error and coupling sums: no neighbors, a product of 1."""
+    states = np.arange(model.n_states)[:, None]
+    err = (g0[:, 0][None, :] != states).astype(np.longdouble)
+    return err, np.ones_like(err)
 
-    The inner sum over neighbor trajectories of the cavity product must
-    total 1 for each (signal, state); the maximum |mass - 1| is returned and
-    checked by callers against COUPLING_TOL.
-    """
-    n_s, n_x = model.likelihood.shape
-    states = range(n_s) if condition_state is None else [condition_state]
-    if t == 0:
-        err = 0.0
-        for s in states:
-            weight = model.prior[s] if condition_state is None else 1.0
-            for x in range(n_x):
-                if int(g_t[x, 0]) != s:
-                    err += weight * model.likelihood[s, x]
-        return err, 0.0, n_x * len(list(states))
 
-    m = (n_obs or n_actions) ** t
-    cond_mod = max(n_actions ** (t - 1), 1)
-    total = m ** deg
-    check_budget(total)
-    err_acc = np.zeros((n_s, n_x), dtype=np.longdouble)
-    mass_acc = np.zeros((n_s, n_x), dtype=np.longdouble)
-    ops = 0
-    for start in range(0, total, CHUNK):
-        j = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        digits = [(j // m ** k) % m for k in range(deg)]
-        for x in range(n_x):
-            own = g_t[x, j].astype(np.int64)
-            own_cond = own % cond_mod
-            vote = own // n_actions ** t
-            for s in range(n_s):
-                w = np.ones(len(j))
-                for k, (q_prev, has_cond) in enumerate(slot_qs):
-                    w = w * q_prev[digits[k], own_cond if has_cond else 0, s]
-                wl = w.astype(np.longdouble)
-                mass_acc[s, x] += np.sum(wl)
-                err_acc[s, x] += np.sum(wl[vote != s])
-                ops += len(j)
-    coupling_dev = float(np.max(np.abs(mass_acc - 1.0)))
+def error_from_sums(model: SignalModel, sums: tuple[np.ndarray, np.ndarray],
+                    condition_state: int | None = None) -> tuple[float, float]:
+    """P(vote != state) from a table's error and coupling sums, plus the
+    worst |coupling mass - 1|, which callers check against COUPLING_TOL."""
+    err_acc, mass_acc = sums
+    states = range(model.n_states) if condition_state is None else [condition_state]
     err = 0.0
     for s in states:
         weight = model.prior[s] if condition_state is None else 1.0
-        for x in range(n_x):
+        for x in range(model.n_signals):
             err += weight * model.likelihood[s, x] * float(err_acc[s, x])
-    return err, coupling_dev, ops
+    return err, float(np.max(np.abs(mass_acc - 1.0)))

@@ -31,9 +31,10 @@ from .core import (
     COUPLING_TOL,
     cavity_step_general,
     decision_step_general,
-    error_probability_general,
+    error_from_sums,
     initial_cavity,
     posterior_general,
+    round0_sums,
     round0_table,
 )
 from .homogeneous import CouplingError, _resolve_actions
@@ -112,6 +113,8 @@ class _DenseFinite:
         self.o = owner
         g0 = round0_table(owner.model, owner.rule, owner.n_actions)
         self.g = {i: [g0] for i in range(owner.graph.n)}
+        sums0 = round0_sums(owner.model, g0)
+        self.sums = {i: [sums0] for i in range(owner.graph.n)}
         self.q: dict[tuple[int, int], list[np.ndarray]] = {
             (j, i): [] for i in range(owner.graph.n)
             for j in owner.graph.observed[i]}
@@ -138,11 +141,11 @@ class _DenseFinite:
             self.worst_drift = max(self.worst_drift, drift)
             tables.append(q_t)
         for i in range(o.graph.n):
-            slot_qs = [(self.q[(j, i)][t], i in obs[j]) for j in obs[i]]
-            g_next, _ = decision_step_general(
-                self.g[i][t], t, len(obs[i]), slot_qs, o.model, o.rule,
-                o.n_actions)
+            g_next, _, *sums = decision_step_general(
+                self.g[i][t], t, len(obs[i]), self._slot_qs(i, t), o.model,
+                o.rule, o.n_actions)
             self.g[i].append(g_next)
+            self.sums[i].append(sums)
         self.horizon += 1
 
     def _slot_qs(self, i: int, t: int):
@@ -150,11 +153,8 @@ class _DenseFinite:
         return [(self.q[(j, i)][t], i in obs[j]) for j in obs[i]]
 
     def error_probability(self, node, t, condition_state):
-        o = self.o
-        slot_qs = self._slot_qs(node, t - 1) if t >= 1 else []
-        err, coupling_dev, _ = error_probability_general(
-            self.g[node][t], t, len(o.graph.observed[node]), slot_qs,
-            o.model, o.n_actions, condition_state=condition_state)
+        err, coupling_dev = error_from_sums(self.o.model, self.sums[node][t],
+                                            condition_state)
         if coupling_dev > COUPLING_TOL:
             raise CouplingError(
                 f"coupling mass deviates by {coupling_dev:.3e} at node {node}, t={t}")

@@ -20,14 +20,15 @@ from ..trees import DegreeDistribution, edge_perspective
 from .core import (
     COUPLING_TOL,
     all_active,
-    cavity_step_entries,
+    cavity_step_bytes,
     cavity_step_general,
     check_budget,
-    decision_step_entries,
+    decision_step_bytes,
     decision_step_general,
-    error_probability_general,
+    error_from_sums,
     initial_cavity,
     posterior_general,
+    round0_sums,
     round0_table,
 )
 from .tables import CavityTable, DecisionTable
@@ -61,7 +62,8 @@ class ConfigModelEngine:
     """Exact calculations for agents who know only the degree law and their degree.
 
     Carries one shared cavity table plus a decision table per degree in the
-    support; the error probability can be reported per degree or averaged
+    support, with the error and coupling sums of each decision table in
+    ``sums``; the error probability can be reported per degree or averaged
     under the node-perspective law.  ``advance`` runs one step of the
     calculation schedule: the cavity table at the next horizon, then each
     decision table one round further.  After k calls the error probability
@@ -86,6 +88,7 @@ class ConfigModelEngine:
         self.channel = AllActive(self.n_actions)
         g0 = round0_table(model, rule, self.n_actions)
         self.decisions: dict[int, list[np.ndarray]] = {d: [g0] for d in self.degrees}
+        self.sums = {d: [round0_sums(model, g0)] for d in self.degrees}
         self.q: list[np.ndarray] = []
         self.slot_tables: list[np.ndarray] = []
         self.drifts: list[float] = []
@@ -128,11 +131,12 @@ class ConfigModelEngine:
         self.slot_tables.append(self.channel.fold(q_t, t))
         if extend_decisions:
             for d in self.degrees:
-                g_next, n = decision_step_general(
+                g_next, n, *sums = decision_step_general(
                     self.decisions[d][t], t, d, [(self.slot_tables[t], True)] * d,
                     self.model, self.rule, self.n_actions, n_obs)
                 ops += n
                 self.decisions[d].append(g_next)
+                self.sums[d].append(sums)
         self.ops.append(ops)
 
     def run(self, rounds: int) -> None:
@@ -143,8 +147,8 @@ class ConfigModelEngine:
             n_s, n_x = self.model.likelihood.shape
             for d, p in zip(self.rho_e.support, self.rho_e.probs):
                 if t >= 1 and p > 0.0:
-                    check_budget(cavity_step_entries(t, d, n_obs, n_s))
-                check_budget(decision_step_entries(t, d, n_obs, n_x))
+                    check_budget(cavity_step_bytes(t, d, n_obs, n_s))
+                check_budget(decision_step_bytes(t, d, n_obs, n_x))
         while self.horizon < rounds:
             self.advance()
 
@@ -157,11 +161,8 @@ class ConfigModelEngine:
                 p * self.error_probability(t, degree=d,
                                            condition_state=condition_state)
                 for d, p in zip(self.rho_v.support, self.rho_v.probs) if p > 0))
-        slot_qs = [(self.slot_tables[t - 1], True)] * degree if t >= 1 else []
-        err, coupling_dev, _ = error_probability_general(
-            self.decisions[degree][t], t, degree, slot_qs, self.model,
-            self.n_actions, condition_state=condition_state,
-            n_obs=self.channel.size)
+        err, coupling_dev = error_from_sums(self.model, self.sums[degree][t],
+                                            condition_state)
         if coupling_dev > COUPLING_TOL:
             raise CouplingError(
                 f"coupling mass deviates by {coupling_dev:.3e} at t={t}, d={degree}")

@@ -67,7 +67,7 @@ def posterior_with_hubs(
         raise ModelError(f"{len(active_hubs)} hubs inside the ball exceed the "
                          f"cap of {hub_cap}")
     for h in active_hubs:
-        if graph.hubs & set(graph.support_adjacency()[h]):
+        if graph.hubs & set(graph.adjacency[h]):
             raise ModelError("adjacent hubs are not supported")
 
     tree, relabel = _tree_without_hubs(graph)

@@ -214,7 +214,7 @@ def interior_nodes(graph, t: int, d: int | None = None) -> set[int]:
     have degree d; such nodes follow the infinite-tree exact values through
     round t.
     """
-    adj = graph.support_adjacency()
+    adj = graph.adjacency
     if d is None:
         d = max((len(a) for a in adj), default=0)
     out = set()

@@ -29,7 +29,9 @@ class TreeGraph:
 
     Removing the hub nodes must leave a forest (counting directed edges by
     their undirected support, which also rules out directed cycles longer
-    than two).  ``observed[i]`` lists the nodes whose votes agent i sees.
+    than two).  ``observed[i]`` lists the nodes whose votes agent i sees;
+    ``adjacency[i]`` lists i's neighbors under the undirected support of all
+    edges, sorted.
     """
 
     n: int
@@ -38,6 +40,8 @@ class TreeGraph:
     hubs: frozenset[int] = frozenset()
     labels: tuple[int, ...] | None = None
     observed: tuple[tuple[int, ...], ...] = field(init=False)
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False,
+                                                   repr=False)
 
     def __post_init__(self):
         edges = tuple(tuple(sorted(e)) for e in self.edges)
@@ -59,18 +63,20 @@ class TreeGraph:
         for i, j in directed:
             obs[i].add(j)
         object.__setattr__(self, "observed", tuple(tuple(sorted(s)) for s in obs))
+        object.__setattr__(self, "adjacency", _sorted_adjacency(
+            self.n, edges + directed))
 
     @property
     def max_degree(self) -> int:
         return max((len(o) for o in self.observed), default=0)
 
-    def support_adjacency(self) -> list[list[int]]:
-        """Neighbors under the undirected support of all edges, sorted."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges + self.directed_edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return [sorted(s) for s in adj]
+
+def _sorted_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return tuple(tuple(sorted(s)) for s in adj)
 
 
 def validate(graph: TreeGraph) -> str | None:
@@ -79,7 +85,7 @@ def validate(graph: TreeGraph) -> str | None:
     The undirected support of all edges, restricted to non-hub nodes, must
     be acyclic.  A violating cycle is named in the diagnostic.
     """
-    adj = graph.support_adjacency()
+    adj = graph.adjacency
     keep = [v for v in range(graph.n) if v not in graph.hubs]
     parent: dict[int, int | None] = {}
     for root in keep:
@@ -131,7 +137,7 @@ def directed_subtree(graph: TreeGraph, j: int, i: int) -> TreeGraph:
     The result keeps the original node ids in ``labels`` (labels[0] is j).
     """
     _require_tree(graph)
-    adj = graph.support_adjacency()
+    adj = graph.adjacency
     if j not in adj[i]:
         raise GraphError(f"({i}, {j}) is not an edge")
     order = [j]
@@ -157,7 +163,7 @@ def ball(graph: TreeGraph, i: int, t: int) -> set[int]:
     """All nodes at support distance <= t from node i."""
     if t < 0:
         raise GraphError("ball radius must be >= 0")
-    adj = graph.support_adjacency()
+    adj = graph.adjacency
     dist = {i: 0}
     queue = deque([i])
     while queue:
@@ -272,22 +278,22 @@ class SampledGraph:
 
     ``tree_ball_radius[i]`` is the largest t such that the ball of radius t
     around i induces a tree; nodes in an acyclic component report ``n``.
+    Every edge is undirected, so ``observed`` is the sorted ``adjacency``.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     tree_ball_radius: tuple[int, ...]
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False,
+                                                   repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "adjacency",
+                           _sorted_adjacency(self.n, self.edges))
 
     @property
     def observed(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return tuple(tuple(sorted(s)) for s in adj)
-
-    def support_adjacency(self) -> list[list[int]]:
-        return [list(o) for o in self.observed]
+        return self.adjacency
 
 
 def sample_configuration_graph(
@@ -329,14 +335,8 @@ def sample_configuration_graph(
 
 
 def _tree_ball_radii(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    radii = []
-    for i in range(n):
-        radii.append(_tree_radius_from(i, adj, n))
-    return radii
+    adj = _sorted_adjacency(n, edges)
+    return [_tree_radius_from(i, adj, n) for i in range(n)]
 
 
 def _tree_radius_from(i: int, adj: Sequence[Sequence[int]], n: int) -> int:
@@ -348,6 +348,8 @@ def _tree_radius_from(i: int, adj: Sequence[Sequence[int]], n: int) -> int:
     best = n + 1
     while queue:
         v = queue.popleft()
+        if dist[v] >= best:
+            break  # every later edge has an endpoint this deep
         for w in adj[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1

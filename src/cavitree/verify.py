@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavity import FiniteTreeEngine, RegularTreeEngine
+from .cavity.core import error_from_sums
 from .model import SignalModel, UpdateRule
 from .oracle import oracle_decision_tables, oracle_error_probability, unroll
 from .trees import TreeGraph, path_graph, rooted_arity_tree, star_graph
@@ -115,13 +116,8 @@ def invariant_suite(ds=(3, 5), noises=(0.15, 0.3), max_t: int = 4,
                            f"max defect {worst_marg:.2e}")
 
                 errs = [engine.error_probability(t) for t in range(max_t + 1)]
-                from .cavity.core import error_probability_general
-                worst_coupling = 0.0
-                for t in range(1, max_t + 1):
-                    _, dev, _ = error_probability_general(
-                        engine.g[t], t, d, [(engine.q[t - 1], True)] * d,
-                        model, engine.n_actions)
-                    worst_coupling = max(worst_coupling, dev)
+                worst_coupling = max(error_from_sums(model, sums)[1]
+                                     for sums in engine.sums[d][1:])
                 report.add(f"coupling {label}", worst_coupling <= COUPLING_TOL,
                            f"max |mass-1| {worst_coupling:.2e}")
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cavitree.cavity import FiniteTreeEngine
+import cavitree.cavity.finite as finite
+from cavitree.cavity import CouplingError, FiniteTreeEngine
 from cavitree.cavity.finite import _KernelFinite
 from cavitree.model import ModelError
 from cavitree.oracle import (
@@ -143,3 +144,20 @@ def test_interior_node_matches_homogeneous(model15, bayes):
     hom.run(2)
     assert engine.error_probability(0, 2) == pytest.approx(
         hom.error_probability(2), abs=1e-12)
+
+
+def test_inconsistent_cavity_table_raises_coupling_error(model15, bayes,
+                                                         monkeypatch):
+    step = finite.cavity_step_general
+
+    def scaled(*args, **kwargs):
+        q, drift, ops = step(*args, **kwargs)
+        return q * (1 + 1e-6), drift, ops
+
+    monkeypatch.setattr(finite, "cavity_step_general", scaled)
+    engine = FiniteTreeEngine(path_graph(3), model15, bayes)
+    assert engine.dense
+    engine.run(2)
+    engine.error_probability(1, 1)
+    with pytest.raises(CouplingError):
+        engine.error_probability(1, 2)

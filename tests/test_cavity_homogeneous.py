@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import cavitree.cavity
-from cavitree.cavity import RegularTreeEngine
+import cavitree.cavity.homogeneous as homogeneous
+from cavitree.cavity import CouplingError, RegularTreeEngine
 from cavitree.model import ModelError, UpdateRule
 from cavitree.oracle import unroll
 from cavitree.trees import path_graph
@@ -159,3 +160,21 @@ def test_ops_counter_within_complexity_envelope(model15, bayes):
     for t in range(1, 4):
         bound = 4.0 * base * 2.0 ** ((t + 1) * (d + 1))
         assert engine.ops[t] <= bound
+
+
+def test_inconsistent_cavity_table_raises_coupling_error(model15, bayes,
+                                                         monkeypatch):
+    """A cavity table whose columns sum to 1 + 1e-6 makes the coupling mass
+    of the next decision table deviate; its error must not be reported."""
+    step = homogeneous.cavity_step_general
+
+    def scaled(*args, **kwargs):
+        q, drift, ops = step(*args, **kwargs)
+        return q * (1 + 1e-6), drift, ops
+
+    monkeypatch.setattr(homogeneous, "cavity_step_general", scaled)
+    engine = RegularTreeEngine(model15, 3, bayes)
+    engine.run(2)
+    engine.error_probability(1)  # reads the unscaled round-0 message
+    with pytest.raises(CouplingError):
+        engine.error_probability(2)

@@ -9,10 +9,17 @@ from cavitree.cavity import (
     RegularTreeEngine,
     posterior_with_hubs,
 )
+import cavitree.cavity.homogeneous as homogeneous
 from cavitree.cavity.core import cavity_step_general
 from cavitree.model import ModelError
 from cavitree.oracle import feasible_set, unroll
-from cavitree.trees import DegreeDistribution, TreeGraph, edge_perspective, regular_tree
+from cavitree.trees import (
+    BudgetError,
+    DegreeDistribution,
+    TreeGraph,
+    edge_perspective,
+    regular_tree,
+)
 
 TRIANGLE = TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)), hubs=frozenset({2}))
 LOOPY = TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
@@ -96,6 +103,22 @@ def test_active_rejects_dead_edges(model15, bayes):
 def test_active_rejects_majority(model15, majority):
     with pytest.raises(ModelError):
         ActiveEdgeEngine(model15, 3, majority, p=0.5)
+
+
+def test_active_budget_counts_long_double_accumulators(model15, bayes,
+                                                       monkeypatch):
+    """At d=1, p<1 the horizon-8 cavity step returns 2.6e8 entries, each
+    with a long-double accumulator and a float64 copy: over the budget,
+    although 8 bytes an entry would fit.  No step may start."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before the budget check")
+
+    for name in ("initial_cavity", "cavity_step_general",
+                 "decision_step_general"):
+        monkeypatch.setattr(homogeneous, name, no_step)
+    engine = ActiveEdgeEngine(model15, 1, bayes, p=0.5)
+    with pytest.raises(BudgetError):
+        engine.run(9)
 
 
 def _enumerate_two_node_active(model, p):
