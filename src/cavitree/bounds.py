@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelError, majority_kernel  # noqa: F401  (re-exported op)
+from .model import ModelError
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,6 @@ class BoundSequence:
             raise ModelError("bound values must be probabilities")
         if self.values and self.values[0] != self.delta0:
             raise ModelError("sequence must start at delta0")
-
-
-def majority_vote(votes: Sequence[int]):
-    """Sign of the vote sum in {0,1} coding; zero margin gives the coin kernel."""
-    kern = majority_kernel(votes)
-    if len(kern) == 1:
-        return next(iter(kern))
-    return kern
 
 
 def binomial_tail(n: int, k0: int, q: float) -> float:

@@ -9,19 +9,7 @@ from .homogeneous import (
     RegularTreeEngine,
 )
 from .hubs import posterior_with_hubs
-from .tables import (
-    CavityTable,
-    DecisionTable,
-    TableError,
-    cavity_table_from_bytes,
-    cavity_table_from_json,
-    cavity_table_to_bytes,
-    cavity_table_to_json,
-    decision_table_from_bytes,
-    decision_table_from_json,
-    decision_table_to_bytes,
-    decision_table_to_json,
-)
+from .tables import CavityTable, DecisionTable, TableError
 
 __all__ = [
     "ActiveEdgeEngine",
@@ -34,13 +22,5 @@ __all__ = [
     "TableError",
     "COUPLING_TOL",
     "DRIFT_WARN",
-    "cavity_table_from_bytes",
-    "cavity_table_from_json",
-    "cavity_table_to_bytes",
-    "cavity_table_to_json",
-    "decision_table_from_bytes",
-    "decision_table_from_json",
-    "decision_table_to_bytes",
-    "decision_table_to_json",
     "posterior_with_hubs",
 ]

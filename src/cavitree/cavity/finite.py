@@ -3,9 +3,9 @@
 Every directed observation pair (i observes j) carries its own message
 Q_{j->i}; a message conditions on the observer's trajectory only when the
 observed node observes back (undirected edge).  Deterministic rules run on
-the dense vectorized core; stochastic rules (majority with coin-flip ties,
-custom kernels) run on an exact dictionary path where decision tables map
-inputs to kernels over trajectories.
+the dense vectorized core; stochastic rules (majority with coin-flip ties at
+even degree, Bayesian with uniform-random ties) run on an exact dictionary
+path where decision tables map inputs to kernels over trajectories.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from ..model import (
     resolve_tie,
     round0_kernel,
     round_digit,
-    validate_kernel,
 )
 from ..trees import GraphError, TreeGraph, validate
 from .core import (
@@ -38,7 +37,7 @@ from .core import (
     round0_table,
 )
 from .homogeneous import CouplingError, _resolve_actions
-from .tables import CavityTable, DecisionTable
+from .tables import CavityTable
 
 
 class FiniteTreeEngine:
@@ -73,8 +72,9 @@ class FiniteTreeEngine:
 
     def error_probability(self, node: int, t: int,
                           condition_state: int | None = None) -> float:
-        if t > self.horizon:
-            raise ModelError(f"advance through round {t} first")
+        if not 0 <= t <= self.horizon:
+            raise ModelError(f"no error for round {t}; the engine is at "
+                             f"round {self.horizon}")
         return self._impl.error_probability(node, t, condition_state)
 
     def posterior(self, node: int, x: int, observed: tuple[int, ...],
@@ -85,9 +85,6 @@ class FiniteTreeEngine:
                         observed: tuple[int, ...]) -> list[tuple[int, float]]:
         """Kernel over the node's trajectory through round t for this input."""
         return self._impl.decision_kernel(node, t, x, tuple(observed))
-
-    def decision_table(self, node: int, t: int) -> DecisionTable:
-        return self._impl.decision_table(node, t)
 
     def cavity_table(self, j: int, i: int, t: int) -> CavityTable:
         return self._impl.cavity_table(j, i, t)
@@ -173,11 +170,6 @@ class _DenseFinite:
         j = _combined_index(observed, m)
         return [(int(self.g[node][t][x, j]), 1.0)]
 
-    def decision_table(self, node, t):
-        return DecisionTable(horizon=t, alphabet_size=self.o.n_actions,
-                             scope=node, degree=len(self.o.graph.observed[node]),
-                             array=self.g[node][t])
-
     def cavity_table(self, j, i, t):
         return CavityTable(horizon=t, alphabet_size=self.o.n_actions,
                            scope=(j, i), array=self.q[(j, i)][t])
@@ -257,9 +249,6 @@ class _KernelFinite:
         if o.rule.variant == "majority":
             votes = [round_digit(c, t1 - 1, n_a) for c in nbr_codes]
             return majority_kernel(votes)
-        if o.rule.variant == "custom":
-            return validate_kernel(o.rule.kernel_fn(t1, x, nbr_codes, own),
-                                   n_a)
         utility = o.rule.utility or UtilityTable.identity(model.n_states)
         m_prev = n_a ** (t1 - 1)
         weights = model.prior * model.likelihood[:, x]
@@ -372,11 +361,6 @@ class _KernelFinite:
         m = self.o.n_actions ** t
         jdx = _combined_index(observed, m)
         return list(self.g[node][t][(x, jdx)])
-
-    def decision_table(self, node, t):
-        return DecisionTable(horizon=t, alphabet_size=self.o.n_actions,
-                             scope=node, degree=len(self.o.graph.observed[node]),
-                             kernel=dict(self.g[node][t]))
 
     def cavity_table(self, j, i, t):
         return CavityTable(horizon=t, alphabet_size=self.o.n_actions,

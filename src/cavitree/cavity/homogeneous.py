@@ -154,8 +154,10 @@ class ConfigModelEngine:
 
     def error_probability(self, t: int, degree: int | None = None,
                           condition_state: int | None = None) -> float:
-        if t > self.horizon:
-            raise ModelError(f"advance through round {t} first (at {self.horizon})")
+        stored = len(self.sums[self.degrees[0]])
+        if not 0 <= t < stored:
+            raise ModelError(f"no error sums for round {t}; they are stored "
+                             f"for rounds 0..{stored - 1}")
         if degree is None:
             return float(sum(
                 p * self.error_probability(t, degree=d,

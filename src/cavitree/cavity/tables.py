@@ -1,26 +1,19 @@
-"""Containers for cavity and decision tables, with binary/JSON round-trips.
+"""Containers for cavity and decision tables, with their consistency checks.
 
-The binary layout is versioned: magic ``CVTB``, a u32 format version, a u32
-header length, a UTF-8 JSON header carrying alphabet size, horizon, scope,
-kind, dtype and shape, then the dense array bytes in C index order.
+Both are dense arrays indexed by packed trajectories: ``CavityTable`` holds
+a message Q[sigma, tau, s], ``DecisionTable`` a deterministic decision
+table g[x, packed neighbor trajectories].
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-MAGIC = b"CVTB"
-FORMAT_VERSION = 1
-
-NORM_TOL = 1e-12
-
 
 class TableError(ValueError):
-    """Malformed table payload or header."""
+    """Table array of the wrong rank, or too short or long for its horizon."""
 
 
 @dataclass(frozen=True)
@@ -68,26 +61,15 @@ class CavityTable:
 
 @dataclass(frozen=True)
 class DecisionTable:
-    """g[x, packed neighbor trajectories] -> own packed trajectory.
-
-    Deterministic tables are dense integer arrays; stochastic rules store a
-    kernel mapping inputs to (trajectory codes, probabilities).
-    """
+    """g[x, packed neighbor trajectories] -> own packed trajectory."""
 
     horizon: int
     alphabet_size: int
     scope: object
     degree: int
-    array: np.ndarray | None = None
-    kernel: dict | None = None
-
-    def __post_init__(self):
-        if (self.array is None) == (self.kernel is None):
-            raise TableError("exactly one of array/kernel must be given")
+    array: np.ndarray
 
     def prefix_consistent_with(self, prev: "DecisionTable") -> bool:
-        if self.array is None or prev.array is None:
-            raise TableError("prefix check implemented for dense tables")
         n_in = self.alphabet_size ** self.horizon
         m = self.alphabet_size ** prev.horizon
         total = self.array.shape[1]
@@ -97,126 +79,3 @@ class DecisionTable:
             j_prev += ((js // n_in ** k) % n_in % m) * m ** k
         trunc = self.array % self.alphabet_size ** (prev.horizon + 1)
         return bool(np.all(trunc == prev.array[:, j_prev]))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def _pack(header: dict, payload: bytes) -> bytes:
-    head = json.dumps(header, sort_keys=True).encode()
-    return MAGIC + struct.pack("<II", FORMAT_VERSION, len(head)) + head + payload
-
-
-def _unpack(blob: bytes) -> tuple[dict, bytes]:
-    if blob[:4] != MAGIC:
-        raise TableError("not a cavity table blob (bad magic)")
-    version, hlen = struct.unpack("<II", blob[4:12])
-    if version != FORMAT_VERSION:
-        raise TableError(f"unsupported format version {version}")
-    header = json.loads(blob[12:12 + hlen].decode())
-    return header, blob[12 + hlen:]
-
-
-def cavity_table_to_bytes(table: CavityTable) -> bytes:
-    header = {
-        "kind": "cavity",
-        "alphabet_size": table.alphabet_size,
-        "horizon": table.horizon,
-        "scope": list(table.scope) if isinstance(table.scope, tuple) else table.scope,
-        "shape": list(table.array.shape),
-        "dtype": "<f8",
-        "entries": int(table.array.size),
-        "drift": table.drift,
-    }
-    return _pack(header, np.ascontiguousarray(table.array, dtype="<f8").tobytes())
-
-
-def cavity_table_from_bytes(blob: bytes) -> CavityTable:
-    header, payload = _unpack(blob)
-    if header.get("kind") != "cavity":
-        raise TableError("blob does not hold a cavity table")
-    arr = np.frombuffer(payload, dtype=header["dtype"]).reshape(header["shape"]).copy()
-    scope = header["scope"]
-    if isinstance(scope, list):
-        scope = tuple(scope)
-    return CavityTable(horizon=header["horizon"], alphabet_size=header["alphabet_size"],
-                       scope=scope, array=arr, drift=header.get("drift", 0.0))
-
-
-def decision_table_to_bytes(table: DecisionTable) -> bytes:
-    if table.array is None:
-        raise TableError("kernel decision tables serialize via JSON only")
-    header = {
-        "kind": "decision",
-        "alphabet_size": table.alphabet_size,
-        "horizon": table.horizon,
-        "scope": list(table.scope) if isinstance(table.scope, tuple) else table.scope,
-        "degree": table.degree,
-        "shape": list(table.array.shape),
-        "dtype": "<i4",
-        "entries": int(table.array.size),
-    }
-    return _pack(header, np.ascontiguousarray(table.array, dtype="<i4").tobytes())
-
-
-def decision_table_from_bytes(blob: bytes) -> DecisionTable:
-    header, payload = _unpack(blob)
-    if header.get("kind") != "decision":
-        raise TableError("blob does not hold a decision table")
-    arr = np.frombuffer(payload, dtype=header["dtype"]).reshape(header["shape"]).copy()
-    scope = header["scope"]
-    if isinstance(scope, list):
-        scope = tuple(scope)
-    return DecisionTable(horizon=header["horizon"], alphabet_size=header["alphabet_size"],
-                         scope=scope, degree=header["degree"], array=arr)
-
-
-def cavity_table_to_json(table: CavityTable) -> dict:
-    return {
-        "kind": "cavity",
-        "alphabet_size": table.alphabet_size,
-        "horizon": table.horizon,
-        "scope": list(table.scope) if isinstance(table.scope, tuple) else table.scope,
-        "drift": table.drift,
-        "entries": table.array.tolist(),
-    }
-
-
-def cavity_table_from_json(doc: dict) -> CavityTable:
-    scope = doc["scope"]
-    if isinstance(scope, list):
-        scope = tuple(scope)
-    return CavityTable(horizon=doc["horizon"], alphabet_size=doc["alphabet_size"],
-                       scope=scope, array=np.asarray(doc["entries"], dtype=float),
-                       drift=doc.get("drift", 0.0))
-
-
-def decision_table_to_json(table: DecisionTable) -> dict:
-    doc = {
-        "kind": "decision",
-        "alphabet_size": table.alphabet_size,
-        "horizon": table.horizon,
-        "scope": list(table.scope) if isinstance(table.scope, tuple) else table.scope,
-        "degree": table.degree,
-    }
-    if table.array is not None:
-        doc["entries"] = table.array.tolist()
-    else:
-        doc["kernel"] = [[list(key), [[int(c), float(p)] for c, p in kern]]
-                         for key, kern in sorted(table.kernel.items())]
-    return doc
-
-
-def decision_table_from_json(doc: dict) -> DecisionTable:
-    scope = doc["scope"]
-    if isinstance(scope, list):
-        scope = tuple(scope)
-    common = dict(horizon=doc["horizon"], alphabet_size=doc["alphabet_size"],
-                  scope=scope, degree=doc["degree"])
-    if "entries" in doc:
-        return DecisionTable(array=np.asarray(doc["entries"], dtype=np.int32),
-                             **common)
-    kernel = {tuple(key): tuple((int(c), float(p)) for c, p in kern)
-              for key, kern in doc["kernel"]}
-    return DecisionTable(kernel=kernel, **common)

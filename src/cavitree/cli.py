@@ -92,6 +92,10 @@ def _check_counts(args) -> None:
         raise ModelError(f"--rounds must be >= 0, not {args.rounds}")
     if getattr(args, "samples", 1) < 1:
         raise ModelError(f"--samples must be >= 1, not {args.samples}")
+    if getattr(args, "max_t", 0) < 0:
+        raise ModelError(f"--max-t must be >= 0, not {args.max_t}")
+    if getattr(args, "max_nodes", 2) < 2:
+        raise ModelError(f"--max-nodes must be >= 2, not {args.max_nodes}")
 
 
 def _error_column(rule_name: str, d: int, model: SignalModel, tie: TieBreakRule,

@@ -12,7 +12,7 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,57 +96,6 @@ def signal_posterior(model: SignalModel, x: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Trajectories
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A packed vote sequence covering rounds 0..horizon."""
-
-    horizon: int
-    alphabet_size: int
-    code: int
-
-    def __post_init__(self):
-        if self.horizon < 0:
-            raise ModelError("trajectory horizon must be >= 0")
-        if self.alphabet_size < 2:
-            raise ModelError("alphabet size must be >= 2")
-        if not 0 <= self.code < self.alphabet_size ** (self.horizon + 1):
-            raise ModelError(f"code {self.code} out of range for horizon {self.horizon}")
-
-
-def encode_trajectory(seq: Sequence[int], alphabet_size: int) -> Trajectory:
-    """Pack an action sequence; round 0 is the least significant digit."""
-    if len(seq) == 0:
-        raise ModelError("cannot encode an empty sequence")
-    code = 0
-    for t, a in enumerate(seq):
-        if not 0 <= a < alphabet_size:
-            raise ModelError(f"entry {a} at round {t} outside alphabet of size {alphabet_size}")
-        code += a * alphabet_size ** t
-    return Trajectory(horizon=len(seq) - 1, alphabet_size=alphabet_size, code=code)
-
-
-def decode_trajectory(traj: Trajectory) -> tuple[int, ...]:
-    code = traj.code
-    out = []
-    for _ in range(traj.horizon + 1):
-        out.append(code % traj.alphabet_size)
-        code //= traj.alphabet_size
-    return tuple(out)
-
-
-def trajectory_prefix(traj: Trajectory, horizon: int) -> Trajectory:
-    """Truncate to rounds 0..horizon (horizon <= traj.horizon)."""
-    if not 0 <= horizon <= traj.horizon:
-        raise ModelError(f"prefix horizon {horizon} out of range")
-    return Trajectory(horizon=horizon, alphabet_size=traj.alphabet_size,
-                      code=traj.code % traj.alphabet_size ** (horizon + 1))
-
-
-def prefix_code(code, horizon: int, alphabet_size: int):
-    """Prefix of packed code(s) through the given horizon; horizon -1 maps to 0."""
-    return code % alphabet_size ** (horizon + 1)
-
 
 def round_digit(code, t: int, alphabet_size: int):
     """Round-t vote extracted from packed code(s)."""
@@ -233,29 +182,22 @@ def map_decision(
 # Update rules
 # ---------------------------------------------------------------------------
 
-KernelFn = Callable[..., dict[int, float]]
-
-
 @dataclass(frozen=True)
 class UpdateRule:
     """How an agent turns its information into the next vote.
 
     ``bayesian`` computes the posterior and maximizes expected utility;
     ``majority`` adopts the majority of the neighbors' previous votes with a
-    fair coin on ties; ``custom`` supplies, per round, a kernel
-    P(action | x, neighbor trajectories, own trajectory).
+    fair coin on ties.
     """
 
     variant: str = "bayesian"
     tie_break: TieBreakRule = TieBreakRule()
     utility: UtilityTable | None = None
-    kernel_fn: KernelFn | None = None
 
     def __post_init__(self):
-        if self.variant not in ("bayesian", "majority", "custom"):
+        if self.variant not in ("bayesian", "majority"):
             raise ModelError(f"unknown update rule {self.variant!r}")
-        if self.variant == "custom" and self.kernel_fn is None:
-            raise ModelError("custom rule needs a kernel function")
 
     @property
     def stochastic_ties(self) -> bool:
@@ -265,9 +207,7 @@ class UpdateRule:
         """Whether the rule is a deterministic function for this many neighbors."""
         if self.variant == "bayesian":
             return not self.stochastic_ties
-        if self.variant == "majority":
-            return degree % 2 == 1
-        return False
+        return degree % 2 == 1
 
 
 def resolve_tie(tied: Sequence[int], tiebreak: TieBreakRule,
@@ -296,25 +236,9 @@ def round0_kernel(model: SignalModel, rule: "UpdateRule",
             dec = map_decision(signal_posterior(model, x), utility,
                                rule.tie_break, own_signal=x)
             out.append([(dec, 1.0)] if isinstance(dec, int) else sorted(dec.items()))
-        elif rule.variant == "majority":
-            out.append([(rule.tie_break.action_for_signal(x, n_actions), 1.0)])
         else:
-            kern = validate_kernel(rule.kernel_fn(0, x, (), None), n_actions)
-            out.append(sorted((a, p) for a, p in kern.items() if p > 0))
+            out.append([(rule.tie_break.action_for_signal(x, n_actions), 1.0)])
     return out
-
-
-def validate_kernel(kernel: dict[int, float], n_actions: int) -> dict[int, float]:
-    total = 0.0
-    for a, p in kernel.items():
-        if not 0 <= a < n_actions:
-            raise ModelError(f"kernel action {a} out of range")
-        if p < 0:
-            raise ModelError("kernel probabilities must be nonnegative")
-        total += p
-    if abs(total - 1.0) > PROB_TOL:
-        raise ModelError(f"kernel row sums to {total}, expected 1")
-    return kernel
 
 
 def majority_kernel(votes: Sequence[int]) -> dict[int, float]:
@@ -345,34 +269,32 @@ def model_from_json(doc: dict) -> tuple[SignalModel, TieBreakRule]:
     """Read a model configuration document.
 
     Either a full specification (states/signals/prior/likelihood) or the
-    shorthand {"noise": delta} for the binary symmetric model.
+    shorthand {"noise": delta} for the binary symmetric model.  A document
+    of the wrong shape raises ``ModelError``.
     """
+    if not isinstance(doc, dict):
+        raise ModelError("a model document is a JSON object")
     tie_name = doc.get("tie_break", "own_signal")
-    if tie_name not in _TIE_NAMES:
+    if not isinstance(tie_name, str) or tie_name not in _TIE_NAMES:
         raise ModelError(f"unknown tie_break {tie_name!r}")
     tie = TieBreakRule(variant=_TIE_NAMES[tie_name])
-    if "noise" in doc:
-        model = SignalModel.binary_symmetric(float(doc["noise"]),
-                                             prior=doc.get("prior"))
-        return model, tie
     try:
-        prior = doc["prior"]
-        lik = doc["likelihood"]
+        if "noise" in doc:
+            model = SignalModel.binary_symmetric(float(doc["noise"]),
+                                                 prior=doc.get("prior"))
+            return model, tie
+        model = SignalModel(prior=np.asarray(doc["prior"], float),
+                            likelihood=np.asarray(doc["likelihood"], float))
+        states = int(doc.get("states", model.n_states))
+        signals = int(doc.get("signals", model.n_signals))
+    except ModelError:
+        raise
     except KeyError as exc:
         raise ModelError(f"model document missing field {exc}") from exc
-    model = SignalModel(prior=np.asarray(prior, float), likelihood=np.asarray(lik, float))
-    if "states" in doc and int(doc["states"]) != model.n_states:
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"malformed model document: {exc}") from exc
+    if states != model.n_states:
         raise ModelError("declared state count does not match the prior length")
-    if "signals" in doc and int(doc["signals"]) != model.n_signals:
+    if signals != model.n_signals:
         raise ModelError("declared signal count does not match the likelihood width")
     return model, tie
-
-
-def model_to_json(model: SignalModel, tie: TieBreakRule) -> dict:
-    return {
-        "states": model.n_states,
-        "signals": model.n_signals,
-        "prior": model.prior.tolist(),
-        "likelihood": model.likelihood.tolist(),
-        "tie_break": tie.variant.value,
-    }

@@ -23,7 +23,6 @@ from .model import (
     map_decision,
     round0_kernel,
     round_digit,
-    validate_kernel,
 )
 from .trees import BudgetError
 
@@ -138,12 +137,9 @@ def _unroll_deterministic(tensor: TrajectoryTensor, t_max: int):
                     if total <= 0.0:
                         raise ModelError("empty feasible set for a realized observation")
                     a = map_decision(w / total, utility, rule.tie_break, own_signal=x)
-                elif rule.variant == "majority":
+                else:
                     votes = [round_digit(c, t - 1, n_a) for c in nbr_codes]
                     ((a, _),) = majority_kernel(votes).items()
-                else:
-                    kern = validate_kernel(rule.kernel_fn(t, x, nbr_codes, own), n_a)
-                    ((a, _),) = ((k, v) for k, v in kern.items() if v > 0)
                 actions[key] = a
                 tensor.decision_tables[i][t][(x, nbr_codes)] = own + a * m
             cur[i] = prev[i] + actions[keys] * m
@@ -152,7 +148,7 @@ def _unroll_deterministic(tensor: TrajectoryTensor, t_max: int):
 
 
 def _unroll_profiles(tensor: TrajectoryTensor, t_max: int):
-    """Stochastic rules: propagate a distribution over joint trajectories."""
+    """Majority with coin-flip ties: propagate a law over joint trajectories."""
     graph, model, rule = tensor.graph, tensor.model, tensor.rule
     n = graph.n
     n_a = tensor.n_actions
@@ -174,12 +170,8 @@ def _unroll_profiles(tensor: TrajectoryTensor, t_max: int):
                     cache_key = (i, nbr_codes, prof[i])
                     kern = kernels_cache.get(cache_key)
                     if kern is None:
-                        if rule.variant == "majority":
-                            votes = [round_digit(c, t - 1, n_a) for c in nbr_codes]
-                            raw = majority_kernel(votes)
-                        else:
-                            raw = validate_kernel(
-                                rule.kernel_fn(t, x_of[i], nbr_codes, prof[i]), n_a)
+                        votes = [round_digit(c, t - 1, n_a) for c in nbr_codes]
+                        raw = majority_kernel(votes)
                         kern = [(prof[i] + a * m, p)
                                 for a, p in sorted(raw.items()) if p > 0]
                         kernels_cache[cache_key] = kern

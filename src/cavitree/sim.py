@@ -39,10 +39,18 @@ def _mix(z: np.ndarray) -> np.ndarray:
 def counter_uniform(seed: int, kind: int, sample: np.ndarray, node: int,
                     t: int) -> np.ndarray:
     """Deterministic uniform in [0, 1) for each (seed, kind, sample, node, t)."""
+    return _node_uniform(_stream(seed, kind, sample), node, t)
+
+
+def _stream(seed: int, kind: int, sample: np.ndarray) -> np.ndarray:
+    """The first two mixing rounds, shared by every node and round."""
     z = np.asarray(sample, dtype=np.uint64)
     z = _mix(z ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    z = _mix(z ^ np.uint64(kind))
-    z = _mix(z ^ np.uint64(node))
+    return _mix(z ^ np.uint64(kind))
+
+
+def _node_uniform(stream: np.ndarray, node: int, t: int) -> np.ndarray:
+    z = _mix(stream ^ np.uint64(node))
     z = _mix(z ^ np.uint64(t))
     return z.astype(np.float64) / float(2 ** 64)
 
@@ -140,11 +148,14 @@ def simulate(
         tally = np.zeros((n, rounds + 1), dtype=np.int64)
         u = counter_uniform(seed, _KIND_STATE, idx, 0, 0)
         state = np.searchsorted(prior_cdf, u, side="right").astype(np.int8)
-        signals = np.empty((n, count), dtype=np.int8)
+        signal_stream = _stream(seed, _KIND_SIGNAL, idx)
+        coin_stream = _stream(seed, _KIND_COIN, idx)
+        thresholds = [lik_cdf[state, x] for x in range(model.n_signals)]
+        signals = np.zeros((n, count), dtype=np.int8)
         for i in range(n):
-            u = counter_uniform(seed, _KIND_SIGNAL, idx, i, 0)
-            thresholds = lik_cdf[state]  # (count, n_signals)
-            signals[i] = (u[:, None] >= thresholds).sum(axis=1).astype(np.int8)
+            u = _node_uniform(signal_stream, i, 0)
+            for column in thresholds:
+                signals[i] += u >= column
         votes = vote0[signals]
         codes = votes.astype(np.int32) if rule.variant != "majority" else None
         for i in range(n):
@@ -162,7 +173,7 @@ def simulate(
                     v = (margin > 0).astype(np.int8)
                     tie = margin == 0
                     if np.any(tie):
-                        coin = counter_uniform(seed, _KIND_COIN, idx, i, t) < 0.5
+                        coin = _node_uniform(coin_stream, i, t) < 0.5
                         v = np.where(tie, coin.astype(np.int8), v)
                 else:
                     j_idx = np.zeros(count, dtype=np.int64)
@@ -228,25 +239,3 @@ def interior_nodes(graph, t: int, d: int | None = None) -> set[int]:
             out.add(i)
     return out
 
-
-def exchangeability_report(result: RunResult, nodes: list[int], t: int) -> dict:
-    """Chi-square homogeneity check of error counts across exchangeable nodes.
-
-    Reported, never asserted: positive correlations between nearby nodes make
-    this a sanity signal, not a calibrated test.
-    """
-    from scipy import stats
-
-    counts = result.errors[list(nodes), t].astype(float)
-    n_samples = result.samples
-    pooled = counts.mean()
-    if pooled == 0 or pooled == n_samples:
-        return {"statistic": 0.0, "dof": len(nodes) - 1, "p_value": 1.0}
-    var = pooled * (1.0 - pooled / n_samples)
-    statistic = float(np.sum((counts - pooled) ** 2 / var))
-    dof = len(nodes) - 1
-    return {
-        "statistic": statistic,
-        "dof": dof,
-        "p_value": float(stats.chi2.sf(statistic, dof)),
-    }

@@ -123,42 +123,6 @@ def _trace_cycle(parent: dict[int, int | None], v: int, w: int) -> list[int]:
     return path_v[: iv + 1] + path_w[:iw][::-1]
 
 
-def _require_tree(graph: TreeGraph):
-    if graph.hubs:
-        raise GraphError("operation requires a hub-free tree")
-    diag = validate(graph)
-    if diag is not None:
-        raise GraphError(diag)
-
-
-def directed_subtree(graph: TreeGraph, j: int, i: int) -> TreeGraph:
-    """j's connected component once the edge (i, j) is removed, rooted at j.
-
-    The result keeps the original node ids in ``labels`` (labels[0] is j).
-    """
-    _require_tree(graph)
-    adj = graph.adjacency
-    if j not in adj[i]:
-        raise GraphError(f"({i}, {j}) is not an edge")
-    order = [j]
-    seen = {i, j}
-    pos = 0
-    while pos < len(order):
-        v = order[pos]
-        pos += 1
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    relabel = {v: k for k, v in enumerate(order)}
-    keep = set(order)
-    edges = [(relabel[a], relabel[b]) for a, b in graph.edges if a in keep and b in keep]
-    dedges = [(relabel[a], relabel[b]) for a, b in graph.directed_edges
-              if a in keep and b in keep]
-    return TreeGraph(n=len(order), edges=tuple(edges), directed_edges=tuple(dedges),
-                     labels=tuple(order))
-
-
 def ball(graph: TreeGraph, i: int, t: int) -> set[int]:
     """All nodes at support distance <= t from node i."""
     if t < 0:
@@ -365,23 +329,18 @@ def _tree_radius_from(i: int, adj: Sequence[Sequence[int]], n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def graph_from_json(doc: dict) -> TreeGraph:
-    return TreeGraph(
-        n=int(doc["n"]),
-        edges=tuple((int(i), int(j)) for i, j in doc.get("edges", [])),
-        directed_edges=tuple((int(i), int(j)) for i, j in doc.get("directed_edges", [])),
-        hubs=frozenset(int(v) for v in doc.get("hubs", [])),
-    )
-
-
-def graph_to_json(graph: TreeGraph) -> dict:
-    return {
-        "n": graph.n,
-        "edges": [list(e) for e in graph.edges],
-        "directed_edges": [list(e) for e in graph.directed_edges],
-        "hubs": sorted(graph.hubs),
-    }
-
-
-def degree_distribution_from_json(doc: dict) -> DegreeDistribution:
-    return DegreeDistribution(support=tuple(int(d) for d in doc["support"]),
-                              probs=np.asarray(doc["probs"], dtype=float))
+    """Read {"n": .., "edges": [[i, j], ..]} with optional "directed_edges"
+    and "hubs"; a document of the wrong shape raises ``GraphError``."""
+    if not isinstance(doc, dict):
+        raise GraphError("a graph document is a JSON object")
+    try:
+        n = int(doc["n"])
+        edges = tuple((int(i), int(j)) for i, j in doc.get("edges", []))
+        directed = tuple((int(i), int(j))
+                         for i, j in doc.get("directed_edges", []))
+        hubs = frozenset(int(v) for v in doc.get("hubs", []))
+    except KeyError as exc:
+        raise GraphError(f"graph document missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"malformed graph document: {exc}") from exc
+    return TreeGraph(n=n, edges=edges, directed_edges=directed, hubs=hubs)

@@ -11,20 +11,11 @@ from cavitree.bounds import (
     conjecture_check,
     directed_bound_sequence,
     doubling_slope,
-    majority_vote,
     noise_threshold,
     pascal_tail,
     undirected_bound_sequence,
 )
 from cavitree.model import ModelError
-
-
-def test_majority_vote_examples():
-    assert majority_vote([1, 1, 0]) == 1
-    assert majority_vote([1, 0]) == {0: 0.5, 1: 0.5}
-    assert majority_vote([0] * 5) == 0
-    with pytest.raises(ModelError):
-        majority_vote([])
 
 
 @given(st.integers(1, 20), st.integers(0, 21), st.floats(0.0, 1.0))

@@ -111,6 +111,14 @@ def test_majority_error_matches_oracle_with_coins(model15, majority):
                 oracle_error_probability(tensor, node, t), abs=1e-12)
 
 
+def test_error_round_out_of_range(model15, bayes):
+    engine = FiniteTreeEngine(path_graph(3), model15, bayes)
+    engine.run(2)
+    for t in (-1, 3):
+        with pytest.raises(ModelError):
+            engine.error_probability(0, t)
+
+
 def test_hub_graph_rejected(model15, bayes):
     graph = TreeGraph(n=3, edges=((0, 1), (1, 2), (0, 2)), hubs=frozenset({2}))
     with pytest.raises(GraphError):

@@ -151,6 +151,22 @@ def test_error_requires_advance(model15, bayes):
         engine.error_probability(1)
 
 
+def test_error_requires_decision_table(model15, bayes):
+    """A cavity step without its decision step stores no error sums for the
+    new horizon, so that round is refused with ModelError."""
+    engine = RegularTreeEngine(model15, 3, bayes)
+    engine.run(2)
+    engine.advance(extend_decisions=False)
+    assert engine.horizon == 3
+    with pytest.raises(ModelError):
+        engine.error_probability(3)
+    with pytest.raises(ModelError):
+        engine.error_probability(3, degree=3)
+    with pytest.raises(ModelError):
+        engine.error_probability(-1)
+    assert engine.error_probability(2) > 0.0
+
+
 def test_ops_counter_within_complexity_envelope(model15, bayes):
     """Sanity check of the 2^(O(t d)) effort claim via operation counters."""
     d = 3

@@ -107,6 +107,14 @@ def test_configuration_error_exit_code(tmp_path):
     assert run(tmp_path, "table", "--rounds", "-1") == 2
     assert run(tmp_path, "simulate", "--tree", "3:2", "--samples", "0") == 2
     assert run(tmp_path, "table", "--condition", "5") == 2
+    (tmp_path / "empty.json").write_text("{}")
+    assert run(tmp_path, "simulate", "--graph", "empty.json") == 2
+    (tmp_path / "flat.json").write_text('{"n": 2, "edges": [0, 1]}')
+    assert run(tmp_path, "simulate", "--graph", "flat.json") == 2
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert run(tmp_path, "table", "--model", "list.json") == 2
+    assert run(tmp_path, "verify", "--max-t", "-1") == 2
+    assert run(tmp_path, "verify", "--max-nodes", "1") == 2
 
 
 def test_budget_exit_code(tmp_path):

@@ -1,20 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
-from cavitree.cavity import (
-    CavityTable,
-    DecisionTable,
-    RegularTreeEngine,
-    TableError,
-    cavity_table_from_bytes,
-    cavity_table_from_json,
-    cavity_table_to_bytes,
-    cavity_table_to_json,
-    decision_table_from_bytes,
-    decision_table_to_bytes,
-)
+from cavitree.cavity import CavityTable, RegularTreeEngine, TableError
 
 
 @pytest.fixture(scope="module")
@@ -23,41 +10,6 @@ def engine(model15, bayes):
     eng.run(2)
     eng.advance(extend_decisions=False)
     return eng
-
-
-def test_cavity_binary_round_trip(engine):
-    table = engine.cavity_table(2)
-    back = cavity_table_from_bytes(cavity_table_to_bytes(table))
-    assert back.horizon == 2 and back.scope == "homogeneous"
-    np.testing.assert_array_equal(back.array, table.array)
-    assert back.drift == table.drift
-
-
-def test_cavity_json_round_trip(engine):
-    table = engine.cavity_table(1)
-    doc = cavity_table_to_json(table)
-    json.dumps(doc)  # must be serializable as-is
-    back = cavity_table_from_json(doc)
-    np.testing.assert_array_equal(back.array, table.array)
-
-
-def test_decision_binary_round_trip(engine):
-    table = engine.decision_table(2)
-    back = decision_table_from_bytes(decision_table_to_bytes(table))
-    assert back.degree == 3 and back.horizon == 2
-    np.testing.assert_array_equal(back.array, table.array)
-
-
-def test_bad_magic_rejected(engine):
-    blob = cavity_table_to_bytes(engine.cavity_table(0))
-    with pytest.raises(TableError):
-        cavity_table_from_bytes(b"XXXX" + blob[4:])
-
-
-def test_kind_mismatch_rejected(engine):
-    blob = cavity_table_to_bytes(engine.cavity_table(0))
-    with pytest.raises(TableError):
-        decision_table_from_bytes(blob)
 
 
 def test_normalization_defect_small(engine):
@@ -83,20 +35,5 @@ def test_table_constructors_validate():
         CavityTable(horizon=1, alphabet_size=2, scope="homogeneous",
                     array=np.zeros((3, 2, 2)))
     with pytest.raises(TableError):
-        DecisionTable(horizon=1, alphabet_size=2, scope=0, degree=2)
-
-
-def test_decision_json_round_trip(engine, model15, majority):
-    from cavitree.cavity import FiniteTreeEngine
-    from cavitree.cavity.tables import decision_table_from_json, decision_table_to_json
-    from cavitree.trees import path_graph
-
-    dense = engine.decision_table(2)
-    back = decision_table_from_json(decision_table_to_json(dense))
-    np.testing.assert_array_equal(back.array, dense.array)
-
-    kern_engine = FiniteTreeEngine(path_graph(3), model15, majority)
-    kern_engine.run(2)
-    kern = kern_engine.decision_table(1, 2)
-    back = decision_table_from_json(decision_table_to_json(kern))
-    assert back.kernel == kern.kernel
+        CavityTable(horizon=1, alphabet_size=2, scope="homogeneous",
+                    array=np.zeros((4, 2)))

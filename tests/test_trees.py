@@ -7,15 +7,12 @@ from cavitree.trees import (
     GraphError,
     TreeGraph,
     ball,
-    directed_subtree,
     edge_perspective,
     graph_from_json,
-    graph_to_json,
     path_graph,
     regular_tree,
     rooted_arity_tree,
     sample_configuration_graph,
-    star_graph,
     validate,
 )
 
@@ -39,35 +36,6 @@ def test_validate_triangle_names_cycle():
 def test_validate_directed_support_cycle():
     graph = TreeGraph(n=3, edges=((0, 1), (1, 2)), directed_edges=((2, 0),))
     assert validate(graph) is not None
-
-
-def test_directed_subtree_path():
-    sub = directed_subtree(path_graph(3), 1, 0)
-    assert set(sub.labels) == {1, 2} and sub.labels[0] == 1
-
-
-def test_directed_subtree_leaf():
-    sub = directed_subtree(star_graph(4), 1, 0)
-    assert set(sub.labels) == {1}
-
-
-def test_directed_subtree_depth2():
-    graph = rooted_arity_tree(2, 2)  # root 0, children 1-2, leaves 3-6
-    sub = directed_subtree(graph, 1, 0)
-    assert set(sub.labels) == {1, 3, 4}
-
-
-def test_directed_subtrees_disjoint():
-    graph = regular_tree(3, 3)
-    subs = [set(directed_subtree(graph, j, 0).labels) for j in graph.observed[0]]
-    for a in range(len(subs)):
-        for b in range(a + 1, len(subs)):
-            assert not (subs[a] & subs[b])
-
-
-def test_directed_subtree_requires_edge():
-    with pytest.raises(GraphError):
-        directed_subtree(path_graph(4), 3, 0)
 
 
 def test_ball_examples():
@@ -157,9 +125,25 @@ def test_configuration_rejects_exhausted_budget():
 
 
 def test_graph_json_round_trip():
-    doc = graph_to_json(TRIANGLE)
+    doc = {"n": 4, "edges": [[1, 0], [1, 2], [0, 2]], "directed_edges": [[3, 0]],
+           "hubs": [2]}
     back = graph_from_json(doc)
-    assert back.edges == TRIANGLE.edges and back.hubs == TRIANGLE.hubs
+    assert back.edges == ((0, 1), (1, 2), (0, 2)) and back.hubs == {2}
+    assert back.directed_edges == ((3, 0),)
+    assert back.observed[3] == (0,) and 3 not in back.observed[0]
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    {"n": 2, "edges": [0, 1]},
+    {"n": 3, "edges": [[0, 1, 2]]},
+    {"n": "three"},
+    {"n": 3, "hubs": [None]},
+    [3],
+])
+def test_graph_json_malformed(doc):
+    with pytest.raises(GraphError):
+        graph_from_json(doc)
 
 
 def test_neighbor_lists_sorted():
