@@ -1,10 +1,14 @@
 """Shared numerics for the cavity recursion and the decision tables.
 
 A node of degree ``deg`` indexes its neighbors by *slots* in canonical order.
-A decision table at horizon t is a dense integer array ``g[x, J]`` where J
-packs the ``deg`` observed trajectories (horizon t-1, codes < n_obs**t)
-with slot k contributing ``code_k * (n_obs**t)**k``; the value is the node's
-own packed action trajectory through round t (code < n_a**(t+1)).  The
+A decision table at horizon t is an integer array ``g[x, J]`` over the
+``deg`` observed trajectories (horizon t-1, codes < n_obs**t); the value is
+the node's own packed action trajectory through round t (code
+< n_a**(t+1)).  An *index space* says how J ranks a tuple of slot codes.
+The dense space packs every ordered tuple, slot k contributing
+``code_k * (n_obs**t)**k``; it serves slots that carry different tables.
+The multiset space ranks sorted tuples only and weights each by the number
+of ordered tuples it stands for; it serves exchangeable slots.  The
 observed alphabet has ``n_obs`` letters per round: the n_a actions, plus a
 star on the erasure channel of ``active.py``.  Cavity tables are arrays
 ``Q[sigma, tau, s]`` with the conditioning axis one horizon shorter than the
@@ -23,6 +27,7 @@ own: the decision step that builds a table also sums its cavity product per
 from __future__ import annotations
 
 import logging
+from math import comb, factorial
 
 import numpy as np
 
@@ -58,18 +63,151 @@ def check_budget(need: int, budget: int = MEMORY_BUDGET):
             f"{budget / 2 ** 30:.2f} GiB budget")
 
 
+# ---------------------------------------------------------------------------
+# Index spaces
+# ---------------------------------------------------------------------------
+
+class DenseSpace:
+    """Every ordered tuple of ``slots`` codes below ``base``, ranked
+    sum_k code_k * base**k, each of weight 1."""
+
+    def __init__(self, base: int, slots: int):
+        self.base, self.slots = base, slots
+        self.size = self.count(base, slots)
+
+    @staticmethod
+    def count(base: int, slots: int) -> int:
+        return base ** slots
+
+    def digits(self, r: np.ndarray) -> np.ndarray:
+        """The (slots, len(r)) codes of the inputs of ranks ``r``."""
+        out = np.empty((self.slots, len(r)), dtype=np.int64)
+        for k in range(self.slots):
+            out[k] = (r // self.base ** k) % self.base
+        return out
+
+    def rank(self, digits: np.ndarray) -> np.ndarray:
+        j = np.zeros(digits.shape[1], dtype=np.int64)
+        for k, code in enumerate(digits):
+            j += code * self.base ** k
+        return j
+
+    def weights(self, digits: np.ndarray) -> None:
+        return None
+
+    def cavity(self, tau_pos: int | None) -> "DenseSpace":
+        """The inputs a cavity step sums over: every table input."""
+        return self
+
+
+class MultisetSpace:
+    """Sorted tuples c_0 <= ... <= c_{slots-1} of codes below ``base``: one
+    input per multiset of exchangeable slots.
+
+    The rank of a multiset is sum_k C(c_k + k, k + 1), the combinatorial
+    number system of the combination {c_k + k} (Knuth, TAOCP 7.2.1.3), and
+    its weight is the multinomial count of the ordered tuples it stands for.
+    """
+
+    def __init__(self, base: int, slots: int):
+        self.base, self.slots = base, slots
+        self.size = self.count(base, slots)
+        # _binom[k, b] = C(b, k + 1) for every b = c_k + k.
+        self._binom = np.array([[comb(b, k + 1) for b in range(base + slots - 1)]
+                                for k in range(slots)], dtype=np.int64)
+
+    @staticmethod
+    def count(base: int, slots: int) -> int:
+        return comb(base + slots - 1, slots)
+
+    def digits(self, r: np.ndarray) -> np.ndarray:
+        """Unrank greedily, top slot first: the largest C(b, k + 1) <= r."""
+        r = np.array(r, dtype=np.int64)
+        out = np.empty((self.slots, len(r)), dtype=np.int64)
+        for k in range(self.slots - 1, -1, -1):
+            b = np.searchsorted(self._binom[k], r, side="right") - 1
+            r -= self._binom[k].take(b)
+            out[k] = b - k
+        return out
+
+    def rank(self, digits: np.ndarray) -> np.ndarray:
+        """Rank of each column of ``digits``, which need not be sorted."""
+        j = np.zeros(digits.shape[1], dtype=np.int64)
+        for k, code in enumerate(_sorted_rows(digits)):
+            j += self._binom[k].take(code + k)
+        return j
+
+    def weights(self, digits: np.ndarray) -> np.ndarray | None:
+        """Multinomial counts slots! / prod(run length!) of sorted columns."""
+        if self.slots < 2:
+            return None
+        run = np.ones(digits.shape[1], dtype=np.int64)
+        denominator = np.ones_like(run)
+        for k in range(1, self.slots):
+            run = np.where(digits[k] == digits[k - 1], run + 1, 1)
+            denominator *= run
+        return factorial(self.slots) / denominator
+
+    def cavity(self, tau_pos: int | None):
+        """The inputs a cavity step sums over: the observer's code in slot 0
+        and a multiset of the other slots."""
+        if tau_pos != 0:
+            raise ValueError("a multiset table keeps its observer in slot 0")
+        return _ObservedMultisets(self.base, MultisetSpace(self.base, self.slots - 1))
+
+    def expand(self, table: np.ndarray) -> np.ndarray:
+        """The dense table: column J holds the column of sort(J)."""
+        dense = DenseSpace(self.base, self.slots)
+        out = np.empty((table.shape[0], dense.size), dtype=table.dtype)
+        for start in range(0, dense.size, CHUNK):
+            r = np.arange(start, min(start + CHUNK, dense.size), dtype=np.int64)
+            out[:, start:start + len(r)] = table[:, self.rank(dense.digits(r))]
+        return out
+
+
+class _ObservedMultisets:
+    """An observer's code times a multiset of the other slots: rank r holds
+    the code r % base and the multiset of rank r // base."""
+
+    def __init__(self, base: int, others: MultisetSpace):
+        self.base, self.others = base, others
+        self.size = base * others.size
+
+    def digits(self, r: np.ndarray) -> np.ndarray:
+        out = np.empty((1 + self.others.slots, len(r)), dtype=np.int64)
+        out[0] = r % self.base
+        out[1:] = self.others.digits(r // self.base)
+        return out
+
+    def weights(self, digits: np.ndarray) -> np.ndarray | None:
+        return self.others.weights(digits[1:])
+
+
+def _sorted_rows(digits: np.ndarray) -> list[np.ndarray]:
+    """The rows of ``digits`` sorted within each column (insertion network)."""
+    rows = list(digits)
+    for i in range(1, len(rows)):
+        for k in range(i, 0, -1):
+            low = np.minimum(rows[k - 1], rows[k])
+            rows[k] = np.maximum(rows[k - 1], rows[k])
+            rows[k - 1] = low
+    return rows
+
+
 def cavity_step_bytes(t: int, deg: int, n_obs: int, n_states: int,
-                      observer: bool = True) -> int:
+                      observer: bool = True, index=DenseSpace) -> int:
     """Bytes of a horizon-t cavity step: 8 per summed term, plus a
     long-double accumulator and a float64 copy per returned entry."""
     m = n_obs ** t
+    terms = m * index.count(m, deg - 1) if observer else index.count(m, deg)
     n_out = n_obs ** (t + 1) * (m if observer else 1) * n_states
-    return 8 * m ** deg + (np.dtype(np.longdouble).itemsize + 8) * n_out
+    return 8 * terms + (np.dtype(np.longdouble).itemsize + 8) * n_out
 
 
-def decision_step_bytes(t: int, deg: int, n_obs: int, n_signals: int) -> int:
+def decision_step_bytes(t: int, deg: int, n_obs: int, n_signals: int,
+                        index=DenseSpace) -> int:
     """Bytes of the horizon-(t+1) decision table and its workspace."""
-    return 8 * n_obs ** ((t + 1) * deg) * (n_signals + 2)
+    return 8 * index.count(n_obs ** (t + 1), deg) * (n_signals + 2)
 
 
 def all_active(out: np.ndarray, tau: np.ndarray, t: int):
@@ -118,12 +256,16 @@ def cavity_step_general(
     n_actions: int,
     n_obs: int | None = None,
     emit=all_active,
+    index=DenseSpace,
 ) -> tuple[np.ndarray, float, int]:
     """One application of the cavity recursion for a node of degree ``deg``.
 
-    ``g_flat`` is the node's horizon-t decision table; slot ``tau_pos`` holds
-    the observer's fixed (zombie) trajectory and the remaining slots carry
-    child messages ``child_qs`` at horizon t-1.  ``emit(out, tau, t)`` maps
+    ``g_flat`` is the node's horizon-t decision table over the ``index``
+    space; slot ``tau_pos`` holds the observer's fixed (zombie) trajectory
+    and the remaining slots carry child messages ``child_qs`` at horizon
+    t-1.  On a multiset table the observer sits in slot 0, the children
+    are summed as multisets weighted by their counts, and g is read at the
+    rank of sort(tau, children).  ``emit(out, tau, t)`` maps
     the node's action codes through round t, as seen by an observer whose
     trajectory is ``tau``, to (observed code, weight) pairs.  Returns the
     horizon-t table Q[sigma, tau, s] (renormalized per (tau, s) slice), the
@@ -136,16 +278,20 @@ def cavity_step_general(
     n_out = n_obs ** (t + 1)
     n_tau = m if tau_pos is not None else 1
     cond_mod = max(n_actions ** (t - 1), 1)
-    total = m ** deg
-    check_budget(cavity_step_bytes(t, deg, n_obs, n_s, tau_pos is not None))
+    check_budget(cavity_step_bytes(t, deg, n_obs, n_s, tau_pos is not None,
+                                   index))
+    table = index(m, deg)
+    inputs = table.cavity(tau_pos)
 
     acc = [np.zeros(n_out * n_tau, dtype=np.longdouble) for _ in range(n_s)]
     colsum = [np.zeros(n_tau, dtype=np.longdouble) for _ in range(n_s)]
     ops = 0
     slots = [k for k in range(deg) if k != tau_pos]
-    for start in range(0, total, CHUNK):
-        j = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        digits = [(j // m ** k) % m for k in range(deg)]
+    for start in range(0, inputs.size, CHUNK):
+        r = np.arange(start, min(start + CHUNK, inputs.size), dtype=np.int64)
+        digits = inputs.digits(r)
+        j = table.rank(digits)
+        count = inputs.weights(digits)
         tau_digit = digits[tau_pos] if tau_pos is not None else np.zeros_like(j)
         tau_seg = _sorted_segments(tau_digit) if n_tau > 1 else None
         for x in range(n_x):
@@ -157,6 +303,8 @@ def cavity_step_general(
                 w = np.full(len(j), model.likelihood[s, x])
                 for k, (q_prev, has_cond) in zip(slots, child_qs):
                     w = w * q_prev[digits[k], cond if has_cond else 0, s]
+                if count is not None:
+                    w *= count
                 for seg, weight in segs:
                     _segment_add(acc[s], *seg, w * weight)
                 if tau_seg is None:
@@ -218,25 +366,28 @@ def decision_step_general(
     rule: UpdateRule,
     n_actions: int,
     n_obs: int | None = None,
+    index=DenseSpace,
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Extend the decision table to horizon t+1 from slot tables at horizon t.
 
-    Inputs are the ``deg`` observed trajectories at horizon t; the output
-    appends the round-(t+1) vote to the agent's horizon-t trajectory, which
-    is itself looked up from ``g_prev`` on the truncated inputs.  Returns
-    the table, the number of posterior terms, and the round-(t+1) error and
-    coupling sums: long-double (n_states, n_signals) sums of the cavity
-    product prod_k Q_k[c_k, own, s] over the inputs whose new vote differs
-    from s, and over all inputs (1 on consistent tables).
+    Inputs are the ``deg`` observed trajectories at horizon t, ranked in
+    the ``index`` space; the output appends the round-(t+1) vote to the
+    agent's horizon-t trajectory, which is itself looked up from ``g_prev``
+    on the truncated inputs (re-ranked, since truncating a sorted tuple can
+    unsort it).  Returns the table, the number of posterior terms, and the
+    round-(t+1) error and coupling sums: long-double (n_states, n_signals)
+    sums of the cavity product prod_k Q_k[c_k, own, s], each input weighted
+    by the ordered tuples it stands for, over the inputs whose new vote
+    differs from s, and over all inputs (1 on consistent tables).
     """
     if not rule.deterministic_for_degree(deg):
         raise ValueError("dense decision tables require a deterministic rule")
     n_s, n_x = model.likelihood.shape
     n_obs = n_obs or n_actions
-    n_in = n_obs ** (t + 1)
     m = n_obs ** t
-    total = n_in ** deg
-    check_budget(decision_step_bytes(t, deg, n_obs, n_x))
+    check_budget(decision_step_bytes(t, deg, n_obs, n_x, index))
+    space, prev = index(n_obs ** (t + 1), deg), index(m, deg)
+    total = space.size
     utility = rule.utility or UtilityTable.identity(model.n_states)
     bayesian = rule.variant != "majority"
     # Each slot table as contiguous (n_states, codes * conditions) rows.
@@ -247,14 +398,12 @@ def decision_step_general(
     mass_acc = np.zeros((n_s, n_x), dtype=np.longdouble)
     ops = 0
     for start in range(0, total, CHUNK):
-        j = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        digits = [(j // n_in ** k) % n_in for k in range(deg)]
-        j_prev = np.zeros_like(j)
-        for k in range(deg):
-            j_prev += (digits[k] % m) * m ** k
-        rows = slice(start, start + len(j))
-        pure = np.empty((n_s, len(j)))
-        del j  # chunk arrays die once spent: this step sets the peak memory
+        digits = space.digits(np.arange(start, min(start + CHUNK, total),
+                                        dtype=np.int64))
+        count = space.weights(digits)
+        j_prev = prev.rank(digits % m)
+        rows = slice(start, start + digits.shape[1])
+        pure = np.empty((n_s, digits.shape[1]))
         for x in range(n_x):
             own = g_prev[x, j_prev].astype(np.int64)
             own_cond = own % n_actions ** t
@@ -282,6 +431,8 @@ def decision_step_general(
                     raise ValueError("majority tie reached the dense path")
                 action = (margin > 0).astype(np.int64)
             g_next[x, rows] = own + action * n_actions ** (t + 1)
+            if count is not None:
+                pure *= count
             for s in range(n_s):
                 wl = pure[s].astype(np.longdouble)
                 mass_acc[s, x] += np.sum(wl)
@@ -302,20 +453,22 @@ def posterior_general(
     model: SignalModel,
     n_actions: int,
     n_obs: int | None = None,
+    index=DenseSpace,
 ) -> np.ndarray:
     """P(s | x, neighbor trajectories through t-1) via the cavity factorization.
 
     ``observed`` holds one horizon-(t-1) code per slot; ``slot_qs`` the
     horizon-(t-1) slot tables.  The agent's own trajectory is derived from
-    the decision table on the truncated observation.
+    the decision table, over the ``index`` space, on the truncated
+    observation.
     """
     from ..model import ModelError, signal_posterior
 
     if t == 0:
         return signal_posterior(model, x)
     m_prev = (n_obs or n_actions) ** (t - 1)
-    j_prev = sum((code % m_prev) * m_prev ** k for k, code in enumerate(observed))
-    own = int(g_prev[x, j_prev])
+    truncated = np.array(observed, dtype=np.int64).reshape(-1, 1) % m_prev
+    own = int(g_prev[x, index(m_prev, len(observed)).rank(truncated)[0]])
     own_cond = own % n_actions ** (t - 1)
     weights = model.prior * model.likelihood[:, x]
     for k, (q, has_cond) in enumerate(slot_qs):

@@ -4,9 +4,12 @@ Homogeneity means one cavity table per horizon, and one decision table per
 degree, stand for every edge and node; this is what makes the infinite tree
 computable.  Slots are exchangeable here, so the observer's fixed trajectory
 occupies slot 0 of the child's table and the remaining slots carry i.i.d.
-child messages.  ``ConfigModelEngine`` implements the unknown-graph
-recursion: the child's degree is drawn from the edge-perspective law, and
-one shared scope-free cavity table feeds per-degree decision tables.
+child messages, and each decision table is indexed by neighbour multisets
+(``core.MultisetSpace``), not by ordered tuples; ``dense_decisions``
+expands one to a column per ordered input.  ``ConfigModelEngine``
+implements the unknown-graph recursion: the child's degree is drawn from
+the edge-perspective law, and one shared scope-free cavity table feeds
+per-degree decision tables.
 ``RegularTreeEngine`` is the one-point degree law, and ``ActiveEdgeEngine``
 (``active.py``) runs it over the erasure observation channel.
 """
@@ -19,6 +22,7 @@ from ..model import ModelError, SignalModel, UpdateRule
 from ..trees import DegreeDistribution, edge_perspective
 from .core import (
     COUPLING_TOL,
+    MultisetSpace,
     all_active,
     cavity_step_bytes,
     cavity_step_general,
@@ -96,7 +100,8 @@ class ConfigModelEngine:
 
     @property
     def g(self) -> dict[int, list[np.ndarray]]:
-        """Decision tables per degree, then per horizon."""
+        """Decision tables per degree, then per horizon, indexed by neighbour
+        multisets."""
         return self.decisions
 
     @property
@@ -122,7 +127,7 @@ class ConfigModelEngine:
                 q_d, drift_d, n = cavity_step_general(
                     self.decisions[d][t], t, d, 0,
                     [(self.slot_tables[t - 1], True)] * (d - 1),
-                    self.model, self.n_actions, n_obs, emit)
+                    self.model, self.n_actions, n_obs, emit, MultisetSpace)
                 ops += n
                 drift = max(drift, drift_d)
                 q_t = p * q_d if q_t is None else q_t + p * q_d
@@ -133,7 +138,7 @@ class ConfigModelEngine:
             for d in self.degrees:
                 g_next, n, *sums = decision_step_general(
                     self.decisions[d][t], t, d, [(self.slot_tables[t], True)] * d,
-                    self.model, self.rule, self.n_actions, n_obs)
+                    self.model, self.rule, self.n_actions, n_obs, MultisetSpace)
                 ops += n
                 self.decisions[d].append(g_next)
                 self.sums[d].append(sums)
@@ -147,13 +152,18 @@ class ConfigModelEngine:
             n_s, n_x = self.model.likelihood.shape
             for d, p in zip(self.rho_e.support, self.rho_e.probs):
                 if t >= 1 and p > 0.0:
-                    check_budget(cavity_step_bytes(t, d, n_obs, n_s))
-                check_budget(decision_step_bytes(t, d, n_obs, n_x))
+                    check_budget(cavity_step_bytes(t, d, n_obs, n_s,
+                                                   index=MultisetSpace))
+                check_budget(decision_step_bytes(t, d, n_obs, n_x,
+                                                 index=MultisetSpace))
         while self.horizon < rounds:
             self.advance()
 
     def error_probability(self, t: int, degree: int | None = None,
                           condition_state: int | None = None) -> float:
+        if degree is not None and degree not in self.sums:
+            raise ModelError(f"degree {degree} is outside the degree law's "
+                             f"support {self.degrees}")
         stored = len(self.sums[self.degrees[0]])
         if not 0 <= t < stored:
             raise ModelError(f"no error sums for round {t}; they are stored "
@@ -187,7 +197,14 @@ class ConfigModelEngine:
             raise ModelError("advance further first")
         return posterior_general(x, tuple(observed), self.decisions[deg][t - 1], t,
                                  [(self.slot_tables[t - 1], True)] * deg,
-                                 self.model, self.n_actions, self.channel.size)
+                                 self.model, self.n_actions, self.channel.size,
+                                 MultisetSpace)
+
+    def dense_decisions(self, degree: int, t: int) -> np.ndarray:
+        """The horizon-t decision table of ``degree`` with one column per
+        ordered tuple of observed trajectories, packed as in a dense table."""
+        space = MultisetSpace(self.channel.size ** t, degree)
+        return space.expand(self.decisions[degree][t])
 
     def cavity_table(self, t: int) -> CavityTable:
         return CavityTable(horizon=t, alphabet_size=self.channel.size,
@@ -210,7 +227,7 @@ class RegularTreeEngine(ConfigModelEngine):
 
     @property
     def g(self) -> list[np.ndarray]:
-        """Decision tables per horizon."""
+        """Decision tables per horizon, indexed by neighbour multisets."""
         return self.decisions[self.d]
 
     def decision_table(self, t: int) -> DecisionTable:
@@ -218,4 +235,5 @@ class RegularTreeEngine(ConfigModelEngine):
             raise ModelError("a DecisionTable has one alphabet; these inputs "
                              "are observed over a larger one")
         return DecisionTable(horizon=t, alphabet_size=self.n_actions,
-                             scope="homogeneous", degree=self.d, array=self.g[t])
+                             scope="homogeneous", degree=self.d,
+                             array=self.dense_decisions(self.d, t))

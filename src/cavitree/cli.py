@@ -96,6 +96,8 @@ def _check_counts(args) -> None:
         raise ModelError(f"--max-t must be >= 0, not {args.max_t}")
     if getattr(args, "max_nodes", 2) < 2:
         raise ModelError(f"--max-nodes must be >= 2, not {args.max_nodes}")
+    if getattr(args, "threads", 1) < 1:
+        raise ModelError(f"--threads must be >= 1, not {args.threads}")
 
 
 def _error_column(rule_name: str, d: int, model: SignalModel, tie: TieBreakRule,

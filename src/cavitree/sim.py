@@ -203,7 +203,8 @@ class DegreeTables:
 
     This is the unknown-graph semantics: an agent's table depends on its
     degree only, so configuration-model samples replay the degree-mixture
-    engine's tables.
+    engine's tables.  Each (degree, round) table is expanded to ordered
+    inputs once and shared by every node of that degree.
     """
 
     def __init__(self, engine, graph):
@@ -212,10 +213,14 @@ class DegreeTables:
         missing = sorted(set(self.deg) - set(engine.degrees))
         if missing:
             raise ModelError(f"engine lacks tables for degrees {missing}")
+        self._actions: dict[tuple[int, int], np.ndarray] = {}
 
     def action_table(self, node: int, t: int) -> np.ndarray:
-        g = self.engine.decisions[self.deg[node]][t]
-        return (g // self.engine.n_actions ** t).astype(np.int8)
+        key = (self.deg[node], t)
+        if key not in self._actions:
+            g = self.engine.dense_decisions(*key)
+            self._actions[key] = (g // self.engine.n_actions ** t).astype(np.int8)
+        return self._actions[key]
 
 
 def interior_nodes(graph, t: int, d: int | None = None) -> set[int]:

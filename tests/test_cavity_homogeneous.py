@@ -167,6 +167,13 @@ def test_error_requires_decision_table(model15, bayes):
     assert engine.error_probability(2) > 0.0
 
 
+def test_error_rejects_degree_outside_support(model15, bayes):
+    engine = RegularTreeEngine(model15, 3, bayes)
+    engine.run(2)
+    with pytest.raises(ModelError):
+        engine.error_probability(1, degree=4)
+
+
 def test_ops_counter_within_complexity_envelope(model15, bayes):
     """Sanity check of the 2^(O(t d)) effort claim via operation counters."""
     d = 3

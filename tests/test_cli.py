@@ -115,6 +115,7 @@ def test_configuration_error_exit_code(tmp_path):
     assert run(tmp_path, "table", "--model", "list.json") == 2
     assert run(tmp_path, "verify", "--max-t", "-1") == 2
     assert run(tmp_path, "verify", "--max-nodes", "1") == 2
+    assert run(tmp_path, "simulate", "--tree", "3:2", "--threads", "0") == 2
 
 
 def test_budget_exit_code(tmp_path):

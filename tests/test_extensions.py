@@ -54,8 +54,8 @@ def test_two_point_mixture_is_weighted_average(model15, bayes):
     q_prev = cfg.q[0]
     by_hand = None
     for d, p in zip(rho_e.support, rho_e.probs):
-        q_d = cavity_step_general(cfg.g[d][1], 1, d, 0, [(q_prev, True)] * (d - 1),
-                                  model15, 2)[0]
+        q_d = cavity_step_general(cfg.dense_decisions(d, 1), 1, d, 0,
+                                  [(q_prev, True)] * (d - 1), model15, 2)[0]
         by_hand = p * q_d if by_hand is None else by_hand + p * q_d
     np.testing.assert_allclose(cfg.q[1], by_hand, atol=1e-12)
 
@@ -173,7 +173,8 @@ def test_active_replay_matches_monte_carlo(model15, bayes):
     depth = {0: 0}
     for i, j in graph.edges:  # level order: parents come first
         depth[j] = depth[i] + 1
-    votes = [engine.g[0][signals, 0].astype(np.int64)]
+    tables = [engine.dense_decisions(d, t) for t in range(rounds + 1)]
+    votes = [tables[0][signals, 0].astype(np.int64)]
     for t in range(1, rounds + 1):
         now = np.zeros_like(votes[0])
         for i in (i for i in range(graph.n) if depth[i] <= rounds - t):
@@ -183,7 +184,7 @@ def test_active_replay_matches_monte_carlo(model15, bayes):
                 code = sum(np.where(seen[r], votes[r][nbr], n_a) * e ** r
                            for r in range(t))
                 j_idx += code * (e ** t) ** k
-            own = engine.g[t][signals[i], j_idx]
+            own = tables[t][signals[i], j_idx]
             now[i] = own // n_a ** t
         votes.append(now)
     for t in range(rounds + 1):

@@ -1,0 +1,132 @@
+"""Index spaces of the decision tables: the multiset space against the
+exact reference's enumeration, and both core steps run in the dense and the
+multiset space on the same slot tables."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import cavitree.cavity.homogeneous as homogeneous
+from cavitree.cavity import ActiveEdgeEngine, ConfigModelEngine, RegularTreeEngine
+from cavitree.cavity.core import (
+    DenseSpace,
+    MultisetSpace,
+    cavity_step_general,
+    decision_step_general,
+    error_from_sums,
+)
+from cavitree.model import ModelError, UpdateRule
+from cavitree.trees import DegreeDistribution
+from exact_reference import _multisets
+
+SMALL = [(n_codes, size) for n_codes in range(1, 7) for size in range(5)]
+
+
+@pytest.mark.parametrize("n_codes,size", SMALL)
+def test_multiset_space_matches_reference(n_codes, size):
+    space = MultisetSpace(n_codes, size)
+    want = dict(_multisets(n_codes, size))
+    ranks = np.arange(space.size, dtype=np.int64)
+    digits = space.digits(ranks)
+    got = [tuple(int(c) for c in column) for column in digits.T]
+    assert len(got) == space.size == len(want)
+    assert set(got) == set(want)
+    np.testing.assert_array_equal(space.rank(digits), ranks)
+    weights = space.weights(digits)
+    weights = np.ones(space.size) if weights is None else weights
+    assert [want[codes] for codes in got] == weights.tolist()
+
+
+@pytest.mark.parametrize("n_codes,size", [(3, 3), (4, 4), (5, 2)])
+def test_multiset_rank_sorts_and_expand_agrees(n_codes, size):
+    """Every ordered tuple ranks as its sorted tuple, and expansion reads
+    each dense column from the column of its sorted tuple."""
+    space = MultisetSpace(n_codes, size)
+    dense = DenseSpace(n_codes, size)
+    ordered = dense.digits(np.arange(dense.size, dtype=np.int64))
+    ranks = space.rank(ordered)
+    np.testing.assert_array_equal(ranks, space.rank(np.sort(ordered, axis=0)))
+    table = np.arange(2 * space.size, dtype=np.int32).reshape(2, -1)
+    np.testing.assert_array_equal(space.expand(table), table[:, ranks])
+
+
+def _dense_vs_multiset(engine, degree, rounds):
+    """Run each step of ``engine`` again in the dense space on its own slot
+    tables and compare with the multiset step."""
+    model, rule = engine.model, engine.rule
+    n_a, n_obs = engine.n_actions, engine.channel.size
+    for t in range(rounds):
+        slots = [(engine.slot_tables[t], True)] * degree
+        g_dense, _, *sums = decision_step_general(
+            engine.dense_decisions(degree, t), t, degree, slots, model, rule,
+            n_a, n_obs)
+        assert np.array_equal(g_dense, engine.dense_decisions(degree, t + 1)), t
+        want = engine.error_probability(t + 1, degree=degree)
+        got = error_from_sums(model, sums)[0]
+        assert got == pytest.approx(want, rel=1e-14, abs=0), t
+        if t == 0:
+            continue
+        children = [(engine.slot_tables[t - 1], True)] * (degree - 1)
+        q_dense = cavity_step_general(
+            engine.dense_decisions(degree, t), t, degree, 0, children, model,
+            n_a, n_obs, engine.channel.emit)[0]
+        q_multi = cavity_step_general(
+            engine.decisions[degree][t], t, degree, 0, children, model, n_a,
+            n_obs, engine.channel.emit, MultisetSpace)[0]
+        np.testing.assert_allclose(q_multi, q_dense, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("variant,d,rounds", [("bayesian", 5, 4),
+                                              ("bayesian", 3, 6),
+                                              ("majority", 3, 6)])
+def test_steps_agree_across_spaces(model15, variant, d, rounds):
+    engine = RegularTreeEngine(model15, d, UpdateRule(variant=variant))
+    engine.run(rounds)
+    _dense_vs_multiset(engine, d, rounds)
+
+
+def test_steps_agree_across_spaces_erasure(model15, bayes):
+    engine = ActiveEdgeEngine(model15, 3, bayes, p=0.5)
+    engine.run(3)
+    _dense_vs_multiset(engine, 3, 3)
+
+
+def test_steps_agree_across_spaces_mixture(model15, bayes):
+    rho_v = DegreeDistribution((3, 5), np.array([0.5, 0.5]))
+    engine = ConfigModelEngine(model15, rho_v, bayes)
+    engine.run(3)
+    for d in rho_v.support:
+        _dense_vs_multiset(engine, d, 3)
+
+
+def test_multiset_budget_admits_d5_round6(model15, bayes, monkeypatch):
+    """Dense d=5 round 6 needs 1.07e9 table inputs, over the budget; as
+    multisets it needs 1.04e7, so the preflight lets the first step start."""
+    class StepStarted(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise StepStarted
+
+    for name in ("initial_cavity", "cavity_step_general",
+                 "decision_step_general"):
+        monkeypatch.setattr(homogeneous, name, started)
+    with pytest.raises(StepStarted):
+        RegularTreeEngine(model15, 5, bayes).run(6)
+
+
+def test_posterior_reads_any_slot_order(model15, bayes):
+    engine = RegularTreeEngine(model15, 3, bayes)
+    engine.run(2)
+    checked = 0
+    for observed in itertools.combinations_with_replacement(range(4), 3):
+        try:
+            want = engine.posterior(1, observed, 2)
+        except ModelError:  # an infeasible input
+            continue
+        checked += 1
+        for perm in itertools.permutations(observed):
+            np.testing.assert_allclose(engine.posterior(1, perm, 2), want,
+                                       rtol=1e-14)
+    assert checked > 0
