@@ -105,53 +105,109 @@ def _combined_index(codes, base: int) -> int:
     return j
 
 
+def _intern(keys) -> tuple[list[int], list[int]]:
+    """Small-int class id per key, and the first position of each class."""
+    ids: dict = {}
+    classes, firsts = [], []
+    for pos, key in enumerate(keys):
+        c = ids.setdefault(key, len(ids))
+        if c == len(firsts):
+            firsts.append(pos)
+        classes.append(c)
+    return classes, firsts
+
+
 class _DenseFinite:
+    """Tables per structural class, not per node or edge.
+
+    Each round every node and every directed edge gets a class id, interned
+    from the classes that fix the inputs of its core step, and each step
+    runs once per class; isomorphic subtrees share their tables, as in
+    Aho-Hopcroft-Ullman tree hashing.  A node's class at t+1 is its class at
+    t with its slot messages' classes at t.  So a sender's class at t fixes
+    its table, its degree and its slot messages at t-1, and with the
+    observer's slot it fixes every input of the edge's cavity step.
+    """
+
     def __init__(self, owner: FiniteTreeEngine):
         self.o = owner
+        obs = owner.graph.observed
+        n = owner.graph.n
+        self.edges = [(j, i) for i in range(n) for j in obs[i]]
+        self.edge_id = {edge: e for e, edge in enumerate(self.edges)}
+        # Per edge j->i: the observer's slot in obs[j], if j observes it.
+        self._tau_pos = [obs[j].index(i) if i in obs[j] else None
+                         for (j, i) in self.edges]
+        # Per node i: its slot edges j->i, each with whether it conditions.
+        self._slots = [tuple((self.edge_id[(j, i)], i in obs[j]) for j in obs[i])
+                       for i in range(n)]
         g0 = round0_table(owner.model, owner.rule, owner.n_actions)
-        self.g = {i: [g0] for i in range(owner.graph.n)}
-        sums0 = round0_sums(owner.model, g0)
-        self.sums = {i: [sums0] for i in range(owner.graph.n)}
-        self.q: dict[tuple[int, int], list[np.ndarray]] = {
-            (j, i): [] for i in range(owner.graph.n)
-            for j in owner.graph.observed[i]}
+        # Per round: the class id of every node (edge), and the table of
+        # every class.
+        self.node_class = [[0] * n]
+        self.g = [[g0]]
+        self.sums = [[round0_sums(owner.model, g0)]]
+        self.edge_class: list[list[int]] = []
+        self.q: list[list[np.ndarray]] = []
+        self._actions: dict[tuple[int, int], np.ndarray] = {}
         self.horizon = 0
         self.worst_drift = 0.0
-        self._q0 = None
 
     def advance(self):
         o = self.o
-        obs = o.graph.observed
         t = self.horizon
-        for (j, i), tables in self.q.items():
+        nodes = self.node_class[t]
+        if t == 0:  # a round-0 message depends on the sender's table only
+            keys = [nodes[j] for (j, _) in self.edges]
+        else:
+            keys = [(nodes[j], tau_pos)
+                    for (j, _), tau_pos in zip(self.edges, self._tau_pos)]
+        edge_class, firsts = _intern(keys)
+        q_t = []
+        for e in firsts:
+            j = self.edges[e][0]
             if t == 0:
-                if self._q0 is None:
-                    self._q0 = initial_cavity(o.model, self.g[j][0], o.n_actions)
-                tables.append(self._q0)
+                q_t.append(initial_cavity(o.model, self.g[0][nodes[j]],
+                                          o.n_actions))
                 continue
-            deg_j = len(obs[j])
-            tau_pos = obs[j].index(i) if i in obs[j] else None
-            child_qs = [(self.q[(l, j)][t - 1], j in obs[l])
-                        for l in obs[j] if l != i]
-            q_t, drift, _ = cavity_step_general(
-                self.g[j][t], t, deg_j, tau_pos, child_qs, o.model, o.n_actions)
+            tau_pos = self._tau_pos[e]
+            child_qs = [slot for k, slot in enumerate(self._slot_qs(j, t - 1))
+                        if k != tau_pos]
+            table, drift, _ = cavity_step_general(
+                self.g[t][nodes[j]], t, len(self._slots[j]), tau_pos, child_qs,
+                o.model, o.n_actions)
             self.worst_drift = max(self.worst_drift, drift)
-            tables.append(q_t)
-        for i in range(o.graph.n):
-            g_next, _, *sums = decision_step_general(
-                self.g[i][t], t, len(obs[i]), self._slot_qs(i, t), o.model,
-                o.rule, o.n_actions)
-            self.g[i].append(g_next)
-            self.sums[i].append(sums)
+            q_t.append(table)
+        self.edge_class.append(edge_class)
+        self.q.append(q_t)
+
+        keys = [(nodes[i], tuple((edge_class[e], cond) for e, cond in slots))
+                for i, slots in enumerate(self._slots)]
+        node_class, firsts = _intern(keys)
+        g_next, sums_next = [], []
+        for i in firsts:
+            table, _, *sums = decision_step_general(
+                self.g[t][nodes[i]], t, len(self._slots[i]),
+                self._slot_qs(i, t), o.model, o.rule, o.n_actions)
+            g_next.append(table)
+            sums_next.append(sums)
+        self.node_class.append(node_class)
+        self.g.append(g_next)
+        self.sums.append(sums_next)
         self.horizon += 1
 
+    def _table(self, node: int, t: int) -> np.ndarray:
+        return self.g[t][self.node_class[t][node]]
+
+    def _message(self, e: int, t: int) -> np.ndarray:
+        return self.q[t][self.edge_class[t][e]]
+
     def _slot_qs(self, i: int, t: int):
-        obs = self.o.graph.observed
-        return [(self.q[(j, i)][t], i in obs[j]) for j in obs[i]]
+        return [(self._message(e, t), cond) for e, cond in self._slots[i]]
 
     def error_probability(self, node, t, condition_state):
-        err, coupling_dev = error_from_sums(self.o.model, self.sums[node][t],
-                                            condition_state)
+        sums = self.sums[t][self.node_class[t][node]]
+        err, coupling_dev = error_from_sums(self.o.model, sums, condition_state)
         if coupling_dev > COUPLING_TOL:
             raise CouplingError(
                 f"coupling mass deviates by {coupling_dev:.3e} at node {node}, t={t}")
@@ -161,21 +217,27 @@ class _DenseFinite:
         if t == 0:
             return posterior_general(x, (), None, 0, [], self.o.model,
                                      self.o.n_actions)
-        return posterior_general(x, observed, self.g[node][t - 1], t,
+        return posterior_general(x, observed, self._table(node, t - 1), t,
                                  self._slot_qs(node, t - 1), self.o.model,
                                  self.o.n_actions)
 
     def decision_kernel(self, node, t, x, observed):
         m = self.o.n_actions ** t
         j = _combined_index(observed, m)
-        return [(int(self.g[node][t][x, j]), 1.0)]
+        return [(int(self._table(node, t)[x, j]), 1.0)]
 
     def cavity_table(self, j, i, t):
         return CavityTable(horizon=t, alphabet_size=self.o.n_actions,
-                           scope=(j, i), array=self.q[(j, i)][t])
+                           scope=(j, i),
+                           array=self._message(self.edge_id[(j, i)], t))
 
     def action_table(self, node, t):
-        return (self.g[node][t] // self.o.n_actions ** t).astype(np.int8)
+        """One array per class: nodes of a class share the same object."""
+        key = (t, self.node_class[t][node])
+        if key not in self._actions:
+            self._actions[key] = (self.g[t][key[1]]
+                                  // self.o.n_actions ** t).astype(np.int8)
+        return self._actions[key]
 
 
 class _KernelFinite:

@@ -245,7 +245,7 @@ def majority_kernel(votes: Sequence[int]) -> dict[int, float]:
     """Majority of binary votes; a zero margin yields the fair-coin kernel."""
     if len(votes) == 0:
         raise ModelError("majority update needs at least one neighbor vote")
-    ones = int(np.sum(np.asarray(votes) == 1))
+    ones = sum(1 for v in votes if v == 1)
     margin = 2 * ones - len(votes)
     if margin > 0:
         return {1: 1.0}

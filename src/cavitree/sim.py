@@ -27,13 +27,18 @@ _KIND_COIN = 3
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_MAX_BITS = (1 << 64) - 1
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z + _GAMMA).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 of a fresh uint64 array, overwriting it."""
+    z += _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def counter_uniform(seed: int, kind: int, sample: np.ndarray, node: int,
@@ -44,15 +49,36 @@ def counter_uniform(seed: int, kind: int, sample: np.ndarray, node: int,
 
 def _stream(seed: int, kind: int, sample: np.ndarray) -> np.ndarray:
     """The first two mixing rounds, shared by every node and round."""
-    z = np.asarray(sample, dtype=np.uint64)
-    z = _mix(z ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    return _mix(z ^ np.uint64(kind))
+    z = _mix(np.asarray(sample, dtype=np.uint64)
+             ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    z ^= np.uint64(kind)
+    return _mix(z)
+
+
+def _node_bits(stream: np.ndarray, node: int, t: int) -> np.ndarray:
+    z = _mix(stream ^ np.uint64(node))
+    z ^= np.uint64(t)
+    return _mix(z)
 
 
 def _node_uniform(stream: np.ndarray, node: int, t: int) -> np.ndarray:
-    z = _mix(stream ^ np.uint64(node))
-    z = _mix(z ^ np.uint64(t))
-    return z.astype(np.float64) / float(2 ** 64)
+    u = _node_bits(stream, node, t).astype(np.float64)
+    u /= float(2 ** 64)
+    return u
+
+
+def _bits_cut(c: float) -> int:
+    """The least z with float(z) / 2**64 >= c, rounded as `_node_uniform`
+    rounds, so that u >= c exactly when its bits are >= the cut; 2**64
+    when no z reaches c."""
+    lo, hi = 0, 1 << 64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if float(mid) / 2.0 ** 64 >= c:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass
@@ -101,6 +127,51 @@ def _graph_descriptor(graph) -> dict:
     return {"n": graph.n, "digest": digest}
 
 
+# Elements per block temporary: the gathers of one class run over blocks
+# of at most this many (node, sample) pairs.
+_BLOCK = 1 << 20
+
+
+def _group_nodes(obs, payloads: list) -> list[tuple]:
+    """Nodes sharing one payload object and one degree, grouped as
+    (payload, nodes, neighbour matrix of shape (nodes, degree))."""
+    groups: dict = {}
+    for i, payload in enumerate(payloads):
+        groups.setdefault((id(payload), len(obs[i])), (payload, []))[1].append(i)
+    return [(payload, np.array(nodes, dtype=np.intp),
+             np.array([obs[i] for i in nodes], dtype=np.intp).reshape(
+                 len(nodes), deg))
+            for (_, deg), (payload, nodes) in groups.items()]
+
+
+def _replay(table: np.ndarray, signals: np.ndarray, codes: np.ndarray,
+            nbr: np.ndarray, m: int) -> np.ndarray:
+    """Votes of a block of nodes sharing one flattened (signal, packed
+    neighbour codes) table.  The index is built digit by digit, Horner-wise,
+    in the narrowest dtype that holds it."""
+    j = signals.astype(np.min_scalar_type(table.size - 1))
+    for k in range(nbr.shape[1] - 1, -1, -1):
+        j *= m
+        j += codes[nbr[:, k]]
+    return table.take(j)
+
+
+def _majority(votes: np.ndarray, block: np.ndarray, nbr: np.ndarray,
+              coin_stream: np.ndarray, t: int) -> np.ndarray:
+    """Majority votes of a block of equal-degree nodes; a node with a tie
+    draws its coins from its own counter stream."""
+    ones = np.zeros((len(block), votes.shape[1]), dtype=np.int16)
+    for k in range(nbr.shape[1]):
+        ones += votes[nbr[:, k]]
+    margin = 2 * ones.astype(np.int32) - nbr.shape[1]
+    v = (margin > 0).astype(np.int8)
+    tie = margin == 0
+    for r in np.flatnonzero(tie.any(axis=1)):
+        coin = _node_uniform(coin_stream, int(block[r]), t) < 0.5
+        np.copyto(v[r], coin, where=tie[r])
+    return v
+
+
 def simulate(
     graph,
     model: SignalModel,
@@ -117,7 +188,9 @@ def simulate(
     Bayesian runs replay ``tables`` (anything exposing
     ``action_table(node, t) -> (n_signals, codes) array``, e.g. a finite-tree
     engine or a degree-table adapter); majority needs no tables.  Stochastic
-    tie coins come from the counter stream.
+    tie coins come from the counter stream.  Nodes that are served one
+    table object (majority: nodes of one degree) vote in one gather per
+    block of nodes, not one per node.
     """
     n = graph.n
     obs = graph.observed
@@ -131,13 +204,34 @@ def simulate(
         raise ModelError("stochastic round-0 votes are not supported in replay")
     vote0 = np.array([k[0][0] for k in kern0], dtype=np.int8)
 
-    action_tables = None
-    if rule.variant == "bayesian":
-        action_tables = [[np.ascontiguousarray(tables.action_table(i, t))
-                          for i in range(n)] for t in range(rounds + 1)]
+    bayesian = rule.variant == "bayesian"
+    if bayesian:
+        steps = []
+        for t in range(1, rounds + 1):
+            groups = _group_nodes(obs, [tables.action_table(i, t)
+                                        for i in range(n)])
+            for table, _, nbr in groups:
+                want = (model.n_signals, n_a ** (t * nbr.shape[1]))
+                if np.shape(table) != want:
+                    raise ModelError(f"round-{t} action table has shape "
+                                     f"{np.shape(table)}, not {want}")
+            steps.append([(np.ascontiguousarray(table, dtype=np.int8).ravel(),
+                           nodes, nbr) for table, nodes, nbr in groups])
+    else:
+        steps = [_group_nodes(obs, [None] * n)] * rounds
+    codes_dtype = np.min_scalar_type(n_a ** (rounds + 1) - 1)
 
     prior_cdf = np.cumsum(model.prior)
-    lik_cdf = np.cumsum(model.likelihood, axis=1)
+    # A signal counts the likelihood-CDF entries its uniform reaches; each
+    # entry is compared on the raw bits, which skips the float conversion.
+    cuts = [[_bits_cut(c) for c in row]
+            for row in np.cumsum(model.likelihood, axis=1)]
+    bits_cuts = np.array([[min(k, _MAX_BITS) for k in row] for row in cuts],
+                         dtype=np.uint64)
+    # An entry above 1 (rounding) is never reached; its cut of 2**64 - 1
+    # would be, by the top draw alone, so counts are capped per state.
+    reach = np.array([sum(k <= _MAX_BITS for k in row) for row in cuts],
+                     dtype=np.int8)
 
     starts = list(range(0, samples, chunk))
 
@@ -150,40 +244,34 @@ def simulate(
         state = np.searchsorted(prior_cdf, u, side="right").astype(np.int8)
         signal_stream = _stream(seed, _KIND_SIGNAL, idx)
         coin_stream = _stream(seed, _KIND_COIN, idx)
-        thresholds = [lik_cdf[state, x] for x in range(model.n_signals)]
+        thresholds = [bits_cuts[state, x] for x in range(model.n_signals)]
+        cap = reach[state] if np.any(reach < model.n_signals) else None
         signals = np.zeros((n, count), dtype=np.int8)
+        # Node by node: drawing blocks of nodes at once measured slower.
         for i in range(n):
-            u = _node_uniform(signal_stream, i, 0)
+            bits = _node_bits(signal_stream, i, 0)
             for column in thresholds:
-                signals[i] += u >= column
+                signals[i] += bits >= column
+            if cap is not None:
+                np.minimum(signals[i], cap, out=signals[i])
         votes = vote0[signals]
-        codes = votes.astype(np.int32) if rule.variant != "majority" else None
-        for i in range(n):
-            tally[i, 0] = np.sum(votes[i] != state)
+        codes = votes.astype(codes_dtype) if bayesian else None
+        tally[:, 0] = np.count_nonzero(votes != state, axis=1)
+        rows = max(1, _BLOCK // count)
         for t in range(1, rounds + 1):
             m = n_a ** t
             new_votes = np.empty_like(votes)
-            for i in range(n):
-                nbrs = obs[i]
-                if rule.variant == "majority":
-                    ones = np.zeros(count, dtype=np.int16)
-                    for j in nbrs:
-                        ones += votes[j]
-                    margin = 2 * ones.astype(np.int32) - len(nbrs)
-                    v = (margin > 0).astype(np.int8)
-                    tie = margin == 0
-                    if np.any(tie):
-                        coin = _node_uniform(coin_stream, i, t) < 0.5
-                        v = np.where(tie, coin.astype(np.int8), v)
-                else:
-                    j_idx = np.zeros(count, dtype=np.int64)
-                    for k, j in enumerate(nbrs):
-                        j_idx += codes[j].astype(np.int64) * m ** k
-                    v = action_tables[t][i][signals[i], j_idx].astype(np.int8)
-                new_votes[i] = v
-                tally[i, t] = np.sum(v != state)
-            if codes is not None:
-                codes = codes + new_votes.astype(np.int32) * m
+            for table, nodes, nbr in steps[t - 1]:
+                for b in range(0, len(nodes), rows):
+                    block, block_nbr = nodes[b:b + rows], nbr[b:b + rows]
+                    if bayesian:
+                        v = _replay(table, signals[block], codes, block_nbr, m)
+                    else:
+                        v = _majority(votes, block, block_nbr, coin_stream, t)
+                    new_votes[block] = v
+                    tally[block, t] = np.count_nonzero(v != state, axis=1)
+            if bayesian and t < rounds:
+                codes += new_votes.astype(codes_dtype) * m
             votes = new_votes
         return tally
 

@@ -4,15 +4,29 @@ import pytest
 import cavitree.cavity.finite as finite
 from cavitree.cavity import CouplingError, FiniteTreeEngine
 from cavitree.cavity.finite import _KernelFinite
-from cavitree.model import ModelError
+from cavitree.cavity.core import (
+    cavity_step_general,
+    decision_step_general,
+    initial_cavity,
+    round0_sums,
+    round0_table,
+)
+from cavitree.model import ModelError, UpdateRule
 from cavitree.oracle import (
     feasible_set,
     oracle_decision_tables,
     oracle_error_probability,
     unroll,
 )
-from cavitree.trees import GraphError, TreeGraph, path_graph, rooted_arity_tree, star_graph
-from cavitree.verify import oracle_equivalence_suite
+from cavitree.trees import (
+    GraphError,
+    TreeGraph,
+    path_graph,
+    regular_tree,
+    rooted_arity_tree,
+    star_graph,
+)
+from cavitree.verify import instance_family, oracle_equivalence_suite
 
 
 def test_oracle_equivalence_family():
@@ -32,10 +46,12 @@ def test_kernel_path_agrees_with_dense(model15, bayes):
         for t in range(4):
             assert dense.error_probability(node, t) == pytest.approx(
                 kernel.error_probability(node, t), abs=1e-13)
-    for (j, i) in dense._impl.q:
-        for t in range(3):
-            np.testing.assert_allclose(dense._impl.q[(j, i)][t],
-                                       kernel._impl.q[(j, i)][t], atol=1e-13)
+    for i in range(graph.n):
+        for j in graph.observed[i]:
+            for t in range(3):
+                np.testing.assert_allclose(dense.cavity_table(j, i, t).array,
+                                           kernel.cavity_table(j, i, t).array,
+                                           atol=1e-13)
 
 
 def test_directed_chain_matches_oracle(model15, bayes):
@@ -169,3 +185,118 @@ def test_inconsistent_cavity_table_raises_coupling_error(model15, bayes,
     engine.error_probability(1, 1)
     with pytest.raises(CouplingError):
         engine.error_probability(1, 2)
+
+
+def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
+    """On regular_tree(5, 5) to round 2 the 3410 messages and 1706 decision
+    tables per round fall into a handful of classes, one core step each."""
+    from cavitree.cavity import RegularTreeEngine
+    from cavitree.trees import regular_tree
+
+    calls = []
+    for name in ("cavity_step_general", "decision_step_general"):
+        step = getattr(finite, name)
+
+        def counted(*args, _step=step, **kwargs):
+            calls.append(_step)
+            return _step(*args, **kwargs)
+
+        monkeypatch.setattr(finite, name, counted)
+    engine = FiniteTreeEngine(regular_tree(5, 5), model15, bayes)
+    engine.run(2)
+    assert len(calls) <= 24  # one per node and per edge would be 6822
+    # The per-node schedule's root errors, bit for bit.
+    root = ["0x1.3333333333333p-3", "0x1.b4024b33daf8ep-6",
+            "0x1.8f6b68a199e62p-11"]
+    assert [float(engine.error_probability(0, t)).hex()
+            for t in range(3)] == root
+    # The multiset-indexed engine sums in another order: a few ulps apart.
+    hom = RegularTreeEngine(model15, 5, bayes)
+    hom.run(2)
+    for t in range(3):
+        assert engine.error_probability(0, t) == pytest.approx(
+            hom.error_probability(t), rel=1e-14)
+
+
+def test_class_members_share_tables(model15, bayes):
+    """Nodes of one class share one action-table object.  At round 1 leaves
+    0 and 2 of node 1 are in one class; leaf 5 observes node 1 unobserved,
+    so the message it reads does not condition on it and its class differs.
+    (At round 2 the messages 1->0 and 1->2 differ in the observer's slot.)"""
+    graph = TreeGraph(n=7, edges=((0, 1), (1, 2), (1, 3), (3, 4)),
+                      directed_edges=((5, 1), (4, 6)))
+    engine = FiniteTreeEngine(graph, model15, bayes)
+    engine.run(2)
+    assert [graph.observed[i] for i in (0, 2, 5)] == [(1,)] * 3
+    assert engine.action_table(0, 1) is engine.action_table(2, 1)
+    assert engine.action_table(5, 1) is not engine.action_table(0, 1)
+
+
+def _per_edge_schedule(graph, model, rule, n_actions, rounds):
+    """One core step per directed edge and per node, with no sharing: the
+    reference that the class schedule must reproduce bit for bit."""
+    obs = graph.observed
+    g0 = round0_table(model, rule, n_actions)
+    g = {i: [g0] for i in range(graph.n)}
+    sums = {i: [round0_sums(model, g0)] for i in range(graph.n)}
+    q = {(j, i): [] for i in range(graph.n) for j in obs[i]}
+    drift = 0.0
+    for t in range(rounds):
+        for (j, i), tables in q.items():
+            if t == 0:
+                tables.append(initial_cavity(model, g0, n_actions))
+                continue
+            tau_pos = obs[j].index(i) if i in obs[j] else None
+            children = [(q[(l, j)][t - 1], j in obs[l]) for l in obs[j] if l != i]
+            table, step_drift, _ = cavity_step_general(
+                g[j][t], t, len(obs[j]), tau_pos, children, model, n_actions)
+            drift = max(drift, step_drift)
+            tables.append(table)
+        for i in range(graph.n):
+            slots = [(q[(j, i)][t], i in obs[j]) for j in obs[i]]
+            table, _, *step_sums = decision_step_general(
+                g[i][t], t, len(obs[i]), slots, model, rule, n_actions)
+            g[i].append(table)
+            sums[i].append(step_sums)
+    return g, q, sums, drift
+
+
+_MIXED = TreeGraph(n=7, edges=((0, 1), (1, 2), (1, 3), (3, 4)),
+                   directed_edges=((5, 1), (4, 6)))
+_CLASS_TREES = instance_family(8) + [
+    ("mixed", _MIXED), ("regular3", regular_tree(3, 3)),
+    ("arity2", rooted_arity_tree(2, 3)),
+    ("lopsided", TreeGraph(n=7, edges=((0, 1), (1, 2), (2, 3), (1, 4), (4, 5),
+                                       (0, 6))))]
+
+
+# Every (tree, rule) pair that runs on the dense, class-sharing path.
+_CLASS_CASES = [(name, graph, variant) for name, graph in _CLASS_TREES
+                for variant in ("bayesian", "majority")
+                if all(UpdateRule(variant=variant).deterministic_for_degree(len(o))
+                       for o in graph.observed)]
+
+
+@pytest.mark.parametrize("name, graph, variant", _CLASS_CASES,
+                         ids=[f"{name}-{variant}"
+                              for name, _, variant in _CLASS_CASES])
+def test_class_schedule_matches_per_edge_schedule(model30, name, graph,
+                                                  variant):
+    rule = UpdateRule(variant=variant)
+    engine = FiniteTreeEngine(graph, model30, rule)
+    engine.run(3)
+    g, q, sums, drift = _per_edge_schedule(graph, model30, rule,
+                                           engine.n_actions, 3)
+    impl = engine._impl
+    for t in range(4):
+        for i in range(graph.n):
+            np.testing.assert_array_equal(impl.g[t][impl.node_class[t][i]],
+                                          g[i][t])
+            for got, want in zip(impl.sums[t][impl.node_class[t][i]],
+                                 sums[i][t]):
+                np.testing.assert_array_equal(got, want)
+    for (j, i), tables in q.items():
+        for t, table in enumerate(tables):
+            np.testing.assert_array_equal(engine.cavity_table(j, i, t).array,
+                                          table)
+    assert engine.drift == drift

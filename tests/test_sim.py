@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from replay_reference import per_node_replay
 
+from cavitree import sim
 from cavitree.cavity import ConfigModelEngine, FiniteTreeEngine, RegularTreeEngine
-from cavitree.model import ModelError
+from cavitree.model import ModelError, SignalModel, UpdateRule
 from cavitree.sim import (
     DegreeTables,
     counter_uniform,
@@ -11,9 +13,68 @@ from cavitree.sim import (
 )
 from cavitree.trees import (
     DegreeDistribution,
+    TreeGraph,
     regular_tree,
     sample_configuration_graph,
 )
+
+_MASK = (1 << 64) - 1
+
+
+def _splitmix(z: int) -> int:
+    """One SplitMix64 output step on a Python int (Steele et al., 2014)."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _reference_uniform(seed: int, kind: int, sample: int, node: int,
+                       t: int) -> float:
+    z = _splitmix(sample ^ (seed & _MASK))
+    for word in (kind, node, t):
+        z = _splitmix(z ^ word)
+    return float(z) / 2.0 ** 64
+
+
+@pytest.mark.parametrize("seed, kind, node, t", [
+    (0, 1, 0, 0), (7, 2, 3, 1), (2024, 3, 1705, 2), (-1, 2, 12, 7),
+    ((1 << 64) - 1, 3, 0, 5), (1 << 63, 1, 99, 0)])
+def test_counter_uniform_matches_python_splitmix(seed, kind, node, t):
+    samples = [0, 1, 2, 1000, 123456789, (1 << 63) + 5, (1 << 64) - 1]
+    got = counter_uniform(seed, kind, np.array(samples, dtype=np.uint64),
+                          node, t)
+    want = [_reference_uniform(seed, kind, s, node, t) for s in samples]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("c", [0.0, 5e-324, 0.15, 0.5, 0.85, 1.0 - 2 ** -53,
+                               1.0, 1.0 + 2 ** -52])
+def test_bits_cut_matches_float_comparison(c):
+    """A draw reaches a CDF entry on its bits exactly when its float does."""
+    cut = sim._bits_cut(c)
+    near = [z for z in range(cut - 3, cut + 3) if 0 <= z < 1 << 64]
+    rng = np.random.default_rng(0)
+    bits = np.concatenate([np.array(near + [0, (1 << 64) - 1], dtype=np.uint64),
+                           rng.integers(0, 1 << 64, 1000, dtype=np.uint64)])
+    reached = bits.astype(np.float64) / float(2 ** 64) >= c
+    if cut < 1 << 64:
+        np.testing.assert_array_equal(bits >= np.uint64(cut), reached)
+    else:  # no draw reaches an entry above 1
+        assert c > 1.0 and not reached.any()
+
+
+def test_replay_with_cdf_entry_above_one(majority):
+    """A likelihood row summing to just over 1 leaves a CDF entry no draw
+    reaches; the replay still matches the per-node reference."""
+    model = SignalModel(prior=np.array([0.5, 0.5]),
+                        likelihood=np.array([[0.85, 0.15 + 1e-13],
+                                             [0.15, 0.85]]))
+    assert np.cumsum(model.likelihood, axis=1)[0, -1] > 1.0
+    graph = regular_tree(3, 2)
+    got = simulate(graph, model, majority, 2, 1000, seed=8, chunk=300)
+    want = per_node_replay(graph, model, majority, 2, 1000, seed=8, chunk=300)
+    np.testing.assert_array_equal(got.errors, want)
 
 
 def test_counter_uniform_is_pure():
@@ -125,3 +186,78 @@ def test_run_result_serialization(model15, majority):
     assert doc["samples"] == 100 and doc["rule"] == "majority"
     rows = result.to_csv_rows()
     assert rows[0] == (0, 0, int(result.errors[0, 0]), 100)
+
+
+def _mixed_direction_tree():
+    return TreeGraph(n=7, edges=((0, 1), (1, 2), (1, 3), (3, 4)),
+                     directed_edges=((5, 1), (4, 6)))
+
+
+def _degree_34_sample():
+    rho = DegreeDistribution((3, 4), np.array([0.5, 0.5]))
+    return rho, sample_configuration_graph(rho, 40, seed=3)
+
+
+def _replay_case(name, model15):
+    """(graph, rule, rounds, tables) for one replay-parity case."""
+    bayes, majority = UpdateRule(variant="bayesian"), UpdateRule(variant="majority")
+    if name in ("tree", "mixed"):
+        graph = regular_tree(3, 3) if name == "tree" else _mixed_direction_tree()
+        engine = FiniteTreeEngine(graph, model15, bayes)
+        engine.run(3)
+        return graph, bayes, 3, engine
+    rho, graph = _degree_34_sample()
+    if name == "majority":
+        assert any(len(o) == 4 for o in graph.observed)
+        return graph, majority, 3, None
+    engine = ConfigModelEngine(model15, rho, bayes)
+    engine.run(2)
+    return graph, bayes, 2, DegreeTables(engine, graph)
+
+
+@pytest.mark.parametrize("block", [None, 700])
+@pytest.mark.parametrize("chunk", [256, 700])
+@pytest.mark.parametrize("case", ["tree", "mixed", "degree-tables", "majority"])
+def test_class_replay_matches_per_node_reference(model15, monkeypatch, case,
+                                                 chunk, block):
+    """Class gathers give the per-node loop's tallies, bit for bit, for chunk
+    sizes that do not divide the sample count and for several blocks per
+    class (a 700-element block holds one to two nodes of a chunk)."""
+    if block is not None:
+        monkeypatch.setattr(sim, "_BLOCK", block)
+    graph, rule, rounds, tables = _replay_case(case, model15)
+    got = simulate(graph, model15, rule, rounds, 1500, seed=31, tables=tables,
+                   chunk=chunk)
+    want = per_node_replay(graph, model15, rule, rounds, 1500, seed=31,
+                           tables=tables, chunk=chunk)
+    np.testing.assert_array_equal(got.errors, want)
+
+
+def test_majority_replay_draws_tie_coins(model15, majority, monkeypatch):
+    """The majority case above reaches ties: degree-4 nodes draw coins."""
+    _, graph = _degree_34_sample()
+    drawn = set()
+    draw = sim._node_uniform
+
+    def spy(stream, node, t):
+        if t > 0:
+            drawn.add(node)
+        return draw(stream, node, t)
+
+    monkeypatch.setattr(sim, "_node_uniform", spy)
+    simulate(graph, model15, majority, 3, 1500, seed=31, chunk=700)
+    even = {i for i in range(graph.n) if len(graph.observed[i]) == 4}
+    assert drawn and drawn <= even
+
+
+def test_replay_rejects_misshapen_action_table(model15, bayes):
+    graph = regular_tree(3, 2)
+    engine = FiniteTreeEngine(graph, model15, bayes)
+    engine.run(1)
+
+    class Truncated:
+        def action_table(self, node, t):
+            return engine.action_table(node, t)[:, :-1]
+
+    with pytest.raises(ModelError, match="shape"):
+        simulate(graph, model15, bayes, 1, 10, seed=0, tables=Truncated())
