@@ -1,11 +1,17 @@
 """Shared numerics for the cavity recursion and the decision tables.
 
 A node of degree ``deg`` indexes its neighbors by *slots* in canonical order.
-A decision table at horizon t is an integer array ``g[x, J]`` over the
+A decision table at horizon t is an integer array ``g[r, J]`` over the
 ``deg`` observed trajectories (horizon t-1, codes < n_obs**t); the value is
 the node's own packed action trajectory through round t (code
-< n_a**(t+1)).  An *index space* says how J ranks a tuple of slot codes.
-The dense space packs every ordered tuple, slot k contributing
+< n_a**(t+1)).  Row r stands for the private signal r % n_signals and, for
+each round whose rule is stochastic, one tie coin: a tie coin is one more
+private, state-independent input.  A stochastic round has
+``coin_values(n_a)`` coin values, so u % n_tied is uniform over any tied
+set; it multiplies the rows, appending its coin as the high row digit.
+Every row weighs n_signals / rows, so a deterministic rule keeps one row
+per signal, of weight 1.  An *index space* says how J ranks a tuple of slot
+codes.  The dense space packs every ordered tuple, slot k contributing
 ``code_k * (n_obs**t)**k``; it serves slots that carry different tables.
 The multiset space ranks sorted tuples only and weights each by the number
 of ordered tuples it stands for; it serves exchangeable slots.  The
@@ -27,7 +33,7 @@ own: the decision step that builds a table also sums its cavity product per
 from __future__ import annotations
 
 import logging
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import numpy as np
 
@@ -204,10 +210,17 @@ def cavity_step_bytes(t: int, deg: int, n_obs: int, n_states: int,
     return 8 * terms + (np.dtype(np.longdouble).itemsize + 8) * n_out
 
 
-def decision_step_bytes(t: int, deg: int, n_obs: int, n_signals: int,
+def decision_step_bytes(t: int, deg: int, n_obs: int, rows: int,
                         index=DenseSpace) -> int:
-    """Bytes of the horizon-(t+1) decision table and its workspace."""
-    return 8 * index.count(n_obs ** (t + 1), deg) * (n_signals + 2)
+    """Bytes of the horizon-(t+1) decision table of ``rows`` rows and its
+    workspace."""
+    return 8 * index.count(n_obs ** (t + 1), deg) * (rows + 2)
+
+
+def coin_values(n_actions: int) -> int:
+    """Coin values of a stochastic round: lcm(1..n_actions), so that
+    u % n_tied is uniform over a tied set of any size."""
+    return lcm(*range(1, n_actions + 1))
 
 
 def all_active(out: np.ndarray, tau: np.ndarray, t: int):
@@ -220,14 +233,17 @@ def all_active(out: np.ndarray, tau: np.ndarray, t: int):
 # ---------------------------------------------------------------------------
 
 def round0_table(model: SignalModel, rule: UpdateRule, n_actions: int) -> np.ndarray:
-    """g^0: the round-0 vote per private signal, shape (n_signals, 1)."""
+    """g^0: the round-0 vote per row, shape (rows, 1).  A tie at some signal
+    adds coin rows: row r's coin r // n_signals picks among the tied votes."""
     from ..model import round0_kernel
 
-    out = np.empty((model.n_signals, 1), dtype=np.int32)
-    for x, kern in enumerate(round0_kernel(model, rule, n_actions)):
-        if len(kern) != 1:
-            raise ValueError("stochastic round-0 decision needs the kernel engine")
-        out[x, 0] = kern[0][0]
+    kernels = round0_kernel(model, rule, n_actions)
+    coins = 1 if all(len(k) == 1 for k in kernels) else coin_values(n_actions)
+    n_x = model.n_signals
+    out = np.empty((n_x * coins, 1), dtype=np.int32)
+    for r in range(len(out)):
+        kern = kernels[r % n_x]
+        out[r, 0] = kern[r // n_x % len(kern)][0]
     return out
 
 
@@ -235,10 +251,12 @@ def initial_cavity(model: SignalModel, g0: np.ndarray, n_actions: int,
                    n_obs: int | None = None, emit=all_active) -> np.ndarray:
     """Q^0[sigma, 0, s] = P(round-0 observation = sigma | s)."""
     q = np.zeros((n_obs or n_actions, 1, model.n_states))
-    for x in range(model.n_signals):
-        vote = g0[x, :1].astype(np.int64)
+    n_x = model.n_signals
+    share = n_x / len(g0)
+    for r in range(len(g0)):
+        vote = g0[r, :1].astype(np.int64)
         for codes, weight in emit(vote, np.zeros_like(vote), 0):
-            q[codes[0], 0, :] += weight * model.likelihood[:, x]
+            q[codes[0], 0, :] += weight * model.likelihood[:, r % n_x] * share
     return q
 
 
@@ -267,12 +285,14 @@ def cavity_step_general(
     are summed as multisets weighted by their counts, and g is read at the
     rank of sort(tau, children).  ``emit(out, tau, t)`` maps
     the node's action codes through round t, as seen by an observer whose
-    trajectory is ``tau``, to (observed code, weight) pairs.  Returns the
+    trajectory is ``tau``, to (observed code, weight) pairs.  Each row of g
+    adds its signal's likelihood times its weight.  Returns the
     horizon-t table Q[sigma, tau, s] (renormalized per (tau, s) slice), the
     maximum pre-renormalization drift |column sum - 1|, and the number of
     summed terms.
     """
     n_s, n_x = model.likelihood.shape
+    share = n_x / len(g_flat)
     n_obs = n_obs or n_actions
     m = n_obs ** t
     n_out = n_obs ** (t + 1)
@@ -294,13 +314,13 @@ def cavity_step_general(
         count = inputs.weights(digits)
         tau_digit = digits[tau_pos] if tau_pos is not None else np.zeros_like(j)
         tau_seg = _sorted_segments(tau_digit) if n_tau > 1 else None
-        for x in range(n_x):
-            out_codes = g_flat[x, j].astype(np.int64)
+        for r, row in enumerate(g_flat):
+            out_codes = row[j].astype(np.int64)
             cond = out_codes % cond_mod
             segs = [(_sorted_segments(codes * n_tau + tau_digit), weight)
                     for codes, weight in emit(out_codes, tau_digit, t)]
             for s in range(n_s):
-                w = np.full(len(j), model.likelihood[s, x])
+                w = np.full(len(j), model.likelihood[s, r % n_x] * share)
                 for k, (q_prev, has_cond) in zip(slots, child_qs):
                     w = w * q_prev[digits[k], cond if has_cond else 0, s]
                 if count is not None:
@@ -330,20 +350,26 @@ def cavity_step_general(
 # ---------------------------------------------------------------------------
 
 def _bayesian_actions(post: np.ndarray, x: int, rule: UpdateRule,
-                      utility: UtilityTable) -> np.ndarray:
-    """Vectorized argmax with tolerance ties, deterministic tie-breaks only."""
+                      utility: UtilityTable, coins: int) -> list[np.ndarray]:
+    """Vectorized argmax with tolerance ties: the actions for each coin
+    value u, where a uniform tie takes the (u % n_tied)-th tied action."""
     # einsum's own loop, not BLAS: for so few states a BLAS call costs more
     # than it saves and, unpinned, spreads over every core.
     eu = np.einsum("as,sb->ab", utility.values, post)  # (n_actions, batch)
     top = eu.max(axis=0)
     tied = eu >= top - TIE_TOL
     first = np.argmax(tied, axis=0)
-    if rule.tie_break.variant is TieBreak.LOWEST_INDEX:
-        return first
+    variant = rule.tie_break.variant
+    if variant is TieBreak.LOWEST_INDEX:
+        return [first]
     n_tied = tied.sum(axis=0)
+    if variant is TieBreak.UNIFORM_RANDOM:
+        rank = np.cumsum(tied, axis=0)  # 1 for the first tied action
+        return [np.argmax(tied & (rank == u % n_tied + 1), axis=0)
+                for u in range(coins)]
     choice = rule.tie_break.action_for_signal(x, utility.n_actions)
     use_own = (n_tied > 1) & tied[choice]
-    return np.where(use_own, choice, first)
+    return [np.where(use_own, choice, first)]
 
 
 def _multiply_slots(products: list[np.ndarray], digits, flats, own_cond):
@@ -374,18 +400,23 @@ def decision_step_general(
     the ``index`` space; the output appends the round-(t+1) vote to the
     agent's horizon-t trajectory, which is itself looked up from ``g_prev``
     on the truncated inputs (re-ranked, since truncating a sorted tuple can
-    unsort it).  Returns the table, the number of posterior terms, and the
-    round-(t+1) error and coupling sums: long-double (n_states, n_signals)
-    sums of the cavity product prod_k Q_k[c_k, own, s], each input weighted
-    by the ordered tuples it stands for, over the inputs whose new vote
-    differs from s, and over all inputs (1 on consistent tables).
+    unsort it).  A stochastic rule for this degree multiplies the rows by
+    ``coin_values(n_actions)``: new row r extends row r % len(g_prev), and
+    its coin u = r // len(g_prev) breaks a majority zero margin (vote u) or a
+    uniform Bayesian tie.  Returns the table, the number of posterior
+    terms, and the round-(t+1) error and coupling sums: long-double
+    (n_states, n_signals) sums of the cavity product prod_k Q_k[c_k, own, s],
+    each input weighted by the ordered tuples it stands for and each row by
+    its weight, over the inputs whose new vote differs from s, and over all
+    inputs (1 on consistent tables).
     """
-    if not rule.deterministic_for_degree(deg):
-        raise ValueError("dense decision tables require a deterministic rule")
     n_s, n_x = model.likelihood.shape
+    coins = 1 if rule.deterministic_for_degree(deg) else coin_values(n_actions)
+    rows_prev = len(g_prev)
+    share = n_x / (rows_prev * coins)
     n_obs = n_obs or n_actions
     m = n_obs ** t
-    check_budget(decision_step_bytes(t, deg, n_obs, n_x, index))
+    check_budget(decision_step_bytes(t, deg, n_obs, rows_prev * coins, index))
     space, prev = index(n_obs ** (t + 1), deg), index(m, deg)
     total = space.size
     utility = rule.utility or UtilityTable.identity(model.n_states)
@@ -393,7 +424,7 @@ def decision_step_general(
     # Each slot table as contiguous (n_states, codes * conditions) rows.
     flats = [(np.ascontiguousarray(np.moveaxis(q_t, 2, 0)).reshape(n_s, -1),
               q_t.shape[1], has_cond) for q_t, has_cond in slot_qs]
-    g_next = np.empty((n_x, total), dtype=np.int32)
+    g_next = np.empty((rows_prev * coins, total), dtype=np.int32)
     err_acc = np.zeros((n_s, n_x), dtype=np.longdouble)
     mass_acc = np.zeros((n_s, n_x), dtype=np.longdouble)
     ops = 0
@@ -402,10 +433,16 @@ def decision_step_general(
                                         dtype=np.int64))
         count = space.weights(digits)
         j_prev = prev.rank(digits % m)
-        rows = slice(start, start + digits.shape[1])
+        cols = slice(start, start + digits.shape[1])
         pure = np.empty((n_s, digits.shape[1]))
-        for x in range(n_x):
-            own = g_prev[x, j_prev].astype(np.int64)
+        if not bayesian:
+            # Round-t votes of the slots (binary), summed into a margin.
+            margin = 2 * (digits // m).sum(axis=0) - deg
+            majority = [np.where(margin == 0, u, margin > 0)
+                        for u in range(coins)]
+        for r, row in enumerate(g_prev):
+            x = r % n_x
+            own = row[j_prev].astype(np.int64)
             own_cond = own % n_actions ** t
             # The cavity product, alone and after prior * likelihood.
             pure[:] = 1.0
@@ -419,24 +456,21 @@ def decision_step_general(
                 # In place; where the mass is 0 every row is already 0.
                 np.divide(like, total_mass, out=like, where=total_mass > 0)
                 del total_mass
-                action = _bayesian_actions(like, x, rule, utility)
+                actions = _bayesian_actions(like, x, rule, utility, coins)
                 del like
                 ops += pure.size
             else:
-                votes = np.zeros(pure.shape[1], dtype=np.int64)
-                for k in range(deg):
-                    votes += digits[k] // m  # round-t vote of slot k (binary)
-                margin = 2 * votes - deg
-                if np.any(margin == 0):
-                    raise ValueError("majority tie reached the dense path")
-                action = (margin > 0).astype(np.int64)
-            g_next[x, rows] = own + action * n_actions ** (t + 1)
+                actions = majority
+            for u, action in enumerate(actions):
+                g_next[r + rows_prev * u, cols] = own + action * n_actions ** (t + 1)
             if count is not None:
                 pure *= count
             for s in range(n_s):
                 wl = pure[s].astype(np.longdouble)
-                mass_acc[s, x] += np.sum(wl)
-                err_acc[s, x] += np.sum(wl[action != s])
+                mass = np.sum(wl)
+                for action in actions:
+                    mass_acc[s, x] += mass * share
+                    err_acc[s, x] += np.sum(wl[action != s]) * share
     return g_next, ops, err_acc, mass_acc
 
 
@@ -460,7 +494,8 @@ def posterior_general(
     ``observed`` holds one horizon-(t-1) code per slot; ``slot_qs`` the
     horizon-(t-1) slot tables.  The agent's own trajectory is derived from
     the decision table, over the ``index`` space, on the truncated
-    observation.
+    observation; ``ModelError`` if the rows of signal x (its coin outcomes)
+    disagree on it.
     """
     from ..model import ModelError, signal_posterior
 
@@ -468,7 +503,12 @@ def posterior_general(
         return signal_posterior(model, x)
     m_prev = (n_obs or n_actions) ** (t - 1)
     truncated = np.array(observed, dtype=np.int64).reshape(-1, 1) % m_prev
-    own = int(g_prev[x, index(m_prev, len(observed)).rank(truncated)[0]])
+    j = index(m_prev, len(observed)).rank(truncated)[0]
+    owns = g_prev[x::model.n_signals, j]
+    if np.any(owns != owns[0]):
+        raise ModelError("own trajectory is not derivable under a stochastic "
+                         "rule; condition on it explicitly")
+    own = int(owns[0])
     own_cond = own % n_actions ** (t - 1)
     weights = model.prior * model.likelihood[:, x]
     for k, (q, has_cond) in enumerate(slot_qs):
@@ -482,8 +522,10 @@ def posterior_general(
 
 def round0_sums(model: SignalModel, g0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The round-0 error and coupling sums: no neighbors, a product of 1."""
-    states = np.arange(model.n_states)[:, None]
-    err = (g0[:, 0][None, :] != states).astype(np.longdouble)
+    n_s, n_x = model.likelihood.shape
+    states = np.arange(n_s)[:, None]
+    miss = (g0[:, 0][None, :] != states).astype(np.longdouble)
+    err = miss.reshape(n_s, -1, n_x).sum(axis=1) * (n_x / len(g0))
     return err, np.ones_like(err)
 
 

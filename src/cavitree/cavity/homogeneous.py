@@ -87,7 +87,7 @@ class ConfigModelEngine:
             if not rule.deterministic_for_degree(d):
                 raise ModelError(
                     f"the dense homogeneous engine needs a deterministic rule for "
-                    f"degree {d}; use the finite kernel engine for stochastic rules")
+                    f"degree {d}; use FiniteTreeEngine for stochastic rules")
         self.n_actions = _resolve_actions(model, rule)
         self.channel = AllActive(self.n_actions)
         g0 = round0_table(model, rule, self.n_actions)

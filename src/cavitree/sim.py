@@ -48,9 +48,12 @@ def counter_uniform(seed: int, kind: int, sample: np.ndarray, node: int,
 
 
 def _stream(seed: int, kind: int, sample: np.ndarray) -> np.ndarray:
-    """The first two mixing rounds, shared by every node and round."""
-    z = _mix(np.asarray(sample, dtype=np.uint64)
-             ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    """The first two mixing rounds, shared by every node and round.  The
+    seed is mixed before it meets the counter: xored in raw, nearby seeds
+    only permute the low counter bits, so over a sample range that is a
+    multiple of their difference they draw the same numbers."""
+    key = _mix(np.array([seed & _MAX_BITS], dtype=np.uint64))[0]
+    z = _mix(np.asarray(sample, dtype=np.uint64) ^ key)
     z ^= np.uint64(kind)
     return _mix(z)
 
@@ -221,11 +224,13 @@ def simulate(
         steps = [_group_nodes(obs, [None] * n)] * rounds
     codes_dtype = np.min_scalar_type(n_a ** (rounds + 1) - 1)
 
-    prior_cdf = np.cumsum(model.prior)
-    # A signal counts the likelihood-CDF entries its uniform reaches; each
-    # entry is compared on the raw bits, which skips the float conversion.
+    # A draw counts the CDF entries its uniform reaches, all but the last:
+    # the top draws round to u = 1.0, which would reach that one too.
+    prior_cdf = np.cumsum(model.prior)[:-1]
+    # Each likelihood-CDF entry is compared on the raw bits, which skips the
+    # float conversion.
     cuts = [[_bits_cut(c) for c in row]
-            for row in np.cumsum(model.likelihood, axis=1)]
+            for row in np.cumsum(model.likelihood, axis=1)[:, :-1]]
     bits_cuts = np.array([[min(k, _MAX_BITS) for k in row] for row in cuts],
                          dtype=np.uint64)
     # An entry above 1 (rounding) is never reached; its cut of 2**64 - 1
@@ -244,8 +249,8 @@ def simulate(
         state = np.searchsorted(prior_cdf, u, side="right").astype(np.int8)
         signal_stream = _stream(seed, _KIND_SIGNAL, idx)
         coin_stream = _stream(seed, _KIND_COIN, idx)
-        thresholds = [bits_cuts[state, x] for x in range(model.n_signals)]
-        cap = reach[state] if np.any(reach < model.n_signals) else None
+        thresholds = [bits_cuts[state, x] for x in range(bits_cuts.shape[1])]
+        cap = reach[state] if np.any(reach < bits_cuts.shape[1]) else None
         signals = np.zeros((n, count), dtype=np.int8)
         # Node by node: drawing blocks of nodes at once measured slower.
         for i in range(n):

@@ -22,8 +22,9 @@ def per_node_replay(graph, model, rule, rounds: int, samples: int, seed: int,
     n_a = model.n_states
     vote0 = np.array([k[0][0] for k in round0_kernel(model, rule, n_a)],
                      dtype=np.int8)
-    prior_cdf = np.cumsum(model.prior)
-    lik_cdf = np.cumsum(model.likelihood, axis=1)
+    # Every CDF entry but the last: a top draw rounds to u = 1.0.
+    prior_cdf = np.cumsum(model.prior)[:-1]
+    lik_cdf = np.cumsum(model.likelihood, axis=1)[:, :-1]
     errors = np.zeros((n, rounds + 1), dtype=np.int64)
     for start in range(0, samples, chunk):
         idx = np.arange(start, min(start + chunk, samples), dtype=np.uint64)
@@ -33,7 +34,7 @@ def per_node_replay(graph, model, rule, rounds: int, samples: int, seed: int,
         signals = np.zeros((n, count), dtype=np.int8)
         for i in range(n):
             u = counter_uniform(seed, _KIND_SIGNAL, idx, i, 0)
-            for x in range(model.n_signals):
+            for x in range(model.n_signals - 1):
                 signals[i] += u >= lik_cdf[state, x]
         votes = vote0[signals]
         codes = votes.astype(np.int64)

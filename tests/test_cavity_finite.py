@@ -3,7 +3,6 @@ import pytest
 
 import cavitree.cavity.finite as finite
 from cavitree.cavity import CouplingError, FiniteTreeEngine
-from cavitree.cavity.finite import _KernelFinite
 from cavitree.cavity.core import (
     cavity_step_general,
     decision_step_general,
@@ -11,7 +10,13 @@ from cavitree.cavity.core import (
     round0_sums,
     round0_table,
 )
-from cavitree.model import ModelError, UpdateRule
+from cavitree.model import (
+    ModelError,
+    SignalModel,
+    TieBreak,
+    TieBreakRule,
+    UpdateRule,
+)
 from cavitree.oracle import (
     feasible_set,
     oracle_decision_tables,
@@ -32,26 +37,6 @@ from cavitree.verify import instance_family, oracle_equivalence_suite
 def test_oracle_equivalence_family():
     report = oracle_equivalence_suite(max_nodes=8, max_t=3)
     assert report.ok, "\n".join(report.lines())
-
-
-def test_kernel_path_agrees_with_dense(model15, bayes):
-    """The dictionary path must reproduce the vectorized path exactly."""
-    graph = star_graph(4)
-    dense = FiniteTreeEngine(graph, model15, bayes)
-    dense.run(3)
-    kernel = FiniteTreeEngine(graph, model15, bayes)
-    kernel._impl = _KernelFinite(kernel)
-    kernel.run(3)
-    for node in range(graph.n):
-        for t in range(4):
-            assert dense.error_probability(node, t) == pytest.approx(
-                kernel.error_probability(node, t), abs=1e-13)
-    for i in range(graph.n):
-        for j in graph.observed[i]:
-            for t in range(3):
-                np.testing.assert_allclose(dense.cavity_table(j, i, t).array,
-                                           kernel.cavity_table(j, i, t).array,
-                                           atol=1e-13)
 
 
 def test_directed_chain_matches_oracle(model15, bayes):
@@ -106,10 +91,13 @@ def test_decision_tables_match_oracle_on_reachable(model15, bayes):
                 assert engine.decision_kernel(node, t, x, obs) == [(code, 1.0)]
 
 
-def test_majority_even_degree_uses_kernel_path(model15, majority):
+def test_majority_even_degree_has_coin_rows(model15, majority):
     engine = FiniteTreeEngine(path_graph(3), model15, majority)
-    assert not engine.dense
     engine.run(2)
+    # Node 1 (degree 2) flips a coin from round 1 on: 2 signals x 2 x 2 rows.
+    assert engine.g[2][engine.node_class[2][1]].shape[0] == 8
+    with pytest.raises(ModelError):
+        engine.action_table(1, 1)
     # interior node ties when its two neighbors disagree at the prior round
     kern = engine.decision_kernel(1, 1, 0, (0, 1))
     probs = dict(kern)
@@ -125,6 +113,55 @@ def test_majority_error_matches_oracle_with_coins(model15, majority):
         for t in range(4):
             assert engine.error_probability(node, t) == pytest.approx(
                 oracle_error_probability(tensor, node, t), abs=1e-12)
+
+
+def test_majority_rejects_node_observing_nobody(model15, majority):
+    """A zero margin would flip a coin for a node with no neighbour votes;
+    the engine refuses such a graph up front, as the simulator does."""
+    graph = TreeGraph(n=3, edges=((0, 1),), directed_edges=((2, 1),))
+    assert graph.observed[1] == (0,)
+    lonely = TreeGraph(n=2, directed_edges=((0, 1),))
+    assert lonely.observed[1] == ()
+    FiniteTreeEngine(graph, model15, majority)
+    with pytest.raises(ModelError):
+        FiniteTreeEngine(lonely, model15, majority)
+    with pytest.raises(ModelError):
+        FiniteTreeEngine(_MIXED, model15, majority)
+
+
+@pytest.mark.parametrize("noise", [0.15, 0.3])
+def test_uniform_ties_on_two_nodes(noise, uniform_ties):
+    """Two Bayesian agents with uniform-random ties: disagreeing round-0
+    votes leave a posterior of 1/2, so round 1 errs with probability
+    eps^2 + eps(1 - eps) = eps."""
+    model = SignalModel.binary_symmetric(noise)
+    rule = UpdateRule(variant="bayesian", tie_break=uniform_ties)
+    engine = FiniteTreeEngine(path_graph(2), model, rule)
+    engine.run(2)
+    assert engine.error_probability(0, 1) == pytest.approx(noise, rel=1e-15)
+    # Own signal 0, neighbour voted 1: the round-1 vote is a fair coin.
+    assert engine.decision_kernel(0, 1, 0, (1,)) == [(0, 0.5), (2, 0.5)]
+    assert engine.decision_kernel(0, 1, 0, (0,)) == [(0, 1.0)]
+    with pytest.raises(ModelError):
+        engine.posterior(0, 0, (1, ), 2)
+
+
+def test_bench_spans_find_finite_engine_methods():
+    """The bench tracer wraps a method only where its class defines it; an
+    inherited method lands in the run's absent layers."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [p for module, p, _, _ in spans.TARGETS
+               if module == "cavitree.cavity.finite"]
+    assert targets
+    for target in targets:
+        owner, attr = target.split(".")
+        assert attr in vars(getattr(finite, owner)), target
 
 
 def test_error_round_out_of_range(model15, bayes):
@@ -180,7 +217,6 @@ def test_inconsistent_cavity_table_raises_coupling_error(model15, bayes,
 
     monkeypatch.setattr(finite, "cavity_step_general", scaled)
     engine = FiniteTreeEngine(path_graph(3), model15, bayes)
-    assert engine.dense
     engine.run(2)
     engine.error_probability(1, 1)
     with pytest.raises(CouplingError):
@@ -270,29 +306,34 @@ _CLASS_TREES = instance_family(8) + [
                                        (0, 6))))]
 
 
-# Every (tree, rule) pair that runs on the dense, class-sharing path.
-_CLASS_CASES = [(name, graph, variant) for name, graph in _CLASS_TREES
-                for variant in ("bayesian", "majority")
-                if all(UpdateRule(variant=variant).deterministic_for_degree(len(o))
-                       for o in graph.observed)]
+_RULES = {
+    "bayesian": UpdateRule(variant="bayesian"),
+    "majority": UpdateRule(variant="majority"),
+    "uniform": UpdateRule(variant="bayesian", tie_break=TieBreakRule(
+        variant=TieBreak.UNIFORM_RANDOM)),
+}
+# Every (tree, rule) pair, coin rows included; majority needs every node to
+# observe someone.
+_CLASS_CASES = [(name, graph, label) for name, graph in _CLASS_TREES
+                for label in _RULES
+                if label != "majority" or all(graph.observed)]
 
 
-@pytest.mark.parametrize("name, graph, variant", _CLASS_CASES,
-                         ids=[f"{name}-{variant}"
-                              for name, _, variant in _CLASS_CASES])
+@pytest.mark.parametrize("name, graph, label", _CLASS_CASES,
+                         ids=[f"{name}-{label}"
+                              for name, _, label in _CLASS_CASES])
 def test_class_schedule_matches_per_edge_schedule(model30, name, graph,
-                                                  variant):
-    rule = UpdateRule(variant=variant)
+                                                  label):
+    rule = _RULES[label]
     engine = FiniteTreeEngine(graph, model30, rule)
     engine.run(3)
     g, q, sums, drift = _per_edge_schedule(graph, model30, rule,
                                            engine.n_actions, 3)
-    impl = engine._impl
     for t in range(4):
         for i in range(graph.n):
-            np.testing.assert_array_equal(impl.g[t][impl.node_class[t][i]],
-                                          g[i][t])
-            for got, want in zip(impl.sums[t][impl.node_class[t][i]],
+            np.testing.assert_array_equal(
+                engine.g[t][engine.node_class[t][i]], g[i][t])
+            for got, want in zip(engine.sums[t][engine.node_class[t][i]],
                                  sums[i][t]):
                 np.testing.assert_array_equal(got, want)
     for (j, i), tables in q.items():

@@ -31,7 +31,7 @@ def _splitmix(z: int) -> int:
 
 def _reference_uniform(seed: int, kind: int, sample: int, node: int,
                        t: int) -> float:
-    z = _splitmix(sample ^ (seed & _MASK))
+    z = _splitmix(sample ^ _splitmix(seed & _MASK))
     for word in (kind, node, t):
         z = _splitmix(z ^ word)
     return float(z) / 2.0 ** 64
@@ -75,6 +75,28 @@ def test_replay_with_cdf_entry_above_one(majority):
     got = simulate(graph, model, majority, 2, 1000, seed=8, chunk=300)
     want = per_node_replay(graph, model, majority, 2, 1000, seed=8, chunk=300)
     np.testing.assert_array_equal(got.errors, want)
+
+
+def test_top_draw_stays_inside_the_cdf(model15, majority, monkeypatch):
+    """The top 1024 bit patterns round to u = 1.0, which reaches the last
+    CDF entry; state and signal must still be the last index, not past it."""
+    monkeypatch.setattr(sim, "_node_bits", lambda stream, node, t: np.full(
+        stream.shape, (1 << 64) - 1, dtype=np.uint64))
+    graph = regular_tree(3, 2)
+    got = simulate(graph, model15, majority, 2, 10, seed=1)
+    # State 1, every signal 1, every vote 1: no node ever errs.
+    assert not got.errors.any()
+    want = per_node_replay(graph, model15, majority, 2, 10, seed=1)
+    np.testing.assert_array_equal(got.errors, want)
+
+
+def test_nearby_seeds_draw_different_samples(majority):
+    """Seeds 5 and 6 xored into counters 0..1999 raw give the same set of
+    counters, hence identical tallies; the seed is mixed first."""
+    model = SignalModel.binary_symmetric(0.45)
+    runs = [simulate(regular_tree(3, 2), model, majority, 1, 2000, seed=seed)
+            for seed in (5, 6)]
+    assert not np.array_equal(runs[0].errors, runs[1].errors)
 
 
 def test_counter_uniform_is_pure():
