@@ -23,8 +23,11 @@ action).  The slot tables the steps read are indexed ``[sigma, a, s]`` by
 the node's own action trajectory a; on the all-active channel they are the
 cavity tables themselves.
 
-Big sums accumulate in extended precision with per-bucket compensated
-segment reduction; every (tau, s) slice is renormalized after a step and the
+Every float is a float64.  Each cavity, error and coupling quantity is a
+sum of n nonnegative terms, summed pairwise (``np.add.reduceat`` over terms
+sorted by output key, ``np.sum`` per row), which keeps it within about
+log2(n) ulps (Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 4).  Every (tau, s) slice is renormalized after a step and the
 pre-renormalization drift is reported.  The error sum has no loop of its
 own: the decision step that builds a table also sums its cavity product per
 (state, signal), and engines weight those sums on request.
@@ -48,7 +51,10 @@ COUPLING_TOL = 1e-9
 MEMORY_BUDGET = 4 << 30  # bytes of table workspace allowed per step
 
 
-def _sorted_segments(keys: np.ndarray):
+def _sorted_segments(keys: np.ndarray, n_keys: int):
+    """Sort keys below ``n_keys`` in their narrowest dtype (NumPy radix
+    sorts up to 16 bits), and find where each key's run starts."""
+    keys = keys.astype(np.min_scalar_type(n_keys - 1))
     order = np.argsort(keys, kind="stable")
     ks = keys[order]
     starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
@@ -56,9 +62,8 @@ def _sorted_segments(keys: np.ndarray):
 
 
 def _segment_add(acc: np.ndarray, order, uniq, starts, weights: np.ndarray):
-    """acc[uniq] += segment sums of weights (accumulated in long double)."""
-    ws = weights[order].astype(np.longdouble)
-    acc[uniq] += np.add.reduceat(ws, starts)
+    """acc[uniq] += the pairwise sum of each key's run of weights."""
+    acc[uniq] += np.add.reduceat(weights[order], starts)
 
 
 def check_budget(need: int, budget: int = MEMORY_BUDGET):
@@ -202,12 +207,12 @@ def _sorted_rows(digits: np.ndarray) -> list[np.ndarray]:
 
 def cavity_step_bytes(t: int, deg: int, n_obs: int, n_states: int,
                       observer: bool = True, index=DenseSpace) -> int:
-    """Bytes of a horizon-t cavity step: 8 per summed term, plus a
-    long-double accumulator and a float64 copy per returned entry."""
+    """Bytes of a horizon-t cavity step: 8 per summed term, plus a float64
+    accumulator and a float64 copy per returned entry."""
     m = n_obs ** t
     terms = m * index.count(m, deg - 1) if observer else index.count(m, deg)
     n_out = n_obs ** (t + 1) * (m if observer else 1) * n_states
-    return 8 * terms + (np.dtype(np.longdouble).itemsize + 8) * n_out
+    return 8 * terms + 16 * n_out
 
 
 def decision_step_bytes(t: int, deg: int, n_obs: int, rows: int,
@@ -303,8 +308,8 @@ def cavity_step_general(
     table = index(m, deg)
     inputs = table.cavity(tau_pos)
 
-    acc = [np.zeros(n_out * n_tau, dtype=np.longdouble) for _ in range(n_s)]
-    colsum = [np.zeros(n_tau, dtype=np.longdouble) for _ in range(n_s)]
+    acc = [np.zeros(n_out * n_tau) for _ in range(n_s)]
+    colsum = [np.zeros(n_tau) for _ in range(n_s)]
     ops = 0
     slots = [k for k in range(deg) if k != tau_pos]
     for start in range(0, inputs.size, CHUNK):
@@ -313,11 +318,12 @@ def cavity_step_general(
         j = table.rank(digits)
         count = inputs.weights(digits)
         tau_digit = digits[tau_pos] if tau_pos is not None else np.zeros_like(j)
-        tau_seg = _sorted_segments(tau_digit) if n_tau > 1 else None
+        tau_seg = _sorted_segments(tau_digit, n_tau) if n_tau > 1 else None
         for r, row in enumerate(g_flat):
             out_codes = row[j].astype(np.int64)
             cond = out_codes % cond_mod
-            segs = [(_sorted_segments(codes * n_tau + tau_digit), weight)
+            segs = [(_sorted_segments(codes * n_tau + tau_digit, n_out * n_tau),
+                     weight)
                     for codes, weight in emit(out_codes, tau_digit, t)]
             for s in range(n_s):
                 w = np.full(len(j), model.likelihood[s, r % n_x] * share)
@@ -328,7 +334,7 @@ def cavity_step_general(
                 for seg, weight in segs:
                     _segment_add(acc[s], *seg, w * weight)
                 if tau_seg is None:
-                    colsum[s][0] += np.sum(w.astype(np.longdouble))
+                    colsum[s][0] += np.sum(w)
                 else:
                     _segment_add(colsum[s], *tau_seg, w)
                 ops += len(j)
@@ -338,7 +344,7 @@ def cavity_step_general(
         col = colsum[s]
         drift = max(drift, float(np.max(np.abs(col - 1.0))))
         safe = np.where(col > 0, col, 1.0)
-        q[:, :, s] = (acc[s].reshape(n_out, n_tau) / safe).astype(np.float64)
+        q[:, :, s] = acc[s].reshape(n_out, n_tau) / safe
     if drift > DRIFT_WARN:
         logger.warning("cavity step at t=%d: normalization drift %.3e "
                        "(renormalized)", t, drift)
@@ -404,7 +410,7 @@ def decision_step_general(
     ``coin_values(n_actions)``: new row r extends row r % len(g_prev), and
     its coin u = r // len(g_prev) breaks a majority zero margin (vote u) or a
     uniform Bayesian tie.  Returns the table, the number of posterior
-    terms, and the round-(t+1) error and coupling sums: long-double
+    terms, and the round-(t+1) error and coupling sums: the
     (n_states, n_signals) sums of the cavity product prod_k Q_k[c_k, own, s],
     each input weighted by the ordered tuples it stands for and each row by
     its weight, over the inputs whose new vote differs from s, and over all
@@ -425,8 +431,8 @@ def decision_step_general(
     flats = [(np.ascontiguousarray(np.moveaxis(q_t, 2, 0)).reshape(n_s, -1),
               q_t.shape[1], has_cond) for q_t, has_cond in slot_qs]
     g_next = np.empty((rows_prev * coins, total), dtype=np.int32)
-    err_acc = np.zeros((n_s, n_x), dtype=np.longdouble)
-    mass_acc = np.zeros((n_s, n_x), dtype=np.longdouble)
+    err_acc = np.zeros((n_s, n_x))
+    mass_acc = np.zeros((n_s, n_x))
     ops = 0
     for start in range(0, total, CHUNK):
         digits = space.digits(np.arange(start, min(start + CHUNK, total),
@@ -466,11 +472,10 @@ def decision_step_general(
             if count is not None:
                 pure *= count
             for s in range(n_s):
-                wl = pure[s].astype(np.longdouble)
-                mass = np.sum(wl)
+                mass = np.sum(pure[s])
                 for action in actions:
                     mass_acc[s, x] += mass * share
-                    err_acc[s, x] += np.sum(wl[action != s]) * share
+                    err_acc[s, x] += np.sum(pure[s][action != s]) * share
     return g_next, ops, err_acc, mass_acc
 
 
@@ -524,7 +529,7 @@ def round0_sums(model: SignalModel, g0: np.ndarray) -> tuple[np.ndarray, np.ndar
     """The round-0 error and coupling sums: no neighbors, a product of 1."""
     n_s, n_x = model.likelihood.shape
     states = np.arange(n_s)[:, None]
-    miss = (g0[:, 0][None, :] != states).astype(np.longdouble)
+    miss = (g0[:, 0][None, :] != states).astype(np.float64)
     err = miss.reshape(n_s, -1, n_x).sum(axis=1) * (n_x / len(g0))
     return err, np.ones_like(err)
 
@@ -539,5 +544,5 @@ def error_from_sums(model: SignalModel, sums: tuple[np.ndarray, np.ndarray],
     for s in states:
         weight = model.prior[s] if condition_state is None else 1.0
         for x in range(model.n_signals):
-            err += weight * model.likelihood[s, x] * float(err_acc[s, x])
+            err += weight * model.likelihood[s, x] * err_acc[s, x]
     return err, float(np.max(np.abs(mass_acc - 1.0)))

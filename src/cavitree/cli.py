@@ -1,10 +1,9 @@
 """Reproduction harness: compute error tables, curves, bounds; verify; simulate.
 
 Every command writes full-precision CSV plus a manifest JSON that records the
-exact invocation, configuration, tool version, elapsed time, instability
-flags (entries below the reliability floor) and a sha256 digest of every
-output file.  Outputs are written atomically and are byte-identical across
-reruns of the same command.
+exact invocation, configuration, tool version, elapsed time and a sha256
+digest of every output file.  Outputs are written atomically and are
+byte-identical across reruns of the same command.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 resource budget exceeded.
@@ -26,8 +25,6 @@ from .sim import simulate
 from .trees import BudgetError, GraphError, TreeGraph, graph_from_json, regular_tree
 from .verify import run_verification
 
-UNRELIABLE_FLOOR = 1e-13
-
 
 def _write_atomic(path: str, data: str) -> str:
     tmp = path + ".tmp"
@@ -45,7 +42,7 @@ def _digest(path: str) -> str:
 
 
 def _manifest(command: str, args: argparse.Namespace, config: dict,
-              outputs: list[str], elapsed: float, flags: list[dict]) -> str:
+              outputs: list[str], elapsed: float) -> str:
     path = (args.out or command) + ".manifest.json"
     doc = {
         "command": command,
@@ -53,7 +50,6 @@ def _manifest(command: str, args: argparse.Namespace, config: dict,
         "config": config,
         "tool_version": __version__,
         "elapsed_seconds": elapsed,
-        "instability_flags": flags,
         "outputs": [{"path": p, "sha256": _digest(p)} for p in outputs],
     }
     _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -113,17 +109,14 @@ def cmd_table(args) -> int:
     model, tie = _resolve_model(args)
     condition = _condition(args, model)
     errs = _error_column(args.rule, args.d, model, tie, args.rounds, condition)
-    flags = [{"round": t, "value": e, "reason": "below reliability floor"}
-             for t, e in enumerate(errs) if e < UNRELIABLE_FLOOR]
-    rows = ["rule,d,noise,round,error_prob,unreliable"]
+    rows = ["rule,d,noise,round,error_prob"]
     for t, e in enumerate(errs):
-        rows.append(f"{args.rule},{args.d},{args.noise},{t},{_fmt(e)},"
-                    f"{int(e < UNRELIABLE_FLOOR)}")
+        rows.append(f"{args.rule},{args.d},{args.noise},{t},{_fmt(e)}")
     out = args.out or "table.csv"
     _write_atomic(out, "\n".join(rows) + "\n")
     _manifest("table", args, {"rule": args.rule, "d": args.d, "noise": args.noise,
                               "rounds": args.rounds, "condition": args.condition},
-              [out], time.monotonic() - t0, flags)
+              [out], time.monotonic() - t0)
     print(f"wrote {out} ({len(errs)} rounds)")
     return 0
 
@@ -134,21 +127,17 @@ def cmd_curve(args) -> int:
     condition = _condition(args, model)
     ds = [int(v) for v in args.d.split(",")]
     rows = ["d,noise,round,error_prob,loglog,slope"]
-    flags = []
     for d in ds:
         errs = _error_column(args.rule, d, model, tie, args.rounds, condition)
         diag = bounds_mod.doubling_slope(errs)
         for t, e in enumerate(errs):
             slope = "" if t == 0 else _fmt(diag["slopes"][t - 1])
             rows.append(f"{d},{args.noise},{t},{_fmt(e)},{_fmt(diag['loglog'][t])},{slope}")
-            if e < UNRELIABLE_FLOOR:
-                flags.append({"d": d, "round": t, "value": e,
-                              "reason": "below reliability floor"})
     out = args.out or "curve.csv"
     _write_atomic(out, "\n".join(rows) + "\n")
     _manifest("curve", args, {"rule": args.rule, "d": ds, "noise": args.noise,
                               "rounds": args.rounds}, [out],
-              time.monotonic() - t0, flags)
+              time.monotonic() - t0)
     print(f"wrote {out}")
     return 0
 
@@ -170,7 +159,7 @@ def cmd_bounds(args) -> int:
     _write_atomic(out, "\n".join(rows) + "\n")
     _manifest("bounds", args, {"variant": args.variant, "d": args.d,
                                "delta0": args.delta0, "rounds": args.rounds},
-              [out], time.monotonic() - t0, [])
+              [out], time.monotonic() - t0)
     print(f"wrote {out}")
     return 0
 
@@ -187,7 +176,7 @@ def cmd_verify(args) -> int:
     if args.out:
         _write_atomic(args.out, "\n".join(report.lines()) + "\n")
         _manifest("verify", args, {"max_nodes": args.max_nodes, "max_t": args.max_t},
-                  [args.out], elapsed, [])
+                  [args.out], elapsed)
     return 0 if report.ok else 1
 
 
@@ -224,7 +213,7 @@ def cmd_simulate(args) -> int:
               {"rule": args.rule, "noise": args.noise, "rounds": args.rounds,
                "samples": args.samples, "seed": args.seed,
                "graph": args.graph or args.tree},
-              [csv_path, json_path], time.monotonic() - t0, [])
+              [csv_path, json_path], time.monotonic() - t0)
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -243,7 +232,7 @@ def cmd_conjecture(args) -> int:
     _write_atomic(out, "\n".join(rows) + "\n")
     _manifest("conjecture", args, {"d": args.d, "noise": args.noise,
                                    "rounds": args.rounds}, [out],
-              time.monotonic() - t0, [])
+              time.monotonic() - t0)
     status = "holds" if report["holds"] else f"VIOLATED at {report['violations']}"
     print(f"conjecture check (not an assertion): Bayesian <= majority {status}")
     return 0 if report["holds"] else 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -60,28 +61,22 @@ def _stream(seed: int, kind: int, sample: np.ndarray) -> np.ndarray:
 
 def _node_bits(stream: np.ndarray, node: int, t: int) -> np.ndarray:
     z = _mix(stream ^ np.uint64(node))
-    z ^= np.uint64(t)
+    if t:  # round 0 (every signal draw) skips a pass: xor with 0 is a no-op
+        z ^= np.uint64(t)
     return _mix(z)
 
 
 def _node_uniform(stream: np.ndarray, node: int, t: int) -> np.ndarray:
-    u = _node_bits(stream, node, t).astype(np.float64)
-    u /= float(2 ** 64)
+    """The top 53 bits of each draw, scaled exactly into [0, 1)."""
+    u = (_node_bits(stream, node, t) >> np.uint64(11)).astype(np.float64)
+    u *= 2.0 ** -53
     return u
 
 
 def _bits_cut(c: float) -> int:
-    """The least z with float(z) / 2**64 >= c, rounded as `_node_uniform`
-    rounds, so that u >= c exactly when its bits are >= the cut; 2**64
-    when no z reaches c."""
-    lo, hi = 0, 1 << 64
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if float(mid) / 2.0 ** 64 >= c:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    """The least k with k * 2**-53 >= c, so that a draw's u >= c exactly
+    when its top 53 bits are >= the cut; no draw reaches it when c >= 1."""
+    return math.ceil(c * 2.0 ** 53)
 
 
 @dataclass
@@ -225,18 +220,13 @@ def simulate(
     codes_dtype = np.min_scalar_type(n_a ** (rounds + 1) - 1)
 
     # A draw counts the CDF entries its uniform reaches, all but the last:
-    # the top draws round to u = 1.0, which would reach that one too.
+    # a row may sum to just below 1, so a draw could reach that one too.
     prior_cdf = np.cumsum(model.prior)[:-1]
-    # Each likelihood-CDF entry is compared on the raw bits, which skips the
-    # float conversion.
-    cuts = [[_bits_cut(c) for c in row]
-            for row in np.cumsum(model.likelihood, axis=1)[:, :-1]]
-    bits_cuts = np.array([[min(k, _MAX_BITS) for k in row] for row in cuts],
+    # Each likelihood-CDF entry is compared on the top 53 bits, which skips
+    # the float conversion; an entry above 1 gets a cut no draw reaches.
+    bits_cuts = np.array([[_bits_cut(c) for c in row]
+                          for row in np.cumsum(model.likelihood, axis=1)[:, :-1]],
                          dtype=np.uint64)
-    # An entry above 1 (rounding) is never reached; its cut of 2**64 - 1
-    # would be, by the top draw alone, so counts are capped per state.
-    reach = np.array([sum(k <= _MAX_BITS for k in row) for row in cuts],
-                     dtype=np.int8)
 
     starts = list(range(0, samples, chunk))
 
@@ -250,15 +240,13 @@ def simulate(
         signal_stream = _stream(seed, _KIND_SIGNAL, idx)
         coin_stream = _stream(seed, _KIND_COIN, idx)
         thresholds = [bits_cuts[state, x] for x in range(bits_cuts.shape[1])]
-        cap = reach[state] if np.any(reach < bits_cuts.shape[1]) else None
         signals = np.zeros((n, count), dtype=np.int8)
         # Node by node: drawing blocks of nodes at once measured slower.
         for i in range(n):
             bits = _node_bits(signal_stream, i, 0)
+            bits >>= np.uint64(11)
             for column in thresholds:
                 signals[i] += bits >= column
-            if cap is not None:
-                np.minimum(signals[i], cap, out=signals[i])
         votes = vote0[signals]
         codes = votes.astype(codes_dtype) if bayesian else None
         tally[:, 0] = np.count_nonzero(votes != state, axis=1)

@@ -22,7 +22,7 @@ def per_node_replay(graph, model, rule, rounds: int, samples: int, seed: int,
     n_a = model.n_states
     vote0 = np.array([k[0][0] for k in round0_kernel(model, rule, n_a)],
                      dtype=np.int8)
-    # Every CDF entry but the last: a top draw rounds to u = 1.0.
+    # Every CDF entry but the last: a row may sum to just below 1.
     prior_cdf = np.cumsum(model.prior)[:-1]
     lik_cdf = np.cumsum(model.likelihood, axis=1)[:, :-1]
     errors = np.zeros((n, rounds + 1), dtype=np.int64)

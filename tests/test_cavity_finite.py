@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from exact_reference import ExactRegularTree
 
 import cavitree.cavity.finite as finite
 from cavitree.cavity import CouplingError, FiniteTreeEngine
@@ -241,11 +244,16 @@ def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
     engine = FiniteTreeEngine(regular_tree(5, 5), model15, bayes)
     engine.run(2)
     assert len(calls) <= 24  # one per node and per edge would be 6822
-    # The per-node schedule's root errors, bit for bit.
+    # The root errors of _per_edge_schedule on this tree, bit for bit; they
+    # agree with exact arithmetic to a few ulps (round 2 rounds to ...e61).
     root = ["0x1.3333333333333p-3", "0x1.b4024b33daf8ep-6",
-            "0x1.8f6b68a199e62p-11"]
+            "0x1.8f6b68a199e64p-11"]
     assert [float(engine.error_probability(0, t)).hex()
             for t in range(3)] == root
+    exact = ExactRegularTree("bayesian", 5, Fraction(3, 20))
+    for t, pin in enumerate(root):
+        assert float.fromhex(pin) == pytest.approx(float(exact.error(t)),
+                                                   rel=1e-14)
     # The multiset-indexed engine sums in another order: a few ulps apart.
     hom = RegularTreeEngine(model15, 5, bayes)
     hom.run(2)

@@ -23,13 +23,14 @@ def test_table_writes_csv_and_manifest(tmp_path):
                "--noise", "0.15", "--rounds", "2", "--out", str(out))
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "rule,d,noise,round,error_prob,unreliable"
+    assert lines[0] == "rule,d,noise,round,error_prob"
     assert len(lines) == 4
     assert lines[1].startswith("bayesian,3,0.15,0,1.49999999999999994e-01")
     manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert manifest["outputs"][0]["sha256"] == digest
     assert manifest["config"]["rounds"] == 2
+    assert "instability_flags" not in manifest
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -120,16 +121,6 @@ def test_configuration_error_exit_code(tmp_path):
 
 def test_budget_exit_code(tmp_path):
     assert run(tmp_path, "table", "--d", "5", "--rounds", "12") == 3
-
-
-def test_unreliable_flagging(tmp_path):
-    out = tmp_path / "deep.csv"
-    assert run(tmp_path, "table", "--rule", "bayesian", "--d", "5",
-               "--noise", "0.15", "--rounds", "4", "--out", str(out)) == 0
-    rows = out.read_text().strip().splitlines()
-    assert rows[-1].endswith(",1")  # round-4 value sits below the floor
-    manifest = json.loads((tmp_path / "deep.csv.manifest.json").read_text())
-    assert manifest["instability_flags"][0]["round"] == 4
 
 
 def test_model_file_flag(tmp_path):

@@ -105,11 +105,10 @@ def test_active_rejects_majority(model15, majority):
         ActiveEdgeEngine(model15, 3, majority, p=0.5)
 
 
-def test_active_budget_counts_long_double_accumulators(model15, bayes,
-                                                       monkeypatch):
-    """At d=1, p<1 the horizon-8 cavity step returns 2.6e8 entries, each
-    with a long-double accumulator and a float64 copy: over the budget,
-    although 8 bytes an entry would fit.  No step may start."""
+def test_active_budget_refuses_horizon_10(model15, bayes, monkeypatch):
+    """At d=1, p<1 the horizon-9 cavity step returns 2.3e9 entries, each
+    with a float64 accumulator and a float64 copy: over the budget.  No step
+    may start."""
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran before the budget check")
 
@@ -118,7 +117,23 @@ def test_active_budget_counts_long_double_accumulators(model15, bayes,
         monkeypatch.setattr(homogeneous, name, no_step)
     engine = ActiveEdgeEngine(model15, 1, bayes, p=0.5)
     with pytest.raises(BudgetError):
-        engine.run(9)
+        engine.run(10)
+
+
+def test_active_budget_admits_horizon_9(model15, bayes, monkeypatch):
+    """The horizon-8 cavity step returns 2.6e8 entries: at 16 bytes each
+    they fit the 4 GiB budget, so the preflight lets the first step start."""
+    class StepStarted(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise StepStarted
+
+    for name in ("initial_cavity", "cavity_step_general",
+                 "decision_step_general"):
+        monkeypatch.setattr(homogeneous, name, started)
+    with pytest.raises(StepStarted):
+        ActiveEdgeEngine(model15, 1, bayes, p=0.5).run(9)
 
 
 def _enumerate_two_node_active(model, p):

@@ -34,7 +34,7 @@ def _reference_uniform(seed: int, kind: int, sample: int, node: int,
     z = _splitmix(sample ^ _splitmix(seed & _MASK))
     for word in (kind, node, t):
         z = _splitmix(z ^ word)
-    return float(z) / 2.0 ** 64
+    return (z >> 11) / 2.0 ** 53
 
 
 @pytest.mark.parametrize("seed, kind, node, t", [
@@ -51,17 +51,15 @@ def test_counter_uniform_matches_python_splitmix(seed, kind, node, t):
 @pytest.mark.parametrize("c", [0.0, 5e-324, 0.15, 0.5, 0.85, 1.0 - 2 ** -53,
                                1.0, 1.0 + 2 ** -52])
 def test_bits_cut_matches_float_comparison(c):
-    """A draw reaches a CDF entry on its bits exactly when its float does."""
+    """A draw reaches a CDF entry on its top 53 bits exactly when its float
+    does; no draw reaches an entry above 1."""
     cut = sim._bits_cut(c)
-    near = [z for z in range(cut - 3, cut + 3) if 0 <= z < 1 << 64]
+    near = [k for k in range(cut - 3, cut + 3) if 0 <= k < 1 << 53]
     rng = np.random.default_rng(0)
-    bits = np.concatenate([np.array(near + [0, (1 << 64) - 1], dtype=np.uint64),
-                           rng.integers(0, 1 << 64, 1000, dtype=np.uint64)])
-    reached = bits.astype(np.float64) / float(2 ** 64) >= c
-    if cut < 1 << 64:
-        np.testing.assert_array_equal(bits >= np.uint64(cut), reached)
-    else:  # no draw reaches an entry above 1
-        assert c > 1.0 and not reached.any()
+    bits = np.concatenate([np.array(near + [0, (1 << 53) - 1], dtype=np.uint64),
+                           rng.integers(0, 1 << 53, 1000, dtype=np.uint64)])
+    reached = bits.astype(np.float64) * 2.0 ** -53 >= c
+    np.testing.assert_array_equal(bits >= np.uint64(cut), reached)
 
 
 def test_replay_with_cdf_entry_above_one(majority):
@@ -78,10 +76,12 @@ def test_replay_with_cdf_entry_above_one(majority):
 
 
 def test_top_draw_stays_inside_the_cdf(model15, majority, monkeypatch):
-    """The top 1024 bit patterns round to u = 1.0, which reaches the last
-    CDF entry; state and signal must still be the last index, not past it."""
+    """The top draw, all 64 bits set, is u = 1 - 2**-53, the largest
+    uniform below 1; state and signal are the last index, not past it."""
     monkeypatch.setattr(sim, "_node_bits", lambda stream, node, t: np.full(
         stream.shape, (1 << 64) - 1, dtype=np.uint64))
+    top = counter_uniform(1, 1, np.arange(3, dtype=np.uint64), 0, 0)
+    assert top.tolist() == [1 - 2 ** -53] * 3
     graph = regular_tree(3, 2)
     got = simulate(graph, model15, majority, 2, 10, seed=1)
     # State 1, every signal 1, every vote 1: no node ever errs.
