@@ -1,20 +1,21 @@
 """Shared numerics for the cavity recursion and the decision tables.
 
-A node of degree ``deg`` indexes its neighbors by *slots* in canonical order.
-A decision table at horizon t is an integer array ``g[r, J]`` over the
-``deg`` observed trajectories (horizon t-1, codes < n_obs**t); the value is
-the node's own packed action trajectory through round t (code
-< n_a**(t+1)).  Row r stands for the private signal r % n_signals and, for
-each round whose rule is stochastic, one tie coin: a tie coin is one more
-private, state-independent input.  A stochastic round has
-``coin_values(n_a)`` coin values, so u % n_tied is uniform over any tied
+A node of degree ``deg`` indexes its neighbors by *slots*, in groups: the
+slots of a group read the same message (edge class and conditioning), so
+they are exchangeable.  A decision table at horizon t is an integer array
+``g[r, J]`` over the ``deg`` observed trajectories (horizon t-1, codes
+< n_obs**t); the value is the node's own packed action trajectory through
+round t (code < n_a**(t+1)).  Row r stands for the private signal
+r % n_signals and, for each round whose rule is stochastic, one tie coin: a
+tie coin is one more private, state-independent input.  A stochastic round
+has ``coin_values(n_a)`` coin values, so u % n_tied is uniform over any tied
 set; it multiplies the rows, appending its coin as the high row digit.
 Every row weighs n_signals / rows, so a deterministic rule keeps one row
-per signal, of weight 1.  An *index space* says how J ranks a tuple of slot
-codes.  The dense space packs every ordered tuple, slot k contributing
-``code_k * (n_obs**t)**k``; it serves slots that carry different tables.
-The multiset space ranks sorted tuples only and weights each by the number
-of ordered tuples it stands for; it serves exchangeable slots.  The
+per signal, of weight 1.  The index space ``SlotSpace`` ranks J as one
+multiset of codes per group, each input weighted by the ordered tuples it
+stands for; the steps take their slot messages as groups and build it.
+The homogeneous engines have one group; groups of one slot each pack every
+ordered tuple, slot k contributing ``code_k * (n_obs**t)**k``.  The
 observed alphabet has ``n_obs`` letters per round: the n_a actions, plus a
 star on the erasure channel of ``active.py``.  Cavity tables are arrays
 ``Q[sigma, tau, s]`` with the conditioning axis one horizon shorter than the
@@ -36,7 +37,7 @@ own: the decision step that builds a table also sums its cavity product per
 from __future__ import annotations
 
 import logging
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 import numpy as np
 
@@ -75,126 +76,103 @@ def check_budget(need: int, budget: int = MEMORY_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# Index spaces
+# Index space
 # ---------------------------------------------------------------------------
 
-class DenseSpace:
-    """Every ordered tuple of ``slots`` codes below ``base``, ranked
-    sum_k code_k * base**k, each of weight 1."""
+class SlotSpace:
+    """Inputs of a table whose slots fall into groups of exchangeable slots:
+    group g holds ``sizes[g]`` consecutive slots, each reading a code below
+    ``base``, and an input is one multiset of codes per group.
 
-    def __init__(self, base: int, slots: int):
-        self.base, self.slots = base, slots
-        self.size = self.count(base, slots)
-
-    @staticmethod
-    def count(base: int, slots: int) -> int:
-        return base ** slots
-
-    def digits(self, r: np.ndarray) -> np.ndarray:
-        """The (slots, len(r)) codes of the inputs of ranks ``r``."""
-        out = np.empty((self.slots, len(r)), dtype=np.int64)
-        for k in range(self.slots):
-            out[k] = (r // self.base ** k) % self.base
-        return out
-
-    def rank(self, digits: np.ndarray) -> np.ndarray:
-        j = np.zeros(digits.shape[1], dtype=np.int64)
-        for k, code in enumerate(digits):
-            j += code * self.base ** k
-        return j
-
-    def weights(self, digits: np.ndarray) -> None:
-        return None
-
-    def cavity(self, tau_pos: int | None) -> "DenseSpace":
-        """The inputs a cavity step sums over: every table input."""
-        return self
-
-
-class MultisetSpace:
-    """Sorted tuples c_0 <= ... <= c_{slots-1} of codes below ``base``: one
-    input per multiset of exchangeable slots.
-
-    The rank of a multiset is sum_k C(c_k + k, k + 1), the combinatorial
-    number system of the combination {c_k + k} (Knuth, TAOCP 7.2.1.3), and
-    its weight is the multinomial count of the ordered tuples it stands for.
+    A group's sorted codes c_0 <= ... <= c_{k-1} rank as sum_i C(c_i + i,
+    i + 1), the combinatorial number system of the combination {c_i + i}
+    (Knuth, TAOCP 7.2.1.3), so a one-slot group ranks its code.  An input
+    ranks in mixed radix over its groups' ranks, group 0 least significant,
+    and weighs the ordered tuples it stands for: the product of its groups'
+    multinomial counts.
     """
 
-    def __init__(self, base: int, slots: int):
-        self.base, self.slots = base, slots
-        self.size = self.count(base, slots)
-        # _binom[k, b] = C(b, k + 1) for every b = c_k + k.
-        self._binom = np.array([[comb(b, k + 1) for b in range(base + slots - 1)]
-                                for k in range(slots)], dtype=np.int64)
+    def __init__(self, base: int, sizes):
+        self.base, self.sizes = base, tuple(sizes)
+        self.slots = sum(self.sizes)
+        self.size = self.count(base, self.sizes)
+        # (first slot, size, number of multisets) per group.
+        self._groups = [(sum(self.sizes[:g]), k, comb(base + k - 1, k))
+                        for g, k in enumerate(self.sizes)]
+        top = max(self.sizes, default=0)
+        # _binom[i, b] = C(b, i + 1) for every b = c_i + i.
+        self._binom = np.array([[comb(b, i + 1) for b in range(base + top - 1)]
+                                for i in range(top)], dtype=np.int64)
 
     @staticmethod
-    def count(base: int, slots: int) -> int:
-        return comb(base + slots - 1, slots)
+    def count(base: int, sizes) -> int:
+        return prod(comb(base + k - 1, k) for k in sizes)
 
     def digits(self, r: np.ndarray) -> np.ndarray:
-        """Unrank greedily, top slot first: the largest C(b, k + 1) <= r."""
+        """The (slots, len(r)) codes of the inputs of ranks ``r``, sorted
+        within each group.  A multiset unranks greedily, top slot first: the
+        largest C(b, i + 1) <= its rank."""
         r = np.array(r, dtype=np.int64)
         out = np.empty((self.slots, len(r)), dtype=np.int64)
-        for k in range(self.slots - 1, -1, -1):
-            b = np.searchsorted(self._binom[k], r, side="right") - 1
-            r -= self._binom[k].take(b)
-            out[k] = b - k
+        for g, (lo, k, n) in enumerate(self._groups):
+            r, part = (None, r) if g == len(self._groups) - 1 else divmod(r, n)
+            if k == 1:  # C(b, 1) = b
+                out[lo] = part
+                continue
+            for i in range(k - 1, -1, -1):
+                b = np.searchsorted(self._binom[i], part, side="right") - 1
+                part -= self._binom[i].take(b)
+                out[lo + i] = b - i
         return out
 
-    def rank(self, digits: np.ndarray) -> np.ndarray:
-        """Rank of each column of ``digits``, which need not be sorted."""
+    def rank(self, digits: np.ndarray, order=None) -> np.ndarray:
+        """Rank of each column of ``digits``, whose row order[p] holds slot
+        p's codes (row p by default); a group's rows need not be sorted."""
+        rows = list(digits) if order is None else [digits[k] for k in order]
         j = np.zeros(digits.shape[1], dtype=np.int64)
-        for k, code in enumerate(_sorted_rows(digits)):
-            j += self._binom[k].take(code + k)
+        for lo, k, n in reversed(self._groups):
+            j *= n
+            for i, code in enumerate(_sorted_rows(rows[lo:lo + k])):
+                j += self._binom[i].take(code + i)
         return j
 
-    def weights(self, digits: np.ndarray) -> np.ndarray | None:
-        """Multinomial counts slots! / prod(run length!) of sorted columns."""
-        if self.slots < 2:
-            return None
-        run = np.ones(digits.shape[1], dtype=np.int64)
-        denominator = np.ones_like(run)
-        for k in range(1, self.slots):
-            run = np.where(digits[k] == digits[k - 1], run + 1, 1)
-            denominator *= run
-        return factorial(self.slots) / denominator
+    def weights(self, digits: np.ndarray) -> np.ndarray:
+        """Product of the groups' multinomial counts k! / prod(run length!)
+        over columns sorted within each group."""
+        numerator, denominator = 1, np.ones(digits.shape[1], dtype=np.int64)
+        for lo, k, _ in self._groups:
+            numerator *= factorial(k)
+            run = 1
+            for i in range(lo + 1, lo + k):
+                run = np.where(digits[i] == digits[i - 1], run + 1, 1)
+                denominator *= run
+        return numerator / denominator
 
-    def cavity(self, tau_pos: int | None):
-        """The inputs a cavity step sums over: the observer's code in slot 0
-        and a multiset of the other slots."""
-        if tau_pos != 0:
-            raise ValueError("a multiset table keeps its observer in slot 0")
-        return _ObservedMultisets(self.base, MultisetSpace(self.base, self.slots - 1))
+    def cavity(self, group: int | None):
+        """The inputs a cavity step sums over, and per slot of this space
+        the row of their digits it reads: the observer's slot splits off
+        ``group`` as a first group of its own (None: no observer)."""
+        if group is None:
+            return self, None
+        lo = self._groups[group][0]
+        sizes = [k - (g == group) for g, k in enumerate(self.sizes)]
+        return (SlotSpace(self.base, [1] + sizes),
+                [*range(1, lo + 1), 0, *range(lo + 1, self.slots)])
 
-    def expand(self, table: np.ndarray) -> np.ndarray:
-        """The dense table: column J holds the column of sort(J)."""
-        dense = DenseSpace(self.base, self.slots)
-        out = np.empty((table.shape[0], dense.size), dtype=table.dtype)
-        for start in range(0, dense.size, CHUNK):
-            r = np.arange(start, min(start + CHUNK, dense.size), dtype=np.int64)
-            out[:, start:start + len(r)] = table[:, self.rank(dense.digits(r))]
+    def expand(self, table: np.ndarray, order=None, into=None) -> np.ndarray:
+        """``table`` over ``into``, a space whose groups split these, by
+        default the dense space of one slot per group: slot p of this space
+        reads slot order[p] of ``into`` (slot p by default)."""
+        if into is None:
+            into = SlotSpace(self.base, [1] * self.slots)
+        out = np.empty((table.shape[0], into.size), dtype=table.dtype)
+        for start in range(0, into.size, CHUNK):
+            r = np.arange(start, min(start + CHUNK, into.size), dtype=np.int64)
+            out[:, start:start + len(r)] = table[:, self.rank(into.digits(r), order)]
         return out
 
 
-class _ObservedMultisets:
-    """An observer's code times a multiset of the other slots: rank r holds
-    the code r % base and the multiset of rank r // base."""
-
-    def __init__(self, base: int, others: MultisetSpace):
-        self.base, self.others = base, others
-        self.size = base * others.size
-
-    def digits(self, r: np.ndarray) -> np.ndarray:
-        out = np.empty((1 + self.others.slots, len(r)), dtype=np.int64)
-        out[0] = r % self.base
-        out[1:] = self.others.digits(r // self.base)
-        return out
-
-    def weights(self, digits: np.ndarray) -> np.ndarray | None:
-        return self.others.weights(digits[1:])
-
-
-def _sorted_rows(digits: np.ndarray) -> list[np.ndarray]:
+def _sorted_rows(digits) -> list[np.ndarray]:
     """The rows of ``digits`` sorted within each column (insertion network)."""
     rows = list(digits)
     for i in range(1, len(rows)):
@@ -205,21 +183,29 @@ def _sorted_rows(digits: np.ndarray) -> list[np.ndarray]:
     return rows
 
 
-def cavity_step_bytes(t: int, deg: int, n_obs: int, n_states: int,
-                      observer: bool = True, index=DenseSpace) -> int:
-    """Bytes of a horizon-t cavity step: 8 per summed term, plus a float64
+def cavity_step_bytes(t: int, sizes, tau_group: int | None, n_obs: int,
+                      n_states: int) -> int:
+    """Bytes of a horizon-t cavity step over slot groups ``sizes``, the
+    observer in group ``tau_group``: 8 per summed term, plus a float64
     accumulator and a float64 copy per returned entry."""
     m = n_obs ** t
-    terms = m * index.count(m, deg - 1) if observer else index.count(m, deg)
-    n_out = n_obs ** (t + 1) * (m if observer else 1) * n_states
-    return 8 * terms + 16 * n_out
+    n_tau = 1 if tau_group is None else m
+    terms = n_tau * SlotSpace.count(m, [k - (g == tau_group)
+                                        for g, k in enumerate(sizes)])
+    return 8 * terms + 16 * n_obs ** (t + 1) * n_tau * n_states
 
 
-def decision_step_bytes(t: int, deg: int, n_obs: int, rows: int,
-                        index=DenseSpace) -> int:
-    """Bytes of the horizon-(t+1) decision table of ``rows`` rows and its
-    workspace."""
-    return 8 * index.count(n_obs ** (t + 1), deg) * (rows + 2)
+def decision_step_bytes(t: int, sizes, n_obs: int, rows: int) -> int:
+    """Bytes of the horizon-(t+1) decision table over slot groups ``sizes``
+    of ``rows`` rows and its workspace."""
+    return 8 * SlotSpace.count(n_obs ** (t + 1), sizes) * (rows + 2)
+
+
+def _per_slot(groups, skip: int | None = None):
+    """(message, conditions) of each slot, group by group, with one slot
+    fewer in group ``skip``."""
+    return [(q, has_cond) for g, (q, has_cond, size) in enumerate(groups)
+            for _ in range(size - (g == skip))]
 
 
 def coin_values(n_actions: int) -> int:
@@ -272,52 +258,53 @@ def initial_cavity(model: SignalModel, g0: np.ndarray, n_actions: int,
 def cavity_step_general(
     g_flat: np.ndarray,
     t: int,
-    deg: int,
-    tau_pos: int | None,
-    child_qs: list[tuple[np.ndarray, bool]],
+    tau_group: int | None,
+    groups: list[tuple[np.ndarray, bool, int]],
     model: SignalModel,
     n_actions: int,
     n_obs: int | None = None,
     emit=all_active,
-    index=DenseSpace,
 ) -> tuple[np.ndarray, float, int]:
-    """One application of the cavity recursion for a node of degree ``deg``.
+    """One application of the cavity recursion for a node.
 
-    ``g_flat`` is the node's horizon-t decision table over the ``index``
-    space; slot ``tau_pos`` holds the observer's fixed (zombie) trajectory
-    and the remaining slots carry child messages ``child_qs`` at horizon
-    t-1.  On a multiset table the observer sits in slot 0, the children
-    are summed as multisets weighted by their counts, and g is read at the
-    rank of sort(tau, children).  ``emit(out, tau, t)`` maps
-    the node's action codes through round t, as seen by an observer whose
-    trajectory is ``tau``, to (observed code, weight) pairs.  Each row of g
-    adds its signal's likelihood times its weight.  Returns the
-    horizon-t table Q[sigma, tau, s] (renormalized per (tau, s) slice), the
-    maximum pre-renormalization drift |column sum - 1|, and the number of
-    summed terms.
+    ``groups`` holds the node's slot groups as (horizon-(t-1) message,
+    whether it conditions on the node's trajectory, number of slots), and
+    ``g_flat`` is the node's horizon-t decision table over their
+    ``SlotSpace``.  One slot of group ``tau_group`` holds the observer's
+    fixed (zombie) trajectory tau (None: the observer is not observed back);
+    every other slot carries its group's message, summed as multisets per
+    group weighted by their counts.  ``emit(out, tau, t)`` maps the node's
+    action codes through round t, as seen by an observer whose trajectory
+    is ``tau``, to (observed code, weight) pairs.  Each row of g adds its
+    signal's likelihood times its weight.  Returns the horizon-t table
+    Q[sigma, tau, s] (renormalized per (tau, s) slice), the maximum
+    pre-renormalization drift |column sum - 1|, and the number of summed
+    terms.
     """
     n_s, n_x = model.likelihood.shape
     share = n_x / len(g_flat)
     n_obs = n_obs or n_actions
     m = n_obs ** t
     n_out = n_obs ** (t + 1)
-    n_tau = m if tau_pos is not None else 1
+    n_tau = m if tau_group is not None else 1
     cond_mod = max(n_actions ** (t - 1), 1)
-    check_budget(cavity_step_bytes(t, deg, n_obs, n_s, tau_pos is not None,
-                                   index))
-    table = index(m, deg)
-    inputs = table.cavity(tau_pos)
+    sizes = [size for *_, size in groups]
+    check_budget(cavity_step_bytes(t, sizes, tau_group, n_obs, n_s))
+    table = SlotSpace(m, sizes)
+    inputs, order = table.cavity(tau_group)
+    # Input row 0 holds the observer's slot, if any; the other rows are summed.
+    first = int(tau_group is not None)
+    child_qs = _per_slot(groups, tau_group)
 
     acc = [np.zeros(n_out * n_tau) for _ in range(n_s)]
     colsum = [np.zeros(n_tau) for _ in range(n_s)]
     ops = 0
-    slots = [k for k in range(deg) if k != tau_pos]
     for start in range(0, inputs.size, CHUNK):
         r = np.arange(start, min(start + CHUNK, inputs.size), dtype=np.int64)
         digits = inputs.digits(r)
-        j = table.rank(digits)
+        j = table.rank(digits, order)
         count = inputs.weights(digits)
-        tau_digit = digits[tau_pos] if tau_pos is not None else np.zeros_like(j)
+        tau_digit = digits[0] if first else np.zeros_like(j)
         tau_seg = _sorted_segments(tau_digit, n_tau) if n_tau > 1 else None
         for r, row in enumerate(g_flat):
             out_codes = row[j].astype(np.int64)
@@ -327,10 +314,9 @@ def cavity_step_general(
                     for codes, weight in emit(out_codes, tau_digit, t)]
             for s in range(n_s):
                 w = np.full(len(j), model.likelihood[s, r % n_x] * share)
-                for k, (q_prev, has_cond) in zip(slots, child_qs):
+                for k, (q_prev, has_cond) in enumerate(child_qs, first):
                     w = w * q_prev[digits[k], cond if has_cond else 0, s]
-                if count is not None:
-                    w *= count
+                w *= count
                 for seg, weight in segs:
                     _segment_add(acc[s], *seg, w * weight)
                 if tau_seg is None:
@@ -392,44 +378,45 @@ def _multiply_slots(products: list[np.ndarray], digits, flats, own_cond):
 def decision_step_general(
     g_prev: np.ndarray,
     t: int,
-    deg: int,
-    slot_qs: list[tuple[np.ndarray, bool]],
+    groups: list[tuple[np.ndarray, bool, int]],
     model: SignalModel,
     rule: UpdateRule,
     n_actions: int,
     n_obs: int | None = None,
-    index=DenseSpace,
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Extend the decision table to horizon t+1 from slot tables at horizon t.
 
-    Inputs are the ``deg`` observed trajectories at horizon t, ranked in
-    the ``index`` space; the output appends the round-(t+1) vote to the
-    agent's horizon-t trajectory, which is itself looked up from ``g_prev``
-    on the truncated inputs (re-ranked, since truncating a sorted tuple can
-    unsort it).  A stochastic rule for this degree multiplies the rows by
-    ``coin_values(n_actions)``: new row r extends row r % len(g_prev), and
-    its coin u = r // len(g_prev) breaks a majority zero margin (vote u) or a
-    uniform Bayesian tie.  Returns the table, the number of posterior
-    terms, and the round-(t+1) error and coupling sums: the
-    (n_states, n_signals) sums of the cavity product prod_k Q_k[c_k, own, s],
-    each input weighted by the ordered tuples it stands for and each row by
-    its weight, over the inputs whose new vote differs from s, and over all
-    inputs (1 on consistent tables).
+    ``groups`` holds the slot groups as (horizon-t slot table, conditions,
+    slots).  Inputs are one observed trajectory at horizon t per slot,
+    ranked in the groups' ``SlotSpace``; the output appends the round-(t+1)
+    vote to the agent's horizon-t trajectory, looked up from ``g_prev`` (in
+    the same space) on the truncated inputs, re-ranked since truncating a
+    sorted tuple can unsort it.  A stochastic rule for this degree
+    multiplies the rows by ``coin_values(n_actions)``: new row r extends row
+    r % len(g_prev), and its coin u = r // len(g_prev) breaks a majority
+    zero margin (vote u) or a uniform Bayesian tie.  Returns the table, the
+    number of posterior terms, and the round-(t+1) error and coupling sums:
+    the (n_states, n_signals) sums of the cavity product prod_k Q_k[c_k,
+    own, s], each input weighted by the ordered tuples it stands for and
+    each row by its weight, over the inputs whose new vote differs from s,
+    and over all inputs (1 on consistent tables).
     """
     n_s, n_x = model.likelihood.shape
+    sizes = [size for *_, size in groups]
+    deg = sum(sizes)
     coins = 1 if rule.deterministic_for_degree(deg) else coin_values(n_actions)
     rows_prev = len(g_prev)
     share = n_x / (rows_prev * coins)
     n_obs = n_obs or n_actions
     m = n_obs ** t
-    check_budget(decision_step_bytes(t, deg, n_obs, rows_prev * coins, index))
-    space, prev = index(n_obs ** (t + 1), deg), index(m, deg)
+    check_budget(decision_step_bytes(t, sizes, n_obs, rows_prev * coins))
+    space, prev = SlotSpace(n_obs ** (t + 1), sizes), SlotSpace(m, sizes)
     total = space.size
     utility = rule.utility or UtilityTable.identity(model.n_states)
     bayesian = rule.variant != "majority"
     # Each slot table as contiguous (n_states, codes * conditions) rows.
     flats = [(np.ascontiguousarray(np.moveaxis(q_t, 2, 0)).reshape(n_s, -1),
-              q_t.shape[1], has_cond) for q_t, has_cond in slot_qs]
+              q_t.shape[1], has_cond) for q_t, has_cond in _per_slot(groups)]
     g_next = np.empty((rows_prev * coins, total), dtype=np.int32)
     err_acc = np.zeros((n_s, n_x))
     mass_acc = np.zeros((n_s, n_x))
@@ -469,8 +456,7 @@ def decision_step_general(
                 actions = majority
             for u, action in enumerate(actions):
                 g_next[r + rows_prev * u, cols] = own + action * n_actions ** (t + 1)
-            if count is not None:
-                pure *= count
+            pure *= count
             for s in range(n_s):
                 mass = np.sum(pure[s])
                 for action in actions:
@@ -488,19 +474,18 @@ def posterior_general(
     observed: tuple[int, ...],
     g_prev: np.ndarray,
     t: int,
-    slot_qs: list[tuple[np.ndarray, bool]],
+    groups: list[tuple[np.ndarray, bool, int]],
     model: SignalModel,
     n_actions: int,
     n_obs: int | None = None,
-    index=DenseSpace,
 ) -> np.ndarray:
     """P(s | x, neighbor trajectories through t-1) via the cavity factorization.
 
-    ``observed`` holds one horizon-(t-1) code per slot; ``slot_qs`` the
-    horizon-(t-1) slot tables.  The agent's own trajectory is derived from
-    the decision table, over the ``index`` space, on the truncated
-    observation; ``ModelError`` if the rows of signal x (its coin outcomes)
-    disagree on it.
+    ``observed`` holds one horizon-(t-1) code per slot; ``groups`` the slot
+    groups as in ``decision_step_general``, at horizon t-1.  The agent's
+    own trajectory is derived from the decision table, over the groups'
+    ``SlotSpace``, on the truncated observation; ``ModelError`` if the rows
+    of signal x (its coin outcomes) disagree on it.
     """
     from ..model import ModelError, signal_posterior
 
@@ -508,7 +493,7 @@ def posterior_general(
         return signal_posterior(model, x)
     m_prev = (n_obs or n_actions) ** (t - 1)
     truncated = np.array(observed, dtype=np.int64).reshape(-1, 1) % m_prev
-    j = index(m_prev, len(observed)).rank(truncated)[0]
+    j = SlotSpace(m_prev, [size for *_, size in groups]).rank(truncated)[0]
     owns = g_prev[x::model.n_signals, j]
     if np.any(owns != owns[0]):
         raise ModelError("own trajectory is not derivable under a stochastic "
@@ -516,7 +501,7 @@ def posterior_general(
     own = int(owns[0])
     own_cond = own % n_actions ** (t - 1)
     weights = model.prior * model.likelihood[:, x]
-    for k, (q, has_cond) in enumerate(slot_qs):
+    for k, (q, has_cond) in enumerate(_per_slot(groups)):
         weights = weights * q[observed[k], own_cond if has_cond else 0, :]
     total = weights.sum()
     if total <= 0.0:
@@ -545,4 +530,4 @@ def error_from_sums(model: SignalModel, sums: tuple[np.ndarray, np.ndarray],
         weight = model.prior[s] if condition_state is None else 1.0
         for x in range(model.n_signals):
             err += weight * model.likelihood[s, x] * err_acc[s, x]
-    return err, float(np.max(np.abs(mass_acc - 1.0)))
+    return float(err), float(np.max(np.abs(mass_acc - 1.0)))

@@ -1,8 +1,10 @@
 """Per-edge cavity tables and per-node decision tables on finite trees.
 
-Every directed observation pair (i observes j) carries its own message
-Q_{j->i}; a message conditions on the observer's trajectory only when the
-observed node observes back (undirected edge).  Every rule runs on the
+Every directed observation pair (i observes j) carries a message Q_{j->i};
+a message conditions on the observer's trajectory only when the observed
+node observes back (undirected edge).  Tables are shared per structural
+class, and a node's slots are sorted so that the neighbours sending one
+message share a group of exchangeable slots.  Every rule runs on the
 vectorized core: a stochastic one (majority with coin-flip ties at even
 degree, Bayesian with uniform-random ties) gives its decision tables coin
 rows, one per tie-coin outcome, so a node's trajectory is a function of its
@@ -11,13 +13,15 @@ row and inputs and ``decision_kernel`` counts the rows of a signal.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from ..model import ModelError, SignalModel, UpdateRule
 from ..trees import GraphError, TreeGraph, validate
 from .core import (
     COUPLING_TOL,
-    DenseSpace,
+    SlotSpace,
     cavity_step_general,
     decision_step_general,
     error_from_sums,
@@ -31,15 +35,12 @@ from .tables import CavityTable
 
 
 def _intern(keys) -> tuple[list[int], list[int]]:
-    """Small-int class id per key, and the first position of each class."""
-    ids: dict = {}
-    classes, firsts = [], []
-    for pos, key in enumerate(keys):
-        c = ids.setdefault(key, len(ids))
-        if c == len(firsts):
-            firsts.append(pos)
-        classes.append(c)
-    return classes, firsts
+    """Class id per key, numbered in sorted key order, and the position of
+    one member of each class."""
+    ids = {key: c for c, key in enumerate(sorted(set(keys)))}
+    classes = [ids[key] for key in keys]
+    members = dict(zip(classes, range(len(keys))))
+    return classes, [members[c] for c in range(len(ids))]
 
 
 class FiniteTreeEngine:
@@ -50,9 +51,15 @@ class FiniteTreeEngine:
     from the classes that fix the inputs of its core step, and each step
     runs once per class; isomorphic subtrees share their tables, as in
     Aho-Hopcroft-Ullman tree hashing.  A node's class at t+1 is its class at
-    t with its slot messages' classes at t.  So a sender's class at t fixes
-    its table, its degree and its slot messages at t-1, and with the
-    observer's slot it fixes every input of the edge's cavity step.
+    t with the *sorted* (slot class, conditions) pairs of its messages at t:
+    slots with equal pairs form a group of exchangeable slots, one multiset
+    per group in the class's ``core.SlotSpace``, and ``action_table``,
+    ``decision_kernel`` and ``posterior`` permute a node's ``observed``
+    order into the sorted one.  An edge's class is its sender's class with
+    the class of the observer's own message at t-1.  Its key starts with
+    its class at t-1 and ids follow sorted keys, so a group at t-1 stays
+    together, in order, among the sorted pairs at t, and a table reads
+    inputs of the next round's groups once expanded to them.
     """
 
     def __init__(self, graph: TreeGraph, model: SignalModel, rule: UpdateRule):
@@ -75,9 +82,8 @@ class FiniteTreeEngine:
         self.n_actions = _resolve_actions(model, rule)
         self.edges = [(j, i) for i in range(n) for j in obs[i]]
         self.edge_id = {edge: e for e, edge in enumerate(self.edges)}
-        # Per edge j->i: the observer's slot in obs[j], if j observes it.
-        self._tau_pos = [obs[j].index(i) if i in obs[j] else None
-                         for (j, i) in self.edges]
+        # Per edge j->i: the edge i->j of the observer's message, if any.
+        self._reverse = [self.edge_id.get((i, j)) for (j, i) in self.edges]
         # Per node i: its slot edges j->i, each with whether it conditions.
         self._slots = [tuple((self.edge_id[(j, i)], i in obs[j]) for j in obs[i])
                        for i in range(n)]
@@ -89,45 +95,45 @@ class FiniteTreeEngine:
         self.sums = [[round0_sums(model, g0)]]
         self.edge_class: list[list[int]] = []
         self.q: list[list[np.ndarray]] = []
-        self._actions: dict[tuple[int, int], np.ndarray] = {}
+        self._actions: dict[tuple, np.ndarray] = {}
         self.horizon = 0
         self.drift = 0.0
 
     def advance(self) -> None:
         t = self.horizon
         nodes = self.node_class[t]
-        if t == 0:  # a round-0 message depends on the sender's table only
-            keys = [nodes[j] for (j, _) in self.edges]
-        else:
-            keys = [(nodes[j], tau_pos)
-                    for (j, _), tau_pos in zip(self.edges, self._tau_pos)]
-        edge_class, firsts = _intern(keys)
+        prev = self.edge_class[t - 1] if t else [0] * len(self.edges)
+        keys = [(prev[e], -1 if rev is None else prev[rev], nodes[j])
+                for e, ((j, _), rev) in enumerate(zip(self.edges, self._reverse))]
+        edge_class, members = _intern(keys)
         q_t = []
-        for e in firsts:
+        for e in members:
             j = self.edges[e][0]
             if t == 0:
                 q_t.append(initial_cavity(self.model, self.g[0][nodes[j]],
                                           self.n_actions))
                 continue
-            tau_pos = self._tau_pos[e]
-            child_qs = [slot for k, slot in enumerate(self._slot_qs(j, t - 1))
-                        if k != tau_pos]
+            _, groups = self._layout(j, t)
+            rev = self._reverse[e]
+            tau_group = None if rev is None else [pair for pair, _ in groups].index(
+                (self.edge_class[t - 1][rev], True))
             table, drift, _ = cavity_step_general(
-                self.g[t][nodes[j]], t, len(self._slots[j]), tau_pos, child_qs,
+                self.g[t][nodes[j]], t, tau_group, self._messages(groups, t - 1),
                 self.model, self.n_actions)
             self.drift = max(self.drift, drift)
             q_t.append(table)
         self.edge_class.append(edge_class)
         self.q.append(q_t)
 
-        keys = [(nodes[i], tuple((edge_class[e], cond) for e, cond in slots))
+        keys = [(nodes[i], tuple(sorted((edge_class[e], cond) for e, cond in slots)))
                 for i, slots in enumerate(self._slots)]
-        node_class, firsts = _intern(keys)
+        node_class, members = _intern(keys)
         g_next, sums_next = [], []
-        for i in firsts:
+        for i in members:
+            groups = self._layout(i, t + 1)[1]
             table, _, *sums = decision_step_general(
-                self.g[t][nodes[i]], t, len(self._slots[i]),
-                self._slot_qs(i, t), self.model, self.rule, self.n_actions)
+                self._refined(i, t, groups), t, self._messages(groups, t),
+                self.model, self.rule, self.n_actions)
             g_next.append(table)
             sums_next.append(sums)
         self.node_class.append(node_class)
@@ -142,11 +148,32 @@ class FiniteTreeEngine:
     def _table(self, node: int, t: int) -> np.ndarray:
         return self.g[t][self.node_class[t][node]]
 
-    def _message(self, e: int, t: int) -> np.ndarray:
-        return self.q[t][self.edge_class[t][e]]
+    def _layout(self, i: int, t: int):
+        """Node i's slots in its round-t class's order, and that class's
+        slot groups as ((edge class at t-1, conditions), slots); a round-0
+        table has one input and no slots."""
+        if t == 0:
+            return [], []
+        pairs = [(self.edge_class[t - 1][e], cond) for e, cond in self._slots[i]]
+        return (sorted(range(len(pairs)), key=pairs.__getitem__),
+                sorted(Counter(pairs).items()))
 
-    def _slot_qs(self, i: int, t: int):
-        return [(self._message(e, t), cond) for e, cond in self._slots[i]]
+    def _space(self, i: int, t: int) -> tuple[SlotSpace, list[int]]:
+        """Node i's round-t class's index space, and the node's slots in the
+        space's order."""
+        perm, groups = self._layout(i, t)
+        return SlotSpace(self.n_actions ** t, [size for _, size in groups]), perm
+
+    def _messages(self, groups, t: int):
+        """The core steps' slot groups: each group's horizon-t message."""
+        return [(self.q[t][c], cond, size) for (c, cond), size in groups]
+
+    def _refined(self, i: int, t: int, groups) -> np.ndarray:
+        """Node i's round-t table over ``groups``, which split its class's
+        groups in order."""
+        old, table = self._space(i, t)[0], self._table(i, t)
+        new = SlotSpace(old.base, [size for _, size in groups])
+        return table if old.sizes == new.sizes else old.expand(table, into=new)
 
     def error_probability(self, node: int, t: int,
                           condition_state: int | None = None) -> float:
@@ -162,37 +189,38 @@ class FiniteTreeEngine:
 
     def posterior(self, node: int, x: int, observed: tuple[int, ...],
                   t: int) -> np.ndarray:
-        if t == 0:
-            return posterior_general(x, (), None, 0, [], self.model,
-                                     self.n_actions)
-        return posterior_general(x, tuple(observed), self._table(node, t - 1), t,
-                                 self._slot_qs(node, t - 1), self.model,
+        perm, groups = self._layout(node, t)
+        g_prev = self._refined(node, t - 1, groups) if t else None
+        return posterior_general(x, tuple(observed[k] for k in perm), g_prev, t,
+                                 self._messages(groups, t - 1), self.model,
                                  self.n_actions)
 
     def decision_kernel(self, node: int, t: int, x: int,
                         observed: tuple[int, ...]) -> list[tuple[int, float]]:
         """Kernel over the node's trajectory through round t for this input:
         the share of signal x's rows (coin outcomes) giving each code."""
+        space, perm = self._space(node, t)
         codes = np.array(observed, dtype=np.int64).reshape(-1, 1)
-        j = DenseSpace(self.n_actions ** t, len(codes)).rank(codes)[0]
-        column = self._table(node, t)[x::self.model.n_signals, j]
+        column = self._table(node, t)[x::self.model.n_signals,
+                                      space.rank(codes, perm)[0]]
         values, counts = np.unique(column, return_counts=True)
         return [(int(v), float(c / len(column))) for v, c in zip(values, counts)]
 
     def cavity_table(self, j: int, i: int, t: int) -> CavityTable:
         return CavityTable(horizon=t, alphabet_size=self.n_actions,
                            scope=(j, i),
-                           array=self._message(self.edge_id[(j, i)], t))
+                           array=self.q[t][self.edge_class[t][self.edge_id[(j, i)]]])
 
     def action_table(self, node: int, t: int) -> np.ndarray:
-        """Round-t vote per (signal, packed observations), one array per
-        class: nodes of a class share the same object.  A table with coin
-        rows has no such array."""
-        key = (t, self.node_class[t][node])
+        """Round-t vote per (signal, packed observations in ``observed``
+        order), one array per class and permutation: nodes that share both
+        share the same object.  A table with coin rows has no such array."""
+        key = (t, self.node_class[t][node], tuple(self._layout(node, t)[0]))
         if key not in self._actions:
-            table = self.g[t][key[1]]
+            table, (space, perm) = self._table(node, t), self._space(node, t)
             if len(table) != self.model.n_signals:
                 raise ModelError("action tables exist for deterministic "
                                  "rules only; this table has tie-coin rows")
-            self._actions[key] = (table // self.n_actions ** t).astype(np.int8)
+            self._actions[key] = (space.expand(table, perm)
+                                  // self.n_actions ** t).astype(np.int8)
         return self._actions[key]

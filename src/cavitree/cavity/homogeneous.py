@@ -2,11 +2,11 @@
 
 Homogeneity means one cavity table per horizon, and one decision table per
 degree, stand for every edge and node; this is what makes the infinite tree
-computable.  Slots are exchangeable here, so the observer's fixed trajectory
-occupies slot 0 of the child's table and the remaining slots carry i.i.d.
-child messages, and each decision table is indexed by neighbour multisets
-(``core.MultisetSpace``), not by ordered tuples; ``dense_decisions``
-expands one to a column per ordered input.  ``ConfigModelEngine``
+computable.  Every slot reads the same message, so a node's slots form one
+group of exchangeable slots: each decision table is indexed by neighbour
+multisets (a one-group ``core.SlotSpace``), a cavity step splits the
+observer's fixed trajectory off that group, and ``dense_decisions`` expands
+a table to one column per ordered input.  ``ConfigModelEngine``
 implements the unknown-graph recursion: the child's degree is drawn from
 the edge-perspective law, and one shared scope-free cavity table feeds
 per-degree decision tables.
@@ -22,7 +22,7 @@ from ..model import ModelError, SignalModel, UpdateRule
 from ..trees import DegreeDistribution, edge_perspective
 from .core import (
     COUPLING_TOL,
-    MultisetSpace,
+    SlotSpace,
     all_active,
     cavity_step_bytes,
     cavity_step_general,
@@ -86,7 +86,7 @@ class ConfigModelEngine:
         for d in self.degrees:
             if not rule.deterministic_for_degree(d):
                 raise ModelError(
-                    f"the dense homogeneous engine needs a deterministic rule for "
+                    f"the homogeneous engines need a deterministic rule for "
                     f"degree {d}; use FiniteTreeEngine for stochastic rules")
         self.n_actions = _resolve_actions(model, rule)
         self.channel = AllActive(self.n_actions)
@@ -97,12 +97,6 @@ class ConfigModelEngine:
         self.slot_tables: list[np.ndarray] = []
         self.drifts: list[float] = []
         self.ops: list[int] = []
-
-    @property
-    def g(self) -> dict[int, list[np.ndarray]]:
-        """Decision tables per degree, then per horizon, indexed by neighbour
-        multisets."""
-        return self.decisions
 
     @property
     def horizon(self) -> int:
@@ -125,9 +119,9 @@ class ConfigModelEngine:
                 if p == 0.0:
                     continue
                 q_d, drift_d, n = cavity_step_general(
-                    self.decisions[d][t], t, d, 0,
-                    [(self.slot_tables[t - 1], True)] * (d - 1),
-                    self.model, self.n_actions, n_obs, emit, MultisetSpace)
+                    self.decisions[d][t], t, 0,
+                    [(self.slot_tables[t - 1], True, d)],
+                    self.model, self.n_actions, n_obs, emit)
                 ops += n
                 drift = max(drift, drift_d)
                 q_t = p * q_d if q_t is None else q_t + p * q_d
@@ -137,8 +131,8 @@ class ConfigModelEngine:
         if extend_decisions:
             for d in self.degrees:
                 g_next, n, *sums = decision_step_general(
-                    self.decisions[d][t], t, d, [(self.slot_tables[t], True)] * d,
-                    self.model, self.rule, self.n_actions, n_obs, MultisetSpace)
+                    self.decisions[d][t], t, [(self.slot_tables[t], True, d)],
+                    self.model, self.rule, self.n_actions, n_obs)
                 ops += n
                 self.decisions[d].append(g_next)
                 self.sums[d].append(sums)
@@ -152,10 +146,8 @@ class ConfigModelEngine:
             n_s, n_x = self.model.likelihood.shape
             for d, p in zip(self.rho_e.support, self.rho_e.probs):
                 if t >= 1 and p > 0.0:
-                    check_budget(cavity_step_bytes(t, d, n_obs, n_s,
-                                                   index=MultisetSpace))
-                check_budget(decision_step_bytes(t, d, n_obs, n_x,
-                                                 index=MultisetSpace))
+                    check_budget(cavity_step_bytes(t, [d], 0, n_obs, n_s))
+                check_budget(decision_step_bytes(t, [d], n_obs, n_x))
         while self.horizon < rounds:
             self.advance()
 
@@ -196,14 +188,13 @@ class ConfigModelEngine:
         if t > len(self.q):
             raise ModelError("advance further first")
         return posterior_general(x, tuple(observed), self.decisions[deg][t - 1], t,
-                                 [(self.slot_tables[t - 1], True)] * deg,
-                                 self.model, self.n_actions, self.channel.size,
-                                 MultisetSpace)
+                                 [(self.slot_tables[t - 1], True, deg)],
+                                 self.model, self.n_actions, self.channel.size)
 
     def dense_decisions(self, degree: int, t: int) -> np.ndarray:
         """The horizon-t decision table of ``degree`` with one column per
         ordered tuple of observed trajectories, packed as in a dense table."""
-        space = MultisetSpace(self.channel.size ** t, degree)
+        space = SlotSpace(self.channel.size ** t, [degree])
         return space.expand(self.decisions[degree][t])
 
     def cavity_table(self, t: int) -> CavityTable:
@@ -224,11 +215,6 @@ class RegularTreeEngine(ConfigModelEngine):
             raise ModelError("degree must be >= 1")
         super().__init__(model, DegreeDistribution((d,), np.array([1.0])), rule)
         self.d = d
-
-    @property
-    def g(self) -> list[np.ndarray]:
-        """Decision tables per horizon, indexed by neighbour multisets."""
-        return self.decisions[self.d]
 
     def decision_table(self, t: int) -> DecisionTable:
         if self.channel.size != self.n_actions:

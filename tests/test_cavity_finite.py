@@ -9,6 +9,7 @@ from cavitree.cavity import CouplingError, FiniteTreeEngine
 from cavitree.cavity.core import (
     cavity_step_general,
     decision_step_general,
+    error_from_sums,
     initial_cavity,
     round0_sums,
     round0_table,
@@ -80,6 +81,28 @@ def test_posterior_matches_oracle_two_node(model15, bayes):
                     [tensor.signal_probs[s][idx].sum() for s in (0, 1)])
                 np.testing.assert_allclose(engine.posterior(0, x, (int(obs),), t),
                                            w / w.sum(), atol=1e-12)
+
+
+def test_posterior_matches_oracle_in_observed_order(model15, bayes):
+    """Posteriors on a tree whose nodes list their neighbours in an order
+    other than their class's sorted slot order."""
+    graph = TreeGraph(n=7, edges=((0, 1), (1, 2), (2, 3), (1, 4), (4, 5),
+                                  (0, 6)))
+    tensor = unroll(graph, model15, bayes, 2)
+    engine = FiniteTreeEngine(graph, model15, bayes)
+    engine.run(2)
+    assert any(engine._layout(i, 2)[0] != sorted(engine._layout(i, 2)[0])
+               for i in range(graph.n))
+    checked = 0
+    for i in range(graph.n):
+        for (x, obs), _ in oracle_decision_tables(tensor)[i][2].items():
+            idx = feasible_set(tensor, i, x, obs, 1)
+            w = model15.prior * np.array(
+                [tensor.signal_probs[s][idx].sum() for s in (0, 1)])
+            np.testing.assert_allclose(engine.posterior(i, x, obs, 2),
+                                       w / w.sum(), atol=1e-12)
+            checked += 1
+    assert checked > 0
 
 
 def test_decision_tables_match_oracle_on_reachable(model15, bayes):
@@ -230,8 +253,9 @@ def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
     """On regular_tree(5, 5) to round 2 the 3410 messages and 1706 decision
     tables per round fall into a handful of classes, one core step each."""
     from cavitree.cavity import RegularTreeEngine
-    from cavitree.trees import regular_tree
 
+    graph = regular_tree(5, 5)
+    g, _, sums, _ = _per_edge_schedule(graph, model15, bayes, 2, 2)
     calls = []
     for name in ("cavity_step_general", "decision_step_general"):
         step = getattr(finite, name)
@@ -241,19 +265,24 @@ def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
             return _step(*args, **kwargs)
 
         monkeypatch.setattr(finite, name, counted)
-    engine = FiniteTreeEngine(regular_tree(5, 5), model15, bayes)
+    engine = FiniteTreeEngine(graph, model15, bayes)
     engine.run(2)
     assert len(calls) <= 24  # one per node and per edge would be 6822
-    # The root errors of _per_edge_schedule on this tree, bit for bit; they
-    # agree with exact arithmetic to a few ulps (round 2 rounds to ...e61).
-    root = ["0x1.3333333333333p-3", "0x1.b4024b33daf8ep-6",
-            "0x1.8f6b68a199e64p-11"]
-    assert [float(engine.error_probability(0, t)).hex()
-            for t in range(3)] == root
+    # Every node's tables equal the per-edge schedule's, its errors agree
+    # with them (summed in another order), and the root's with exact
+    # arithmetic.
+    for i in range(graph.n):
+        for t in range(3):
+            space, perm = engine._space(i, t)
+            np.testing.assert_array_equal(
+                space.expand(engine._table(i, t), perm), g[i][t])
+            want = error_from_sums(model15, sums[i][t])[0]
+            assert engine.error_probability(i, t) == pytest.approx(
+                want, rel=1e-14, abs=0), (i, t)
     exact = ExactRegularTree("bayesian", 5, Fraction(3, 20))
-    for t, pin in enumerate(root):
-        assert float.fromhex(pin) == pytest.approx(float(exact.error(t)),
-                                                   rel=1e-14)
+    for t in range(3):
+        assert engine.error_probability(0, t) == pytest.approx(
+            float(exact.error(t)), rel=1e-14)
     # The multiset-indexed engine sums in another order: a few ulps apart.
     hom = RegularTreeEngine(model15, 5, bayes)
     hom.run(2)
@@ -266,19 +295,47 @@ def test_class_members_share_tables(model15, bayes):
     """Nodes of one class share one action-table object.  At round 1 leaves
     0 and 2 of node 1 are in one class; leaf 5 observes node 1 unobserved,
     so the message it reads does not condition on it and its class differs.
-    (At round 2 the messages 1->0 and 1->2 differ in the observer's slot.)"""
+    The messages 0->1 and 2->1 form one group of node 1's slots, so the
+    observer's slot no longer tells 1->0 from 1->2 apart, and 0 and 2 share
+    their tables at every round."""
     graph = TreeGraph(n=7, edges=((0, 1), (1, 2), (1, 3), (3, 4)),
                       directed_edges=((5, 1), (4, 6)))
     engine = FiniteTreeEngine(graph, model15, bayes)
-    engine.run(2)
+    engine.run(3)
     assert [graph.observed[i] for i in (0, 2, 5)] == [(1,)] * 3
-    assert engine.action_table(0, 1) is engine.action_table(2, 1)
+    assert graph.observed[1] == (0, 2, 3)
     assert engine.action_table(5, 1) is not engine.action_table(0, 1)
+    for t in range(1, 4):
+        assert engine.action_table(0, t) is engine.action_table(2, t), t
+    # Round-0 messages are all alike; from round 1 on, 3->1 differs.
+    assert [size for _, size in engine._layout(1, 1)[1]] == [3]
+    for t in (2, 3):
+        assert sorted(size for _, size in engine._layout(1, t)[1]) == [1, 2]
+    for t in range(3):
+        e10, e12 = engine.edge_id[(1, 0)], engine.edge_id[(1, 2)]
+        assert engine.edge_class[t][e10] == engine.edge_class[t][e12], t
+
+
+def test_sorted_slot_class_counts(model15, bayes):
+    """Edge classes at t-1 and node classes at t on regular_tree(5, 5) for
+    t = 1..4, counted from the keys; with ordered slots they were 1/2, 6/13,
+    49/69 and 281/233.  Every member of a node class lists its neighbours
+    in one order, so each class has one permutation."""
+    engine = FiniteTreeEngine(regular_tree(5, 5), model15, bayes)
+    engine.run(4)
+    counts = [(len(set(engine.edge_class[t - 1])), len(set(engine.node_class[t])))
+              for t in range(1, 5)]
+    assert counts == [(1, 2), (2, 3), (4, 4), (6, 5)]
+    for t in range(1, 5):
+        perms = {(engine.node_class[t][i], tuple(engine._layout(i, t)[0]))
+                 for i in range(engine.graph.n)}
+        assert len(perms) == counts[t - 1][1], t
 
 
 def _per_edge_schedule(graph, model, rule, n_actions, rounds):
-    """One core step per directed edge and per node, with no sharing: the
-    reference that the class schedule must reproduce bit for bit."""
+    """One core step per directed edge and per node, with no sharing and
+    each slot its own group, in ``observed`` order: the reference whose
+    tables the class schedule must reproduce bit for bit."""
     obs = graph.observed
     g0 = round0_table(model, rule, n_actions)
     g = {i: [g0] for i in range(graph.n)}
@@ -291,15 +348,15 @@ def _per_edge_schedule(graph, model, rule, n_actions, rounds):
                 tables.append(initial_cavity(model, g0, n_actions))
                 continue
             tau_pos = obs[j].index(i) if i in obs[j] else None
-            children = [(q[(l, j)][t - 1], j in obs[l]) for l in obs[j] if l != i]
+            slots = [(q[(l, j)][t - 1], j in obs[l], 1) for l in obs[j]]
             table, step_drift, _ = cavity_step_general(
-                g[j][t], t, len(obs[j]), tau_pos, children, model, n_actions)
+                g[j][t], t, tau_pos, slots, model, n_actions)
             drift = max(drift, step_drift)
             tables.append(table)
         for i in range(graph.n):
-            slots = [(q[(j, i)][t], i in obs[j]) for j in obs[i]]
+            slots = [(q[(j, i)][t], i in obs[j], 1) for j in obs[i]]
             table, _, *step_sums = decision_step_general(
-                g[i][t], t, len(obs[i]), slots, model, rule, n_actions)
+                g[i][t], t, slots, model, rule, n_actions)
             g[i].append(table)
             sums[i].append(step_sums)
     return g, q, sums, drift
@@ -332,20 +389,29 @@ _CLASS_CASES = [(name, graph, label) for name, graph in _CLASS_TREES
                               for name, _, label in _CLASS_CASES])
 def test_class_schedule_matches_per_edge_schedule(model30, name, graph,
                                                   label):
+    """Tables, expanded to each node's ``observed`` order, are bit-identical
+    to the per-edge schedule's; messages, sums and errors, summed in
+    another order, agree to rounding."""
     rule = _RULES[label]
     engine = FiniteTreeEngine(graph, model30, rule)
     engine.run(3)
-    g, q, sums, drift = _per_edge_schedule(graph, model30, rule,
-                                           engine.n_actions, 3)
+    n_a = engine.n_actions
+    g, q, sums, drift = _per_edge_schedule(graph, model30, rule, n_a, 3)
     for t in range(4):
         for i in range(graph.n):
+            space, perm = engine._space(i, t)
             np.testing.assert_array_equal(
-                engine.g[t][engine.node_class[t][i]], g[i][t])
+                space.expand(engine._table(i, t), perm), g[i][t])
+            if t and len(g[i][t]) == model30.n_signals:
+                np.testing.assert_array_equal(engine.action_table(i, t),
+                                              g[i][t] // n_a ** t)
             for got, want in zip(engine.sums[t][engine.node_class[t][i]],
                                  sums[i][t]):
-                np.testing.assert_array_equal(got, want)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+            assert engine.error_probability(i, t) == pytest.approx(
+                error_from_sums(model30, sums[i][t])[0], rel=1e-14, abs=0)
     for (j, i), tables in q.items():
         for t, table in enumerate(tables):
-            np.testing.assert_array_equal(engine.cavity_table(j, i, t).array,
-                                          table)
-    assert engine.drift == drift
+            np.testing.assert_allclose(engine.cavity_table(j, i, t).array,
+                                       table, rtol=0, atol=1e-15)
+    assert engine.drift == pytest.approx(drift, rel=0, abs=1e-15)

@@ -141,7 +141,7 @@ def test_prefix_consistency_of_decisions(model15, bayes):
 
 
 def test_stochastic_rule_rejected_on_even_degree(model15):
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="FiniteTreeEngine"):
         RegularTreeEngine(model15, 4, UpdateRule(variant="majority"))
 
 

@@ -6,6 +6,7 @@ import pytest
 from cavitree.cavity import (
     ActiveEdgeEngine,
     ConfigModelEngine,
+    FiniteTreeEngine,
     RegularTreeEngine,
     posterior_with_hubs,
 )
@@ -23,6 +24,23 @@ from cavitree.trees import (
 
 TRIANGLE = TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)), hubs=frozenset({2}))
 LOOPY = TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
+
+
+def test_every_engine_returns_float_errors(model15, bayes):
+    """Errors are Python floats, not NumPy scalars, whichever engine and
+    whichever way they are asked for."""
+    finite = FiniteTreeEngine(regular_tree(3, 2), model15, bayes)
+    regular = RegularTreeEngine(model15, 3, bayes)
+    mixture = ConfigModelEngine(model15, DegreeDistribution(
+        (3, 4), np.array([0.5, 0.5])), bayes)
+    active = ActiveEdgeEngine(model15, 3, bayes, p=0.5)
+    for engine in (finite, regular, mixture, active):
+        engine.run(2)
+    errors = [finite.error_probability(0, 2), regular.error_probability(2),
+              regular.error_probability(2, degree=3),
+              mixture.error_probability(2), mixture.error_probability(2, degree=4),
+              active.error_probability(2)]
+    assert [type(e) for e in errors] == [float] * len(errors)
 
 
 # -- configuration model ------------------------------------------------------
@@ -54,8 +72,8 @@ def test_two_point_mixture_is_weighted_average(model15, bayes):
     q_prev = cfg.q[0]
     by_hand = None
     for d, p in zip(rho_e.support, rho_e.probs):
-        q_d = cavity_step_general(cfg.dense_decisions(d, 1), 1, d, 0,
-                                  [(q_prev, True)] * (d - 1), model15, 2)[0]
+        q_d = cavity_step_general(cfg.dense_decisions(d, 1), 1, 0,
+                                  [(q_prev, True, 1)] * d, model15, 2)[0]
         by_hand = p * q_d if by_hand is None else by_hand + p * q_d
     np.testing.assert_allclose(cfg.q[1], by_hand, atol=1e-12)
 

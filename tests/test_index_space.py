@@ -1,6 +1,7 @@
-"""Index spaces of the decision tables: the multiset space against the
-exact reference's enumeration, and both core steps run in the dense and the
-multiset space on the same slot tables."""
+"""The index space of the decision tables: one group against the exact
+reference's enumeration, singleton groups against dense packing, a mixed
+grouping against brute force, and both core steps run with singleton groups
+and with one group on the same slot tables."""
 
 import itertools
 
@@ -10,8 +11,7 @@ import pytest
 import cavitree.cavity.homogeneous as homogeneous
 from cavitree.cavity import ActiveEdgeEngine, ConfigModelEngine, RegularTreeEngine
 from cavitree.cavity.core import (
-    DenseSpace,
-    MultisetSpace,
+    SlotSpace,
     cavity_step_general,
     decision_step_general,
     error_from_sums,
@@ -25,7 +25,7 @@ SMALL = [(n_codes, size) for n_codes in range(1, 7) for size in range(5)]
 
 @pytest.mark.parametrize("n_codes,size", SMALL)
 def test_multiset_space_matches_reference(n_codes, size):
-    space = MultisetSpace(n_codes, size)
+    space = SlotSpace(n_codes, [size])
     want = dict(_multisets(n_codes, size))
     ranks = np.arange(space.size, dtype=np.int64)
     digits = space.digits(ranks)
@@ -33,47 +33,97 @@ def test_multiset_space_matches_reference(n_codes, size):
     assert len(got) == space.size == len(want)
     assert set(got) == set(want)
     np.testing.assert_array_equal(space.rank(digits), ranks)
+    assert [want[codes] for codes in got] == space.weights(digits).tolist()
+
+
+@pytest.mark.parametrize("n_codes,size", SMALL)
+def test_singleton_groups_pack_ordered_tuples(n_codes, size):
+    space = SlotSpace(n_codes, [1] * size)
+    ranks = np.arange(space.size, dtype=np.int64)
+    digits = space.digits(ranks)
+    assert space.size == n_codes ** size
+    for k, row in enumerate(digits):
+        np.testing.assert_array_equal(row, ranks // n_codes ** k % n_codes)
+    np.testing.assert_array_equal(space.rank(digits), ranks)
+    np.testing.assert_array_equal(space.weights(digits), 1)
+
+
+@pytest.mark.parametrize("n_codes", [1, 2, 3, 4])
+def test_mixed_grouping_matches_enumeration(n_codes):
+    """Groups (1, 2, 2): each ordered tuple ranks as its group-sorted tuple,
+    and each input weighs the ordered tuples that rank to it."""
+    sizes = (1, 2, 2)
+    space = SlotSpace(n_codes, sizes)
+    ordered = np.array(list(itertools.product(range(n_codes), repeat=5)),
+                       dtype=np.int64).reshape(-1, 5).T
+    ranks = space.rank(ordered)
+    grouped = np.concatenate([np.sort(ordered[0:1], axis=0),
+                              np.sort(ordered[1:3], axis=0),
+                              np.sort(ordered[3:5], axis=0)])
+    np.testing.assert_array_equal(ranks, space.rank(grouped))
+    inputs = np.arange(space.size, dtype=np.int64)
+    digits = space.digits(inputs)
+    np.testing.assert_array_equal(space.rank(digits), inputs)
+    np.testing.assert_array_equal(digits[:, ranks], grouped)
     weights = space.weights(digits)
-    weights = np.ones(space.size) if weights is None else weights
-    assert [want[codes] for codes in got] == weights.tolist()
+    np.testing.assert_array_equal(weights, np.bincount(ranks,
+                                                       minlength=space.size))
+    assert weights.sum() == n_codes ** 5
+    # A cavity step's inputs: the observer split off each group in turn.
+    for group in range(len(sizes)):
+        observed, order = space.cavity(group)
+        cells = observed.digits(np.arange(observed.size, dtype=np.int64))
+        table = np.array([cells[k] for k in order])
+        np.testing.assert_array_equal(space.rank(cells, order),
+                                      space.rank(table))
+        lo = sum(sizes[:group])
+        np.testing.assert_array_equal(table[lo], cells[0])
+        assert observed.weights(cells).sum() == n_codes ** 5
 
 
 @pytest.mark.parametrize("n_codes,size", [(3, 3), (4, 4), (5, 2)])
 def test_multiset_rank_sorts_and_expand_agrees(n_codes, size):
     """Every ordered tuple ranks as its sorted tuple, and expansion reads
-    each dense column from the column of its sorted tuple."""
-    space = MultisetSpace(n_codes, size)
-    dense = DenseSpace(n_codes, size)
+    each dense column from the column of its sorted tuple, in any slot
+    order."""
+    space = SlotSpace(n_codes, [size])
+    dense = SlotSpace(n_codes, [1] * size)
     ordered = dense.digits(np.arange(dense.size, dtype=np.int64))
     ranks = space.rank(ordered)
     np.testing.assert_array_equal(ranks, space.rank(np.sort(ordered, axis=0)))
     table = np.arange(2 * space.size, dtype=np.int32).reshape(2, -1)
     np.testing.assert_array_equal(space.expand(table), table[:, ranks])
+    mixed = SlotSpace(n_codes, [1, size - 1])
+    table = np.arange(2 * mixed.size, dtype=np.int32).reshape(2, -1)
+    order = list(range(size))[::-1]
+    np.testing.assert_array_equal(mixed.expand(table, order),
+                                  table[:, mixed.rank(ordered[order])])
 
 
-def _dense_vs_multiset(engine, degree, rounds):
-    """Run each step of ``engine`` again in the dense space on its own slot
-    tables and compare with the multiset step."""
+def _singletons_vs_one_group(engine, degree, rounds):
+    """Run each step of ``engine`` again with every slot its own group on
+    its own slot tables and compare with the one-group step."""
     model, rule = engine.model, engine.rule
     n_a, n_obs = engine.n_actions, engine.channel.size
     for t in range(rounds):
-        slots = [(engine.slot_tables[t], True)] * degree
+        slots = [(engine.slot_tables[t], True, 1)] * degree
         g_dense, _, *sums = decision_step_general(
-            engine.dense_decisions(degree, t), t, degree, slots, model, rule,
-            n_a, n_obs)
+            engine.dense_decisions(degree, t), t, slots, model, rule, n_a,
+            n_obs)
         assert np.array_equal(g_dense, engine.dense_decisions(degree, t + 1)), t
         want = engine.error_probability(t + 1, degree=degree)
         got = error_from_sums(model, sums)[0]
         assert got == pytest.approx(want, rel=1e-14, abs=0), t
         if t == 0:
             continue
-        children = [(engine.slot_tables[t - 1], True)] * (degree - 1)
         q_dense = cavity_step_general(
-            engine.dense_decisions(degree, t), t, degree, 0, children, model,
-            n_a, n_obs, engine.channel.emit)[0]
+            engine.dense_decisions(degree, t), t, 0,
+            [(engine.slot_tables[t - 1], True, 1)] * degree, model, n_a, n_obs,
+            engine.channel.emit)[0]
         q_multi = cavity_step_general(
-            engine.decisions[degree][t], t, degree, 0, children, model, n_a,
-            n_obs, engine.channel.emit, MultisetSpace)[0]
+            engine.decisions[degree][t], t, 0,
+            [(engine.slot_tables[t - 1], True, degree)], model, n_a, n_obs,
+            engine.channel.emit)[0]
         np.testing.assert_allclose(q_multi, q_dense, rtol=0, atol=1e-15)
 
 
@@ -83,13 +133,13 @@ def _dense_vs_multiset(engine, degree, rounds):
 def test_steps_agree_across_spaces(model15, variant, d, rounds):
     engine = RegularTreeEngine(model15, d, UpdateRule(variant=variant))
     engine.run(rounds)
-    _dense_vs_multiset(engine, d, rounds)
+    _singletons_vs_one_group(engine, d, rounds)
 
 
 def test_steps_agree_across_spaces_erasure(model15, bayes):
     engine = ActiveEdgeEngine(model15, 3, bayes, p=0.5)
     engine.run(3)
-    _dense_vs_multiset(engine, 3, 3)
+    _singletons_vs_one_group(engine, 3, 3)
 
 
 def test_steps_agree_across_spaces_mixture(model15, bayes):
@@ -97,7 +147,7 @@ def test_steps_agree_across_spaces_mixture(model15, bayes):
     engine = ConfigModelEngine(model15, rho_v, bayes)
     engine.run(3)
     for d in rho_v.support:
-        _dense_vs_multiset(engine, d, 3)
+        _singletons_vs_one_group(engine, d, 3)
 
 
 def test_multiset_budget_admits_d5_round6(model15, bayes, monkeypatch):
