@@ -32,6 +32,22 @@ ch. 4).  Every (tau, s) slice is renormalized after a step and the
 pre-renormalization drift is reported.  The error sum has no loop of its
 own: the decision step that builds a table also sums its cavity product per
 (state, signal), and engines weight those sums on request.
+
+The state flip ~ swaps the two states of a binary model and complements
+every signal, vote and code.  On the paper's model (a uniform prior, a
+binary symmetric signal, a symmetric utility and own-signal ties) the
+tables commute with it: g[1, ~J] = ~g[0, J] and Q[~sigma, ~tau, 1 - s] =
+Q[sigma, tau, s].  Where ``_flip_symmetric`` finds that a step's model,
+channel, inputs and rule are exactly symmetric, both steps run their row
+loop over signal 0 only.  The decision step writes row 1 at the
+complemented inputs, whose ranks need no sort because ~ reverses each
+group's sorted codes, and mirrors the error and coupling sums; the cavity
+step adds each state's sums to the other state's, reversed, so every Q it
+returns is its own flip bit for bit.  The cavity step has no rule, so the
+predicate checks the table's rows and every slot message themselves.  Any
+other step runs every row: lowest-index or uniform-random ties, coin rows,
+the erasure channel, an asymmetric prior, likelihood or utility, and more
+than two states.
 """
 
 from __future__ import annotations
@@ -129,11 +145,27 @@ class SlotSpace:
         """Rank of each column of ``digits``, whose row order[p] holds slot
         p's codes (row p by default); a group's rows need not be sorted."""
         rows = list(digits) if order is None else [digits[k] for k in order]
-        j = np.zeros(digits.shape[1], dtype=np.int64)
-        for lo, k, n in reversed(self._groups):
-            j *= n
-            for i, code in enumerate(_sorted_rows(rows[lo:lo + k])):
-                j += self._binom[i].take(code + i)
+        return self._rank_sorted(
+            [row for lo, k, _ in self._groups
+             for row in _sorted_rows(rows[lo:lo + k])], digits.shape[1])
+
+    def _flip_rank(self, digits: np.ndarray) -> np.ndarray:
+        """Rank of the complement of each column of ``digits``, sorted
+        within each group as ``digits`` returns them, which it complements
+        in place: complementing every code reverses a group's order, so the
+        reversed rows need no sort."""
+        np.subtract(self.base - 1, digits, out=digits)
+        return self._rank_sorted(
+            [digits[lo + i] for lo, k, _ in self._groups
+             for i in range(k - 1, -1, -1)], digits.shape[1])
+
+    def _rank_sorted(self, rows: list[np.ndarray], n: int) -> np.ndarray:
+        """Rank of ``n`` inputs whose slot rows are sorted within groups."""
+        j = np.zeros(n, dtype=np.int64)
+        for lo, k, size in reversed(self._groups):
+            j *= size
+            for i in range(k):
+                j += self._binom[i].take(rows[lo + i] + i)
         return j
 
     def weights(self, digits: np.ndarray) -> np.ndarray:
@@ -219,6 +251,50 @@ def all_active(out: np.ndarray, tau: np.ndarray, t: int):
     return [(out, 1.0)]
 
 
+def _flip_symmetric(model: SignalModel, n_actions: int, n_obs: int,
+                    table: np.ndarray, space: SlotSpace, groups,
+                    rule: UpdateRule | None = None, emit=all_active) -> bool:
+    """Whether a core step commutes with the state flip ~, which swaps the
+    two states and complements every signal, vote and code, so that it may
+    compute signal 0 only and mirror signal 1.
+
+    Its model and channel must be symmetric, exactly: two states, signals
+    and actions on the all-active channel, a uniform prior and a likelihood
+    equal to its flip.  So must its inputs: ``table``, over ``space``, has
+    one row per signal with g[1, ~J] = ~g[0, J], and every slot message Q
+    of ``groups`` equals its flip Q[~sigma, ~tau, 1 - s].  A decision step
+    passes its ``rule``, which must vote symmetrically too: deterministic
+    for this degree, and majority, or Bayesian with a utility equal to its
+    flip and own-signal ties under a signal-to-action map that commutes
+    with ~.
+    """
+    if not (model.n_states == model.n_signals == n_actions == n_obs == 2
+            and emit is all_active and len(table) == 2
+            and model.prior[0] == model.prior[1]
+            and np.array_equal(model.likelihood, model.likelihood[::-1, ::-1])
+            and all(np.array_equal(q, q[::-1, ::-1, ::-1])
+                    for q, *_ in groups)):
+        return False
+    if rule is not None:
+        if not rule.deterministic_for_degree(space.slots):
+            return False
+        if rule.variant == "bayesian":
+            values = (rule.utility or UtilityTable.identity(2)).values
+            tie = rule.tie_break
+            if not (np.array_equal(values, values[::-1, ::-1])
+                    and tie.variant is TieBreak.OWN_SIGNAL
+                    and tie.action_for_signal(1, 2)
+                    == 1 - tie.action_for_signal(0, 2)):
+                return False
+    top = 2 * space.base - 1  # ~c = top - c: a table code has one digit more
+    for start in range(0, space.size, CHUNK):
+        r = np.arange(start, min(start + CHUNK, space.size), dtype=np.int64)
+        if not np.array_equal(table[1, space._flip_rank(space.digits(r))],
+                              top - table[0, r]):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Round 0
 # ---------------------------------------------------------------------------
@@ -295,6 +371,8 @@ def cavity_step_general(
     # Input row 0 holds the observer's slot, if any; the other rows are summed.
     first = int(tau_group is not None)
     child_qs = _per_slot(groups, tau_group)
+    flip = _flip_symmetric(model, n_actions, n_obs, g_flat, table, groups,
+                           emit=emit)
 
     acc = [np.zeros(n_out * n_tau) for _ in range(n_s)]
     colsum = [np.zeros(n_tau) for _ in range(n_s)]
@@ -306,7 +384,7 @@ def cavity_step_general(
         count = inputs.weights(digits)
         tau_digit = digits[0] if first else np.zeros_like(j)
         tau_seg = _sorted_segments(tau_digit, n_tau) if n_tau > 1 else None
-        for r, row in enumerate(g_flat):
+        for r, row in enumerate(g_flat[:1] if flip else g_flat):
             out_codes = row[j].astype(np.int64)
             cond = out_codes % cond_mod
             segs = [(_sorted_segments(codes * n_tau + tau_digit, n_out * n_tau),
@@ -324,6 +402,11 @@ def cavity_step_general(
                 else:
                     _segment_add(colsum[s], *tau_seg, w)
                 ops += len(j)
+    if flip:
+        # Row 1 adds row 0's sums of the other state at (~sigma, ~tau): the
+        # flat index sigma * n_tau + tau of a binary code pair, reversed.
+        acc = [acc[s] + acc[1 - s][::-1] for s in range(n_s)]
+        colsum = [colsum[s] + colsum[1 - s][::-1] for s in range(n_s)]
     q = np.empty((n_out, n_tau, n_s))
     drift = 0.0
     for s in range(n_s):
@@ -417,6 +500,8 @@ def decision_step_general(
     # Each slot table as contiguous (n_states, codes * conditions) rows.
     flats = [(np.ascontiguousarray(np.moveaxis(q_t, 2, 0)).reshape(n_s, -1),
               q_t.shape[1], has_cond) for q_t, has_cond in _per_slot(groups)]
+    flip = _flip_symmetric(model, n_actions, n_obs, g_prev, prev, groups, rule)
+    top = n_actions ** (t + 2) - 1  # ~c = top - c for a new code c
     g_next = np.empty((rows_prev * coins, total), dtype=np.int32)
     err_acc = np.zeros((n_s, n_x))
     mass_acc = np.zeros((n_s, n_x))
@@ -433,7 +518,7 @@ def decision_step_general(
             margin = 2 * (digits // m).sum(axis=0) - deg
             majority = [np.where(margin == 0, u, margin > 0)
                         for u in range(coins)]
-        for r, row in enumerate(g_prev):
+        for r, row in enumerate(g_prev[:1] if flip else g_prev):
             x = r % n_x
             own = row[j_prev].astype(np.int64)
             own_cond = own % n_actions ** t
@@ -462,6 +547,11 @@ def decision_step_general(
                 for action in actions:
                     mass_acc[s, x] += mass * share
                     err_acc[s, x] += np.sum(pure[s][action != s]) * share
+        if flip:
+            g_next[1, space._flip_rank(digits)] = top - g_next[0, cols]
+    if flip:
+        err_acc[:, 1] = err_acc[::-1, 0]
+        mass_acc[:, 1] = mass_acc[::-1, 0]
     return g_next, ops, err_acc, mass_acc
 
 

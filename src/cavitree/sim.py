@@ -59,8 +59,11 @@ def _stream(seed: int, kind: int, sample: np.ndarray) -> np.ndarray:
     return _mix(z)
 
 
-def _node_bits(stream: np.ndarray, node: int, t: int) -> np.ndarray:
-    z = _mix(stream ^ np.uint64(node))
+def _node_bits(stream: np.ndarray, node: int, t: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The raw draws of (node, t) on each sample's stream, written to
+    ``out`` if given."""
+    z = _mix(np.bitwise_xor(stream, np.uint64(node), out=out))
     if t:  # round 0 (every signal draw) skips a pass: xor with 0 is a no-op
         z ^= np.uint64(t)
     return _mix(z)
@@ -201,6 +204,7 @@ def simulate(
     if any(len(k) != 1 for k in kern0):
         raise ModelError("stochastic round-0 votes are not supported in replay")
     vote0 = np.array([k[0][0] for k in kern0], dtype=np.int8)
+    vote0_identity = np.array_equal(vote0, np.arange(len(vote0)))
 
     bayesian = rule.variant == "bayesian"
     if bayesian:
@@ -241,13 +245,20 @@ def simulate(
         coin_stream = _stream(seed, _KIND_COIN, idx)
         thresholds = [bits_cuts[state, x] for x in range(bits_cuts.shape[1])]
         signals = np.zeros((n, count), dtype=np.int8)
+        # One draw buffer per chunk: a fresh one per node is 128 KiB at the
+        # default chunk, glibc's mmap threshold, so its cost would depend on
+        # the allocator's state.
+        buffer = np.empty(count, dtype=np.uint64)
         # Node by node: drawing blocks of nodes at once measured slower.
         for i in range(n):
-            bits = _node_bits(signal_stream, i, 0)
+            bits = _node_bits(signal_stream, i, 0, out=buffer)
             bits >>= np.uint64(11)
+            if len(thresholds) == 1:  # a binary signal: one compare
+                np.greater_equal(bits, thresholds[0], out=signals[i])
+                continue
             for column in thresholds:
                 signals[i] += bits >= column
-        votes = vote0[signals]
+        votes = signals if vote0_identity else vote0[signals]
         codes = votes.astype(codes_dtype) if bayesian else None
         tally[:, 0] = np.count_nonzero(votes != state, axis=1)
         rows = max(1, _BLOCK // count)

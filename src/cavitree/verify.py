@@ -7,6 +7,12 @@ invariant suite checks normalization, marginalization, coupling mass, flip
 symmetry and error monotonicity on the homogeneous engine.  Both return a
 list of (name, passed, detail) checks; the CLI turns failures into a
 nonzero exit.
+
+On the symmetric models of the invariant suite the core steps compute
+signal 0 only and mirror the rest, so flip symmetry holds there by
+construction; the check still catches a wrong mirror map.  The
+independent check is ``tests/test_flip_symmetry.py``, which compares the
+mirrored tables with the full computation of every row.
 """
 
 from __future__ import annotations

@@ -78,8 +78,9 @@ def test_replay_with_cdf_entry_above_one(majority):
 def test_top_draw_stays_inside_the_cdf(model15, majority, monkeypatch):
     """The top draw, all 64 bits set, is u = 1 - 2**-53, the largest
     uniform below 1; state and signal are the last index, not past it."""
-    monkeypatch.setattr(sim, "_node_bits", lambda stream, node, t: np.full(
-        stream.shape, (1 << 64) - 1, dtype=np.uint64))
+    monkeypatch.setattr(sim, "_node_bits",
+                        lambda stream, node, t, out=None: np.full(
+                            stream.shape, (1 << 64) - 1, dtype=np.uint64))
     top = counter_uniform(1, 1, np.arange(3, dtype=np.uint64), 0, 0)
     assert top.tolist() == [1 - 2 ** -53] * 3
     graph = regular_tree(3, 2)
