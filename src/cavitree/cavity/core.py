@@ -38,16 +38,19 @@ every signal, vote and code.  On the paper's model (a uniform prior, a
 binary symmetric signal, a symmetric utility and own-signal ties) the
 tables commute with it: g[1, ~J] = ~g[0, J] and Q[~sigma, ~tau, 1 - s] =
 Q[sigma, tau, s].  Where ``_flip_symmetric`` finds that a step's model,
-channel, inputs and rule are exactly symmetric, both steps run their row
+channel, rule and inputs are exactly symmetric, both steps run their row
 loop over signal 0 only.  The decision step writes row 1 at the
 complemented inputs, whose ranks need no sort because ~ reverses each
 group's sorted codes, and mirrors the error and coupling sums; the cavity
 step adds each state's sums to the other state's, reversed, so every Q it
-returns is its own flip bit for bit.  The cavity step has no rule, so the
-predicate checks the table's rows and every slot message themselves.  Any
-other step runs every row: lowest-index or uniform-random ties, coin rows,
-the erasure channel, an asymmetric prior, likelihood or utility, and more
-than two states.
+returns is its own flip bit for bit.  The rule is the one that built (cavity
+step) or builds (decision step) the table, and the predicate checks the
+table's rows and every slot message too.  Any other step runs every row:
+lowest-index or uniform-random ties, coin rows, a cavity step given no
+rule, the erasure channel, an asymmetric prior, likelihood or utility, and
+more than two states.  A lowest-index table with no tie equals the
+own-signal one, and the steps still run it in full, so its sums keep their
+rounding.
 """
 
 from __future__ import annotations
@@ -253,39 +256,37 @@ def all_active(out: np.ndarray, tau: np.ndarray, t: int):
 
 def _flip_symmetric(model: SignalModel, n_actions: int, n_obs: int,
                     table: np.ndarray, space: SlotSpace, groups,
-                    rule: UpdateRule | None = None, emit=all_active) -> bool:
+                    rule: UpdateRule) -> bool:
     """Whether a core step commutes with the state flip ~, which swaps the
     two states and complements every signal, vote and code, so that it may
     compute signal 0 only and mirror signal 1.
 
     Its model and channel must be symmetric, exactly: two states, signals
-    and actions on the all-active channel, a uniform prior and a likelihood
-    equal to its flip.  So must its inputs: ``table``, over ``space``, has
-    one row per signal with g[1, ~J] = ~g[0, J], and every slot message Q
-    of ``groups`` equals its flip Q[~sigma, ~tau, 1 - s].  A decision step
-    passes its ``rule``, which must vote symmetrically too: deterministic
-    for this degree, and majority, or Bayesian with a utility equal to its
-    flip and own-signal ties under a signal-to-action map that commutes
-    with ~.
+    and actions on the all-active channel (``n_obs == n_actions``), a
+    uniform prior and a likelihood equal to its flip.  So must its
+    ``rule``: deterministic for this degree, and majority, or Bayesian with
+    a utility equal to its flip and own-signal ties under a
+    signal-to-action map that commutes with ~.  So must its inputs:
+    ``table``, over ``space``, has one row per signal with g[1, ~J] =
+    ~g[0, J], and every slot message Q of ``groups`` equals its flip
+    Q[~sigma, ~tau, 1 - s].
     """
     if not (model.n_states == model.n_signals == n_actions == n_obs == 2
-            and emit is all_active and len(table) == 2
+            and len(table) == 2
+            and rule.deterministic_for_degree(space.slots)
             and model.prior[0] == model.prior[1]
             and np.array_equal(model.likelihood, model.likelihood[::-1, ::-1])
             and all(np.array_equal(q, q[::-1, ::-1, ::-1])
                     for q, *_ in groups)):
         return False
-    if rule is not None:
-        if not rule.deterministic_for_degree(space.slots):
+    if rule.variant == "bayesian":
+        values = (rule.utility or UtilityTable.identity(2)).values
+        tie = rule.tie_break
+        if not (np.array_equal(values, values[::-1, ::-1])
+                and tie.variant is TieBreak.OWN_SIGNAL
+                and tie.action_for_signal(1, 2)
+                == 1 - tie.action_for_signal(0, 2)):
             return False
-        if rule.variant == "bayesian":
-            values = (rule.utility or UtilityTable.identity(2)).values
-            tie = rule.tie_break
-            if not (np.array_equal(values, values[::-1, ::-1])
-                    and tie.variant is TieBreak.OWN_SIGNAL
-                    and tie.action_for_signal(1, 2)
-                    == 1 - tie.action_for_signal(0, 2)):
-                return False
     top = 2 * space.base - 1  # ~c = top - c: a table code has one digit more
     for start in range(0, space.size, CHUNK):
         r = np.arange(start, min(start + CHUNK, space.size), dtype=np.int64)
@@ -340,6 +341,7 @@ def cavity_step_general(
     n_actions: int,
     n_obs: int | None = None,
     emit=all_active,
+    rule: UpdateRule | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """One application of the cavity recursion for a node.
 
@@ -352,7 +354,9 @@ def cavity_step_general(
     group weighted by their counts.  ``emit(out, tau, t)`` maps the node's
     action codes through round t, as seen by an observer whose trajectory
     is ``tau``, to (observed code, weight) pairs.  Each row of g adds its
-    signal's likelihood times its weight.  Returns the horizon-t table
+    signal's likelihood times its weight.  ``rule``, the rule that built
+    ``g_flat``, lets a flip-symmetric step sum signal 0 only; without it
+    every row is summed.  Returns the horizon-t table
     Q[sigma, tau, s] (renormalized per (tau, s) slice), the maximum
     pre-renormalization drift |column sum - 1|, and the number of summed
     terms.
@@ -371,8 +375,8 @@ def cavity_step_general(
     # Input row 0 holds the observer's slot, if any; the other rows are summed.
     first = int(tau_group is not None)
     child_qs = _per_slot(groups, tau_group)
-    flip = _flip_symmetric(model, n_actions, n_obs, g_flat, table, groups,
-                           emit=emit)
+    flip = rule is not None and _flip_symmetric(
+        model, n_actions, n_obs, g_flat, table, groups, rule)
 
     acc = [np.zeros(n_out * n_tau) for _ in range(n_s)]
     colsum = [np.zeros(n_tau) for _ in range(n_s)]

@@ -119,7 +119,7 @@ class FiniteTreeEngine:
                 (self.edge_class[t - 1][rev], True))
             table, drift, _ = cavity_step_general(
                 self.g[t][nodes[j]], t, tau_group, self._messages(groups, t - 1),
-                self.model, self.n_actions)
+                self.model, self.n_actions, rule=self.rule)
             self.drift = max(self.drift, drift)
             q_t.append(table)
         self.edge_class.append(edge_class)

@@ -121,7 +121,7 @@ class ConfigModelEngine:
                 q_d, drift_d, n = cavity_step_general(
                     self.decisions[d][t], t, 0,
                     [(self.slot_tables[t - 1], True, d)],
-                    self.model, self.n_actions, n_obs, emit)
+                    self.model, self.n_actions, n_obs, emit, self.rule)
                 ops += n
                 drift = max(drift, drift_d)
                 q_t = p * q_d if q_t is None else q_t + p * q_d

@@ -226,10 +226,12 @@ def simulate(
     # A draw counts the CDF entries its uniform reaches, all but the last:
     # a row may sum to just below 1, so a draw could reach that one too.
     prior_cdf = np.cumsum(model.prior)[:-1]
+    signal_cdf = np.cumsum(model.likelihood, axis=1)[:, :-1]
+    if signal_cdf.shape[1] == 0:  # one signal: one entry no draw reaches
+        signal_cdf = np.full((model.n_states, 1), 2.0)
     # Each likelihood-CDF entry is compared on the top 53 bits, which skips
     # the float conversion; an entry above 1 gets a cut no draw reaches.
-    bits_cuts = np.array([[_bits_cut(c) for c in row]
-                          for row in np.cumsum(model.likelihood, axis=1)[:, :-1]],
+    bits_cuts = np.array([[_bits_cut(c) for c in row] for row in signal_cdf],
                          dtype=np.uint64)
 
     starts = list(range(0, samples, chunk))
@@ -244,7 +246,7 @@ def simulate(
         signal_stream = _stream(seed, _KIND_SIGNAL, idx)
         coin_stream = _stream(seed, _KIND_COIN, idx)
         thresholds = [bits_cuts[state, x] for x in range(bits_cuts.shape[1])]
-        signals = np.zeros((n, count), dtype=np.int8)
+        signals = np.empty((n, count), dtype=np.int8)
         # One draw buffer per chunk: a fresh one per node is 128 KiB at the
         # default chunk, glibc's mmap threshold, so its cost would depend on
         # the allocator's state.
@@ -253,10 +255,10 @@ def simulate(
         for i in range(n):
             bits = _node_bits(signal_stream, i, 0, out=buffer)
             bits >>= np.uint64(11)
-            if len(thresholds) == 1:  # a binary signal: one compare
-                np.greater_equal(bits, thresholds[0], out=signals[i])
-                continue
-            for column in thresholds:
+            # The first compare writes the signals, so a binary signal takes
+            # one; each further cut adds the draws that reach it.
+            np.greater_equal(bits, thresholds[0], out=signals[i])
+            for column in thresholds[1:]:
                 signals[i] += bits >= column
         votes = signals if vote0_identity else vote0[signals]
         codes = votes.astype(codes_dtype) if bayesian else None

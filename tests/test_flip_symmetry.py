@@ -84,19 +84,41 @@ def test_predicate_rejects_an_asymmetric_model(model15, bayes):
 
 
 def test_predicate_rejects_asymmetric_inputs(model15, bayes):
-    """Without a rule (the cavity step's call) the table itself decides,
-    and one changed code or slot entry breaks the flip."""
+    """Under a symmetric rule, one changed code or slot entry breaks the
+    flip."""
     model, n_a, n_obs, g, space, groups = _decision_inputs(
         RegularTreeEngine(model15, 3, bayes), 3)
-    assert _flip_symmetric(model, n_a, n_obs, g, space, groups)
+    assert _flip_symmetric(model, n_a, n_obs, g, space, groups, bayes)
     broken = g.copy()
     broken[1, 7] ^= 1 << 3  # the round-3 vote of one input
-    assert not _flip_symmetric(model, n_a, n_obs, broken, space, groups)
+    assert not _flip_symmetric(model, n_a, n_obs, broken, space, groups,
+                               bayes)
     q = groups[0][0].copy()
     q[0, 0, 0] = np.nextafter(q[0, 0, 0], 1.0)
-    assert not _flip_symmetric(model, n_a, n_obs, g, space, [(q, True, 3)])
+    assert not _flip_symmetric(model, n_a, n_obs, g, space, [(q, True, 3)],
+                               bayes)
     coin_rows = np.concatenate([g, g])
-    assert not _flip_symmetric(model, n_a, n_obs, coin_rows, space, groups)
+    assert not _flip_symmetric(model, n_a, n_obs, coin_rows, space, groups,
+                               bayes)
+
+
+def test_lowest_index_takes_the_full_path(model15, bayes, monkeypatch):
+    """At d=4 no round-1 input ties, so the lowest-index table equals the
+    own-signal one and the round-1 cavity step's inputs are symmetric; the
+    lowest-index rule still sums every row, so every sum keeps the full
+    path's rounding."""
+    lowest = UpdateRule(tie_break=TieBreakRule(TieBreak.LOWEST_INDEX))
+    sym, full = _run_homogeneous(lambda: RegularTreeEngine(model15, 4, lowest),
+                                 3, monkeypatch)
+    inputs = (sym.model, 2, 2, sym.decisions[4][1], SlotSpace(2, [4]),
+              [(sym.slot_tables[0], True, 4)])
+    assert _flip_symmetric(*inputs, bayes)
+    assert not _flip_symmetric(*inputs, lowest)
+    assert sum(sym.ops) == sum(full.ops)
+    for t in range(4):
+        assert np.array_equal(sym.q[t], full.q[t]), t
+        for got, want in zip(sym.sums[4][t], full.sums[4][t]):
+            assert np.array_equal(got, want), t
 
 
 def _full_path(monkeypatch):
