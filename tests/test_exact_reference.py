@@ -16,7 +16,7 @@ from cavitree.model import SignalModel, UpdateRule
 from exact_reference import ExactRegularTree
 from test_acceptance import PUBLISHED_ERRATA, RTOL, TABLE1_BAYES, TABLE2_MAJ
 
-AGREEMENT = 1e-14  # engine vs exact, relative, at every round: rounding
+AGREEMENT = 1e-14  # engine vs exact, relative, at every round: float64 rounding
 COLUMNS = (("bayesian", 5, 0.15, 4), ("majority", 3, 0.15, 7))
 CORRECTED = {("bayesian", 5, 0.15, 4): TABLE1_BAYES[4],
              ("majority", 3, 0.15, 7): TABLE2_MAJ[7]}
