@@ -40,13 +40,28 @@ def binomial_tail(n: int, k0: int, q: float) -> float:
     if k0 > n:
         return 0.0
     total = 0.0
-    for k in range(k0, n + 1):
-        total += math.comb(n, k) * q ** k * (1.0 - q) ** (n - k)
+    try:
+        for k in range(k0, n + 1):
+            total += math.comb(n, k) * q ** k * (1.0 - q) ** (n - k)
+    except OverflowError:
+        raise ModelError(f"binomial coefficients of n={n} exceed the float "
+                         f"range") from None
     return min(total, 1.0)
 
 
 def _ceil_threshold(value: float) -> int:
     return math.ceil(value - 1e-12)
+
+
+def _sequence(d: int, delta0: float, rounds: int, step,
+              variant: str) -> BoundSequence:
+    """delta0 and ``rounds`` iterates of delta_{t+1} = step(delta_t)."""
+    if not 0.0 <= delta0 <= 1.0:
+        raise ModelError("delta0 must be a probability")
+    vals = [delta0]
+    for _ in range(rounds):
+        vals.append(step(vals[-1]))
+    return BoundSequence(d=d, delta0=delta0, values=tuple(vals), variant=variant)
 
 
 def undirected_bound_sequence(d: int, delta0: float, rounds: int) -> BoundSequence:
@@ -55,39 +70,29 @@ def undirected_bound_sequence(d: int, delta0: float, rounds: int) -> BoundSequen
     exact majority error at every round."""
     if d < 3:
         raise ModelError("undirected recursion needs d >= 3")
-    if not 0.0 <= delta0 <= 1.0:
-        raise ModelError("delta0 must be a probability")
     k0 = _ceil_threshold(d / 2 - 1)
-    vals = [delta0]
-    for _ in range(rounds):
-        vals.append(binomial_tail(d - 1, k0, vals[-1]))
-    return BoundSequence(d=d, delta0=delta0, values=tuple(vals), variant="undirected")
+    return _sequence(d, delta0, rounds, lambda p: binomial_tail(d - 1, k0, p),
+                     "undirected")
 
 
 def directed_bound_sequence(d: int, delta0: float, rounds: int) -> BoundSequence:
     """delta_t = P(Binomial(d, delta_{t-1}) >= d/2) on the directed d-ary tree."""
     if d < 1:
         raise ModelError("directed recursion needs d >= 1")
-    if not 0.0 <= delta0 <= 1.0:
-        raise ModelError("delta0 must be a probability")
     k0 = _ceil_threshold(d / 2)
-    vals = [delta0]
-    for _ in range(rounds):
-        vals.append(binomial_tail(d, k0, vals[-1]))
-    return BoundSequence(d=d, delta0=delta0, values=tuple(vals), variant="directed")
+    return _sequence(d, delta0, rounds, lambda p: binomial_tail(d, k0, p),
+                     "directed")
 
 
 def chernoff_envelope(d: int, delta0: float, rounds: int) -> BoundSequence:
     """Iterate delta_{t+1} = (2e delta_t (d-1)/(d-2))^((d-2)/2) as an equality."""
     if d < 5:
         raise ModelError("the Chernoff envelope is stated for d >= 5")
-    vals = [delta0]
     coeff = 2.0 * math.e * (d - 1) / (d - 2)
     expo = (d - 2) / 2.0
-    for _ in range(rounds):
-        vals.append(min(1.0, (coeff * vals[-1]) ** expo))
-    return BoundSequence(d=d, delta0=delta0, values=tuple(vals),
-                         variant="chernoff-envelope")
+    return _sequence(d, delta0, rounds,
+                     lambda p: min(1.0, (coeff * p) ** expo),
+                     "chernoff-envelope")
 
 
 def noise_threshold(d: int) -> float:

@@ -37,20 +37,26 @@ The state flip ~ swaps the two states of a binary model and complements
 every signal, vote and code.  On the paper's model (a uniform prior, a
 binary symmetric signal, a symmetric utility and own-signal ties) the
 tables commute with it: g[1, ~J] = ~g[0, J] and Q[~sigma, ~tau, 1 - s] =
-Q[sigma, tau, s].  Where ``_flip_symmetric`` finds that a step's model,
-channel, rule and inputs are exactly symmetric, both steps run their row
-loop over signal 0 only.  The decision step writes row 1 at the
-complemented inputs, whose ranks need no sort because ~ reverses each
-group's sorted codes, and mirrors the error and coupling sums; the cavity
-step adds each state's sums to the other state's, reversed, so every Q it
-returns is its own flip bit for bit.  The rule is the one that built (cavity
-step) or builds (decision step) the table, and the predicate checks the
-table's rows and every slot message too.  Any other step runs every row:
-lowest-index or uniform-random ties, coin rows, a cavity step given no
-rule, the erasure channel, an asymmetric prior, likelihood or utility, and
-more than two states.  A lowest-index table with no tie equals the
-own-signal one, and the steps still run it in full, so its sums keep their
-rounding.
+Q[sigma, tau, s].  Where ``_flip_symmetric`` finds a step's model, channel
+and rule exactly symmetric, one row per signal and every slot message its
+own flip, both steps run their row loop over signal 0 only.  The decision
+step writes row 1 at the complemented inputs, whose ranks need no sort
+because ~ reverses each group's sorted codes, and mirrors the error and
+coupling sums; the cavity step adds each state's sums to the other
+state's, reversed, so every Q it returns is its own flip bit for bit.  Any
+other step runs every row: lowest-index or uniform-random ties, coin rows,
+the erasure channel, an asymmetric prior, likelihood or utility, and more
+than two states.  A lowest-index table with no tie equals the own-signal
+one, and the steps still run it in full, so its sums keep their rounding.
+
+The predicate reads no table entry: every table commutes with ~ by
+induction.  g^0 does once the rule check passes, its vote being the
+signal-to-action map (majority) or a symmetric argmax (Bayesian).  A
+mirrored decision step writes row 1 as ~row 0.  A majority step forced
+onto the full path by a coin-row neighbour's message decides by integer
+margins, so its table still commutes with ~ exactly.  ``SlotSpace.expand``
+and the mixture's weighted sum of cavity tables keep tables symmetric.
+``verify.invariant_suite`` checks the decision tables off the hot path.
 """
 
 from __future__ import annotations
@@ -60,7 +66,8 @@ from math import comb, factorial, lcm, prod
 
 import numpy as np
 
-from ..model import SignalModel, TieBreak, UpdateRule, UtilityTable, TIE_TOL
+from ..model import (ModelError, SignalModel, TieBreak, UpdateRule,
+                     UtilityTable, TIE_TOL, round0_kernel, signal_posterior)
 from ..trees import BudgetError
 
 logger = logging.getLogger(__name__)
@@ -92,6 +99,12 @@ def check_budget(need: int, budget: int = MEMORY_BUDGET):
         raise BudgetError(
             f"table workspace of {need / 2 ** 30:.2f} GiB is over the "
             f"{budget / 2 ** 30:.2f} GiB budget")
+
+
+def check_round(t: int, stored: int, what: str):
+    """Refuse a round outside the ``stored`` rounds 0.. an engine holds."""
+    if not 0 <= t < stored:
+        raise ModelError(f"no {what} for round {t} of the {stored} stored")
 
 
 # ---------------------------------------------------------------------------
@@ -255,45 +268,29 @@ def all_active(out: np.ndarray, tau: np.ndarray, t: int):
 
 
 def _flip_symmetric(model: SignalModel, n_actions: int, n_obs: int,
-                    table: np.ndarray, space: SlotSpace, groups,
-                    rule: UpdateRule) -> bool:
-    """Whether a core step commutes with the state flip ~, which swaps the
-    two states and complements every signal, vote and code, so that it may
-    compute signal 0 only and mirror signal 1.
-
-    Its model and channel must be symmetric, exactly: two states, signals
-    and actions on the all-active channel (``n_obs == n_actions``), a
-    uniform prior and a likelihood equal to its flip.  So must its
-    ``rule``: deterministic for this degree, and majority, or Bayesian with
-    a utility equal to its flip and own-signal ties under a
-    signal-to-action map that commutes with ~.  So must its inputs:
-    ``table``, over ``space``, has one row per signal with g[1, ~J] =
-    ~g[0, J], and every slot message Q of ``groups`` equals its flip
-    Q[~sigma, ~tau, 1 - s].
-    """
+                    rows: int, groups, rule: UpdateRule) -> bool:
+    """Whether a core step commutes with the state flip ~, so that it may
+    compute signal 0 only and mirror signal 1: exactly two states, signals
+    and actions on the all-active channel, a uniform prior and a likelihood
+    equal to its flip; a rule deterministic for the degree of ``groups``
+    whose signal-to-action map commutes with ~, and majority, or Bayesian
+    with a utility equal to its flip and own-signal ties; a table of
+    ``rows`` == 2, one per signal; and every slot message Q of ``groups``
+    equal to its flip Q[~sigma, ~tau, 1 - s]."""
+    tie = rule.tie_break
     if not (model.n_states == model.n_signals == n_actions == n_obs == 2
-            and len(table) == 2
-            and rule.deterministic_for_degree(space.slots)
+            and rows == 2
+            and rule.deterministic_for_degree(sum(k for *_, k in groups))
             and model.prior[0] == model.prior[1]
             and np.array_equal(model.likelihood, model.likelihood[::-1, ::-1])
+            and tie.action_for_signal(1, 2) == 1 - tie.action_for_signal(0, 2)
             and all(np.array_equal(q, q[::-1, ::-1, ::-1])
                     for q, *_ in groups)):
         return False
-    if rule.variant == "bayesian":
-        values = (rule.utility or UtilityTable.identity(2)).values
-        tie = rule.tie_break
-        if not (np.array_equal(values, values[::-1, ::-1])
-                and tie.variant is TieBreak.OWN_SIGNAL
-                and tie.action_for_signal(1, 2)
-                == 1 - tie.action_for_signal(0, 2)):
-            return False
-    top = 2 * space.base - 1  # ~c = top - c: a table code has one digit more
-    for start in range(0, space.size, CHUNK):
-        r = np.arange(start, min(start + CHUNK, space.size), dtype=np.int64)
-        if not np.array_equal(table[1, space._flip_rank(space.digits(r))],
-                              top - table[0, r]):
-            return False
-    return True
+    values = (rule.utility or UtilityTable.identity(2)).values
+    return rule.variant == "majority" or (
+        np.array_equal(values, values[::-1, ::-1])
+        and tie.variant is TieBreak.OWN_SIGNAL)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +300,6 @@ def _flip_symmetric(model: SignalModel, n_actions: int, n_obs: int,
 def round0_table(model: SignalModel, rule: UpdateRule, n_actions: int) -> np.ndarray:
     """g^0: the round-0 vote per row, shape (rows, 1).  A tie at some signal
     adds coin rows: row r's coin r // n_signals picks among the tied votes."""
-    from ..model import round0_kernel
-
     kernels = round0_kernel(model, rule, n_actions)
     coins = 1 if all(len(k) == 1 for k in kernels) else coin_values(n_actions)
     n_x = model.n_signals
@@ -338,10 +333,10 @@ def cavity_step_general(
     tau_group: int | None,
     groups: list[tuple[np.ndarray, bool, int]],
     model: SignalModel,
+    rule: UpdateRule,
     n_actions: int,
     n_obs: int | None = None,
     emit=all_active,
-    rule: UpdateRule | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """One application of the cavity recursion for a node.
 
@@ -355,11 +350,10 @@ def cavity_step_general(
     action codes through round t, as seen by an observer whose trajectory
     is ``tau``, to (observed code, weight) pairs.  Each row of g adds its
     signal's likelihood times its weight.  ``rule``, the rule that built
-    ``g_flat``, lets a flip-symmetric step sum signal 0 only; without it
-    every row is summed.  Returns the horizon-t table
-    Q[sigma, tau, s] (renormalized per (tau, s) slice), the maximum
-    pre-renormalization drift |column sum - 1|, and the number of summed
-    terms.
+    ``g_flat``, lets a flip-symmetric step sum signal 0 only.  Returns the
+    horizon-t table Q[sigma, tau, s] (renormalized per (tau, s) slice), the
+    maximum pre-renormalization drift |column sum - 1|, and the number of
+    summed terms.
     """
     n_s, n_x = model.likelihood.shape
     share = n_x / len(g_flat)
@@ -375,8 +369,7 @@ def cavity_step_general(
     # Input row 0 holds the observer's slot, if any; the other rows are summed.
     first = int(tau_group is not None)
     child_qs = _per_slot(groups, tau_group)
-    flip = rule is not None and _flip_symmetric(
-        model, n_actions, n_obs, g_flat, table, groups, rule)
+    flip = _flip_symmetric(model, n_actions, n_obs, len(g_flat), groups, rule)
 
     acc = [np.zeros(n_out * n_tau) for _ in range(n_s)]
     colsum = [np.zeros(n_tau) for _ in range(n_s)]
@@ -504,7 +497,7 @@ def decision_step_general(
     # Each slot table as contiguous (n_states, codes * conditions) rows.
     flats = [(np.ascontiguousarray(np.moveaxis(q_t, 2, 0)).reshape(n_s, -1),
               q_t.shape[1], has_cond) for q_t, has_cond in _per_slot(groups)]
-    flip = _flip_symmetric(model, n_actions, n_obs, g_prev, prev, groups, rule)
+    flip = _flip_symmetric(model, n_actions, n_obs, rows_prev, groups, rule)
     top = n_actions ** (t + 2) - 1  # ~c = top - c for a new code c
     g_next = np.empty((rows_prev * coins, total), dtype=np.int32)
     err_acc = np.zeros((n_s, n_x))
@@ -581,8 +574,6 @@ def posterior_general(
     ``SlotSpace``, on the truncated observation; ``ModelError`` if the rows
     of signal x (its coin outcomes) disagree on it.
     """
-    from ..model import ModelError, signal_posterior
-
     if t == 0:
         return signal_posterior(model, x)
     m_prev = (n_obs or n_actions) ** (t - 1)

@@ -22,7 +22,12 @@ from ..trees import GraphError, TreeGraph, validate
 from .core import (
     COUPLING_TOL,
     SlotSpace,
+    cavity_step_bytes,
     cavity_step_general,
+    check_budget,
+    check_round,
+    coin_values,
+    decision_step_bytes,
     decision_step_general,
     error_from_sums,
     initial_cavity,
@@ -88,60 +93,88 @@ class FiniteTreeEngine:
         self._slots = [tuple((self.edge_id[(j, i)], i in obs[j]) for j in obs[i])
                        for i in range(n)]
         g0 = round0_table(model, rule, self.n_actions)
-        # Per round: the class id of every node (edge), and the table of
-        # every class.
+        # Per round: the class id of every node (edge), the planned core
+        # steps, and the table of every class.
         self.node_class = [[0] * n]
+        self.edge_class: list[list[int]] = []
+        self._plans: list[tuple[list, list]] = []
         self.g = [[g0]]
         self.sums = [[round0_sums(model, g0)]]
-        self.edge_class: list[list[int]] = []
         self.q: list[list[np.ndarray]] = []
         self._actions: dict[tuple, np.ndarray] = {}
         self.horizon = 0
         self.drift = 0.0
 
-    def advance(self) -> None:
-        t = self.horizon
+    def _plan_round(self) -> None:
+        """Intern the classes of the first unplanned round t, edges at t and
+        nodes at t+1, whose keys need no tables; plan one core step per
+        class, and refuse one over the table budget before any step runs."""
+        t, n_a = len(self._plans), self.n_actions
         nodes = self.node_class[t]
         prev = self.edge_class[t - 1] if t else [0] * len(self.edges)
         keys = [(prev[e], -1 if rev is None else prev[rev], nodes[j])
                 for e, ((j, _), rev) in enumerate(zip(self.edges, self._reverse))]
         edge_class, members = _intern(keys)
-        q_t = []
+        self.edge_class[t:] = [edge_class]  # over a refused plan's classes
+        cavity = []
         for e in members:
-            j = self.edges[e][0]
-            if t == 0:
-                q_t.append(initial_cavity(self.model, self.g[0][nodes[j]],
-                                          self.n_actions))
-                continue
-            _, groups = self._layout(j, t)
-            rev = self._reverse[e]
-            tau_group = None if rev is None else [pair for pair, _ in groups].index(
-                (self.edge_class[t - 1][rev], True))
-            table, drift, _ = cavity_step_general(
-                self.g[t][nodes[j]], t, tau_group, self._messages(groups, t - 1),
-                self.model, self.n_actions, rule=self.rule)
-            self.drift = max(self.drift, drift)
-            q_t.append(table)
-        self.edge_class.append(edge_class)
-        self.q.append(q_t)
+            j, rev = self.edges[e][0], self._reverse[e]
+            groups = self._layout(j, t)[1]
+            tau_group = None if rev is None or not t else [
+                pair for pair, _ in groups].index((prev[rev], True))
+            if t:  # round 0 has no cavity step
+                check_budget(cavity_step_bytes(t, [k for _, k in groups],
+                                               tau_group, n_a, self.model.n_states))
+            cavity.append((j, groups, tau_group))
 
         keys = [(nodes[i], tuple(sorted((edge_class[e], cond) for e, cond in slots)))
                 for i, slots in enumerate(self._slots)]
         node_class, members = _intern(keys)
+        self.node_class[t + 1:] = [node_class]
+        decision = [(i, self._layout(i, t + 1)[1]) for i in members]
+        for _, groups in decision:
+            sizes = [k for _, k in groups]
+            coins = (1 if self.rule.deterministic_for_degree(sum(sizes))
+                     else coin_values(n_a))
+            check_budget(decision_step_bytes(
+                t, sizes, n_a, len(self.g[0][0]) * coins ** (t + 1)))
+        self._plans.append((cavity, decision))
+
+    def advance(self) -> None:
+        t = self.horizon
+        if len(self._plans) == t:
+            self._plan_round()
+        cavity, decision = self._plans[t]
+        nodes = self.node_class[t]
+        q_t = []
+        for j, groups, tau_group in cavity:
+            if t == 0:
+                q_t.append(initial_cavity(self.model, self.g[0][nodes[j]],
+                                          self.n_actions))
+                continue
+            table, drift, _ = cavity_step_general(
+                self.g[t][nodes[j]], t, tau_group, self._messages(groups, t - 1),
+                self.model, self.rule, self.n_actions)
+            self.drift = max(self.drift, drift)
+            q_t.append(table)
+        self.q.append(q_t)
+
         g_next, sums_next = [], []
-        for i in members:
-            groups = self._layout(i, t + 1)[1]
+        for i, groups in decision:
             table, _, *sums = decision_step_general(
                 self._refined(i, t, groups), t, self._messages(groups, t),
                 self.model, self.rule, self.n_actions)
             g_next.append(table)
             sums_next.append(sums)
-        self.node_class.append(node_class)
         self.g.append(g_next)
         self.sums.append(sums_next)
         self.horizon += 1
 
     def run(self, rounds: int) -> None:
+        """Advance through round ``rounds``, planning every round first, so
+        that a step over the table budget is refused before any runs."""
+        while len(self._plans) < rounds:
+            self._plan_round()
         while self.horizon < rounds:
             self.advance()
 
@@ -177,9 +210,7 @@ class FiniteTreeEngine:
 
     def error_probability(self, node: int, t: int,
                           condition_state: int | None = None) -> float:
-        if not 0 <= t <= self.horizon:
-            raise ModelError(f"no error for round {t}; the engine is at "
-                             f"round {self.horizon}")
+        check_round(t, len(self.sums), "error")
         sums = self.sums[t][self.node_class[t][node]]
         err, coupling_dev = error_from_sums(self.model, sums, condition_state)
         if coupling_dev > COUPLING_TOL:
@@ -189,6 +220,7 @@ class FiniteTreeEngine:
 
     def posterior(self, node: int, x: int, observed: tuple[int, ...],
                   t: int) -> np.ndarray:
+        check_round(t, len(self.g), "posterior")
         perm, groups = self._layout(node, t)
         g_prev = self._refined(node, t - 1, groups) if t else None
         return posterior_general(x, tuple(observed[k] for k in perm), g_prev, t,
@@ -199,6 +231,7 @@ class FiniteTreeEngine:
                         observed: tuple[int, ...]) -> list[tuple[int, float]]:
         """Kernel over the node's trajectory through round t for this input:
         the share of signal x's rows (coin outcomes) giving each code."""
+        check_round(t, len(self.g), "decision table")
         space, perm = self._space(node, t)
         codes = np.array(observed, dtype=np.int64).reshape(-1, 1)
         column = self._table(node, t)[x::self.model.n_signals,
@@ -207,6 +240,7 @@ class FiniteTreeEngine:
         return [(int(v), float(c / len(column))) for v, c in zip(values, counts)]
 
     def cavity_table(self, j: int, i: int, t: int) -> CavityTable:
+        check_round(t, len(self.q), "cavity table")
         return CavityTable(horizon=t, alphabet_size=self.n_actions,
                            scope=(j, i),
                            array=self.q[t][self.edge_class[t][self.edge_id[(j, i)]]])
@@ -215,6 +249,7 @@ class FiniteTreeEngine:
         """Round-t vote per (signal, packed observations in ``observed``
         order), one array per class and permutation: nodes that share both
         share the same object.  A table with coin rows has no such array."""
+        check_round(t, len(self.g), "action table")
         key = (t, self.node_class[t][node], tuple(self._layout(node, t)[0]))
         if key not in self._actions:
             table, (space, perm) = self._table(node, t), self._space(node, t)

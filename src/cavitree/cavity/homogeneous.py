@@ -27,6 +27,7 @@ from .core import (
     cavity_step_bytes,
     cavity_step_general,
     check_budget,
+    check_round,
     decision_step_bytes,
     decision_step_general,
     error_from_sums,
@@ -121,7 +122,7 @@ class ConfigModelEngine:
                 q_d, drift_d, n = cavity_step_general(
                     self.decisions[d][t], t, 0,
                     [(self.slot_tables[t - 1], True, d)],
-                    self.model, self.n_actions, n_obs, emit, self.rule)
+                    self.model, self.rule, self.n_actions, n_obs, emit)
                 ops += n
                 drift = max(drift, drift_d)
                 q_t = p * q_d if q_t is None else q_t + p * q_d
@@ -156,10 +157,7 @@ class ConfigModelEngine:
         if degree is not None and degree not in self.sums:
             raise ModelError(f"degree {degree} is outside the degree law's "
                              f"support {self.degrees}")
-        stored = len(self.sums[self.degrees[0]])
-        if not 0 <= t < stored:
-            raise ModelError(f"no error sums for round {t}; they are stored "
-                             f"for rounds 0..{stored - 1}")
+        check_round(t, len(self.sums[self.degrees[0]]), "error sums")
         if degree is None:
             return float(sum(
                 p * self.error_probability(t, degree=d,
@@ -183,10 +181,9 @@ class ConfigModelEngine:
         deg = len(observed)
         if deg not in self.decisions:
             raise ModelError(f"no decision tables for {deg} observed trajectories")
+        check_round(t, len(self.q) + 1, "posterior")
         if t == 0:
             return posterior_general(x, (), None, 0, [], self.model, self.n_actions)
-        if t > len(self.q):
-            raise ModelError("advance further first")
         return posterior_general(x, tuple(observed), self.decisions[deg][t - 1], t,
                                  [(self.slot_tables[t - 1], True, deg)],
                                  self.model, self.n_actions, self.channel.size)
@@ -194,10 +191,12 @@ class ConfigModelEngine:
     def dense_decisions(self, degree: int, t: int) -> np.ndarray:
         """The horizon-t decision table of ``degree`` with one column per
         ordered tuple of observed trajectories, packed as in a dense table."""
+        check_round(t, len(self.decisions[degree]), "decision table")
         space = SlotSpace(self.channel.size ** t, [degree])
         return space.expand(self.decisions[degree][t])
 
     def cavity_table(self, t: int) -> CavityTable:
+        check_round(t, len(self.q), "cavity table")
         return CavityTable(horizon=t, alphabet_size=self.channel.size,
                            scope="homogeneous", array=self.q[t],
                            drift=self.drifts[t])

@@ -32,9 +32,7 @@ def _tree_without_hubs(graph: TreeGraph) -> tuple[TreeGraph, dict[int, int]]:
                   if a in relabel and b in relabel)
     dedges = tuple((relabel[a], relabel[b]) for a, b in graph.directed_edges
                    if a in relabel and b in relabel)
-    tree = TreeGraph(n=len(keep), edges=edges, directed_edges=dedges,
-                     labels=tuple(keep))
-    return tree, relabel
+    return TreeGraph(n=len(keep), edges=edges, directed_edges=dedges), relabel
 
 
 def posterior_with_hubs(

@@ -84,16 +84,12 @@ def _condition(args, model: SignalModel) -> int | None:
 
 
 def _check_counts(args) -> None:
-    if getattr(args, "rounds", 0) < 0:
-        raise ModelError(f"--rounds must be >= 0, not {args.rounds}")
-    if getattr(args, "samples", 1) < 1:
-        raise ModelError(f"--samples must be >= 1, not {args.samples}")
-    if getattr(args, "max_t", 0) < 0:
-        raise ModelError(f"--max-t must be >= 0, not {args.max_t}")
-    if getattr(args, "max_nodes", 2) < 2:
-        raise ModelError(f"--max-nodes must be >= 2, not {args.max_nodes}")
-    if getattr(args, "threads", 1) < 1:
-        raise ModelError(f"--threads must be >= 1, not {args.threads}")
+    for name, least in (("rounds", 0), ("samples", 1), ("max_t", 0),
+                        ("max_nodes", 2), ("threads", 1)):
+        value = getattr(args, name, least)
+        if value < least:
+            raise ModelError(f"--{name.replace('_', '-')} must be >= {least}, "
+                             f"not {value}")
 
 
 def _error_column(rule_name: str, d: int, model: SignalModel, tie: TieBreakRule,
@@ -197,9 +193,8 @@ def cmd_simulate(args) -> int:
     rule = _rule(args.rule, tie)
     tables = None
     if rule.variant == "bayesian":
-        engine = FiniteTreeEngine(graph, model, rule)
-        engine.run(args.rounds)
-        tables = engine
+        tables = FiniteTreeEngine(graph, model, rule)
+        tables.run(args.rounds)
     result = simulate(graph, model, rule, args.rounds, args.samples, args.seed,
                       tables=tables, threads=args.threads)
     out = args.out or "simulate"

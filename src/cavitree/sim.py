@@ -97,10 +97,6 @@ class RunResult:
     def rate(self, node: int, t: int) -> float:
         return self.errors[node, t] / self.samples
 
-    @property
-    def rates(self) -> np.ndarray:
-        return self.errors / self.samples
-
     def standard_error(self, node: int, t: int) -> float:
         p = self.rate(node, t)
         return float(np.sqrt(max(p * (1.0 - p), 1.0 / self.samples) / self.samples))

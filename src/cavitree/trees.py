@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class TreeGraph:
     edges: tuple[tuple[int, int], ...] = ()
     directed_edges: tuple[tuple[int, int], ...] = ()
     hubs: frozenset[int] = frozenset()
-    labels: tuple[int, ...] | None = None
     observed: tuple[tuple[int, ...], ...] = field(init=False)
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False,
                                                    repr=False)
@@ -104,9 +103,6 @@ def validate(graph: TreeGraph) -> str | None:
                 elif parent[v] != w:
                     cycle = _trace_cycle(parent, v, w)
                     return f"cycle through nodes {cycle} survives hub removal"
-    for i, o in enumerate(graph.observed):
-        if list(o) != sorted(o):
-            return f"neighbor list of node {i} is not sorted"
     return None
 
 
@@ -154,6 +150,18 @@ def star_graph(n: int) -> TreeGraph:
     return TreeGraph(n=n, edges=tuple((0, k) for k in range(1, n)))
 
 
+def _level_tree(arities) -> TreeGraph:
+    """Rooted tree grown level by level from node 0: each node of level l
+    gets ``arities[l]`` children, numbered in order."""
+    edges, frontier, count = [], [0], 1
+    for arity in arities:
+        nxt = list(range(count, count + arity * len(frontier)))
+        edges += [(v, c) for k, v in enumerate(frontier)
+                  for c in nxt[k * arity:(k + 1) * arity]]
+        frontier, count = nxt, count + len(nxt)
+    return TreeGraph(n=count, edges=tuple(edges))
+
+
 def regular_tree(d: int, depth: int) -> TreeGraph:
     """Truncated d-regular tree: the root and every internal node have degree d.
 
@@ -161,35 +169,12 @@ def regular_tree(d: int, depth: int) -> TreeGraph:
     """
     if d < 1 or depth < 0:
         raise GraphError("need d >= 1 and depth >= 0")
-    edges = []
-    frontier = [0]
-    count = 1
-    for level in range(depth):
-        nxt = []
-        for v in frontier:
-            children = d if level == 0 else d - 1
-            for _ in range(children):
-                edges.append((v, count))
-                nxt.append(count)
-                count += 1
-        frontier = nxt
-    return TreeGraph(n=count, edges=tuple(edges))
+    return _level_tree([d] + [d - 1] * (depth - 1) if depth else [])
 
 
 def rooted_arity_tree(arity: int, depth: int) -> TreeGraph:
     """Rooted tree where every non-leaf has ``arity`` children (root included)."""
-    edges = []
-    frontier = [0]
-    count = 1
-    for _ in range(depth):
-        nxt = []
-        for v in frontier:
-            for _ in range(arity):
-                edges.append((v, count))
-                nxt.append(count)
-                count += 1
-        frontier = nxt
-    return TreeGraph(n=count, edges=tuple(edges))
+    return _level_tree([arity] * depth)
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +277,11 @@ def sample_configuration_graph(
         if len(np.unique(keys)) != len(keys):
             continue
         edges = tuple((int(x), int(y)) for x, y in zip(lo, hi))
-        return SampledGraph(n=n, edges=edges,
-                            tree_ball_radius=tuple(_tree_ball_radii(n, edges)))
+        adj = _sorted_adjacency(n, edges)
+        return SampledGraph(n=n, edges=edges, tree_ball_radius=tuple(
+            _tree_radius_from(i, adj, n) for i in range(n)))
     raise BudgetError(f"pairing rejected {max_retries} times "
                       "(self-loops or multi-edges every draw)")
-
-
-def _tree_ball_radii(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    adj = _sorted_adjacency(n, edges)
-    return [_tree_radius_from(i, adj, n) for i in range(n)]
 
 
 def _tree_radius_from(i: int, adj: Sequence[Sequence[int]], n: int) -> int:

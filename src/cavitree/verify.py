@@ -4,15 +4,15 @@ The oracle-equivalence suite runs the exact engine and the brute-force
 forward simulation over a fixed instance family (paths, stars, the depth-2
 binary tree) and compares decision tables and error probabilities.  The
 invariant suite checks normalization, marginalization, coupling mass, flip
-symmetry and error monotonicity on the homogeneous engine.  Both return a
-list of (name, passed, detail) checks; the CLI turns failures into a
-nonzero exit.
+symmetry of the cavity and the decision tables, and error monotonicity on
+the homogeneous engine.  Both return a list of (name, passed, detail)
+checks; the CLI turns failures into a nonzero exit.
 
 On the symmetric models of the invariant suite the core steps compute
-signal 0 only and mirror the rest, so flip symmetry holds there by
-construction; the check still catches a wrong mirror map.  The
-independent check is ``tests/test_flip_symmetry.py``, which compares the
-mirrored tables with the full computation of every row.
+signal 0 only and mirror the rest, trusting the recursion to keep each
+decision table its own flip; the decision-flip check tests that on the
+dense tables.  ``tests/test_flip_symmetry.py`` compares the mirrored tables
+with the full computation of every row.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cavity import FiniteTreeEngine, RegularTreeEngine
-from .cavity.core import error_from_sums
+from .cavity.core import COUPLING_TOL, error_from_sums
 from .model import SignalModel, UpdateRule
 from .oracle import oracle_decision_tables, oracle_error_probability, unroll
 from .trees import TreeGraph, path_graph, rooted_arity_tree, star_graph
 
 ORACLE_TOL = 1e-10
 NORM_TOL = 1e-12
-COUPLING_TOL = 1e-9
 FLIP_TOL = 1e-12
 
 
@@ -92,10 +91,6 @@ def oracle_equivalence_suite(max_nodes: int = 8, max_t: int = 3,
     return report
 
 
-def _flip_code(code: np.ndarray | int, length: int):
-    return (2 ** length - 1) - code
-
-
 def invariant_suite(ds=(3, 5), noises=(0.15, 0.3), max_t: int = 4,
                     report: VerifyReport | None = None) -> VerifyReport:
     """Cavity-table invariants on the homogeneous engine, both rules."""
@@ -127,17 +122,19 @@ def invariant_suite(ds=(3, 5), noises=(0.15, 0.3), max_t: int = 4,
                 report.add(f"coupling {label}", worst_coupling <= COUPLING_TOL,
                            f"max |mass-1| {worst_coupling:.2e}")
 
-                worst_flip = 0.0
-                for t in range(max_t + 1):
-                    q = engine.q[t]
-                    n_sig, n_tau, _ = q.shape
-                    sig_len = (n_sig - 1).bit_length()
-                    tau_len = (n_tau - 1).bit_length()
-                    flipped = q[_flip_code(np.arange(n_sig), sig_len)][
-                        :, _flip_code(np.arange(n_tau), tau_len), :][:, :, ::-1]
-                    worst_flip = max(worst_flip, float(np.max(np.abs(q - flipped))))
+                # Complementing every binary code reverses its index, in Q's
+                # trajectory axes and in a dense table's inputs.
+                worst_flip = max(float(np.max(np.abs(q - q[::-1, ::-1, ::-1])))
+                                 for q in engine.q)
                 report.add(f"flip-symmetry {label}", worst_flip <= FLIP_TOL,
                            f"max dev {worst_flip:.2e}")
+                mismatched = 0
+                for t in range(max_t + 1):
+                    g = engine.dense_decisions(d, t)
+                    mismatched += int(np.count_nonzero(
+                        g[1, ::-1] != 2 ** (t + 1) - 1 - g[0]))
+                report.add(f"decision-flip {label}", mismatched == 0,
+                           f"{mismatched} mismatched entries")
 
                 if variant == "bayesian":
                     monotone = all(errs[t + 1] <= errs[t] + 1e-15

@@ -5,7 +5,7 @@ import pytest
 from exact_reference import ExactRegularTree
 
 import cavitree.cavity.finite as finite
-from cavitree.cavity import CouplingError, FiniteTreeEngine
+from cavitree.cavity import CouplingError, FiniteTreeEngine, RegularTreeEngine
 from cavitree.cavity.core import (
     cavity_step_general,
     decision_step_general,
@@ -28,6 +28,7 @@ from cavitree.oracle import (
     unroll,
 )
 from cavitree.trees import (
+    BudgetError,
     GraphError,
     TreeGraph,
     path_graph,
@@ -172,9 +173,7 @@ def test_uniform_ties_on_two_nodes(noise, uniform_ties):
         engine.posterior(0, 0, (1, ), 2)
 
 
-def test_bench_spans_find_finite_engine_methods():
-    """The bench tracer wraps a method only where its class defines it; an
-    inherited method lands in the run's absent layers."""
+def _bench_spans():
     import importlib.util
     from pathlib import Path
 
@@ -182,12 +181,93 @@ def test_bench_spans_find_finite_engine_methods():
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_bench_spans_find_finite_engine_methods():
+    """The bench tracer wraps a method only where its class defines it; an
+    inherited method lands in the run's absent layers."""
+    spans = _bench_spans()
     targets = [p for module, p, _, _ in spans.TARGETS
                if module == "cavitree.cavity.finite"]
     assert targets
     for target in targets:
         owner, attr = target.split(".")
         assert attr in vars(getattr(finite, owner)), target
+
+
+def test_bench_spans_miss_only_the_known_stale_targets():
+    """Installing the bench tracer finds every layer function but five
+    targets that no longer exist, so a rename cannot silently zero a layer
+    metric."""
+    stale = {"cavitree.cavity.core.error_probability_general",
+             "cavitree.cavity.homogeneous.RegularTreeEngine.advance",
+             "cavitree.cavity.homogeneous.RegularTreeEngine.error_probability",
+             "cavitree.cavity.active.ActiveEdgeEngine.advance",
+             "cavitree.cavity.active.ActiveEdgeEngine.error_probability"}
+    tracer = _bench_spans().Tracer()
+    tracer.install()
+    try:
+        absent = set(tracer.absent)
+    finally:
+        tracer.remove()
+    assert absent <= stale
+    assert finite.cavity_step_general is cavity_step_general  # unwrapped
+
+
+def test_run_refuses_an_over_budget_round_before_any_step(model15, bayes,
+                                                          majority,
+                                                          monkeypatch):
+    """Every round is planned first, so the budget of each core step is
+    checked before the first one runs.  On the star the centre has even
+    degree: majority's coin rows alone put round 7 over budget."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a core step ran before the budget check")
+
+    for name in ("cavity_step_general", "decision_step_general"):
+        monkeypatch.setattr(finite, name, refuse)
+    for graph, rule, rounds in ((regular_tree(3, 2), bayes, 12),
+                                (star_graph(5), majority, 7)):
+        engine = FiniteTreeEngine(graph, model15, rule)
+        with pytest.raises(BudgetError):
+            engine.run(rounds)
+        assert engine.horizon == 0
+
+
+def _engine_at_round_2(kind, model, rule):
+    engine = (FiniteTreeEngine(path_graph(2), model, rule) if kind == "finite"
+              else RegularTreeEngine(model, 3, rule))
+    engine.run(2)
+    return engine
+
+
+@pytest.mark.parametrize("kind,accessor", [
+    pytest.param("finite", lambda e, t: e.posterior(0, 0, (0,), t),
+                 id="finite-posterior"),
+    pytest.param("finite", lambda e, t: e.decision_kernel(0, t, 0, (0,)),
+                 id="finite-decision_kernel"),
+    pytest.param("finite", lambda e, t: e.action_table(0, t),
+                 id="finite-action_table"),
+    pytest.param("finite", lambda e, t: e.cavity_table(1, 0, t),
+                 id="finite-cavity_table"),
+    pytest.param("regular", lambda e, t: e.dense_decisions(3, t),
+                 id="regular-dense_decisions"),
+    pytest.param("regular", lambda e, t: e.decision_table(t),
+                 id="regular-decision_table"),
+    pytest.param("regular", lambda e, t: e.cavity_table(t),
+                 id="regular-cavity_table"),
+    pytest.param("regular", lambda e, t: e.posterior(0, (0, 0, 0), t),
+                 id="regular-posterior"),
+])
+def test_accessors_refuse_rounds_past_the_horizon(model15, bayes, kind,
+                                                  accessor):
+    """After run(2) round 3 is past every table, and a negative round is
+    refused rather than read from the end of a list."""
+    engine = _engine_at_round_2(kind, model15, bayes)
+    accessor(engine, 1)
+    for t in (-1, 3):
+        with pytest.raises(ModelError):
+            accessor(engine, t)
 
 
 def test_error_round_out_of_range(model15, bayes):
@@ -252,8 +332,6 @@ def test_inconsistent_cavity_table_raises_coupling_error(model15, bayes,
 def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
     """On regular_tree(5, 5) to round 2 the 3410 messages and 1706 decision
     tables per round fall into a handful of classes, one core step each."""
-    from cavitree.cavity import RegularTreeEngine
-
     graph = regular_tree(5, 5)
     g, _, sums, _ = _per_edge_schedule(graph, model15, bayes, 2, 2)
     calls = []
@@ -350,7 +428,7 @@ def _per_edge_schedule(graph, model, rule, n_actions, rounds):
             tau_pos = obs[j].index(i) if i in obs[j] else None
             slots = [(q[(l, j)][t - 1], j in obs[l], 1) for l in obs[j]]
             table, step_drift, _ = cavity_step_general(
-                g[j][t], t, tau_pos, slots, model, n_actions)
+                g[j][t], t, tau_pos, slots, model, rule, n_actions)
             drift = max(drift, step_drift)
             tables.append(table)
         for i in range(graph.n):

@@ -119,8 +119,24 @@ def test_configuration_error_exit_code(tmp_path):
     assert run(tmp_path, "simulate", "--tree", "3:2", "--threads", "0") == 2
 
 
-def test_budget_exit_code(tmp_path):
+def test_budget_exit_code(tmp_path, capsys):
     assert run(tmp_path, "table", "--d", "5", "--rounds", "12") == 3
+    capsys.readouterr()
+    # Refused before the first core step, not when the step is reached.
+    assert run(tmp_path, "simulate", "--tree", "3:2", "--rounds", "12") == 3
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--variant", "undirected", "--d", "2000", "--rounds", "1"),
+    ("--variant", "directed", "--d", "2000", "--rounds", "1"),
+    ("--variant", "chernoff", "--delta0", "nan"),
+], ids=["undirected-large-d", "directed-large-d", "chernoff-nan-delta0"])
+def test_bounds_bad_input_exit_code(tmp_path, capsys, argv):
+    """A degree whose binomial coefficients overflow a float, and a delta0
+    that is not a probability, are configuration errors."""
+    assert run(tmp_path, "bounds", *argv) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_model_file_flag(tmp_path):

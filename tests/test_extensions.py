@@ -73,7 +73,8 @@ def test_two_point_mixture_is_weighted_average(model15, bayes):
     by_hand = None
     for d, p in zip(rho_e.support, rho_e.probs):
         q_d = cavity_step_general(cfg.dense_decisions(d, 1), 1, 0,
-                                  [(q_prev, True, 1)] * d, model15, 2)[0]
+                                  [(q_prev, True, 1)] * d, model15, bayes,
+                                  2)[0]
         by_hand = p * q_d if by_hand is None else by_hand + p * q_d
     np.testing.assert_allclose(cfg.q[1], by_hand, atol=1e-12)
 

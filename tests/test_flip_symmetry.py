@@ -11,7 +11,7 @@ from cavitree.cavity import (
     FiniteTreeEngine,
     RegularTreeEngine,
 )
-from cavitree.cavity.core import SlotSpace, _flip_symmetric
+from cavitree.cavity.core import _flip_symmetric
 from cavitree.model import (
     SignalModel,
     TieBreak,
@@ -20,7 +20,7 @@ from cavitree.model import (
     UtilityTable,
 )
 from cavitree.trees import DegreeDistribution, TreeGraph, regular_tree
-from cavitree.verify import FLIP_TOL
+from cavitree.verify import FLIP_TOL, invariant_suite
 
 
 def _decision_inputs(engine, t):
@@ -29,9 +29,8 @@ def _decision_inputs(engine, t):
     engine.run(t)
     engine.advance(extend_decisions=False)
     d = engine.degrees[0]
-    n_obs = engine.channel.size
-    return (engine.model, engine.n_actions, n_obs, engine.decisions[d][t],
-            SlotSpace(n_obs ** t, [d]), [(engine.slot_tables[t], True, d)])
+    return (engine.model, engine.n_actions, engine.channel.size,
+            len(engine.decisions[d][t]), [(engine.slot_tables[t], True, d)])
 
 
 def _flips(model, rule, d=3, t=2, p=1.0):
@@ -68,6 +67,16 @@ def test_predicate_rejects_an_asymmetric_rule(model15, label):
     assert not _flip_symmetric(*args, rule)
 
 
+def test_predicate_rejects_majority_with_a_constant_round0_vote(model15):
+    """Majority's round-0 vote is the signal-to-action map, so a map that
+    does not commute with ~ breaks g^0 even on symmetric inputs."""
+    args = _decision_inputs(RegularTreeEngine(model15, 3, UpdateRule()), 2)
+    assert _flip_symmetric(*args, UpdateRule(variant="majority"))
+    constant = UpdateRule(variant="majority",
+                          tie_break=TieBreakRule(signal_to_action=(0, 0)))
+    assert not _flip_symmetric(*args, constant)
+
+
 def test_predicate_rejects_an_asymmetric_model(model15, bayes):
     assert not _flips(SignalModel.binary_symmetric(0.15, prior=(0.6, 0.4)),
                       bayes)
@@ -84,22 +93,37 @@ def test_predicate_rejects_an_asymmetric_model(model15, bayes):
 
 
 def test_predicate_rejects_asymmetric_inputs(model15, bayes):
-    """Under a symmetric rule, one changed code or slot entry breaks the
+    """Under a symmetric rule, one changed slot entry or coin rows break the
     flip."""
-    model, n_a, n_obs, g, space, groups = _decision_inputs(
+    model, n_a, n_obs, rows, groups = _decision_inputs(
         RegularTreeEngine(model15, 3, bayes), 3)
-    assert _flip_symmetric(model, n_a, n_obs, g, space, groups, bayes)
-    broken = g.copy()
-    broken[1, 7] ^= 1 << 3  # the round-3 vote of one input
-    assert not _flip_symmetric(model, n_a, n_obs, broken, space, groups,
-                               bayes)
+    assert _flip_symmetric(model, n_a, n_obs, rows, groups, bayes)
     q = groups[0][0].copy()
     q[0, 0, 0] = np.nextafter(q[0, 0, 0], 1.0)
-    assert not _flip_symmetric(model, n_a, n_obs, g, space, [(q, True, 3)],
-                               bayes)
-    coin_rows = np.concatenate([g, g])
-    assert not _flip_symmetric(model, n_a, n_obs, coin_rows, space, groups,
-                               bayes)
+    assert not _flip_symmetric(model, n_a, n_obs, rows, [(q, True, 3)], bayes)
+    assert not _flip_symmetric(model, n_a, n_obs, 2 * rows, groups, bayes)
+
+
+def test_verify_flags_a_broken_decision_table(monkeypatch):
+    """The predicate reads no table entry; the invariant suite checks that
+    the tables are their own flips, and fails on one changed code."""
+    dense = RegularTreeEngine.dense_decisions
+
+    def broken(engine, degree, t):
+        g = dense(engine, degree, t)
+        if t == 3:
+            g = g.copy()
+            g[1, 7] ^= 1 << 3  # the round-3 vote of one input
+        return g
+
+    checks = {name: passed for name, passed, _ in
+              invariant_suite(ds=(3,), noises=(0.15,), max_t=3).checks}
+    assert checks["decision-flip d=3 noise=0.15 bayesian"]
+    monkeypatch.setattr(RegularTreeEngine, "dense_decisions", broken)
+    checks = {name: passed for name, passed, _ in
+              invariant_suite(ds=(3,), noises=(0.15,), max_t=3).checks}
+    assert not checks["decision-flip d=3 noise=0.15 bayesian"]
+    assert not checks["decision-flip d=3 noise=0.15 majority"]
 
 
 def test_lowest_index_takes_the_full_path(model15, bayes, monkeypatch):
@@ -110,7 +134,7 @@ def test_lowest_index_takes_the_full_path(model15, bayes, monkeypatch):
     lowest = UpdateRule(tie_break=TieBreakRule(TieBreak.LOWEST_INDEX))
     sym, full = _run_homogeneous(lambda: RegularTreeEngine(model15, 4, lowest),
                                  3, monkeypatch)
-    inputs = (sym.model, 2, 2, sym.decisions[4][1], SlotSpace(2, [4]),
+    inputs = (sym.model, 2, 2, len(sym.decisions[4][1]),
               [(sym.slot_tables[0], True, 4)])
     assert _flip_symmetric(*inputs, bayes)
     assert not _flip_symmetric(*inputs, lowest)
@@ -127,6 +151,13 @@ def _full_path(monkeypatch):
 
 def _flip(q):
     return q[::-1, ::-1, ::-1]
+
+
+def _assert_own_flip(g, t):
+    """A dense horizon-t decision table is its own flip: complementing every
+    input reverses the column index, and every signal and coin the row
+    index."""
+    assert np.array_equal(g[::-1, ::-1], 2 ** (t + 1) - 1 - g), t
 
 
 def _assert_q(q_sym, q_full):
@@ -163,6 +194,7 @@ def test_symmetric_path_matches_full_path(variant, d, noise, monkeypatch):
     assert 2 * sum(sym.ops) == sum(full.ops)
     for t in range(5):
         assert np.array_equal(sym.decisions[d][t], full.decisions[d][t]), t
+        _assert_own_flip(sym.dense_decisions(d, t), t)
         for got, want in zip(sym.sums[d][t], full.sums[d][t]):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         assert sym.error_probability(t) == pytest.approx(
@@ -179,6 +211,7 @@ def test_symmetric_path_matches_full_path_mixture(model15, bayes,
     for t in range(4):
         for d in (3, 4):
             assert np.array_equal(sym.decisions[d][t], full.decisions[d][t])
+            _assert_own_flip(sym.dense_decisions(d, t), t)
             assert sym.error_probability(t, degree=d) == pytest.approx(
                 full.error_probability(t, degree=d), rel=1e-14, abs=0)
         _assert_q(sym.q[t], full.q[t])
@@ -206,6 +239,9 @@ def test_symmetric_path_matches_full_path_finite(model30, graph, variant,
     for t in range(4):
         for got, want in zip(sym.g[t], full.g[t]):
             assert np.array_equal(got, want), t
+        for i in {c: i for i, c in enumerate(sym.node_class[t])}.values():
+            space = sym._space(i, t)[0]
+            _assert_own_flip(space.expand(sym._table(i, t)), t)
         for got, want in zip(sym.sums[t], full.sums[t]):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         for i in range(graph.n):

@@ -118,12 +118,12 @@ def _singletons_vs_one_group(engine, degree, rounds):
             continue
         q_dense = cavity_step_general(
             engine.dense_decisions(degree, t), t, 0,
-            [(engine.slot_tables[t - 1], True, 1)] * degree, model, n_a, n_obs,
-            engine.channel.emit)[0]
+            [(engine.slot_tables[t - 1], True, 1)] * degree, model, rule, n_a,
+            n_obs, engine.channel.emit)[0]
         q_multi = cavity_step_general(
             engine.decisions[degree][t], t, 0,
-            [(engine.slot_tables[t - 1], True, degree)], model, n_a, n_obs,
-            engine.channel.emit)[0]
+            [(engine.slot_tables[t - 1], True, degree)], model, rule, n_a,
+            n_obs, engine.channel.emit)[0]
         np.testing.assert_allclose(q_multi, q_dense, rtol=0, atol=1e-15)
 
 
