@@ -124,21 +124,20 @@ def doubling_slope(errors: Sequence[float]) -> dict:
 
 
 def conjecture_check(bayes_errors: Sequence[float],
-                     majority_errors: Sequence[float],
-                     rel_tol: float = 1e-9) -> dict:
+                     majority_errors: Sequence[float]) -> dict:
     """Round-by-round weak-inequality report: Bayesian <= majority.
 
     This is a conjecture check, not a theorem; violations are listed, not
-    raised.  Gaps below ``rel_tol`` (relatively) are treated as ties of the
-    exact arithmetic: the two rules provably coincide in some rounds and
-    floating point may order the equal values either way.
+    raised.  Relative gaps below 1e-9 are treated as ties of the exact
+    arithmetic: the two rules provably coincide in some rounds and floating
+    point may order the equal values either way.
     """
     if len(bayes_errors) != len(majority_errors):
         raise ModelError("sequences must cover the same rounds")
     violations = [
         {"round": t, "bayesian": float(b), "majority": float(m)}
         for t, (b, m) in enumerate(zip(bayes_errors, majority_errors))
-        if b > m * (1.0 + rel_tol)
+        if b > m * (1.0 + 1e-9)
     ]
     return {
         "kind": "conjecture-check",

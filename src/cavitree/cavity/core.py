@@ -24,6 +24,15 @@ action).  The slot tables the steps read are indexed ``[sigma, a, s]`` by
 the node's own action trajectory a; on the all-active channel they are the
 cavity tables themselves.
 
+Every cavity product prod_k Q_k[c_k, own, s] is multiplied in one place,
+``_multiply_slots``, over each slot's message laid out by ``_slot_rows`` as
+contiguous per-state rows.  The cavity step starts the product from the
+row's likelihood times its weight, the decision step from 1, and
+``posterior_general`` from prior times likelihood; the decision step's
+Bayesian posterior is its product times prior times likelihood, normalized.
+A change to the product (rescaling slot factors, bounding its rounding) goes
+there.
+
 Every float is a float64.  Each cavity, error and coupling quantity is a
 sum of n nonnegative terms, summed pairwise (``np.add.reduceat`` over terms
 sorted by output key, ``np.sum`` per row), which keeps it within about
@@ -93,18 +102,32 @@ def _segment_add(acc: np.ndarray, order, uniq, starts, weights: np.ndarray):
     acc[uniq] += np.add.reduceat(weights[order], starts)
 
 
-def check_budget(need: int, budget: int = MEMORY_BUDGET):
+def check_budget(need: int):
     """Refuse a step that needs ``need`` bytes of table workspace."""
-    if need > budget:
+    if need > MEMORY_BUDGET:
         raise BudgetError(
             f"table workspace of {need / 2 ** 30:.2f} GiB is over the "
-            f"{budget / 2 ** 30:.2f} GiB budget")
+            f"{MEMORY_BUDGET / 2 ** 30:.2f} GiB budget")
 
 
 def check_round(t: int, stored: int, what: str):
     """Refuse a round outside the ``stored`` rounds 0.. an engine holds."""
     if not 0 <= t < stored:
         raise ModelError(f"no {what} for round {t} of the {stored} stored")
+
+
+def check_input(x: int, observed, slots: int, base: int,
+                n_signals: int) -> np.ndarray:
+    """One table input as a (slots, 1) column of codes: signal ``x`` and one
+    observed code below ``base`` per slot, else ``ModelError``."""
+    if len(observed) != slots:
+        raise ModelError(f"{len(observed)} observed codes for {slots} slots")
+    if not 0 <= x < n_signals:
+        raise ModelError(f"signal {x} outside 0..{n_signals - 1}")
+    if not all(0 <= code < base for code in observed):
+        raise ModelError(f"observed codes {tuple(observed)} outside "
+                         f"0..{base - 1}")
+    return np.array(observed, dtype=np.int64).reshape(-1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +272,25 @@ def decision_step_bytes(t: int, sizes, n_obs: int, rows: int) -> int:
     return 8 * SlotSpace.count(n_obs ** (t + 1), sizes) * (rows + 2)
 
 
-def _per_slot(groups, skip: int | None = None):
-    """(message, conditions) of each slot, group by group, with one slot
-    fewer in group ``skip``."""
-    return [(q, has_cond) for g, (q, has_cond, size) in enumerate(groups)
-            for _ in range(size - (g == skip))]
+def _slot_rows(groups, skip: int | None = None):
+    """Each slot's message as contiguous (n_states, codes * conditions)
+    rows, with its number of conditions and whether it conditions, group by
+    group, with one slot fewer in group ``skip``."""
+    out = []
+    for g, (q, has_cond, size) in enumerate(groups):
+        rows = np.ascontiguousarray(np.moveaxis(q, 2, 0)).reshape(q.shape[2], -1)
+        out += [(rows, q.shape[1], has_cond)] * (size - (g == skip))
+    return out
+
+
+def _multiply_slots(product: np.ndarray, digits, slot_rows, own_cond):
+    """Multiply row s of ``product`` by Q_k[c_k, own, s], slot by slot: the
+    cavity product, where slot k reads codes ``digits[k]`` and a message
+    that conditions reads the node's own trajectory ``own_cond``."""
+    for digit, (rows, n_cond, has_cond) in zip(digits, slot_rows):
+        idx = digit * n_cond + own_cond if has_cond else digit * n_cond
+        for s, row in enumerate(rows):
+            np.multiply(product[s], row.take(idx), out=product[s])
 
 
 def coin_values(n_actions: int) -> int:
@@ -368,7 +405,7 @@ def cavity_step_general(
     inputs, order = table.cavity(tau_group)
     # Input row 0 holds the observer's slot, if any; the other rows are summed.
     first = int(tau_group is not None)
-    child_qs = _per_slot(groups, tau_group)
+    slot_rows = _slot_rows(groups, tau_group)
     flip = _flip_symmetric(model, n_actions, n_obs, len(g_flat), groups, rule)
 
     acc = [np.zeros(n_out * n_tau) for _ in range(n_s)]
@@ -387,11 +424,11 @@ def cavity_step_general(
             segs = [(_sorted_segments(codes * n_tau + tau_digit, n_out * n_tau),
                      weight)
                     for codes, weight in emit(out_codes, tau_digit, t)]
-            for s in range(n_s):
-                w = np.full(len(j), model.likelihood[s, r % n_x] * share)
-                for k, (q_prev, has_cond) in enumerate(child_qs, first):
-                    w = w * q_prev[digits[k], cond if has_cond else 0, s]
-                w *= count
+            product = np.repeat(model.likelihood[:, r % n_x, None] * share,
+                                len(j), axis=1)
+            _multiply_slots(product, digits[first:], slot_rows, cond)
+            product *= count
+            for s, w in enumerate(product):
                 for seg, weight in segs:
                     _segment_add(acc[s], *seg, w * weight)
                 if tau_seg is None:
@@ -444,17 +481,6 @@ def _bayesian_actions(post: np.ndarray, x: int, rule: UpdateRule,
     return [np.where(use_own, choice, first)]
 
 
-def _multiply_slots(products: list[np.ndarray], digits, flats, own_cond):
-    """Multiply row s of each array in ``products`` by Q_k[c_k, own, s],
-    slot by slot; each slot weight is gathered once for all of them."""
-    for digit, (flat, n_cond, has_cond) in zip(digits, flats):
-        idx = digit * n_cond + own_cond if has_cond else digit * n_cond
-        for s, row in enumerate(flat):
-            w = row.take(idx)
-            for p in products:
-                np.multiply(p[s], w, out=p[s])
-
-
 def decision_step_general(
     g_prev: np.ndarray,
     t: int,
@@ -494,9 +520,7 @@ def decision_step_general(
     total = space.size
     utility = rule.utility or UtilityTable.identity(model.n_states)
     bayesian = rule.variant != "majority"
-    # Each slot table as contiguous (n_states, codes * conditions) rows.
-    flats = [(np.ascontiguousarray(np.moveaxis(q_t, 2, 0)).reshape(n_s, -1),
-              q_t.shape[1], has_cond) for q_t, has_cond in _per_slot(groups)]
+    slot_rows = _slot_rows(groups)
     flip = _flip_symmetric(model, n_actions, n_obs, rows_prev, groups, rule)
     top = n_actions ** (t + 2) - 1  # ~c = top - c for a new code c
     g_next = np.empty((rows_prev * coins, total), dtype=np.int32)
@@ -509,7 +533,7 @@ def decision_step_general(
         count = space.weights(digits)
         j_prev = prev.rank(digits % m)
         cols = slice(start, start + digits.shape[1])
-        pure = np.empty((n_s, digits.shape[1]))
+        product = np.empty((n_s, digits.shape[1]))
         if not bayesian:
             # Round-t votes of the slots (binary), summed into a margin.
             margin = 2 * (digits // m).sum(axis=0) - deg
@@ -519,31 +543,27 @@ def decision_step_general(
             x = r % n_x
             own = row[j_prev].astype(np.int64)
             own_cond = own % n_actions ** t
-            # The cavity product, alone and after prior * likelihood.
-            pure[:] = 1.0
+            product[:] = 1.0
+            _multiply_slots(product, digits, slot_rows, own_cond)
             if bayesian:
-                like = np.empty_like(pure)
-                like[:] = (model.prior * model.likelihood[:, x])[:, None]
-            _multiply_slots([pure, like] if bayesian else [pure], digits, flats,
-                            own_cond)
-            if bayesian:
-                total_mass = like.sum(axis=0)
+                post = product * (model.prior * model.likelihood[:, x])[:, None]
+                total_mass = post.sum(axis=0)
                 # In place; where the mass is 0 every row is already 0.
-                np.divide(like, total_mass, out=like, where=total_mass > 0)
+                np.divide(post, total_mass, out=post, where=total_mass > 0)
                 del total_mass
-                actions = _bayesian_actions(like, x, rule, utility, coins)
-                del like
-                ops += pure.size
+                actions = _bayesian_actions(post, x, rule, utility, coins)
+                del post
+                ops += product.size
             else:
                 actions = majority
             for u, action in enumerate(actions):
                 g_next[r + rows_prev * u, cols] = own + action * n_actions ** (t + 1)
-            pure *= count
-            for s in range(n_s):
-                mass = np.sum(pure[s])
+            product *= count
+            for s, w in enumerate(product):
+                mass = np.sum(w)
                 for action in actions:
                     mass_acc[s, x] += mass * share
-                    err_acc[s, x] += np.sum(pure[s][action != s]) * share
+                    err_acc[s, x] += np.sum(w[action != s]) * share
         if flip:
             g_next[1, space._flip_rank(digits)] = top - g_next[0, cols]
     if flip:
@@ -572,27 +592,28 @@ def posterior_general(
     groups as in ``decision_step_general``, at horizon t-1.  The agent's
     own trajectory is derived from the decision table, over the groups'
     ``SlotSpace``, on the truncated observation; ``ModelError`` if the rows
-    of signal x (its coin outcomes) disagree on it.
+    of signal x (its coin outcomes) disagree on it, or if ``check_input``
+    refuses the input.
     """
     if t == 0:
         return signal_posterior(model, x)
-    m_prev = (n_obs or n_actions) ** (t - 1)
-    truncated = np.array(observed, dtype=np.int64).reshape(-1, 1) % m_prev
-    j = SlotSpace(m_prev, [size for *_, size in groups]).rank(truncated)[0]
+    sizes = [size for *_, size in groups]
+    n_obs = n_obs or n_actions
+    m_prev = n_obs ** (t - 1)
+    codes = check_input(x, observed, sum(sizes), n_obs ** t, model.n_signals)
+    j = SlotSpace(m_prev, sizes).rank(codes % m_prev)[0]
     owns = g_prev[x::model.n_signals, j]
     if np.any(owns != owns[0]):
         raise ModelError("own trajectory is not derivable under a stochastic "
                          "rule; condition on it explicitly")
-    own = int(owns[0])
-    own_cond = own % n_actions ** (t - 1)
-    weights = model.prior * model.likelihood[:, x]
-    for k, (q, has_cond) in enumerate(_per_slot(groups)):
-        weights = weights * q[observed[k], own_cond if has_cond else 0, :]
+    own_cond = int(owns[0]) % n_actions ** (t - 1)
+    weights = (model.prior * model.likelihood[:, x])[:, None]
+    _multiply_slots(weights, codes, _slot_rows(groups), own_cond)
     total = weights.sum()
     if total <= 0.0:
         raise ModelError("observation has probability zero under every state "
                          "(inconsistent tables or infeasible input)")
-    return weights / total
+    return weights[:, 0] / total
 
 
 def round0_sums(model: SignalModel, g0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

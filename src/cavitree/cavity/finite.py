@@ -25,6 +25,7 @@ from .core import (
     cavity_step_bytes,
     cavity_step_general,
     check_budget,
+    check_input,
     check_round,
     coin_values,
     decision_step_bytes,
@@ -222,6 +223,9 @@ class FiniteTreeEngine:
                   t: int) -> np.ndarray:
         check_round(t, len(self.g), "posterior")
         perm, groups = self._layout(node, t)
+        if t:  # before the permutation, which would drop an extra code
+            check_input(x, observed, len(perm), self.n_actions ** t,
+                        self.model.n_signals)
         g_prev = self._refined(node, t - 1, groups) if t else None
         return posterior_general(x, tuple(observed[k] for k in perm), g_prev, t,
                                  self._messages(groups, t - 1), self.model,
@@ -233,7 +237,8 @@ class FiniteTreeEngine:
         the share of signal x's rows (coin outcomes) giving each code."""
         check_round(t, len(self.g), "decision table")
         space, perm = self._space(node, t)
-        codes = np.array(observed, dtype=np.int64).reshape(-1, 1)
+        codes = check_input(x, observed, space.slots, space.base,
+                            self.model.n_signals)
         column = self._table(node, t)[x::self.model.n_signals,
                                       space.rank(codes, perm)[0]]
         values, counts = np.unique(column, return_counts=True)

@@ -144,10 +144,8 @@ def invariant_suite(ds=(3, 5), noises=(0.15, 0.3), max_t: int = 4,
     return report
 
 
-def run_verification(max_nodes: int = 8, max_t: int = 3,
-                     with_invariants: bool = True) -> VerifyReport:
+def run_verification(max_nodes: int = 8, max_t: int = 3) -> VerifyReport:
     report = VerifyReport()
     oracle_equivalence_suite(max_nodes=max_nodes, max_t=max_t, report=report)
-    if with_invariants:
-        invariant_suite(report=report)
+    invariant_suite(report=report)
     return report

@@ -33,7 +33,7 @@ from cavitree.model import SignalModel, UpdateRule
 from cavitree.oracle import feasible_set, unroll
 from cavitree.sim import simulate
 from cavitree.trees import DegreeDistribution, TreeGraph, regular_tree
-from cavitree.verify import invariant_suite, run_verification
+from cavitree.verify import invariant_suite, oracle_equivalence_suite
 
 RTOL = 0.10
 
@@ -168,7 +168,7 @@ def test_criterion_4_oracle_equivalence(tmp_path):
     code = _run_cli(tmp_path, "verify", "--max-nodes", "8", "--max-t", "3")
     elapsed = time.monotonic() - t0
     failures = [] if code == 0 else [f"cmd_verify exit {code}"]
-    report = run_verification(max_nodes=8, max_t=3, with_invariants=False)
+    report = oracle_equivalence_suite(max_nodes=8, max_t=3)
     failures += [name for name, ok, _ in report.checks if not ok]
     if elapsed > 120:
         failures.append(f"runtime {elapsed:.0f}s over the 2 minute limit")

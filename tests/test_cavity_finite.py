@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 from exact_reference import ExactRegularTree
 
 import cavitree.cavity.finite as finite
-from cavitree.cavity import CouplingError, FiniteTreeEngine, RegularTreeEngine
+from cavitree.cavity import (
+    CouplingError,
+    FiniteTreeEngine,
+    RegularTreeEngine,
+    posterior_with_hubs,
+)
 from cavitree.cavity.core import (
     cavity_step_general,
     decision_step_general,
@@ -20,6 +26,8 @@ from cavitree.model import (
     TieBreak,
     TieBreakRule,
     UpdateRule,
+    UtilityTable,
+    map_decision,
 )
 from cavitree.oracle import (
     feasible_set,
@@ -104,6 +112,46 @@ def test_posterior_matches_oracle_in_observed_order(model15, bayes):
                                        w / w.sum(), atol=1e-12)
             checked += 1
     assert checked > 0
+
+
+def _posterior_and_vote_cases(model, rule):
+    """(posterior(x, codes), vote(x, codes), slots, codes per slot) at each
+    round t of a Bayesian engine: the posterior path and the round-t digit
+    of the decision table the decision step built."""
+    for d, rounds in ((3, 3), (5, 2)):
+        engine = RegularTreeEngine(model, d, rule)
+        engine.run(rounds)
+        for t in range(1, rounds + 1):
+            dense, m = engine.dense_decisions(d, t), 2 ** t
+            yield (lambda x, c, e=engine, t=t: e.posterior(x, c, t),
+                   lambda x, c, g=dense, m=m, t=t:
+                   g[x, sum(code * m ** k for k, code in enumerate(c))] >> t,
+                   d, m)
+    engine = FiniteTreeEngine(regular_tree(3, 2), model, rule)
+    engine.run(2)
+    for node in range(engine.graph.n):
+        for t in (1, 2):
+            yield (lambda x, c, node=node, t=t: engine.posterior(node, x, c, t),
+                   lambda x, c, node=node, t=t:
+                   engine.decision_kernel(node, t, x, c)[0][0] >> t,
+                   len(engine.graph.observed[node]), 2 ** t)
+
+
+def test_posterior_path_decides_as_the_decision_step(model15, bayes):
+    """The MAP action of ``posterior_general`` at every feasible input is the
+    vote that ``decision_step_general`` wrote into the table."""
+    checked = 0
+    for posterior, vote, slots, m in _posterior_and_vote_cases(model15, bayes):
+        for x in (0, 1):
+            for codes in itertools.product(range(m), repeat=slots):
+                try:
+                    post = posterior(x, codes)
+                except ModelError:  # an infeasible input
+                    continue
+                assert map_decision(post, UtilityTable.identity(2),
+                                    TieBreakRule(), x) == vote(x, codes)
+                checked += 1
+    assert checked > 1000
 
 
 def test_decision_tables_match_oracle_on_reachable(model15, bayes):
@@ -215,6 +263,31 @@ def test_bench_spans_miss_only_the_known_stale_targets():
     assert finite.cavity_step_general is cavity_step_general  # unwrapped
 
 
+def test_bench_tracer_counts_the_core_steps_and_the_hub_posterior(model15,
+                                                                 bayes):
+    """The bench counters read the core steps' return tuples (the table's
+    bytes and the number of terms), so a changed tuple shows here rather
+    than in a broken traced run."""
+    import cavitree.cavity.hubs as hubs
+
+    tracer = _bench_spans().Tracer()
+    tracer.install()
+    try:
+        RegularTreeEngine(model15, 3, bayes).run(2)
+        FiniteTreeEngine(regular_tree(3, 2), model15, bayes).run(2)
+        triangle = TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)),
+                             hubs=frozenset({2}))
+        hubs.posterior_with_hubs(triangle, model15, bayes, 0, 0,
+                                 {1: 0, 2: 1}, 1)
+    finally:
+        tracer.remove()
+    stats = tracer.layer_stats()
+    for layer in ("cavity.core.cavity_step", "cavity.core.decision_step"):
+        assert stats[layer]["terms"] > 0, layer
+        assert stats[layer]["table_mb"] > 0, layer
+    assert stats["cavity.hubs.posterior"]["calls"] == 1
+
+
 def test_run_refuses_an_over_budget_round_before_any_step(model15, bayes,
                                                           majority,
                                                           monkeypatch):
@@ -268,6 +341,41 @@ def test_accessors_refuse_rounds_past_the_horizon(model15, bayes, kind,
     for t in (-1, 3):
         with pytest.raises(ModelError):
             accessor(engine, t)
+
+
+def _input_accessor(kind, model, rule):
+    """One input accessor at round 2 (the hub posterior at round 1, where
+    hubs stop), with its number of slots and of codes per slot."""
+    if kind == "hubs":
+        triangle = TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)),
+                             hubs=frozenset({2}))
+        return (lambda x, codes: posterior_with_hubs(
+            triangle, model, rule, 0, x, dict(zip((1, 2, 3), codes)), 1), 2, 2)
+    if kind == "regular":
+        engine = RegularTreeEngine(model, 3, rule)
+        engine.run(2)
+        return lambda x, codes: engine.posterior(x, codes, 2), 3, 4
+    engine = FiniteTreeEngine(path_graph(3), model, rule)
+    engine.run(2)
+    if kind == "finite-posterior":
+        return lambda x, codes: engine.posterior(1, x, codes, 2), 2, 4
+    return lambda x, codes: engine.decision_kernel(1, 2, x, codes), 2, 4
+
+
+@pytest.mark.parametrize("kind", ["regular", "finite-posterior",
+                                  "finite-decision_kernel", "hubs"])
+def test_accessors_refuse_inputs_outside_the_table(model15, bayes, kind):
+    """A wrong number of codes, a code outside 0..n_obs**t - 1 or a signal
+    outside 0..n_signals - 1 raises ModelError; none is misread as another
+    input or fails with an IndexError."""
+    ask, slots, base = _input_accessor(kind, model15, bayes)
+    zeros = (0,) * (slots - 1)
+    ask(0, zeros + (0,))
+    for x, codes in [(0, (-1,) + zeros), (0, zeros + (base,)),
+                     (0, zeros + (0, 0)), (0, zeros), (2, zeros + (0,)),
+                     (-1, zeros + (0,))]:
+        with pytest.raises(ModelError):
+            ask(x, codes)
 
 
 def test_error_round_out_of_range(model15, bayes):

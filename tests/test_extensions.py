@@ -1,5 +1,7 @@
 """Degree-mixture recursion, active edges, and hub averaging."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from cavitree.trees import (
 )
 
 TRIANGLE = TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)), hubs=frozenset({2}))
-LOOPY = TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
+SIX_NODE = TreeGraph(n=6, edges=((0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)),
+                     hubs=frozenset({2}))
 
 
 def test_every_engine_returns_float_errors(model15, bayes):
@@ -242,14 +245,36 @@ def test_no_hubs_identical_to_tree_posterior(model15, bayes):
                                   engine.posterior(1, 0, (3, 0), 2))
 
 
-def test_triangle_hub_matches_loopy_oracle(model15, bayes):
-    tensor = unroll(LOOPY, model15, bayes, 1)
-    for x in (0, 1):
-        for o1 in (0, 1):
-            for o2 in (0, 1):
-                post = posterior_with_hubs(TRIANGLE, model15, bayes, 0, x,
-                                           {1: o1, 2: o2}, 1)
-                idx = feasible_set(tensor, 0, x, (o1, o2), 0)
+# (graph, node): every hub lies in the node's ball at t = 1.
+HUB_CASES = {
+    "triangle": (TRIANGLE, 0),
+    "six-node-from-0": (SIX_NODE, 0),
+    "six-node-from-1": (SIX_NODE, 1),
+    "adjacent-hubs": (TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)),
+                                hubs=frozenset({1, 2})), 0),
+    "unobserved-hub": (TreeGraph(n=3, edges=((0, 1), (1, 2)),
+                                 directed_edges=((2, 0),),
+                                 hubs=frozenset({2})), 0),
+    "two-hubs": (TreeGraph(n=5, edges=((0, 1), (0, 2), (1, 2), (0, 3), (0, 4),
+                                       (3, 4)), hubs=frozenset({2, 4})), 0),
+}
+
+
+@pytest.mark.parametrize("label", list(HUB_CASES))
+def test_triangle_hub_matches_loopy_oracle(model15, bayes, label):
+    """Through t = 1 the hub average equals the brute-force posterior on the
+    loopy graph, at every signal and observation."""
+    graph, node = HUB_CASES[label]
+    loopy = TreeGraph(n=graph.n, edges=graph.edges,
+                      directed_edges=graph.directed_edges)
+    tensor = unroll(loopy, model15, bayes, 1)
+    neighbors = graph.observed[node]
+    for t in (0, 1):
+        for x in (0, 1):
+            for obs in itertools.product((0, 1), repeat=len(neighbors)):
+                post = posterior_with_hubs(graph, model15, bayes, node, x,
+                                           dict(zip(neighbors, obs)), t)
+                idx = feasible_set(tensor, node, x, obs if t else None, 0)
                 w = model15.prior * np.array(
                     [tensor.signal_probs[s][idx].sum() for s in (0, 1)])
                 np.testing.assert_allclose(post, w / w.sum(), atol=1e-10)
@@ -266,12 +291,6 @@ def test_hub_outside_ball_is_skipped(model15, bayes):
     engine.run(2)
     post = posterior_with_hubs(graph, model15, bayes, 0, 1, {1: 2}, 2)
     np.testing.assert_allclose(post, engine.posterior(0, 1, (2,), 2), atol=0)
-
-
-def test_hub_cap_enforced(model15, bayes):
-    with pytest.raises(ModelError):
-        posterior_with_hubs(TRIANGLE, model15, bayes, 0, 0, {1: 0, 2: 0}, 1,
-                            hub_cap=0)
 
 
 def test_hub_beyond_t1_raises(model15, bayes):
