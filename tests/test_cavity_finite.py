@@ -46,6 +46,8 @@ from cavitree.trees import (
 )
 from cavitree.verify import instance_family, oracle_equivalence_suite
 
+_TRIANGLE = TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)), hubs=frozenset({2}))
+
 
 def test_oracle_equivalence_family():
     report = oracle_equivalence_suite(max_nodes=8, max_t=3)
@@ -275,9 +277,7 @@ def test_bench_tracer_counts_the_core_steps_and_the_hub_posterior(model15,
     try:
         RegularTreeEngine(model15, 3, bayes).run(2)
         FiniteTreeEngine(regular_tree(3, 2), model15, bayes).run(2)
-        triangle = TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)),
-                             hubs=frozenset({2}))
-        hubs.posterior_with_hubs(triangle, model15, bayes, 0, 0,
+        hubs.posterior_with_hubs(_TRIANGLE, model15, bayes, 0, 0,
                                  {1: 0, 2: 1}, 1)
     finally:
         tracer.remove()
@@ -347,10 +347,8 @@ def _input_accessor(kind, model, rule):
     """One input accessor at round 2 (the hub posterior at round 1, where
     hubs stop), with its number of slots and of codes per slot."""
     if kind == "hubs":
-        triangle = TreeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)),
-                             hubs=frozenset({2}))
         return (lambda x, codes: posterior_with_hubs(
-            triangle, model, rule, 0, x, dict(zip((1, 2, 3), codes)), 1), 2, 2)
+            _TRIANGLE, model, rule, 0, x, dict(zip((1, 2, 3), codes)), 1), 2, 2)
     if kind == "regular":
         engine = RegularTreeEngine(model, 3, rule)
         engine.run(2)
