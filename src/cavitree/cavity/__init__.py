@@ -2,12 +2,9 @@
 
 from .active import ActiveEdgeEngine
 from .core import COUPLING_TOL, DRIFT_WARN
+from .engine import CouplingError
 from .finite import FiniteTreeEngine
-from .homogeneous import (
-    ConfigModelEngine,
-    CouplingError,
-    RegularTreeEngine,
-)
+from .homogeneous import ConfigModelEngine, RegularTreeEngine
 from .hubs import posterior_with_hubs
 from .tables import CavityTable, DecisionTable, TableError
 

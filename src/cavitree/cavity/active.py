@@ -9,13 +9,13 @@ Bernoulli weight of its own edge's round-h activation, while the activation
 pattern of rounds 0..h-1 is fixed by the conditioning trajectory (the
 pattern of what the observer showed is the pattern of what it saw).
 
-The engine is ``RegularTreeEngine`` with the channel swapped, and the
-channel changes only two things in the shared recursion.  A cavity step
-emits each trajectory through round t twice: masked like the observer's
-trajectory in rounds 0..t-1, then active (weight p) or starred (weight
-1-p).  And each message is folded once, before the next steps read it,
-into the slot table indexed by the action trajectory a of the node that
-reads it:
+The engine is the class-graph engine of ``engine.py``, planned as
+``RegularTreeEngine``, with the channel swapped; the channel changes only
+two things in the shared step.  A cavity step emits each trajectory
+through round t twice: masked like the observer's trajectory in rounds
+0..t-1, then active (weight p) or starred (weight 1-p).  And each message
+is folded once, before the next steps read it, into the slot table
+indexed by the action trajectory a of the node that reads it:
 
     Q~_h[c, a, s] = bern_h(pat(c)) * Q_h[c, mask_h(a, pat(c)), s],
 

@@ -591,8 +591,9 @@ def posterior_general(
     ``observed`` holds one horizon-(t-1) code per slot; ``groups`` the slot
     groups as in ``decision_step_general``, at horizon t-1.  The agent's
     own trajectory is derived from the decision table, over the groups'
-    ``SlotSpace``, on the truncated observation; ``ModelError`` if the rows
-    of signal x (its coin outcomes) disagree on it, or if ``check_input``
+    ``SlotSpace``, on the truncated observation, and read by a group that
+    conditions from t = 2 on; ``ModelError`` if it is read and the rows of
+    signal x (its coin outcomes) disagree on it, or if ``check_input``
     refuses the input.
     """
     if t == 0:
@@ -603,7 +604,8 @@ def posterior_general(
     codes = check_input(x, observed, sum(sizes), n_obs ** t, model.n_signals)
     j = SlotSpace(m_prev, sizes).rank(codes % m_prev)[0]
     owns = g_prev[x::model.n_signals, j]
-    if np.any(owns != owns[0]):
+    reads_own = t >= 2 and any(cond for _, cond, _ in groups)
+    if reads_own and np.any(owns != owns[0]):
         raise ModelError("own trajectory is not derivable under a stochastic "
                          "rule; condition on it explicitly")
     own_cond = int(owns[0]) % n_actions ** (t - 1)

@@ -1,0 +1,195 @@
+"""One cavity engine over a class graph, run by two planners.
+
+A tree is a finite description of node and edge classes (the local weak
+limits of Dembo and Montanari, *Gibbs measures and phase transitions on
+sparse random graphs*, 2010).  ``FiniteTreeEngine`` interns them from a
+tree, ``ConfigModelEngine`` plans a node class per degree and an edge
+class per round, and only ``CavityEngine`` runs plans and builds tables.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..model import ModelError, SignalModel, UpdateRule
+from .core import (COUPLING_TOL, SlotSpace, all_active, cavity_step_bytes,
+                   cavity_step_general, check_budget, check_round, coin_values,
+                   decision_step_bytes, decision_step_general, error_from_sums,
+                   initial_cavity, posterior_general, round0_sums, round0_table)
+from .tables import CavityTable
+
+
+class CouplingError(RuntimeError):
+    """The coupling total-mass runtime check failed (indicates a table bug)."""
+
+
+def _resolve_actions(model: SignalModel, rule: UpdateRule) -> int:
+    if rule.variant == "bayesian" and rule.utility is not None:
+        return rule.utility.n_actions
+    return model.n_states
+
+
+def check_address(t: int, stored: int, what: str, key, keys) -> None:
+    """Refuse a round outside the ``stored`` rounds 0.. an engine holds, or
+    a node, edge or degree ``key`` that is not among ``keys``."""
+    check_round(t, stored, what)
+    if key not in keys:
+        raise ModelError(f"no {what} for {key!r}, which is not in this engine")
+
+
+class AllActive:
+    """Observation channel of edges that fire every round."""
+
+    emit = staticmethod(all_active)
+
+    def __init__(self, n_actions: int):
+        self.size = n_actions
+
+    @staticmethod
+    def fold(q: np.ndarray, h: int) -> np.ndarray:
+        """The slot table of a horizon-h message: the message itself."""
+        return q
+
+
+class CavityEngine:
+    """Per-round records of a class graph, and the step that extends them.
+
+    ``g[t][c]`` and ``sums[t][c]`` hold node class c's round-t decision
+    table and its error and coupling sums; ``q[t][e]`` and
+    ``slot_tables[t][e]`` edge class e's horizon-t message and the channel's
+    fold of it; ``drifts[t]`` the largest normalization drift of round t's
+    cavity steps, and ``ops[t]`` the terms of all its core steps.
+
+    A subclass's ``_plan_round(t)`` returns round t's plan, and its
+    ``advance`` runs it with ``_step``.  Per edge class the plan lists the
+    terms of its message, a weighted sum of cavity steps: (weight, node
+    class, the observer's group or None, slot groups), each slot group
+    ((edge class, conditions), slots); round 0's term is ``initial_cavity``.
+    Per node class at t+1 it lists (its class at t, that class's group
+    sizes, its slot groups) for one decision step.
+    """
+
+    def __init__(self, model: SignalModel, rule: UpdateRule, classes: int = 1):
+        if rule.variant == "majority" and model.n_states != 2:
+            raise ModelError("majority dynamics is defined for binary actions")
+        self.model = model
+        self.rule = rule
+        self.n_actions = _resolve_actions(model, rule)
+        self.channel = AllActive(self.n_actions)
+        g0 = round0_table(model, rule, self.n_actions)
+        self.g = [[g0] * classes]
+        self.sums = [[round0_sums(model, g0)] * classes]
+        self.q: list[list[np.ndarray]] = []
+        self.slot_tables: list[list[np.ndarray]] = []
+        self.drifts: list[float] = []
+        self.ops: list[int] = []
+        self._plans: list[tuple[list, list]] = []
+
+    @property
+    def horizon(self) -> int:
+        """Largest round whose messages are all computed, plus one."""
+        return len(self.q)
+
+    def _planned(self, t: int) -> tuple[list, list]:
+        """Round t's plan, planning every earlier round first and refusing
+        a round whose steps exceed the table budget before any of them runs."""
+        while len(self._plans) <= t:
+            r = len(self._plans)
+            edges, nodes = plan = self._plan_round(r)
+            n_obs, n_s = self.channel.size, self.model.n_states
+            for terms in edges if r else ():  # round 0 has no cavity step
+                for _, _, tau_group, groups in terms:
+                    check_budget(cavity_step_bytes(
+                        r, [size for _, size in groups], tau_group, n_obs, n_s))
+            for _, _, groups in nodes:
+                sizes = [size for _, size in groups]
+                coins = (1 if self.rule.deterministic_for_degree(sum(sizes))
+                         else coin_values(self.n_actions))
+                check_budget(decision_step_bytes(
+                    r, sizes, n_obs, len(self.g[0][0]) * coins ** (r + 1)))
+            self._plans.append(plan)
+        return self._plans[t]
+
+    def run(self, rounds: int) -> None:
+        """Advance through round ``rounds``, planning every round first, so
+        that a step over the table budget is refused before any runs."""
+        if rounds > 0:
+            self._planned(rounds - 1)
+        while self.horizon < rounds:
+            self.advance()
+
+    def _step(self, edges, nodes) -> None:
+        """Run round t's plan: every edge class's horizon-t message, then
+        every node class's next decision table (none if ``nodes`` is None)."""
+        t = self.horizon
+        if len(self.g) <= t:
+            raise ModelError("a previous advance skipped its decision tables")
+        n_obs, emit = self.channel.size, self.channel.emit
+        q_t, drift, ops = [], 0.0, 0
+        for terms in edges:
+            message = None
+            for weight, c, tau_group, groups in terms:
+                if t == 0:
+                    q = initial_cavity(self.model, self.g[0][c], self.n_actions,
+                                       n_obs, emit)
+                else:
+                    q, step_drift, n = cavity_step_general(
+                        self.g[t][c], t, tau_group, self._messages(groups, t - 1),
+                        self.model, self.rule, self.n_actions, n_obs, emit)
+                    drift, ops = max(drift, step_drift), ops + n
+                message = weight * q if message is None else message + weight * q
+            q_t.append(message)
+        self.q.append(q_t)
+        self.slot_tables.append([self.channel.fold(q, t) for q in q_t])
+        self.drifts.append(drift)
+        if nodes is not None:
+            steps = [decision_step_general(
+                self._refined(t, c, sizes, groups), t, self._messages(groups, t),
+                self.model, self.rule, self.n_actions, n_obs)
+                for c, sizes, groups in nodes]
+            self.g.append([table for table, *_ in steps])
+            self.sums.append([sums for _, _, *sums in steps])
+            ops += sum(n for _, n, *_ in steps)
+        self.ops.append(ops)
+
+    def _messages(self, groups, t: int):
+        """The core steps' slot groups: each group's horizon-t slot table."""
+        return [(self.slot_tables[t][e], cond, size)
+                for (e, cond), size in groups]
+
+    def _refined(self, t: int, c: int, sizes, groups) -> np.ndarray:
+        """Node class c's round-t table, over slot groups of ``sizes``, on
+        ``groups``, which split those groups in order."""
+        table, new = self.g[t][c], tuple(size for _, size in groups)
+        if tuple(sizes) == new:
+            return table
+        base = self.channel.size ** t
+        return SlotSpace(base, sizes).expand(table, into=SlotSpace(base, new))
+
+    def _error(self, t: int, c: int, condition_state: int | None,
+               where: str) -> float:
+        """Node class c's round-t error; ``CouplingError`` if its coupling
+        mass is off, which is a table bug, not a small error."""
+        err, coupling_dev = error_from_sums(self.model, self.sums[t][c],
+                                            condition_state)
+        if coupling_dev > COUPLING_TOL:
+            raise CouplingError(
+                f"coupling mass deviates by {coupling_dev:.3e} at {where}, t={t}")
+        return err
+
+    def _posterior(self, x: int, observed: tuple[int, ...], t: int,
+                   c: int) -> np.ndarray:
+        """P(s | x, ``observed``) at node class c of round t, in the class's
+        slot order, from the messages its round-t table was built from."""
+        g_prev, messages = None, []
+        if t:
+            prev, sizes, groups = self._plans[t - 1][1][c]
+            g_prev = self._refined(t - 1, prev, sizes, groups)
+            messages = self._messages(groups, t - 1)
+        return posterior_general(x, observed, g_prev, t, messages, self.model,
+                                 self.n_actions, self.channel.size)
+
+    def _cavity_table(self, t: int, e: int, scope) -> CavityTable:
+        return CavityTable(horizon=t, alphabet_size=self.channel.size,
+                           scope=scope, array=self.q[t][e],
+                           drift=self.drifts[t])

@@ -1,9 +1,10 @@
-"""Per-edge cavity tables and per-node decision tables on finite trees.
+"""Finite trees: the planner that interns the classes of ``engine.py``.
 
 Every directed observation pair (i observes j) carries a message Q_{j->i};
 a message conditions on the observer's trajectory only when the observed
 node observes back (undirected edge).  Tables are shared per structural
-class, and a node's slots are sorted so that the neighbours sending one
+class, one cavity step of weight 1 per edge class, and addressed by node
+and edge; a node's slots are sorted so that the neighbours sending one
 message share a group of exchangeable slots.  Every rule runs on the
 vectorized core: a stochastic one (majority with coin-flip ties at even
 degree, Bayesian with uniform-random ties) gives its decision tables coin
@@ -19,24 +20,8 @@ import numpy as np
 
 from ..model import ModelError, SignalModel, UpdateRule
 from ..trees import GraphError, TreeGraph, validate
-from .core import (
-    COUPLING_TOL,
-    SlotSpace,
-    cavity_step_bytes,
-    cavity_step_general,
-    check_budget,
-    check_input,
-    check_round,
-    coin_values,
-    decision_step_bytes,
-    decision_step_general,
-    error_from_sums,
-    initial_cavity,
-    posterior_general,
-    round0_sums,
-    round0_table,
-)
-from .homogeneous import CouplingError, _resolve_actions
+from .core import SlotSpace, check_input
+from .engine import CavityEngine, check_address
 from .tables import CavityTable
 
 
@@ -49,7 +34,7 @@ def _intern(keys) -> tuple[list[int], list[int]]:
     return classes, [members[c] for c in range(len(ids))]
 
 
-class FiniteTreeEngine:
+class FiniteTreeEngine(CavityEngine):
     """Exact calculation schedule on a finite (possibly directed) tree, with
     tables per structural class, not per node or edge.
 
@@ -76,16 +61,11 @@ class FiniteTreeEngine:
             raise GraphError(diag)
         obs = graph.observed
         n = graph.n
-        if rule.variant == "majority":
-            if model.n_states != 2:
-                raise ModelError("majority dynamics is defined for binary actions")
-            if any(len(o) == 0 for o in obs):
-                raise ModelError("majority dynamics needs at least one neighbor "
-                                 "per node")
+        if rule.variant == "majority" and any(len(o) == 0 for o in obs):
+            raise ModelError("majority dynamics needs at least one neighbor "
+                             "per node")
+        super().__init__(model, rule)
         self.graph = graph
-        self.model = model
-        self.rule = rule
-        self.n_actions = _resolve_actions(model, rule)
         self.edges = [(j, i) for i in range(n) for j in obs[i]]
         self.edge_id = {edge: e for e, edge in enumerate(self.edges)}
         # Per edge j->i: the edge i->j of the observer's message, if any.
@@ -93,24 +73,14 @@ class FiniteTreeEngine:
         # Per node i: its slot edges j->i, each with whether it conditions.
         self._slots = [tuple((self.edge_id[(j, i)], i in obs[j]) for j in obs[i])
                        for i in range(n)]
-        g0 = round0_table(model, rule, self.n_actions)
-        # Per round: the class id of every node (edge), the planned core
-        # steps, and the table of every class.
+        # Per round: the class id of every node (edge).
         self.node_class = [[0] * n]
         self.edge_class: list[list[int]] = []
-        self._plans: list[tuple[list, list]] = []
-        self.g = [[g0]]
-        self.sums = [[round0_sums(model, g0)]]
-        self.q: list[list[np.ndarray]] = []
         self._actions: dict[tuple, np.ndarray] = {}
-        self.horizon = 0
-        self.drift = 0.0
 
-    def _plan_round(self) -> None:
-        """Intern the classes of the first unplanned round t, edges at t and
-        nodes at t+1, whose keys need no tables; plan one core step per
-        class, and refuse one over the table budget before any step runs."""
-        t, n_a = len(self._plans), self.n_actions
+    def _plan_round(self, t: int):
+        """Intern the classes of round t, edges at t and nodes at t+1, whose
+        keys need no tables, and plan one core step per class."""
         nodes = self.node_class[t]
         prev = self.edge_class[t - 1] if t else [0] * len(self.edges)
         keys = [(prev[e], -1 if rev is None else prev[rev], nodes[j])
@@ -123,61 +93,17 @@ class FiniteTreeEngine:
             groups = self._layout(j, t)[1]
             tau_group = None if rev is None or not t else [
                 pair for pair, _ in groups].index((prev[rev], True))
-            if t:  # round 0 has no cavity step
-                check_budget(cavity_step_bytes(t, [k for _, k in groups],
-                                               tau_group, n_a, self.model.n_states))
-            cavity.append((j, groups, tau_group))
+            cavity.append([(1.0, nodes[j], tau_group, groups)])
 
         keys = [(nodes[i], tuple(sorted((edge_class[e], cond) for e, cond in slots)))
                 for i, slots in enumerate(self._slots)]
         node_class, members = _intern(keys)
         self.node_class[t + 1:] = [node_class]
-        decision = [(i, self._layout(i, t + 1)[1]) for i in members]
-        for _, groups in decision:
-            sizes = [k for _, k in groups]
-            coins = (1 if self.rule.deterministic_for_degree(sum(sizes))
-                     else coin_values(n_a))
-            check_budget(decision_step_bytes(
-                t, sizes, n_a, len(self.g[0][0]) * coins ** (t + 1)))
-        self._plans.append((cavity, decision))
+        return cavity, [(nodes[i], tuple(k for _, k in self._layout(i, t)[1]),
+                         self._layout(i, t + 1)[1]) for i in members]
 
     def advance(self) -> None:
-        t = self.horizon
-        if len(self._plans) == t:
-            self._plan_round()
-        cavity, decision = self._plans[t]
-        nodes = self.node_class[t]
-        q_t = []
-        for j, groups, tau_group in cavity:
-            if t == 0:
-                q_t.append(initial_cavity(self.model, self.g[0][nodes[j]],
-                                          self.n_actions))
-                continue
-            table, drift, _ = cavity_step_general(
-                self.g[t][nodes[j]], t, tau_group, self._messages(groups, t - 1),
-                self.model, self.rule, self.n_actions)
-            self.drift = max(self.drift, drift)
-            q_t.append(table)
-        self.q.append(q_t)
-
-        g_next, sums_next = [], []
-        for i, groups in decision:
-            table, _, *sums = decision_step_general(
-                self._refined(i, t, groups), t, self._messages(groups, t),
-                self.model, self.rule, self.n_actions)
-            g_next.append(table)
-            sums_next.append(sums)
-        self.g.append(g_next)
-        self.sums.append(sums_next)
-        self.horizon += 1
-
-    def run(self, rounds: int) -> None:
-        """Advance through round ``rounds``, planning every round first, so
-        that a step over the table budget is refused before any runs."""
-        while len(self._plans) < rounds:
-            self._plan_round()
-        while self.horizon < rounds:
-            self.advance()
+        self._step(*self._planned(self.horizon))
 
     def _table(self, node: int, t: int) -> np.ndarray:
         return self.g[t][self.node_class[t][node]]
@@ -198,44 +124,28 @@ class FiniteTreeEngine:
         perm, groups = self._layout(i, t)
         return SlotSpace(self.n_actions ** t, [size for _, size in groups]), perm
 
-    def _messages(self, groups, t: int):
-        """The core steps' slot groups: each group's horizon-t message."""
-        return [(self.q[t][c], cond, size) for (c, cond), size in groups]
-
-    def _refined(self, i: int, t: int, groups) -> np.ndarray:
-        """Node i's round-t table over ``groups``, which split its class's
-        groups in order."""
-        old, table = self._space(i, t)[0], self._table(i, t)
-        new = SlotSpace(old.base, [size for _, size in groups])
-        return table if old.sizes == new.sizes else old.expand(table, into=new)
-
     def error_probability(self, node: int, t: int,
                           condition_state: int | None = None) -> float:
-        check_round(t, len(self.sums), "error")
-        sums = self.sums[t][self.node_class[t][node]]
-        err, coupling_dev = error_from_sums(self.model, sums, condition_state)
-        if coupling_dev > COUPLING_TOL:
-            raise CouplingError(
-                f"coupling mass deviates by {coupling_dev:.3e} at node {node}, t={t}")
-        return err
+        check_address(t, len(self.sums), "error", node, range(self.graph.n))
+        return self._error(t, self.node_class[t][node], condition_state,
+                           f"node {node}")
 
     def posterior(self, node: int, x: int, observed: tuple[int, ...],
                   t: int) -> np.ndarray:
-        check_round(t, len(self.g), "posterior")
-        perm, groups = self._layout(node, t)
+        check_address(t, len(self.g), "posterior", node, range(self.graph.n))
+        perm = self._layout(node, t)[0]
         if t:  # before the permutation, which would drop an extra code
             check_input(x, observed, len(perm), self.n_actions ** t,
                         self.model.n_signals)
-        g_prev = self._refined(node, t - 1, groups) if t else None
-        return posterior_general(x, tuple(observed[k] for k in perm), g_prev, t,
-                                 self._messages(groups, t - 1), self.model,
-                                 self.n_actions)
+        return self._posterior(x, tuple(observed[k] for k in perm), t,
+                               self.node_class[t][node])
 
     def decision_kernel(self, node: int, t: int, x: int,
                         observed: tuple[int, ...]) -> list[tuple[int, float]]:
         """Kernel over the node's trajectory through round t for this input:
         the share of signal x's rows (coin outcomes) giving each code."""
-        check_round(t, len(self.g), "decision table")
+        check_address(t, len(self.g), "decision table", node,
+                      range(self.graph.n))
         space, perm = self._space(node, t)
         codes = check_input(x, observed, space.slots, space.base,
                             self.model.n_signals)
@@ -245,16 +155,16 @@ class FiniteTreeEngine:
         return [(int(v), float(c / len(column))) for v, c in zip(values, counts)]
 
     def cavity_table(self, j: int, i: int, t: int) -> CavityTable:
-        check_round(t, len(self.q), "cavity table")
-        return CavityTable(horizon=t, alphabet_size=self.n_actions,
-                           scope=(j, i),
-                           array=self.q[t][self.edge_class[t][self.edge_id[(j, i)]]])
+        check_address(t, len(self.q), "cavity table", (j, i), self.edge_id)
+        return self._cavity_table(t, self.edge_class[t][self.edge_id[(j, i)]],
+                                  (j, i))
 
     def action_table(self, node: int, t: int) -> np.ndarray:
         """Round-t vote per (signal, packed observations in ``observed``
         order), one array per class and permutation: nodes that share both
         share the same object.  A table with coin rows has no such array."""
-        check_round(t, len(self.g), "action table")
+        check_address(t, len(self.g), "action table", node,
+                      range(self.graph.n))
         key = (t, self.node_class[t][node], tuple(self._layout(node, t)[0]))
         if key not in self._actions:
             table, (space, perm) = self._table(node, t), self._space(node, t)

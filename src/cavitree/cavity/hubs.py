@@ -22,8 +22,8 @@ import numpy as np
 from ..model import ModelError, SignalModel, UpdateRule
 from ..trees import GraphError, TreeGraph, ball, validate
 from .core import initial_cavity, posterior_general, round0_table
+from .engine import _resolve_actions
 from .finite import FiniteTreeEngine
-from .homogeneous import _resolve_actions
 
 
 def _tree_without_hubs(graph: TreeGraph) -> tuple[TreeGraph, dict[int, int]]:
@@ -58,8 +58,8 @@ def posterior_with_hubs(
     if node in graph.hubs:
         raise GraphError("posterior at a hub node is not defined by the removal "
                          "construction")
-    if t < 0:
-        raise ModelError(f"no posterior for round {t}")
+    if t < 0 or node not in range(graph.n):
+        raise ModelError(f"no posterior for node {node} at round {t}")
     neighbors = graph.observed[node]
     if set(observed) != set(neighbors) and t >= 1:
         raise ModelError("observations must cover exactly the observed neighbors")

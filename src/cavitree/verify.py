@@ -118,14 +118,14 @@ def invariant_suite(ds=(3, 5), noises=(0.15, 0.3), max_t: int = 4,
 
                 errs = [engine.error_probability(t) for t in range(max_t + 1)]
                 worst_coupling = max(error_from_sums(model, sums)[1]
-                                     for sums in engine.sums[d][1:])
+                                     for sums, in engine.sums[1:])
                 report.add(f"coupling {label}", worst_coupling <= COUPLING_TOL,
                            f"max |mass-1| {worst_coupling:.2e}")
 
                 # Complementing every binary code reverses its index, in Q's
                 # trajectory axes and in a dense table's inputs.
                 worst_flip = max(float(np.max(np.abs(q - q[::-1, ::-1, ::-1])))
-                                 for q in engine.q)
+                                 for q, in engine.q)
                 report.add(f"flip-symmetry {label}", worst_flip <= FLIP_TOL,
                            f"max dev {worst_flip:.2e}")
                 mismatched = 0

@@ -1,12 +1,15 @@
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from exact_reference import ExactRegularTree
 
+import cavitree.cavity.engine as engine_module
 import cavitree.cavity.finite as finite
 from cavitree.cavity import (
+    ConfigModelEngine,
     CouplingError,
     FiniteTreeEngine,
     RegularTreeEngine,
@@ -37,6 +40,7 @@ from cavitree.oracle import (
 )
 from cavitree.trees import (
     BudgetError,
+    DegreeDistribution,
     GraphError,
     TreeGraph,
     path_graph,
@@ -262,7 +266,7 @@ def test_bench_spans_miss_only_the_known_stale_targets():
     finally:
         tracer.remove()
     assert absent <= stale
-    assert finite.cavity_step_general is cavity_step_general  # unwrapped
+    assert engine_module.cavity_step_general is cavity_step_general  # unwrapped
 
 
 def test_bench_tracer_counts_the_core_steps_and_the_hub_posterior(model15,
@@ -298,7 +302,7 @@ def test_run_refuses_an_over_budget_round_before_any_step(model15, bayes,
         raise AssertionError("a core step ran before the budget check")
 
     for name in ("cavity_step_general", "decision_step_general"):
-        monkeypatch.setattr(finite, name, refuse)
+        monkeypatch.setattr(engine_module, name, refuse)
     for graph, rule, rounds in ((regular_tree(3, 2), bayes, 12),
                                 (star_graph(5), majority, 7)):
         engine = FiniteTreeEngine(graph, model15, rule)
@@ -345,19 +349,36 @@ def test_accessors_refuse_rounds_past_the_horizon(model15, bayes, kind,
 
 def _input_accessor(kind, model, rule):
     """One input accessor at round 2 (the hub posterior at round 1, where
-    hubs stop), with its number of slots and of codes per slot."""
+    hubs stop), with its number of slots and of codes per slot, and calls
+    of its engine's accessors at a node, edge or degree it does not have.
+    On path_graph(3) node -1 would read as leaf 2, so a leaf's input is
+    asked there."""
     if kind == "hubs":
-        return (lambda x, codes: posterior_with_hubs(
-            _TRIANGLE, model, rule, 0, x, dict(zip((1, 2, 3), codes)), 1), 2, 2)
+        def ask(x, codes, node=0):
+            return posterior_with_hubs(_TRIANGLE, model, rule, node, x,
+                                       dict(zip((1, 2, 3), codes)), 1)
+        return ask, 2, 2, [lambda: ask(0, (0, 0), 3)]
     if kind == "regular":
         engine = RegularTreeEngine(model, 3, rule)
         engine.run(2)
-        return lambda x, codes: engine.posterior(x, codes, 2), 3, 4
+        return (lambda x, codes: engine.posterior(x, codes, 2), 3, 4,
+                [lambda: engine.dense_decisions(4, 1),
+                 lambda: engine.error_probability(1, degree=4)])
     engine = FiniteTreeEngine(path_graph(3), model, rule)
     engine.run(2)
     if kind == "finite-posterior":
-        return lambda x, codes: engine.posterior(1, x, codes, 2), 2, 4
-    return lambda x, codes: engine.decision_kernel(1, 2, x, codes), 2, 4
+        def ask(x, codes, node=1):
+            return engine.posterior(node, x, codes, 2)
+        others = [lambda node: engine.error_probability(node, 1)]
+        edges = [lambda: engine.cavity_table(0, 2, 1)]
+    else:
+        def ask(x, codes, node=1):
+            return engine.decision_kernel(node, 2, x, codes)
+        others = [lambda node: engine.action_table(node, 1)]
+        edges = []
+    calls = [lambda node: ask(0, (0,), node)] + others
+    return ask, 2, 4, edges + [partial(call, node) for node in (-1, 3)
+                               for call in calls]
 
 
 @pytest.mark.parametrize("kind", ["regular", "finite-posterior",
@@ -365,8 +386,10 @@ def _input_accessor(kind, model, rule):
 def test_accessors_refuse_inputs_outside_the_table(model15, bayes, kind):
     """A wrong number of codes, a code outside 0..n_obs**t - 1 or a signal
     outside 0..n_signals - 1 raises ModelError; none is misread as another
-    input or fails with an IndexError."""
-    ask, slots, base = _input_accessor(kind, model15, bayes)
+    input or fails with an IndexError.  So does a node, edge or degree the
+    engine does not have: a negative node is not read from the end of a
+    list, and none fails with an IndexError or a KeyError."""
+    ask, slots, base, elsewhere = _input_accessor(kind, model15, bayes)
     zeros = (0,) * (slots - 1)
     ask(0, zeros + (0,))
     for x, codes in [(0, (-1,) + zeros), (0, zeros + (base,)),
@@ -374,6 +397,10 @@ def test_accessors_refuse_inputs_outside_the_table(model15, bayes, kind):
                      (-1, zeros + (0,))]:
         with pytest.raises(ModelError):
             ask(x, codes)
+    assert elsewhere
+    for call in elsewhere:
+        with pytest.raises(ModelError):
+            call()
 
 
 def test_error_round_out_of_range(model15, bayes):
@@ -403,6 +430,25 @@ def test_stochastic_posterior_underivable_raises(model15, majority):
         engine.posterior(1, 0, (0, 1), 2)
 
 
+def test_round1_posterior_with_coin_rows(uniform_ties):
+    """Signal 1 of this model ties at round 0, so its rows disagree on the
+    own round-0 vote; but a round-0 message has no conditioning axis, so a
+    round-1 posterior never reads that vote.  By hand: Q0[0, s] = (0.8,
+    0.2), so with x = 1 and a neighbour vote 0 the posterior is prior x 0.2
+    x Q0[0, s], normalized; on the triangle both votes multiply in."""
+    model = SignalModel(prior=np.array([0.5, 0.5]),
+                        likelihood=np.array([[.7, .2, .1], [.1, .2, .7]]))
+    rule = UpdateRule(variant="bayesian", tie_break=uniform_ties)
+    engine = FiniteTreeEngine(path_graph(2), model, rule)
+    engine.run(2)
+    assert len(engine.g[0][0]) > model.n_signals  # coin rows at round 0
+    np.testing.assert_allclose(engine.posterior(0, 1, (0,), 1), [0.8, 0.2],
+                               rtol=1e-15)
+    np.testing.assert_allclose(
+        posterior_with_hubs(_TRIANGLE, model, rule, 0, 1, {1: 0, 2: 0}, 1),
+        [16 / 17, 1 / 17], rtol=1e-15)
+
+
 def test_interior_node_matches_homogeneous(model15, bayes):
     """Interior nodes of a deep finite tree follow the infinite-tree numbers."""
     from cavitree.cavity import RegularTreeEngine
@@ -421,18 +467,47 @@ def test_interior_node_matches_homogeneous(model15, bayes):
 
 def test_inconsistent_cavity_table_raises_coupling_error(model15, bayes,
                                                          monkeypatch):
-    step = finite.cavity_step_general
+    step = engine_module.cavity_step_general
 
     def scaled(*args, **kwargs):
         q, drift, ops = step(*args, **kwargs)
         return q * (1 + 1e-6), drift, ops
 
-    monkeypatch.setattr(finite, "cavity_step_general", scaled)
+    monkeypatch.setattr(engine_module, "cavity_step_general", scaled)
     engine = FiniteTreeEngine(path_graph(3), model15, bayes)
     engine.run(2)
     engine.error_probability(1, 1)
     with pytest.raises(CouplingError):
         engine.error_probability(1, 2)
+
+
+@pytest.mark.parametrize("kind", ["finite", "mixture"])
+def test_round_records_sum_the_core_steps(model15, bayes, monkeypatch, kind):
+    """Each round's ``ops`` is the sum of the terms its core steps returned,
+    and ``drifts[t]`` the largest drift of its cavity steps (0 at round 0,
+    which has none)."""
+    steps = []  # (round, terms, drift or None)
+    for name, terms in (("cavity_step_general", 2),
+                        ("decision_step_general", 1)):
+        step = getattr(engine_module, name)
+
+        def spy(*args, _step=step, _terms=terms, **kwargs):
+            out = _step(*args, **kwargs)
+            steps.append((args[1], out[_terms], out[1] if _terms == 2 else None))
+            return out
+
+        monkeypatch.setattr(engine_module, name, spy)
+    engine = (FiniteTreeEngine(regular_tree(3, 3), model15, bayes)
+              if kind == "finite" else
+              ConfigModelEngine(model15, DegreeDistribution(
+                  (3, 5), np.array([0.3, 0.7])), bayes))
+    engine.run(3)
+    assert len(engine.ops) == len(engine.drifts) == 3
+    for t in range(3):
+        assert engine.ops[t] == sum(n for r, n, _ in steps if r == t), t
+        drifts = [d for r, _, d in steps if r == t and d is not None]
+        assert bool(drifts) == (t > 0)
+        assert engine.drifts[t] == max(drifts, default=0.0), t
 
 
 def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
@@ -442,13 +517,13 @@ def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
     g, _, sums, _ = _per_edge_schedule(graph, model15, bayes, 2, 2)
     calls = []
     for name in ("cavity_step_general", "decision_step_general"):
-        step = getattr(finite, name)
+        step = getattr(engine_module, name)
 
         def counted(*args, _step=step, **kwargs):
             calls.append(_step)
             return _step(*args, **kwargs)
 
-        monkeypatch.setattr(finite, name, counted)
+        monkeypatch.setattr(engine_module, name, counted)
     engine = FiniteTreeEngine(graph, model15, bayes)
     engine.run(2)
     assert len(calls) <= 24  # one per node and per edge would be 6822
@@ -525,7 +600,7 @@ def _per_edge_schedule(graph, model, rule, n_actions, rounds):
     g = {i: [g0] for i in range(graph.n)}
     sums = {i: [round0_sums(model, g0)] for i in range(graph.n)}
     q = {(j, i): [] for i in range(graph.n) for j in obs[i]}
-    drift = 0.0
+    drifts = [0.0] * rounds
     for t in range(rounds):
         for (j, i), tables in q.items():
             if t == 0:
@@ -535,7 +610,7 @@ def _per_edge_schedule(graph, model, rule, n_actions, rounds):
             slots = [(q[(l, j)][t - 1], j in obs[l], 1) for l in obs[j]]
             table, step_drift, _ = cavity_step_general(
                 g[j][t], t, tau_pos, slots, model, rule, n_actions)
-            drift = max(drift, step_drift)
+            drifts[t] = max(drifts[t], step_drift)
             tables.append(table)
         for i in range(graph.n):
             slots = [(q[(j, i)][t], i in obs[j], 1) for j in obs[i]]
@@ -543,7 +618,7 @@ def _per_edge_schedule(graph, model, rule, n_actions, rounds):
                 g[i][t], t, slots, model, rule, n_actions)
             g[i].append(table)
             sums[i].append(step_sums)
-    return g, q, sums, drift
+    return g, q, sums, drifts
 
 
 _MIXED = TreeGraph(n=7, edges=((0, 1), (1, 2), (1, 3), (3, 4)),
@@ -580,7 +655,7 @@ def test_class_schedule_matches_per_edge_schedule(model30, name, graph,
     engine = FiniteTreeEngine(graph, model30, rule)
     engine.run(3)
     n_a = engine.n_actions
-    g, q, sums, drift = _per_edge_schedule(graph, model30, rule, n_a, 3)
+    g, q, sums, drifts = _per_edge_schedule(graph, model30, rule, n_a, 3)
     for t in range(4):
         for i in range(graph.n):
             space, perm = engine._space(i, t)
@@ -598,4 +673,4 @@ def test_class_schedule_matches_per_edge_schedule(model30, name, graph,
         for t, table in enumerate(tables):
             np.testing.assert_allclose(engine.cavity_table(j, i, t).array,
                                        table, rtol=0, atol=1e-15)
-    assert engine.drift == pytest.approx(drift, rel=0, abs=1e-15)
+    np.testing.assert_allclose(engine.drifts, drifts, rtol=0, atol=1e-15)

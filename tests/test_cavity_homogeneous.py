@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cavitree.cavity
-import cavitree.cavity.homogeneous as homogeneous
+import cavitree.cavity.engine as engine_module
 from cavitree.cavity import CouplingError, RegularTreeEngine
 from cavitree.model import ModelError, UpdateRule
 from cavitree.oracle import unroll
@@ -20,7 +20,7 @@ def test_cavity_exports_resolve():
 def test_initial_cavity_matches_signal_law(model15, bayes):
     engine = RegularTreeEngine(model15, 5, bayes)
     engine.advance()
-    q0 = engine.q[0]
+    q0 = engine.q[0][0]
     assert engine.drifts[0] == 0.0
     np.testing.assert_allclose(q0[:, 0, 0], [0.85, 0.15], rtol=1e-15)
     np.testing.assert_allclose(q0[:, 0, 1], [0.15, 0.85], rtol=1e-15)
@@ -29,7 +29,7 @@ def test_initial_cavity_matches_signal_law(model15, bayes):
 def test_columns_normalized_every_round(model15, bayes):
     engine = RegularTreeEngine(model15, 3, bayes)
     engine.run(3)
-    for q in engine.q:
+    for q, in engine.q:
         np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-12)
 
 
@@ -40,7 +40,7 @@ def test_q1_matches_zombie_enumeration(model15, bayes):
     engine = RegularTreeEngine(model15, d, bayes)
     engine.run(2)
     lik = model15.likelihood
-    expected = np.zeros_like(engine.q[1])
+    expected = np.zeros_like(engine.q[1][0])
     for s in (0, 1):
         for tau0 in (0, 1):
             for x_j in (0, 1):
@@ -58,7 +58,7 @@ def test_q1_matches_zombie_enumeration(model15, bayes):
                         vote1 = 0 if odds > 0 else 1
                     sigma = x_j + 2 * vote1
                     expected[sigma, tau0, s] += w
-    np.testing.assert_allclose(engine.q[1], expected, atol=1e-13)
+    np.testing.assert_allclose(engine.q[1][0], expected, atol=1e-13)
 
 
 def test_posterior_round0_is_signal_posterior(model15, bayes):
@@ -189,13 +189,13 @@ def test_inconsistent_cavity_table_raises_coupling_error(model15, bayes,
                                                          monkeypatch):
     """A cavity table whose columns sum to 1 + 1e-6 makes the coupling mass
     of the next decision table deviate; its error must not be reported."""
-    step = homogeneous.cavity_step_general
+    step = engine_module.cavity_step_general
 
     def scaled(*args, **kwargs):
         q, drift, ops = step(*args, **kwargs)
         return q * (1 + 1e-6), drift, ops
 
-    monkeypatch.setattr(homogeneous, "cavity_step_general", scaled)
+    monkeypatch.setattr(engine_module, "cavity_step_general", scaled)
     engine = RegularTreeEngine(model15, 3, bayes)
     engine.run(2)
     engine.error_probability(1)  # reads the unscaled round-0 message

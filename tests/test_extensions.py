@@ -12,7 +12,7 @@ from cavitree.cavity import (
     RegularTreeEngine,
     posterior_with_hubs,
 )
-import cavitree.cavity.homogeneous as homogeneous
+import cavitree.cavity.engine as engine_module
 from cavitree.cavity.core import cavity_step_general
 from cavitree.model import ModelError
 from cavitree.oracle import feasible_set, unroll
@@ -54,7 +54,7 @@ def test_degenerate_mixture_equals_homogeneous(model15, bayes):
     cfg.run(3)
     hom.run(3)
     for t in range(3):
-        assert np.max(np.abs(cfg.q[t] - hom.q[t])) <= 1e-12
+        assert np.max(np.abs(cfg.q[t][0] - hom.q[t][0])) <= 1e-12
     assert cfg.error_probability(2) == pytest.approx(hom.error_probability(2),
                                                      abs=1e-15)
 
@@ -63,7 +63,7 @@ def test_round0_is_degree_independent(model15, bayes):
     rho_v = DegreeDistribution((2, 4), np.array([0.5, 0.5]))
     cfg = ConfigModelEngine(model15, rho_v, bayes)
     cfg.advance()
-    np.testing.assert_allclose(cfg.q[0][:, 0, 0], [0.85, 0.15], rtol=1e-15)
+    np.testing.assert_allclose(cfg.q[0][0][:, 0, 0], [0.85, 0.15], rtol=1e-15)
 
 
 def test_two_point_mixture_is_weighted_average(model15, bayes):
@@ -72,21 +72,21 @@ def test_two_point_mixture_is_weighted_average(model15, bayes):
     rho_e = edge_perspective(rho_v)
     cfg = ConfigModelEngine(model15, rho_v, bayes)
     cfg.run(2)
-    q_prev = cfg.q[0]
+    q_prev = cfg.q[0][0]
     by_hand = None
     for d, p in zip(rho_e.support, rho_e.probs):
         q_d = cavity_step_general(cfg.dense_decisions(d, 1), 1, 0,
                                   [(q_prev, True, 1)] * d, model15, bayes,
                                   2)[0]
         by_hand = p * q_d if by_hand is None else by_hand + p * q_d
-    np.testing.assert_allclose(cfg.q[1], by_hand, atol=1e-12)
+    np.testing.assert_allclose(cfg.q[1][0], by_hand, atol=1e-12)
 
 
 def test_mixture_columns_normalized(model15, bayes):
     rho_v = DegreeDistribution((2, 3, 5), np.array([0.3, 0.4, 0.3]))
     cfg = ConfigModelEngine(model15, rho_v, bayes)
     cfg.run(3)
-    for q in cfg.q:
+    for q, in cfg.q:
         np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-12)
     # degree-averaged error mixes the per-degree values under rho_V
     per_degree = [cfg.error_probability(2, degree=d) for d in (2, 3, 5)]
@@ -102,7 +102,7 @@ def test_active_p1_reduces_exactly(model15, bayes):
     hom = RegularTreeEngine(model15, 5, bayes)
     hom.run(2)
     assert len(act.q) == len(hom.q) == 2
-    for q_act, q_hom in zip(act.q, hom.q):
+    for (q_act,), (q_hom,) in zip(act.q, hom.q):
         assert np.array_equal(q_act, q_hom)
     for t in range(3):
         assert act.error_probability(t) == hom.error_probability(t)
@@ -111,7 +111,7 @@ def test_active_p1_reduces_exactly(model15, bayes):
 def test_active_round0_split(model15, bayes):
     engine = ActiveEdgeEngine(model15, 3, bayes, p=0.25)
     engine.advance()
-    q0 = engine.q[0]
+    q0 = engine.q[0][0]
     assert q0[2, 0, 0] == pytest.approx(0.75, rel=1e-15)
     assert q0[0, 0, 0] == pytest.approx(0.25 * 0.85, rel=1e-15)
     assert q0[1, 0, 0] == pytest.approx(0.25 * 0.15, rel=1e-15)
@@ -136,7 +136,7 @@ def test_active_budget_refuses_horizon_10(model15, bayes, monkeypatch):
 
     for name in ("initial_cavity", "cavity_step_general",
                  "decision_step_general"):
-        monkeypatch.setattr(homogeneous, name, no_step)
+        monkeypatch.setattr(engine_module, name, no_step)
     engine = ActiveEdgeEngine(model15, 1, bayes, p=0.5)
     with pytest.raises(BudgetError):
         engine.run(10)
@@ -153,7 +153,7 @@ def test_active_budget_admits_horizon_9(model15, bayes, monkeypatch):
 
     for name in ("initial_cavity", "cavity_step_general",
                  "decision_step_general"):
-        monkeypatch.setattr(homogeneous, name, started)
+        monkeypatch.setattr(engine_module, name, started)
     with pytest.raises(StepStarted):
         ActiveEdgeEngine(model15, 1, bayes, p=0.5).run(9)
 
@@ -185,7 +185,7 @@ def test_active_two_node_matches_enumeration(model15, bayes):
     engine = ActiveEdgeEngine(model15, 1, bayes, p=p)
     engine.run(2)
     expected = _enumerate_two_node_active(model15, p)
-    np.testing.assert_allclose(engine.q[1], expected, atol=1e-12)
+    np.testing.assert_allclose(engine.q[1][0], expected, atol=1e-12)
 
 
 def test_active_replay_matches_monte_carlo(model15, bayes):

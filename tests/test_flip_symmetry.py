@@ -30,7 +30,7 @@ def _decision_inputs(engine, t):
     engine.advance(extend_decisions=False)
     d = engine.degrees[0]
     return (engine.model, engine.n_actions, engine.channel.size,
-            len(engine.decisions[d][t]), [(engine.slot_tables[t], True, d)])
+            len(engine.g[t][0]), [(engine.slot_tables[t][0], True, d)])
 
 
 def _flips(model, rule, d=3, t=2, p=1.0):
@@ -134,14 +134,14 @@ def test_lowest_index_takes_the_full_path(model15, bayes, monkeypatch):
     lowest = UpdateRule(tie_break=TieBreakRule(TieBreak.LOWEST_INDEX))
     sym, full = _run_homogeneous(lambda: RegularTreeEngine(model15, 4, lowest),
                                  3, monkeypatch)
-    inputs = (sym.model, 2, 2, len(sym.decisions[4][1]),
-              [(sym.slot_tables[0], True, 4)])
+    inputs = (sym.model, 2, 2, len(sym.g[1][0]),
+              [(sym.slot_tables[0][0], True, 4)])
     assert _flip_symmetric(*inputs, bayes)
     assert not _flip_symmetric(*inputs, lowest)
     assert sum(sym.ops) == sum(full.ops)
     for t in range(4):
-        assert np.array_equal(sym.q[t], full.q[t]), t
-        for got, want in zip(sym.sums[4][t], full.sums[4][t]):
+        assert np.array_equal(sym.q[t][0], full.q[t][0]), t
+        for got, want in zip(sym.sums[t][0], full.sums[t][0]):
             assert np.array_equal(got, want), t
 
 
@@ -193,13 +193,13 @@ def test_symmetric_path_matches_full_path(variant, d, noise, monkeypatch):
     # Each step summed the signal-0 rows only.
     assert 2 * sum(sym.ops) == sum(full.ops)
     for t in range(5):
-        assert np.array_equal(sym.decisions[d][t], full.decisions[d][t]), t
+        assert np.array_equal(sym.g[t][0], full.g[t][0]), t
         _assert_own_flip(sym.dense_decisions(d, t), t)
-        for got, want in zip(sym.sums[d][t], full.sums[d][t]):
+        for got, want in zip(sym.sums[t][0], full.sums[t][0]):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         assert sym.error_probability(t) == pytest.approx(
             full.error_probability(t), rel=1e-14, abs=0)
-        _assert_q(sym.q[t], full.q[t])
+        _assert_q(sym.q[t][0], full.q[t][0])
 
 
 def test_symmetric_path_matches_full_path_mixture(model15, bayes,
@@ -209,12 +209,12 @@ def test_symmetric_path_matches_full_path_mixture(model15, bayes,
         lambda: ConfigModelEngine(model15, rho_v, bayes), 3, monkeypatch)
     assert 2 * sum(sym.ops) == sum(full.ops)
     for t in range(4):
-        for d in (3, 4):
-            assert np.array_equal(sym.decisions[d][t], full.decisions[d][t])
+        for k, d in enumerate((3, 4)):
+            assert np.array_equal(sym.g[t][k], full.g[t][k])
             _assert_own_flip(sym.dense_decisions(d, t), t)
             assert sym.error_probability(t, degree=d) == pytest.approx(
                 full.error_probability(t, degree=d), rel=1e-14, abs=0)
-        _assert_q(sym.q[t], full.q[t])
+        _assert_q(sym.q[t][0], full.q[t][0])
 
 
 @pytest.mark.parametrize("graph", [

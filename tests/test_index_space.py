@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-import cavitree.cavity.homogeneous as homogeneous
+import cavitree.cavity.engine as engine_module
 from cavitree.cavity import ActiveEdgeEngine, ConfigModelEngine, RegularTreeEngine
 from cavitree.cavity.core import (
     SlotSpace,
@@ -106,7 +106,7 @@ def _singletons_vs_one_group(engine, degree, rounds):
     model, rule = engine.model, engine.rule
     n_a, n_obs = engine.n_actions, engine.channel.size
     for t in range(rounds):
-        slots = [(engine.slot_tables[t], True, 1)] * degree
+        slots = [(engine.slot_tables[t][0], True, 1)] * degree
         g_dense, _, *sums = decision_step_general(
             engine.dense_decisions(degree, t), t, slots, model, rule, n_a,
             n_obs)
@@ -118,11 +118,11 @@ def _singletons_vs_one_group(engine, degree, rounds):
             continue
         q_dense = cavity_step_general(
             engine.dense_decisions(degree, t), t, 0,
-            [(engine.slot_tables[t - 1], True, 1)] * degree, model, rule, n_a,
-            n_obs, engine.channel.emit)[0]
+            [(engine.slot_tables[t - 1][0], True, 1)] * degree, model, rule,
+            n_a, n_obs, engine.channel.emit)[0]
         q_multi = cavity_step_general(
-            engine.decisions[degree][t], t, 0,
-            [(engine.slot_tables[t - 1], True, degree)], model, rule, n_a,
+            engine.g[t][engine.degrees.index(degree)], t, 0,
+            [(engine.slot_tables[t - 1][0], True, degree)], model, rule, n_a,
             n_obs, engine.channel.emit)[0]
         np.testing.assert_allclose(q_multi, q_dense, rtol=0, atol=1e-15)
 
@@ -161,7 +161,7 @@ def test_multiset_budget_admits_d5_round6(model15, bayes, monkeypatch):
 
     for name in ("initial_cavity", "cavity_step_general",
                  "decision_step_general"):
-        monkeypatch.setattr(homogeneous, name, started)
+        monkeypatch.setattr(engine_module, name, started)
     with pytest.raises(StepStarted):
         RegularTreeEngine(model15, 5, bayes).run(6)
 
