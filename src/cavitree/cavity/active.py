@@ -10,10 +10,12 @@ pattern of rounds 0..h-1 is fixed by the conditioning trajectory (the
 pattern of what the observer showed is the pattern of what it saw).
 
 The engine is the class-graph engine of ``engine.py``, planned as
-``RegularTreeEngine``, with the channel swapped; the channel changes only
-two things in the shared step.  A cavity step emits each trajectory
-through round t twice: masked like the observer's trajectory in rounds
-0..t-1, then active (weight p) or starred (weight 1-p).  And each message
+``RegularTreeEngine``, with the channel swapped: the core steps take it as
+their one ``channel`` argument, and it changes only two things in them.
+A cavity step emits each trajectory through round t twice: masked like the
+observer's trajectory in rounds 0..t-1, then active (weight p) or starred
+(weight 1-p); round 0's step, with no slots, splits the round-0 vote the
+same way.  And each message
 is folded once, before the next steps read it, into the slot table
 indexed by the action trajectory a of the node that reads it:
 

@@ -15,13 +15,15 @@ per signal, of weight 1.  The index space ``SlotSpace`` ranks J as one
 multiset of codes per group, each input weighted by the ordered tuples it
 stands for; the steps take their slot messages as groups and build it.
 The homogeneous engines have one group; groups of one slot each pack every
-ordered tuple, slot k contributing ``code_k * (n_obs**t)**k``.  The
-observed alphabet has ``n_obs`` letters per round: the n_a actions, plus a
-star on the erasure channel of ``active.py``.  Cavity tables are arrays
-``Q[sigma, tau, s]`` with the conditioning axis one horizon shorter than the
-trajectory axis (a round-t vote cannot depend on the observer's round-t
-action).  The slot tables the steps read are indexed ``[sigma, a, s]`` by
-the node's own action trajectory a; on the all-active channel they are the
+ordered tuple, slot k contributing ``code_k * (n_obs**t)**k``.  Every step
+takes the engine's observation ``channel``: its ``n_actions`` (n_a), its
+``size`` (n_obs, the observed letters per round: the n_a actions, plus a
+star on the erasure channel of ``active.py``) and its ``emit``.  Cavity
+tables are arrays ``Q[sigma, tau, s]`` with the conditioning axis one
+horizon shorter than the trajectory axis (a round-t vote cannot depend on
+the observer's round-t action); Q^0 is the cavity step of a node with no
+slots.  The slot tables the steps read are indexed ``[sigma, a, s]`` by the
+node's own action trajectory a; on the all-active channel they are the
 cavity tables themselves.
 
 Every cavity product prod_k Q_k[c_k, own, s] is multiplied in one place,
@@ -299,25 +301,24 @@ def coin_values(n_actions: int) -> int:
     return lcm(*range(1, n_actions + 1))
 
 
-def all_active(out: np.ndarray, tau: np.ndarray, t: int):
-    """The all-active channel: an observer sees the action codes, weight 1."""
-    return [(out, 1.0)]
-
-
-def _flip_symmetric(model: SignalModel, n_actions: int, n_obs: int,
-                    rows: int, groups, rule: UpdateRule) -> bool:
+def _flip_symmetric(model: SignalModel, channel, rows: int, groups,
+                    rule: UpdateRule) -> bool:
     """Whether a core step commutes with the state flip ~, so that it may
     compute signal 0 only and mirror signal 1: exactly two states, signals
-    and actions on the all-active channel, a uniform prior and a likelihood
-    equal to its flip; a rule deterministic for the degree of ``groups``
-    whose signal-to-action map commutes with ~, and majority, or Bayesian
-    with a utility equal to its flip and own-signal ties; a table of
-    ``rows`` == 2, one per signal; and every slot message Q of ``groups``
-    equal to its flip Q[~sigma, ~tau, 1 - s]."""
+    and actions on the all-active ``channel``, a uniform prior and a
+    likelihood equal to its flip; a rule whose signal-to-action map commutes
+    with ~, deterministic for the degree of ``groups`` unless there are no
+    slots (round 0's cavity step, which adds no coin rows; majority refuses
+    a node with no neighbours, so none of its decision steps has none), and
+    majority, or Bayesian with a utility equal to its flip and own-signal
+    ties; a table of ``rows`` == 2, one per signal; and every slot message
+    Q of ``groups`` equal to its flip Q[~sigma, ~tau, 1 - s]."""
     tie = rule.tie_break
-    if not (model.n_states == model.n_signals == n_actions == n_obs == 2
+    if not (model.n_states == model.n_signals == channel.n_actions
+            == channel.size == 2
             and rows == 2
-            and rule.deterministic_for_degree(sum(k for *_, k in groups))
+            and (not groups or rule.deterministic_for_degree(
+                sum(k for *_, k in groups)))
             and model.prior[0] == model.prior[1]
             and np.array_equal(model.likelihood, model.likelihood[::-1, ::-1])
             and tie.action_for_signal(1, 2) == 1 - tie.action_for_signal(0, 2)
@@ -347,19 +348,6 @@ def round0_table(model: SignalModel, rule: UpdateRule, n_actions: int) -> np.nda
     return out
 
 
-def initial_cavity(model: SignalModel, g0: np.ndarray, n_actions: int,
-                   n_obs: int | None = None, emit=all_active) -> np.ndarray:
-    """Q^0[sigma, 0, s] = P(round-0 observation = sigma | s)."""
-    q = np.zeros((n_obs or n_actions, 1, model.n_states))
-    n_x = model.n_signals
-    share = n_x / len(g0)
-    for r in range(len(g0)):
-        vote = g0[r, :1].astype(np.int64)
-        for codes, weight in emit(vote, np.zeros_like(vote), 0):
-            q[codes[0], 0, :] += weight * model.likelihood[:, r % n_x] * share
-    return q
-
-
 # ---------------------------------------------------------------------------
 # Cavity step
 # ---------------------------------------------------------------------------
@@ -371,21 +359,21 @@ def cavity_step_general(
     groups: list[tuple[np.ndarray, bool, int]],
     model: SignalModel,
     rule: UpdateRule,
-    n_actions: int,
-    n_obs: int | None = None,
-    emit=all_active,
+    channel,
 ) -> tuple[np.ndarray, float, int]:
     """One application of the cavity recursion for a node.
 
     ``groups`` holds the node's slot groups as (horizon-(t-1) message,
     whether it conditions on the node's trajectory, number of slots), and
     ``g_flat`` is the node's horizon-t decision table over their
-    ``SlotSpace``.  One slot of group ``tau_group`` holds the observer's
-    fixed (zombie) trajectory tau (None: the observer is not observed back);
-    every other slot carries its group's message, summed as multisets per
-    group weighted by their counts.  ``emit(out, tau, t)`` maps the node's
-    action codes through round t, as seen by an observer whose trajectory
-    is ``tau``, to (observed code, weight) pairs.  Each row of g adds its
+    ``SlotSpace``; round 0's step has no slots and reads g^0, so Q^0 is the
+    law of the round-0 vote.  One slot of group ``tau_group`` holds the
+    observer's fixed (zombie) trajectory tau (None: the observer is not
+    observed back); every other slot carries its group's message, summed as
+    multisets per group weighted by their counts.  ``channel.emit(out, tau,
+    t)`` maps the node's action codes through round t, as seen by an
+    observer whose trajectory is ``tau``, to (observed code, weight) pairs
+    of its ``channel.size``-letter alphabet.  Each row of g adds its
     signal's likelihood times its weight.  ``rule``, the rule that built
     ``g_flat``, lets a flip-symmetric step sum signal 0 only.  Returns the
     horizon-t table Q[sigma, tau, s] (renormalized per (tau, s) slice), the
@@ -394,11 +382,11 @@ def cavity_step_general(
     """
     n_s, n_x = model.likelihood.shape
     share = n_x / len(g_flat)
-    n_obs = n_obs or n_actions
+    n_obs = channel.size
     m = n_obs ** t
     n_out = n_obs ** (t + 1)
     n_tau = m if tau_group is not None else 1
-    cond_mod = max(n_actions ** (t - 1), 1)
+    cond_mod = max(channel.n_actions ** (t - 1), 1)
     sizes = [size for *_, size in groups]
     check_budget(cavity_step_bytes(t, sizes, tau_group, n_obs, n_s))
     table = SlotSpace(m, sizes)
@@ -406,7 +394,7 @@ def cavity_step_general(
     # Input row 0 holds the observer's slot, if any; the other rows are summed.
     first = int(tau_group is not None)
     slot_rows = _slot_rows(groups, tau_group)
-    flip = _flip_symmetric(model, n_actions, n_obs, len(g_flat), groups, rule)
+    flip = _flip_symmetric(model, channel, len(g_flat), groups, rule)
 
     acc = [np.zeros(n_out * n_tau) for _ in range(n_s)]
     colsum = [np.zeros(n_tau) for _ in range(n_s)]
@@ -423,7 +411,7 @@ def cavity_step_general(
             cond = out_codes % cond_mod
             segs = [(_sorted_segments(codes * n_tau + tau_digit, n_out * n_tau),
                      weight)
-                    for codes, weight in emit(out_codes, tau_digit, t)]
+                    for codes, weight in channel.emit(out_codes, tau_digit, t)]
             product = np.repeat(model.likelihood[:, r % n_x, None] * share,
                                 len(j), axis=1)
             _multiply_slots(product, digits[first:], slot_rows, cond)
@@ -487,8 +475,7 @@ def decision_step_general(
     groups: list[tuple[np.ndarray, bool, int]],
     model: SignalModel,
     rule: UpdateRule,
-    n_actions: int,
-    n_obs: int | None = None,
+    channel,
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Extend the decision table to horizon t+1 from slot tables at horizon t.
 
@@ -510,10 +497,10 @@ def decision_step_general(
     n_s, n_x = model.likelihood.shape
     sizes = [size for *_, size in groups]
     deg = sum(sizes)
+    n_actions, n_obs = channel.n_actions, channel.size
     coins = 1 if rule.deterministic_for_degree(deg) else coin_values(n_actions)
     rows_prev = len(g_prev)
     share = n_x / (rows_prev * coins)
-    n_obs = n_obs or n_actions
     m = n_obs ** t
     check_budget(decision_step_bytes(t, sizes, n_obs, rows_prev * coins))
     space, prev = SlotSpace(n_obs ** (t + 1), sizes), SlotSpace(m, sizes)
@@ -521,7 +508,7 @@ def decision_step_general(
     utility = rule.utility or UtilityTable.identity(model.n_states)
     bayesian = rule.variant != "majority"
     slot_rows = _slot_rows(groups)
-    flip = _flip_symmetric(model, n_actions, n_obs, rows_prev, groups, rule)
+    flip = _flip_symmetric(model, channel, rows_prev, groups, rule)
     top = n_actions ** (t + 2) - 1  # ~c = top - c for a new code c
     g_next = np.empty((rows_prev * coins, total), dtype=np.int32)
     err_acc = np.zeros((n_s, n_x))
@@ -583,8 +570,7 @@ def posterior_general(
     t: int,
     groups: list[tuple[np.ndarray, bool, int]],
     model: SignalModel,
-    n_actions: int,
-    n_obs: int | None = None,
+    channel,
 ) -> np.ndarray:
     """P(s | x, neighbor trajectories through t-1) via the cavity factorization.
 
@@ -599,7 +585,7 @@ def posterior_general(
     if t == 0:
         return signal_posterior(model, x)
     sizes = [size for *_, size in groups]
-    n_obs = n_obs or n_actions
+    n_obs = channel.size
     m_prev = n_obs ** (t - 1)
     codes = check_input(x, observed, sum(sizes), n_obs ** t, model.n_signals)
     j = SlotSpace(m_prev, sizes).rank(codes % m_prev)[0]
@@ -608,7 +594,7 @@ def posterior_general(
     if reads_own and np.any(owns != owns[0]):
         raise ModelError("own trajectory is not derivable under a stochastic "
                          "rule; condition on it explicitly")
-    own_cond = int(owns[0]) % n_actions ** (t - 1)
+    own_cond = int(owns[0]) % channel.n_actions ** (t - 1)
     weights = (model.prior * model.likelihood[:, x])[:, None]
     _multiply_slots(weights, codes, _slot_rows(groups), own_cond)
     total = weights.sum()

@@ -11,22 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..model import ModelError, SignalModel, UpdateRule
-from .core import (COUPLING_TOL, SlotSpace, all_active, cavity_step_bytes,
+from ..model import ModelError, SignalModel, UpdateRule, action_count
+from .core import (COUPLING_TOL, SlotSpace, cavity_step_bytes,
                    cavity_step_general, check_budget, check_round, coin_values,
                    decision_step_bytes, decision_step_general, error_from_sums,
-                   initial_cavity, posterior_general, round0_sums, round0_table)
+                   posterior_general, round0_sums, round0_table)
 from .tables import CavityTable
 
 
 class CouplingError(RuntimeError):
     """The coupling total-mass runtime check failed (indicates a table bug)."""
-
-
-def _resolve_actions(model: SignalModel, rule: UpdateRule) -> int:
-    if rule.variant == "bayesian" and rule.utility is not None:
-        return rule.utility.n_actions
-    return model.n_states
 
 
 def check_address(t: int, stored: int, what: str, key, keys) -> None:
@@ -40,10 +34,13 @@ def check_address(t: int, stored: int, what: str, key, keys) -> None:
 class AllActive:
     """Observation channel of edges that fire every round."""
 
-    emit = staticmethod(all_active)
-
     def __init__(self, n_actions: int):
-        self.size = n_actions
+        self.n_actions = self.size = n_actions
+
+    @staticmethod
+    def emit(out: np.ndarray, tau: np.ndarray, t: int):
+        """An observer sees the action codes ``out`` with weight 1."""
+        return [(out, 1.0)]
 
     @staticmethod
     def fold(q: np.ndarray, h: int) -> np.ndarray:
@@ -64,7 +61,7 @@ class CavityEngine:
     ``advance`` runs it with ``_step``.  Per edge class the plan lists the
     terms of its message, a weighted sum of cavity steps: (weight, node
     class, the observer's group or None, slot groups), each slot group
-    ((edge class, conditions), slots); round 0's term is ``initial_cavity``.
+    ((edge class, conditions), slots); round 0's terms have no slots.
     Per node class at t+1 it lists (its class at t, that class's group
     sizes, its slot groups) for one decision step.
     """
@@ -74,7 +71,7 @@ class CavityEngine:
             raise ModelError("majority dynamics is defined for binary actions")
         self.model = model
         self.rule = rule
-        self.n_actions = _resolve_actions(model, rule)
+        self.n_actions = action_count(model, rule)
         self.channel = AllActive(self.n_actions)
         g0 = round0_table(model, rule, self.n_actions)
         self.g = [[g0] * classes]
@@ -97,7 +94,7 @@ class CavityEngine:
             r = len(self._plans)
             edges, nodes = plan = self._plan_round(r)
             n_obs, n_s = self.channel.size, self.model.n_states
-            for terms in edges if r else ():  # round 0 has no cavity step
+            for terms in edges:
                 for _, _, tau_group, groups in terms:
                     check_budget(cavity_step_bytes(
                         r, [size for _, size in groups], tau_group, n_obs, n_s))
@@ -124,19 +121,14 @@ class CavityEngine:
         t = self.horizon
         if len(self.g) <= t:
             raise ModelError("a previous advance skipped its decision tables")
-        n_obs, emit = self.channel.size, self.channel.emit
         q_t, drift, ops = [], 0.0, 0
         for terms in edges:
             message = None
             for weight, c, tau_group, groups in terms:
-                if t == 0:
-                    q = initial_cavity(self.model, self.g[0][c], self.n_actions,
-                                       n_obs, emit)
-                else:
-                    q, step_drift, n = cavity_step_general(
-                        self.g[t][c], t, tau_group, self._messages(groups, t - 1),
-                        self.model, self.rule, self.n_actions, n_obs, emit)
-                    drift, ops = max(drift, step_drift), ops + n
+                q, step_drift, n = cavity_step_general(
+                    self.g[t][c], t, tau_group, self._messages(groups, t - 1),
+                    self.model, self.rule, self.channel)
+                drift, ops = max(drift, step_drift), ops + n
                 message = weight * q if message is None else message + weight * q
             q_t.append(message)
         self.q.append(q_t)
@@ -145,7 +137,7 @@ class CavityEngine:
         if nodes is not None:
             steps = [decision_step_general(
                 self._refined(t, c, sizes, groups), t, self._messages(groups, t),
-                self.model, self.rule, self.n_actions, n_obs)
+                self.model, self.rule, self.channel)
                 for c, sizes, groups in nodes]
             self.g.append([table for table, *_ in steps])
             self.sums.append([sums for _, _, *sums in steps])
@@ -187,7 +179,7 @@ class CavityEngine:
             g_prev = self._refined(t - 1, prev, sizes, groups)
             messages = self._messages(groups, t - 1)
         return posterior_general(x, observed, g_prev, t, messages, self.model,
-                                 self.n_actions, self.channel.size)
+                                 self.channel)
 
     def _cavity_table(self, t: int, e: int, scope) -> CavityTable:
         return CavityTable(horizon=t, alphabet_size=self.channel.size,

@@ -48,9 +48,10 @@ class ConfigModelEngine(CavityEngine):
         super().__init__(model, rule, classes=len(self.degrees))
 
     def _plan_round(self, t: int):
-        """The rho_E mixture of the degrees' cavity steps (round 0: one
-        initial message), and each degree's decision step, every slot
-        reading edge class 0 and conditioning."""
+        """The rho_E mixture of the degrees' cavity steps (round 0: one step
+        with no slots, since Q^0 does not depend on the degree), and each
+        degree's decision step, every slot reading edge class 0 and
+        conditioning."""
         mixture = [(p, k, 0, [((0, True), d)]) for k, (d, p)
                    in enumerate(zip(self.degrees, self.rho_e.probs)) if p > 0.0]
         return ([mixture] if t else [[(1.0, 0, None, [])]],

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..model import ModelError, SignalModel, UpdateRule
+from ..model import ModelError, SignalModel, UpdateRule, action_count
 from ..trees import GraphError, TreeGraph, ball, validate
-from .core import initial_cavity, posterior_general, round0_table
-from .engine import _resolve_actions
+from .core import cavity_step_general, posterior_general, round0_table
+from .engine import AllActive
 from .finite import FiniteTreeEngine
 
 
@@ -65,12 +65,12 @@ def posterior_with_hubs(
         raise ModelError("observations must cover exactly the observed neighbors")
 
     if t <= 1:
-        n_actions = _resolve_actions(model, rule)
-        g0 = round0_table(model, rule, n_actions)
-        q0 = initial_cavity(model, g0, n_actions)
+        channel = AllActive(action_count(model, rule))
+        g0 = round0_table(model, rule, channel.n_actions)
+        q0 = cavity_step_general(g0, 0, None, [], model, rule, channel)[0]
         return posterior_general(
             x, tuple(observed[j] for j in neighbors) if t else (), g0, t,
-            [(q0, False, len(neighbors))], model, n_actions)
+            [(q0, False, len(neighbors))], model, channel)
 
     if graph.hubs & ball(graph, node, t):
         raise ModelError(

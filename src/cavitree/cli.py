@@ -92,19 +92,12 @@ def _check_counts(args) -> None:
                              f"not {value}")
 
 
-def _error_column(rule_name: str, d: int, model: SignalModel, tie: TieBreakRule,
-                  rounds: int, condition) -> list[float]:
-    engine = RegularTreeEngine(model, d, _rule(rule_name, tie))
-    engine.run(rounds)
-    return [engine.error_probability(t, condition_state=condition)
-            for t in range(rounds + 1)]
-
-
 def cmd_table(args) -> int:
     t0 = time.monotonic()
     model, tie = _resolve_model(args)
     condition = _condition(args, model)
-    errs = _error_column(args.rule, args.d, model, tie, args.rounds, condition)
+    errs = RegularTreeEngine(model, args.d, _rule(args.rule, tie)).error_curve(
+        args.rounds, condition)
     rows = ["rule,d,noise,round,error_prob"]
     for t, e in enumerate(errs):
         rows.append(f"{args.rule},{args.d},{args.noise},{t},{_fmt(e)}")
@@ -124,7 +117,8 @@ def cmd_curve(args) -> int:
     ds = [int(v) for v in args.d.split(",")]
     rows = ["d,noise,round,error_prob,loglog,slope"]
     for d in ds:
-        errs = _error_column(args.rule, d, model, tie, args.rounds, condition)
+        errs = RegularTreeEngine(model, d, _rule(args.rule, tie)).error_curve(
+            args.rounds, condition)
         diag = bounds_mod.doubling_slope(errs)
         for t, e in enumerate(errs):
             slope = "" if t == 0 else _fmt(diag["slopes"][t - 1])
@@ -217,8 +211,8 @@ def cmd_conjecture(args) -> int:
     t0 = time.monotonic()
     model, tie = _resolve_model(args)
     condition = _condition(args, model)
-    bayes = _error_column("bayesian", args.d, model, tie, args.rounds, condition)
-    major = _error_column("majority", args.d, model, tie, args.rounds, condition)
+    bayes, major = (RegularTreeEngine(model, args.d, _rule(name, tie)).error_curve(
+        args.rounds, condition) for name in ("bayesian", "majority"))
     report = bounds_mod.conjecture_check(bayes, major)
     rows = ["round,bayesian,majority,holds"]
     for t, (b, m) in enumerate(zip(bayes, major)):

@@ -210,6 +210,13 @@ class UpdateRule:
         return degree % 2 == 1
 
 
+def action_count(model: SignalModel, rule: UpdateRule) -> int:
+    """The number of actions: the Bayesian utility's, else one per state."""
+    if rule.variant == "bayesian" and rule.utility is not None:
+        return rule.utility.n_actions
+    return model.n_states
+
+
 def resolve_tie(tied: Sequence[int], tiebreak: TieBreakRule,
                 own_signal: int | None, n_actions: int):
     """Pick from a tied action set; deterministic variants return an index."""

@@ -19,6 +19,7 @@ from .model import (
     SignalModel,
     UpdateRule,
     UtilityTable,
+    action_count,
     majority_kernel,
     map_decision,
     round0_kernel,
@@ -26,7 +27,7 @@ from .model import (
 )
 from .trees import BudgetError
 
-DEFAULT_BUDGET = 10 ** 9
+BUDGET = 10 ** 9  # node-rounds x signal vectors an unroll may simulate
 
 
 @dataclass
@@ -55,20 +56,16 @@ class TrajectoryTensor:
         return self.trajs is not None
 
 
-def unroll(graph, model: SignalModel, rule: UpdateRule, t_max: int,
-           budget: int = DEFAULT_BUDGET) -> TrajectoryTensor:
+def unroll(graph, model: SignalModel, rule: UpdateRule,
+           t_max: int) -> TrajectoryTensor:
     """Simulate all agents through t_max for every signal vector."""
     n = graph.n
     n_x = model.n_signals
     n_vec = n_x ** n
-    if n * max(t_max, 1) * n_vec > budget:
+    if n * max(t_max, 1) * n_vec > BUDGET:
         raise BudgetError(
             f"oracle budget exceeded: {n} nodes x {t_max} rounds x {n_vec} "
-            f"signal vectors > {budget} steps")
-    if rule.variant == "bayesian":
-        n_actions = (rule.utility or UtilityTable.identity(model.n_states)).n_actions
-    else:
-        n_actions = model.n_states
+            f"signal vectors > {BUDGET} steps")
     ys = np.arange(n_vec)
     digits = np.empty((n, n_vec), dtype=np.int64)
     for i in range(n):
@@ -79,7 +76,8 @@ def unroll(graph, model: SignalModel, rule: UpdateRule, t_max: int,
             probs[s] *= model.likelihood[s, digits[i]]
 
     tensor = TrajectoryTensor(graph=graph, model=model, rule=rule, horizon=t_max,
-                              n_actions=n_actions, signal_digits=digits,
+                              n_actions=action_count(model, rule),
+                              signal_digits=digits,
                               signal_probs=probs)
     deterministic = all(rule.deterministic_for_degree(len(o)) for o in graph.observed)
     if rule.variant == "bayesian" and not deterministic:

@@ -189,6 +189,10 @@ def simulate(
     table object (majority: nodes of one degree) vote in one gather per
     block of nodes, not one per node.
     """
+    for name, value, least in (("samples", samples, 1), ("chunk", chunk, 1),
+                               ("rounds", rounds, 0)):
+        if value < least:
+            raise ModelError(f"{name} must be >= {least}, not {value}")
     n = graph.n
     obs = graph.observed
     if rule.variant == "bayesian" and tables is None:

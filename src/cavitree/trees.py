@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+MAX_RETRIES = 1000  # draws of a degree sequence, and of a pairing, per graph
+
 
 class GraphError(ValueError):
     """Invalid graph construction or query."""
@@ -249,23 +251,23 @@ def sample_configuration_graph(
     rho_v: DegreeDistribution,
     n: int,
     seed: int,
-    max_retries: int = 1000,
 ) -> SampledGraph:
     """Uniform half-edge pairing with rejection of self-loops and multi-edges.
 
     Degrees are drawn i.i.d. from rho_V and redrawn until their sum is even;
-    a pairing containing a self-loop or a double edge is rejected wholesale.
+    a pairing containing a self-loop or a double edge is rejected wholesale,
+    each at most ``MAX_RETRIES`` times.
     """
     rng = np.random.default_rng(seed)
     support = np.array(rho_v.support)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         degrees = rng.choice(support, size=n, p=rho_v.probs)
         if degrees.sum() % 2 == 0:
             break
     else:
         raise BudgetError("could not draw an even degree sequence")
     stubs = np.repeat(np.arange(n), degrees)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         perm = rng.permutation(len(stubs))
         a = stubs[perm[0::2]]
         b = stubs[perm[1::2]]
@@ -280,7 +282,7 @@ def sample_configuration_graph(
         adj = _sorted_adjacency(n, edges)
         return SampledGraph(n=n, edges=edges, tree_ball_radius=tuple(
             _tree_radius_from(i, adj, n) for i in range(n)))
-    raise BudgetError(f"pairing rejected {max_retries} times "
+    raise BudgetError(f"pairing rejected {MAX_RETRIES} times "
                       "(self-loops or multi-edges every draw)")
 
 

@@ -59,10 +59,9 @@ def instance_family(max_nodes: int) -> list[tuple[str, TreeGraph]]:
 
 
 def oracle_equivalence_suite(max_nodes: int = 8, max_t: int = 3,
-                             noise: float = 0.15,
-                             report: VerifyReport | None = None) -> VerifyReport:
+                             noise: float = 0.15) -> VerifyReport:
     """Exact engine vs brute force on the fixed family, both update rules."""
-    report = report if report is not None else VerifyReport()
+    report = VerifyReport()
     model = SignalModel.binary_symmetric(noise)
     for name, graph in instance_family(max_nodes):
         for variant in ("bayesian", "majority"):
@@ -91,10 +90,10 @@ def oracle_equivalence_suite(max_nodes: int = 8, max_t: int = 3,
     return report
 
 
-def invariant_suite(ds=(3, 5), noises=(0.15, 0.3), max_t: int = 4,
-                    report: VerifyReport | None = None) -> VerifyReport:
+def invariant_suite(ds=(3, 5), noises=(0.15, 0.3),
+                    max_t: int = 4) -> VerifyReport:
     """Cavity-table invariants on the homogeneous engine, both rules."""
-    report = report if report is not None else VerifyReport()
+    report = VerifyReport()
     for d in ds:
         for noise in noises:
             model = SignalModel.binary_symmetric(noise)
@@ -145,7 +144,6 @@ def invariant_suite(ds=(3, 5), noises=(0.15, 0.3), max_t: int = 4,
 
 
 def run_verification(max_nodes: int = 8, max_t: int = 3) -> VerifyReport:
-    report = VerifyReport()
-    oracle_equivalence_suite(max_nodes=max_nodes, max_t=max_t, report=report)
-    invariant_suite(report=report)
+    report = oracle_equivalence_suite(max_nodes=max_nodes, max_t=max_t)
+    report.checks += invariant_suite().checks
     return report

@@ -19,7 +19,6 @@ from cavitree.cavity.core import (
     cavity_step_general,
     decision_step_general,
     error_from_sums,
-    initial_cavity,
     round0_sums,
     round0_table,
 )
@@ -469,9 +468,9 @@ def test_inconsistent_cavity_table_raises_coupling_error(model15, bayes,
                                                          monkeypatch):
     step = engine_module.cavity_step_general
 
-    def scaled(*args, **kwargs):
-        q, drift, ops = step(*args, **kwargs)
-        return q * (1 + 1e-6), drift, ops
+    def scaled(g, t, *args, **kwargs):
+        q, drift, ops = step(g, t, *args, **kwargs)
+        return (q * (1 + 1e-6) if t else q), drift, ops
 
     monkeypatch.setattr(engine_module, "cavity_step_general", scaled)
     engine = FiniteTreeEngine(path_graph(3), model15, bayes)
@@ -484,8 +483,8 @@ def test_inconsistent_cavity_table_raises_coupling_error(model15, bayes,
 @pytest.mark.parametrize("kind", ["finite", "mixture"])
 def test_round_records_sum_the_core_steps(model15, bayes, monkeypatch, kind):
     """Each round's ``ops`` is the sum of the terms its core steps returned,
-    and ``drifts[t]`` the largest drift of its cavity steps (0 at round 0,
-    which has none)."""
+    and ``drifts[t]`` the largest drift of its cavity steps; round 0 has
+    its cavity steps too."""
     steps = []  # (round, terms, drift or None)
     for name, terms in (("cavity_step_general", 2),
                         ("decision_step_general", 1)):
@@ -506,8 +505,8 @@ def test_round_records_sum_the_core_steps(model15, bayes, monkeypatch, kind):
     for t in range(3):
         assert engine.ops[t] == sum(n for r, n, _ in steps if r == t), t
         drifts = [d for r, _, d in steps if r == t and d is not None]
-        assert bool(drifts) == (t > 0)
-        assert engine.drifts[t] == max(drifts, default=0.0), t
+        assert drifts, t
+        assert engine.drifts[t] == max(drifts), t
 
 
 def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
@@ -596,6 +595,7 @@ def _per_edge_schedule(graph, model, rule, n_actions, rounds):
     each slot its own group, in ``observed`` order: the reference whose
     tables the class schedule must reproduce bit for bit."""
     obs = graph.observed
+    channel = engine_module.AllActive(n_actions)
     g0 = round0_table(model, rule, n_actions)
     g = {i: [g0] for i in range(graph.n)}
     sums = {i: [round0_sums(model, g0)] for i in range(graph.n)}
@@ -603,19 +603,18 @@ def _per_edge_schedule(graph, model, rule, n_actions, rounds):
     drifts = [0.0] * rounds
     for t in range(rounds):
         for (j, i), tables in q.items():
-            if t == 0:
-                tables.append(initial_cavity(model, g0, n_actions))
-                continue
-            tau_pos = obs[j].index(i) if i in obs[j] else None
-            slots = [(q[(l, j)][t - 1], j in obs[l], 1) for l in obs[j]]
+            # Round 0's step has no slots: the sender's round-0 vote alone.
+            tau_pos = obs[j].index(i) if t and i in obs[j] else None
+            slots = [(q[(l, j)][t - 1], j in obs[l], 1)
+                     for l in obs[j]] if t else []
             table, step_drift, _ = cavity_step_general(
-                g[j][t], t, tau_pos, slots, model, rule, n_actions)
+                g[j][t], t, tau_pos, slots, model, rule, channel)
             drifts[t] = max(drifts[t], step_drift)
             tables.append(table)
         for i in range(graph.n):
             slots = [(q[(j, i)][t], i in obs[j], 1) for j in obs[i]]
             table, _, *step_sums = decision_step_general(
-                g[i][t], t, slots, model, rule, n_actions)
+                g[i][t], t, slots, model, rule, channel)
             g[i].append(table)
             sums[i].append(step_sums)
     return g, q, sums, drifts

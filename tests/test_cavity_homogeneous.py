@@ -6,7 +6,8 @@ import pytest
 import cavitree.cavity
 import cavitree.cavity.engine as engine_module
 from cavitree.cavity import CouplingError, RegularTreeEngine
-from cavitree.model import ModelError, UpdateRule
+from cavitree.model import (ModelError, SignalModel, TieBreak, TieBreakRule,
+                            UpdateRule)
 from cavitree.oracle import unroll
 from cavitree.trees import path_graph
 
@@ -24,6 +25,19 @@ def test_initial_cavity_matches_signal_law(model15, bayes):
     assert engine.drifts[0] == 0.0
     np.testing.assert_allclose(q0[:, 0, 0], [0.85, 0.15], rtol=1e-15)
     np.testing.assert_allclose(q0[:, 0, 1], [0.15, 0.85], rtol=1e-15)
+
+
+def test_round0_drift_is_recorded():
+    """Round 0's message comes from the cavity step like every other, so
+    its drift is recorded and its columns renormalized: in float64 this
+    likelihood's rows sum to 0.9999999999999999."""
+    model = SignalModel(prior=np.array([0.5, 0.5]),
+                        likelihood=np.array([[.7, .2, .1], [.1, .2, .7]]))
+    lowest = UpdateRule(tie_break=TieBreakRule(TieBreak.LOWEST_INDEX))
+    engine = RegularTreeEngine(model, 3, lowest)
+    engine.run(1)
+    assert engine.drifts[0] > 0
+    assert engine.cavity_table(0).normalization_defect() < engine.drifts[0]
 
 
 def test_columns_normalized_every_round(model15, bayes):
@@ -191,9 +205,9 @@ def test_inconsistent_cavity_table_raises_coupling_error(model15, bayes,
     of the next decision table deviate; its error must not be reported."""
     step = engine_module.cavity_step_general
 
-    def scaled(*args, **kwargs):
-        q, drift, ops = step(*args, **kwargs)
-        return q * (1 + 1e-6), drift, ops
+    def scaled(g, t, *args, **kwargs):
+        q, drift, ops = step(g, t, *args, **kwargs)
+        return (q * (1 + 1e-6) if t else q), drift, ops
 
     monkeypatch.setattr(engine_module, "cavity_step_general", scaled)
     engine = RegularTreeEngine(model15, 3, bayes)

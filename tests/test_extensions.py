@@ -77,7 +77,7 @@ def test_two_point_mixture_is_weighted_average(model15, bayes):
     for d, p in zip(rho_e.support, rho_e.probs):
         q_d = cavity_step_general(cfg.dense_decisions(d, 1), 1, 0,
                                   [(q_prev, True, 1)] * d, model15, bayes,
-                                  2)[0]
+                                  cfg.channel)[0]
         by_hand = p * q_d if by_hand is None else by_hand + p * q_d
     np.testing.assert_allclose(cfg.q[1][0], by_hand, atol=1e-12)
 
@@ -134,8 +134,7 @@ def test_active_budget_refuses_horizon_10(model15, bayes, monkeypatch):
     def no_step(*args, **kwargs):
         raise AssertionError("a step ran before the budget check")
 
-    for name in ("initial_cavity", "cavity_step_general",
-                 "decision_step_general"):
+    for name in ("cavity_step_general", "decision_step_general"):
         monkeypatch.setattr(engine_module, name, no_step)
     engine = ActiveEdgeEngine(model15, 1, bayes, p=0.5)
     with pytest.raises(BudgetError):
@@ -151,8 +150,7 @@ def test_active_budget_admits_horizon_9(model15, bayes, monkeypatch):
     def started(*args, **kwargs):
         raise StepStarted
 
-    for name in ("initial_cavity", "cavity_step_general",
-                 "decision_step_general"):
+    for name in ("cavity_step_general", "decision_step_general"):
         monkeypatch.setattr(engine_module, name, started)
     with pytest.raises(StepStarted):
         ActiveEdgeEngine(model15, 1, bayes, p=0.5).run(9)

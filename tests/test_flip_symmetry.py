@@ -29,8 +29,8 @@ def _decision_inputs(engine, t):
     engine.run(t)
     engine.advance(extend_decisions=False)
     d = engine.degrees[0]
-    return (engine.model, engine.n_actions, engine.channel.size,
-            len(engine.g[t][0]), [(engine.slot_tables[t][0], True, d)])
+    return (engine.model, engine.channel, len(engine.g[t][0]),
+            [(engine.slot_tables[t][0], True, d)])
 
 
 def _flips(model, rule, d=3, t=2, p=1.0):
@@ -95,13 +95,13 @@ def test_predicate_rejects_an_asymmetric_model(model15, bayes):
 def test_predicate_rejects_asymmetric_inputs(model15, bayes):
     """Under a symmetric rule, one changed slot entry or coin rows break the
     flip."""
-    model, n_a, n_obs, rows, groups = _decision_inputs(
+    model, channel, rows, groups = _decision_inputs(
         RegularTreeEngine(model15, 3, bayes), 3)
-    assert _flip_symmetric(model, n_a, n_obs, rows, groups, bayes)
+    assert _flip_symmetric(model, channel, rows, groups, bayes)
     q = groups[0][0].copy()
     q[0, 0, 0] = np.nextafter(q[0, 0, 0], 1.0)
-    assert not _flip_symmetric(model, n_a, n_obs, rows, [(q, True, 3)], bayes)
-    assert not _flip_symmetric(model, n_a, n_obs, 2 * rows, groups, bayes)
+    assert not _flip_symmetric(model, channel, rows, [(q, True, 3)], bayes)
+    assert not _flip_symmetric(model, channel, 2 * rows, groups, bayes)
 
 
 def test_verify_flags_a_broken_decision_table(monkeypatch):
@@ -134,7 +134,7 @@ def test_lowest_index_takes_the_full_path(model15, bayes, monkeypatch):
     lowest = UpdateRule(tie_break=TieBreakRule(TieBreak.LOWEST_INDEX))
     sym, full = _run_homogeneous(lambda: RegularTreeEngine(model15, 4, lowest),
                                  3, monkeypatch)
-    inputs = (sym.model, 2, 2, len(sym.g[1][0]),
+    inputs = (sym.model, sym.channel, len(sym.g[1][0]),
               [(sym.slot_tables[0][0], True, 4)])
     assert _flip_symmetric(*inputs, bayes)
     assert not _flip_symmetric(*inputs, lowest)

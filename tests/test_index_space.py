@@ -103,13 +103,11 @@ def test_multiset_rank_sorts_and_expand_agrees(n_codes, size):
 def _singletons_vs_one_group(engine, degree, rounds):
     """Run each step of ``engine`` again with every slot its own group on
     its own slot tables and compare with the one-group step."""
-    model, rule = engine.model, engine.rule
-    n_a, n_obs = engine.n_actions, engine.channel.size
+    model, rule, channel = engine.model, engine.rule, engine.channel
     for t in range(rounds):
         slots = [(engine.slot_tables[t][0], True, 1)] * degree
         g_dense, _, *sums = decision_step_general(
-            engine.dense_decisions(degree, t), t, slots, model, rule, n_a,
-            n_obs)
+            engine.dense_decisions(degree, t), t, slots, model, rule, channel)
         assert np.array_equal(g_dense, engine.dense_decisions(degree, t + 1)), t
         want = engine.error_probability(t + 1, degree=degree)
         got = error_from_sums(model, sums)[0]
@@ -119,11 +117,11 @@ def _singletons_vs_one_group(engine, degree, rounds):
         q_dense = cavity_step_general(
             engine.dense_decisions(degree, t), t, 0,
             [(engine.slot_tables[t - 1][0], True, 1)] * degree, model, rule,
-            n_a, n_obs, engine.channel.emit)[0]
+            channel)[0]
         q_multi = cavity_step_general(
             engine.g[t][engine.degrees.index(degree)], t, 0,
-            [(engine.slot_tables[t - 1][0], True, degree)], model, rule, n_a,
-            n_obs, engine.channel.emit)[0]
+            [(engine.slot_tables[t - 1][0], True, degree)], model, rule,
+            channel)[0]
         np.testing.assert_allclose(q_multi, q_dense, rtol=0, atol=1e-15)
 
 
@@ -159,8 +157,7 @@ def test_multiset_budget_admits_d5_round6(model15, bayes, monkeypatch):
     def started(*args, **kwargs):
         raise StepStarted
 
-    for name in ("initial_cavity", "cavity_step_general",
-                 "decision_step_general"):
+    for name in ("cavity_step_general", "decision_step_general"):
         monkeypatch.setattr(engine_module, name, started)
     with pytest.raises(StepStarted):
         RegularTreeEngine(model15, 5, bayes).run(6)

@@ -107,8 +107,10 @@ def test_majority_profiles_normalized(model15, majority):
 
 
 def test_budget_guard(model15, bayes):
+    """26 nodes x 3 rounds x 2^26 signal vectors is 5.2e9 steps, over the
+    budget: refused before any table is allocated."""
     with pytest.raises(BudgetError):
-        unroll(path_graph(12), model15, bayes, 3, budget=1000)
+        unroll(path_graph(26), model15, bayes, 3)
 
 
 def test_stochastic_bayesian_rejected(model15):

@@ -136,6 +136,18 @@ def test_threads_do_not_change_results(model15, majority):
     np.testing.assert_array_equal(a.errors, b.errors)
 
 
+@pytest.mark.parametrize("counts", [{"samples": 0}, {"chunk": -4},
+                                    {"chunk": 0}, {"rounds": -1}])
+def test_simulate_refuses_bad_counts(model15, majority, counts):
+    """No sample, no chunk or a negative round count is refused up front,
+    not returned as a scalar tally that ``rate`` cannot index."""
+    kwargs = {"rounds": 2, "samples": 10, "seed": 0, **counts}
+    with pytest.raises(ModelError, match=next(iter(counts))):
+        simulate(regular_tree(3, 2), model15, majority, **kwargs)
+    assert simulate(regular_tree(3, 2), model15, majority, rounds=0,
+                    samples=1, seed=0, chunk=1).errors.shape == (10, 1)
+
+
 def test_bayesian_requires_tables(model15, bayes):
     with pytest.raises(ModelError):
         simulate(regular_tree(3, 2), model15, bayes, 1, 10, seed=0)

@@ -121,7 +121,7 @@ def test_configuration_rejects_exhausted_budget():
     # Two degree-3 nodes admit no simple pairing: every attempt is rejected.
     rho = DegreeDistribution((3,), np.array([1.0]))
     with pytest.raises(BudgetError):
-        sample_configuration_graph(rho, 2, seed=0, max_retries=50)
+        sample_configuration_graph(rho, 2, seed=0)
 
 
 def test_graph_json_round_trip():
