@@ -35,6 +35,16 @@ Bayesian posterior is its product times prior times likelihood, normalized.
 A change to the product (rescaling slot factors, bounding its rounding) goes
 there.
 
+The steps enumerate a space in chunks of ``CHUNK`` consecutive ranks, each
+built by ``SlotSpace.build`` from the colex block recursion: no rank is
+unranked, and no space is held whole but the one-slot-smaller space its
+blocks copy.  Digits are uint8 (uint16 past 255 codes), so what is computed
+from them widens first: ``_multiply_slots`` indexes in int64 (a narrow
+digit times the condition count would wrap), the majority margin sums in
+int64, and a rank reads its colex table with the digits as they are.  A
+chunk holds the same ranks however it is built, so every product, and every
+sum over the products in rank order, is the same bit for bit.
+
 Every float is a float64.  Each cavity, error and coupling quantity is a
 sum of n nonnegative terms, summed pairwise (``np.add.reduceat`` over terms
 sorted by output key, ``np.sum`` per row), which keeps it within about
@@ -73,7 +83,8 @@ and the mixture's weighted sum of cavity tables keep tables symmetric.
 from __future__ import annotations
 
 import logging
-from math import comb, factorial, lcm, prod
+from functools import cached_property
+from math import comb, lcm, prod
 
 import numpy as np
 
@@ -147,6 +158,20 @@ class SlotSpace:
     ranks in mixed radix over its groups' ranks, group 0 least significant,
     and weighs the ordered tuples it stands for: the product of its groups'
     multinomial counts.
+
+    ``build`` enumerates a rank range by the colex block recursion, with no
+    unranking.  Take the top slot, the last slot of the last group with
+    slots: its group has k slots and the groups before it ``below`` inputs
+    in all.  The inputs whose top code is c form one rank block, from
+    C(c + k - 1, k) * below on, and their other slots run through the first
+    C(c + k - 1, k - 1) * below inputs of the *lower* space, this one with
+    the top slot removed; the last C(c + k - 2, k - 2) * below of those end
+    in c as well.  So a block copies a prefix of the lower space's digits
+    and appends c, and its weight is the lower weight times k over the run
+    length of c.  The lower space is built whole, once per space and by the
+    same recursion; the space itself never is.  Digits and runs are the
+    narrowest unsigned dtype holding base + top - 1, top the largest group:
+    uint8 for every space of the paper's tables, else uint16 (or wider).
     """
 
     def __init__(self, base: int, sizes):
@@ -156,31 +181,81 @@ class SlotSpace:
         # (first slot, size, number of multisets) per group.
         self._groups = [(sum(self.sizes[:g]), k, comb(base + k - 1, k))
                         for g, k in enumerate(self.sizes)]
-        top = max(self.sizes, default=0)
-        # _binom[i, b] = C(b, i + 1) for every b = c_i + i.
-        self._binom = np.array([[comb(b, i + 1) for b in range(base + top - 1)]
-                                for i in range(top)], dtype=np.int64)
+        self.dtype = np.min_scalar_type(base + max(self.sizes, default=0) - 1)
+        # The group of the top slot: the last group with slots.
+        self._top = max((g for g, k in enumerate(self.sizes) if k), default=0)
+
+    @cached_property
+    def _colex(self) -> list[np.ndarray]:
+        """_colex[i][c] = C(c + i, i + 1), slot i's share of a rank: row i
+        is the running sum of row i - 1 (the hockey-stick identity)."""
+        rows = [np.arange(self.base, dtype=np.int64)]
+        for _ in range(1, max(self.sizes, default=0)):
+            rows.append(np.cumsum(rows[-1]))
+        return rows
 
     @staticmethod
     def count(base: int, sizes) -> int:
         return prod(comb(base + k - 1, k) for k in sizes)
 
-    def digits(self, r: np.ndarray) -> np.ndarray:
-        """The (slots, len(r)) codes of the inputs of ranks ``r``, sorted
-        within each group.  A multiset unranks greedily, top slot first: the
-        largest C(b, i + 1) <= its rank."""
-        r = np.array(r, dtype=np.int64)
-        out = np.empty((self.slots, len(r)), dtype=np.int64)
-        for g, (lo, k, n) in enumerate(self._groups):
-            r, part = (None, r) if g == len(self._groups) - 1 else divmod(r, n)
-            if k == 1:  # C(b, 1) = b
-                out[lo] = part
-                continue
-            for i in range(k - 1, -1, -1):
-                b = np.searchsorted(self._binom[i], part, side="right") - 1
-                part -= self._binom[i].take(b)
-                out[lo + i] = b - i
-        return out
+    def build(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (slots, stop - start) codes of the inputs of ranks [start,
+        stop), sorted within each group, and their weights, as new arrays."""
+        digits, weights, _ = self._build(start, stop)
+        return digits, weights
+
+    def _build(self, start: int, stop: int):
+        """``build``, plus the run length of each input's top code."""
+        n = stop - start
+        digits = np.empty((self.slots, n), dtype=self.dtype)
+        if self.slots <= 1:  # no slot, or one that ranks its code
+            digits[:] = np.arange(start, stop)
+            return digits, np.ones(n), np.ones(n, dtype=self.dtype)
+        k = self.sizes[self._top]
+        below = prod(n_g for *_, n_g in self._groups[:self._top])
+        low_digits, low_weights, low_runs = self._lower
+        if k == 1:  # block c is the whole lower space: a mixed-radix digit
+            code, low = divmod(np.arange(start, stop), below)
+            np.take(low_digits, low, axis=1, out=digits[:-1])
+            digits[-1] = code
+            return digits, low_weights.take(low), np.ones(n, self.dtype)
+        # Per block c in the range: its lower inputs [lo, hi), of which those
+        # from ``tail`` on end in c.
+        blocks, first = [], 0
+        for c in range(self.base):
+            length = comb(c + k - 1, k - 1) * below
+            if first + length > start:
+                lo, hi = max(start - first, 0), min(stop - first, length)
+                tail = length - comb(c + k - 2, k - 2) * below
+                blocks.append((c, lo, min(max(lo, tail), hi), hi))
+                if first + length >= stop:
+                    break
+            first += length
+        np.concatenate([low_digits[:, lo:hi] for _, lo, _, hi in blocks],
+                       axis=1, out=digits[:-1])
+        digits[-1] = np.repeat(np.array([c for c, *_ in blocks], self.dtype),
+                               [hi - lo for _, lo, _, hi in blocks])
+        one = np.ones(n, dtype=self.dtype)
+        runs = np.concatenate([part for _, lo, tail, hi in blocks
+                               for part in (one[:tail - lo],
+                                            low_runs[tail:hi])])
+        weights = np.concatenate([low_weights[lo:hi]
+                                  for _, lo, _, hi in blocks])
+        weights *= k
+        weights /= runs
+        return digits, weights, runs
+
+    @cached_property
+    def _lower(self):
+        """Digits, weights and top runs plus one of every input of the lower
+        space, this one without its top slot: an input whose top code
+        repeats its lower input's top code has that run."""
+        sizes = list(self.sizes)
+        sizes[self._top] -= 1
+        lower = SlotSpace(self.base, sizes)
+        digits, weights, runs = lower._build(0, lower.size)
+        return (digits.astype(self.dtype, copy=False), weights,
+                np.add(runs, 1, dtype=self.dtype))
 
     def rank(self, digits: np.ndarray, order=None) -> np.ndarray:
         """Rank of each column of ``digits``, whose row order[p] holds slot
@@ -206,20 +281,8 @@ class SlotSpace:
         for lo, k, size in reversed(self._groups):
             j *= size
             for i in range(k):
-                j += self._binom[i].take(rows[lo + i] + i)
+                j += self._colex[i][rows[lo + i]]
         return j
-
-    def weights(self, digits: np.ndarray) -> np.ndarray:
-        """Product of the groups' multinomial counts k! / prod(run length!)
-        over columns sorted within each group."""
-        numerator, denominator = 1, np.ones(digits.shape[1], dtype=np.int64)
-        for lo, k, _ in self._groups:
-            numerator *= factorial(k)
-            run = 1
-            for i in range(lo + 1, lo + k):
-                run = np.where(digits[i] == digits[i - 1], run + 1, 1)
-                denominator *= run
-        return numerator / denominator
 
     def cavity(self, group: int | None):
         """The inputs a cavity step sums over, and per slot of this space
@@ -240,8 +303,9 @@ class SlotSpace:
             into = SlotSpace(self.base, [1] * self.slots)
         out = np.empty((table.shape[0], into.size), dtype=table.dtype)
         for start in range(0, into.size, CHUNK):
-            r = np.arange(start, min(start + CHUNK, into.size), dtype=np.int64)
-            out[:, start:start + len(r)] = table[:, self.rank(into.digits(r), order)]
+            stop = min(start + CHUNK, into.size)
+            out[:, start:stop] = table[:, self.rank(into.build(start, stop)[0],
+                                                    order)]
         return out
 
 
@@ -290,7 +354,10 @@ def _multiply_slots(product: np.ndarray, digits, slot_rows, own_cond):
     cavity product, where slot k reads codes ``digits[k]`` and a message
     that conditions reads the node's own trajectory ``own_cond``."""
     for digit, (rows, n_cond, has_cond) in zip(digits, slot_rows):
-        idx = digit * n_cond + own_cond if has_cond else digit * n_cond
+        # Widened first: a narrow digit times n_cond would wrap.
+        idx = np.multiply(digit, n_cond, dtype=np.int64)
+        if has_cond:
+            idx += own_cond
         for s, row in enumerate(rows):
             np.multiply(product[s], row.take(idx), out=product[s])
 
@@ -400,10 +467,8 @@ def cavity_step_general(
     colsum = [np.zeros(n_tau) for _ in range(n_s)]
     ops = 0
     for start in range(0, inputs.size, CHUNK):
-        r = np.arange(start, min(start + CHUNK, inputs.size), dtype=np.int64)
-        digits = inputs.digits(r)
+        digits, count = inputs.build(start, min(start + CHUNK, inputs.size))
         j = table.rank(digits, order)
-        count = inputs.weights(digits)
         tau_digit = digits[0] if first else np.zeros_like(j)
         tau_seg = _sorted_segments(tau_digit, n_tau) if n_tau > 1 else None
         for r, row in enumerate(g_flat[:1] if flip else g_flat):
@@ -514,16 +579,19 @@ def decision_step_general(
     err_acc = np.zeros((n_s, n_x))
     mass_acc = np.zeros((n_s, n_x))
     ops = 0
+    # One product, posterior and mass buffer for every chunk and row, written
+    # in place, so that the step's resident memory follows its tables.
+    width = min(CHUNK, total)
+    buffers = np.empty((n_s, width)), np.empty((n_s, width)), np.empty(width)
     for start in range(0, total, CHUNK):
-        digits = space.digits(np.arange(start, min(start + CHUNK, total),
-                                        dtype=np.int64))
-        count = space.weights(digits)
+        stop = min(start + CHUNK, total)
+        digits, count = space.build(start, stop)
         j_prev = prev.rank(digits % m)
-        cols = slice(start, start + digits.shape[1])
-        product = np.empty((n_s, digits.shape[1]))
+        cols = slice(start, stop)
+        product, post, total_mass = (buf[..., :stop - start] for buf in buffers)
         if not bayesian:
-            # Round-t votes of the slots (binary), summed into a margin.
-            margin = 2 * (digits // m).sum(axis=0) - deg
+            # Round-t votes of the slots (binary), summed into a signed margin.
+            margin = 2 * (digits // m).sum(axis=0, dtype=np.int64) - deg
             majority = [np.where(margin == 0, u, margin > 0)
                         for u in range(coins)]
         for r, row in enumerate(g_prev[:1] if flip else g_prev):
@@ -533,13 +601,12 @@ def decision_step_general(
             product[:] = 1.0
             _multiply_slots(product, digits, slot_rows, own_cond)
             if bayesian:
-                post = product * (model.prior * model.likelihood[:, x])[:, None]
-                total_mass = post.sum(axis=0)
-                # In place; where the mass is 0 every row is already 0.
+                np.multiply(product, model.prior[:, None]
+                            * model.likelihood[:, x, None], out=post)
+                post.sum(axis=0, out=total_mass)
+                # Where the mass is 0 every row is already 0.
                 np.divide(post, total_mass, out=post, where=total_mass > 0)
-                del total_mass
                 actions = _bayesian_actions(post, x, rule, utility, coins)
-                del post
                 ops += product.size
             else:
                 actions = majority

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelError, SignalModel, UpdateRule, round0_kernel
+from .model import (ModelError, SignalModel, UpdateRule, action_count,
+                    round0_kernel)
 from .trees import ball
 
 _KIND_STATE = 1
@@ -199,7 +200,7 @@ def simulate(
         raise ModelError("the Bayesian rule replays decision tables; supply them")
     if rule.variant == "majority" and any(len(o) == 0 for o in obs):
         raise ModelError("majority dynamics needs at least one neighbor per node")
-    n_a = model.n_states
+    n_a = action_count(model, rule)
     kern0 = round0_kernel(model, rule, n_a)
     if any(len(k) != 1 for k in kern0):
         raise ModelError("stochastic round-0 votes are not supported in replay")

@@ -4,7 +4,7 @@ from replay_reference import per_node_replay
 
 from cavitree import sim
 from cavitree.cavity import ConfigModelEngine, FiniteTreeEngine, RegularTreeEngine
-from cavitree.model import ModelError, SignalModel, UpdateRule
+from cavitree.model import ModelError, SignalModel, UpdateRule, UtilityTable
 from cavitree.sim import (
     DegreeTables,
     counter_uniform,
@@ -14,6 +14,7 @@ from cavitree.sim import (
 from cavitree.trees import (
     DegreeDistribution,
     TreeGraph,
+    path_graph,
     regular_tree,
     sample_configuration_graph,
 )
@@ -193,6 +194,25 @@ def test_bayesian_replay_matches_exact_small(model15, bayes):
         rate = result.rate(0, t)
         se = max(result.standard_error(0, t), np.sqrt(exact / result.samples))
         assert abs(rate - exact) <= 4 * se
+
+
+def test_replay_with_a_third_action(model15):
+    """A Bayesian rule whose utility adds a third action (abstain, paying 0.7
+    in either state) replays its tables: the action alphabet is the
+    utility's, not one action per state."""
+    rule = UpdateRule(utility=UtilityTable(np.array([[1.0, 0.0], [0.0, 1.0],
+                                                     [0.7, 0.7]])))
+    graph = path_graph(3)
+    engine = FiniteTreeEngine(graph, model15, rule)
+    engine.run(2)
+    result = simulate(graph, model15, rule, 2, 20000, seed=5, tables=engine)
+    for node in range(graph.n):
+        for t in range(3):
+            exact = engine.error_probability(node, t)
+            se = max(result.standard_error(node, t),
+                     np.sqrt(exact / result.samples))
+            assert abs(result.rate(node, t) - exact) <= 4 * se, (node, t)
+    assert engine.error_probability(0, 1) > 0.27  # the ends abstain at t=1
 
 
 def test_config_model_interior_matches_homogeneous(model15, bayes):
