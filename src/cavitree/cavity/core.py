@@ -295,12 +295,10 @@ class SlotSpace:
         return (SlotSpace(self.base, [1] + sizes),
                 [*range(1, lo + 1), 0, *range(lo + 1, self.slots)])
 
-    def expand(self, table: np.ndarray, order=None, into=None) -> np.ndarray:
-        """``table`` over ``into``, a space whose groups split these, by
-        default the dense space of one slot per group: slot p of this space
-        reads slot order[p] of ``into`` (slot p by default)."""
-        if into is None:
-            into = SlotSpace(self.base, [1] * self.slots)
+    def expand(self, table: np.ndarray, order=None) -> np.ndarray:
+        """``table`` over the dense space of one slot per group: slot p of
+        this space reads dense slot order[p] (slot p by default)."""
+        into = SlotSpace(self.base, [1] * self.slots)
         out = np.empty((table.shape[0], into.size), dtype=table.dtype)
         for start in range(0, into.size, CHUNK):
             stop = min(start + CHUNK, into.size)
@@ -537,6 +535,7 @@ def _bayesian_actions(post: np.ndarray, x: int, rule: UpdateRule,
 def decision_step_general(
     g_prev: np.ndarray,
     t: int,
+    prev_sizes,
     groups: list[tuple[np.ndarray, bool, int]],
     model: SignalModel,
     rule: UpdateRule,
@@ -548,16 +547,18 @@ def decision_step_general(
     slots).  Inputs are one observed trajectory at horizon t per slot,
     ranked in the groups' ``SlotSpace``; the output appends the round-(t+1)
     vote to the agent's horizon-t trajectory, looked up from ``g_prev`` (in
-    the same space) on the truncated inputs, re-ranked since truncating a
-    sorted tuple can unsort it.  A stochastic rule for this degree
-    multiplies the rows by ``coin_values(n_actions)``: new row r extends row
-    r % len(g_prev), and its coin u = r // len(g_prev) breaks a majority
-    zero margin (vote u) or a uniform Bayesian tie.  Returns the table, the
-    number of posterior terms, and the round-(t+1) error and coupling sums:
-    the (n_states, n_signals) sums of the cavity product prod_k Q_k[c_k,
-    own, s], each input weighted by the ordered tuples it stands for and
-    each row by its weight, over the inputs whose new vote differs from s,
-    and over all inputs (1 on consistent tables).
+    g_prev's own space, ``prev_sizes``, whose groups are runs of consecutive
+    groups of ``groups``, or which has no slot at round 0) on the truncated
+    inputs, re-ranked since truncating a sorted tuple can unsort it.  A
+    stochastic rule for this degree multiplies the rows by
+    ``coin_values(n_actions)``: new row r extends row r % len(g_prev), and
+    its coin u = r // len(g_prev) breaks a majority zero margin (vote u) or
+    a uniform Bayesian tie.  Returns the table, the number of posterior
+    terms, and the round-(t+1) error and coupling sums: the (n_states,
+    n_signals) sums of the cavity product prod_k Q_k[c_k, own, s], each
+    input weighted by the ordered tuples it stands for and each row by its
+    weight, over the inputs whose new vote differs from s, and over all
+    inputs (1 on consistent tables).
     """
     n_s, n_x = model.likelihood.shape
     sizes = [size for *_, size in groups]
@@ -568,7 +569,7 @@ def decision_step_general(
     share = n_x / (rows_prev * coins)
     m = n_obs ** t
     check_budget(decision_step_bytes(t, sizes, n_obs, rows_prev * coins))
-    space, prev = SlotSpace(n_obs ** (t + 1), sizes), SlotSpace(m, sizes)
+    space, prev = SlotSpace(n_obs ** (t + 1), sizes), SlotSpace(m, prev_sizes)
     total = space.size
     utility = rule.utility or UtilityTable.identity(model.n_states)
     bayesian = rule.variant != "majority"
@@ -635,6 +636,7 @@ def posterior_general(
     observed: tuple[int, ...],
     g_prev: np.ndarray,
     t: int,
+    prev_sizes,
     groups: list[tuple[np.ndarray, bool, int]],
     model: SignalModel,
     channel,
@@ -643,11 +645,11 @@ def posterior_general(
 
     ``observed`` holds one horizon-(t-1) code per slot; ``groups`` the slot
     groups as in ``decision_step_general``, at horizon t-1.  The agent's
-    own trajectory is derived from the decision table, over the groups'
-    ``SlotSpace``, on the truncated observation, and read by a group that
-    conditions from t = 2 on; ``ModelError`` if it is read and the rows of
-    signal x (its coin outcomes) disagree on it, or if ``check_input``
-    refuses the input.
+    own trajectory is derived from the decision table ``g_prev``, over its
+    own space of group sizes ``prev_sizes``, on the truncated observation,
+    and read by a group that conditions from t = 2 on; ``ModelError`` if it
+    is read and the rows of signal x (its coin outcomes) disagree on it, or
+    if ``check_input`` refuses the input.
     """
     if t == 0:
         return signal_posterior(model, x)
@@ -655,7 +657,7 @@ def posterior_general(
     n_obs = channel.size
     m_prev = n_obs ** (t - 1)
     codes = check_input(x, observed, sum(sizes), n_obs ** t, model.n_signals)
-    j = SlotSpace(m_prev, sizes).rank(codes % m_prev)[0]
+    j = SlotSpace(m_prev, prev_sizes).rank(codes % m_prev)[0]
     owns = g_prev[x::model.n_signals, j]
     reads_own = t >= 2 and any(cond for _, cond, _ in groups)
     if reads_own and np.any(owns != owns[0]):

@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import ModelError, SignalModel, UpdateRule, action_count
-from .core import (COUPLING_TOL, SlotSpace, cavity_step_bytes,
-                   cavity_step_general, check_budget, check_round, coin_values,
-                   decision_step_bytes, decision_step_general, error_from_sums,
-                   posterior_general, round0_sums, round0_table)
+from .core import (COUPLING_TOL, cavity_step_bytes, cavity_step_general,
+                   check_budget, check_round, coin_values, decision_step_bytes,
+                   decision_step_general, error_from_sums, posterior_general,
+                   round0_sums, round0_table)
 from .tables import CavityTable
 
 
@@ -62,8 +62,9 @@ class CavityEngine:
     terms of its message, a weighted sum of cavity steps: (weight, node
     class, the observer's group or None, slot groups), each slot group
     ((edge class, conditions), slots); round 0's terms have no slots.
-    Per node class at t+1 it lists (its class at t, that class's group
-    sizes, its slot groups) for one decision step.
+    Per node class at t+1 it lists (its class c at t, c's group sizes,
+    which are the space the step reads g[t][c] in, and its slot groups)
+    for one decision step.
     """
 
     def __init__(self, model: SignalModel, rule: UpdateRule, classes: int = 1):
@@ -136,9 +137,8 @@ class CavityEngine:
         self.drifts.append(drift)
         if nodes is not None:
             steps = [decision_step_general(
-                self._refined(t, c, sizes, groups), t, self._messages(groups, t),
-                self.model, self.rule, self.channel)
-                for c, sizes, groups in nodes]
+                self.g[t][c], t, sizes, self._messages(groups, t), self.model,
+                self.rule, self.channel) for c, sizes, groups in nodes]
             self.g.append([table for table, *_ in steps])
             self.sums.append([sums for _, _, *sums in steps])
             ops += sum(n for _, n, *_ in steps)
@@ -148,15 +148,6 @@ class CavityEngine:
         """The core steps' slot groups: each group's horizon-t slot table."""
         return [(self.slot_tables[t][e], cond, size)
                 for (e, cond), size in groups]
-
-    def _refined(self, t: int, c: int, sizes, groups) -> np.ndarray:
-        """Node class c's round-t table, over slot groups of ``sizes``, on
-        ``groups``, which split those groups in order."""
-        table, new = self.g[t][c], tuple(size for _, size in groups)
-        if tuple(sizes) == new:
-            return table
-        base = self.channel.size ** t
-        return SlotSpace(base, sizes).expand(table, into=SlotSpace(base, new))
 
     def _error(self, t: int, c: int, condition_state: int | None,
                where: str) -> float:
@@ -173,13 +164,12 @@ class CavityEngine:
                    c: int) -> np.ndarray:
         """P(s | x, ``observed``) at node class c of round t, in the class's
         slot order, from the messages its round-t table was built from."""
-        g_prev, messages = None, []
+        g_prev, sizes, messages = None, (), []
         if t:
             prev, sizes, groups = self._plans[t - 1][1][c]
-            g_prev = self._refined(t - 1, prev, sizes, groups)
-            messages = self._messages(groups, t - 1)
-        return posterior_general(x, observed, g_prev, t, messages, self.model,
-                                 self.channel)
+            g_prev, messages = self.g[t - 1][prev], self._messages(groups, t - 1)
+        return posterior_general(x, observed, g_prev, t, sizes, messages,
+                                 self.model, self.channel)
 
     def _cavity_table(self, t: int, e: int, scope) -> CavityTable:
         return CavityTable(horizon=t, alphabet_size=self.channel.size,

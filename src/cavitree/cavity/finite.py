@@ -49,8 +49,9 @@ class FiniteTreeEngine(CavityEngine):
     order into the sorted one.  An edge's class is its sender's class with
     the class of the observer's own message at t-1.  Its key starts with
     its class at t-1 and ids follow sorted keys, so a group at t-1 stays
-    together, in order, among the sorted pairs at t, and a table reads
-    inputs of the next round's groups once expanded to them.
+    together, in order, among the sorted pairs at t: the next decision step
+    ranks its truncated inputs in the table's own space, whose groups are
+    runs of consecutive groups of the next round.
     """
 
     def __init__(self, graph: TreeGraph, model: SignalModel, rule: UpdateRule):

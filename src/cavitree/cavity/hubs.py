@@ -69,7 +69,7 @@ def posterior_with_hubs(
         g0 = round0_table(model, rule, channel.n_actions)
         q0 = cavity_step_general(g0, 0, None, [], model, rule, channel)[0]
         return posterior_general(
-            x, tuple(observed[j] for j in neighbors) if t else (), g0, t,
+            x, tuple(observed[j] for j in neighbors) if t else (), g0, t, (),
             [(q0, False, len(neighbors))], model, channel)
 
     if graph.hubs & ball(graph, node, t):

@@ -60,11 +60,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17e}"
 
 
-def _resolve_model(args) -> tuple[SignalModel, TieBreakRule]:
-    if getattr(args, "model", None):
-        with open(args.model) as fh:
-            return model_from_json(json.load(fh))
-    return model_from_json({"noise": args.noise})
+def _resolve_model(args) -> tuple[SignalModel, TieBreakRule, dict]:
+    """The run's model and tie rule, and the manifest entries that name the
+    model: its --noise level, or a --model file with its ``config_hash``
+    and no noise level, since the file sets its own likelihood."""
+    if not getattr(args, "model", None):
+        return (*model_from_json({"noise": args.noise}), {"noise": args.noise})
+    with open(args.model) as fh:
+        model, tie = model_from_json(json.load(fh))
+    return model, tie, {"noise": None, "model": args.model,
+                        "model_hash": model.config_hash()}
 
 
 def _rule(name: str, tie: TieBreakRule) -> UpdateRule:
@@ -94,16 +99,17 @@ def _check_counts(args) -> None:
 
 def cmd_table(args) -> int:
     t0 = time.monotonic()
-    model, tie = _resolve_model(args)
+    model, tie, source = _resolve_model(args)
     condition = _condition(args, model)
     errs = RegularTreeEngine(model, args.d, _rule(args.rule, tie)).error_curve(
         args.rounds, condition)
+    noise = "" if source["noise"] is None else source["noise"]
     rows = ["rule,d,noise,round,error_prob"]
     for t, e in enumerate(errs):
-        rows.append(f"{args.rule},{args.d},{args.noise},{t},{_fmt(e)}")
+        rows.append(f"{args.rule},{args.d},{noise},{t},{_fmt(e)}")
     out = args.out or "table.csv"
     _write_atomic(out, "\n".join(rows) + "\n")
-    _manifest("table", args, {"rule": args.rule, "d": args.d, "noise": args.noise,
+    _manifest("table", args, {"rule": args.rule, "d": args.d, **source,
                               "rounds": args.rounds, "condition": args.condition},
               [out], time.monotonic() - t0)
     print(f"wrote {out} ({len(errs)} rounds)")
@@ -112,9 +118,10 @@ def cmd_table(args) -> int:
 
 def cmd_curve(args) -> int:
     t0 = time.monotonic()
-    model, tie = _resolve_model(args)
+    model, tie, source = _resolve_model(args)
     condition = _condition(args, model)
     ds = [int(v) for v in args.d.split(",")]
+    noise = "" if source["noise"] is None else source["noise"]
     rows = ["d,noise,round,error_prob,loglog,slope"]
     for d in ds:
         errs = RegularTreeEngine(model, d, _rule(args.rule, tie)).error_curve(
@@ -122,10 +129,10 @@ def cmd_curve(args) -> int:
         diag = bounds_mod.doubling_slope(errs)
         for t, e in enumerate(errs):
             slope = "" if t == 0 else _fmt(diag["slopes"][t - 1])
-            rows.append(f"{d},{args.noise},{t},{_fmt(e)},{_fmt(diag['loglog'][t])},{slope}")
+            rows.append(f"{d},{noise},{t},{_fmt(e)},{_fmt(diag['loglog'][t])},{slope}")
     out = args.out or "curve.csv"
     _write_atomic(out, "\n".join(rows) + "\n")
-    _manifest("curve", args, {"rule": args.rule, "d": ds, "noise": args.noise,
+    _manifest("curve", args, {"rule": args.rule, "d": ds, **source,
                               "rounds": args.rounds}, [out],
               time.monotonic() - t0)
     print(f"wrote {out}")
@@ -182,7 +189,7 @@ def _resolve_graph(args) -> TreeGraph:
 
 def cmd_simulate(args) -> int:
     t0 = time.monotonic()
-    model, tie = _resolve_model(args)
+    model, tie, source = _resolve_model(args)
     graph = _resolve_graph(args)
     rule = _rule(args.rule, tie)
     tables = None
@@ -199,7 +206,7 @@ def cmd_simulate(args) -> int:
                               json.dumps(result.to_json(), sort_keys=True) + "\n")
     args.out = out
     _manifest("simulate", args,
-              {"rule": args.rule, "noise": args.noise, "rounds": args.rounds,
+              {"rule": args.rule, **source, "rounds": args.rounds,
                "samples": args.samples, "seed": args.seed,
                "graph": args.graph or args.tree},
               [csv_path, json_path], time.monotonic() - t0)
@@ -209,7 +216,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_conjecture(args) -> int:
     t0 = time.monotonic()
-    model, tie = _resolve_model(args)
+    model, tie, source = _resolve_model(args)
     condition = _condition(args, model)
     bayes, major = (RegularTreeEngine(model, args.d, _rule(name, tie)).error_curve(
         args.rounds, condition) for name in ("bayesian", "majority"))
@@ -219,7 +226,7 @@ def cmd_conjecture(args) -> int:
         rows.append(f"{t},{_fmt(b)},{_fmt(m)},{int(b <= m)}")
     out = args.out or "conjecture.csv"
     _write_atomic(out, "\n".join(rows) + "\n")
-    _manifest("conjecture", args, {"d": args.d, "noise": args.noise,
+    _manifest("conjecture", args, {"d": args.d, **source,
                                    "rounds": args.rounds}, [out],
               time.monotonic() - t0)
     status = "holds" if report["holds"] else f"VIOLATED at {report['violations']}"

@@ -174,8 +174,15 @@ def map_decision(
     if abs(posterior.sum() - 1.0) > 1e-9:
         raise ModelError("posterior does not sum to 1")
     eu = utility.values @ posterior
-    tied = np.flatnonzero(eu >= eu.max() - TIE_TOL)
-    return resolve_tie(tied, tiebreak, own_signal, utility.n_actions)
+    tied = [int(a) for a in np.flatnonzero(eu >= eu.max() - TIE_TOL)]
+    if len(tied) == 1 or tiebreak.variant is TieBreak.LOWEST_INDEX:
+        return tied[0]
+    if tiebreak.variant is TieBreak.OWN_SIGNAL:
+        if own_signal is None:
+            raise ModelError("OwnSignal tie-break requires the agent's signal")
+        choice = tiebreak.action_for_signal(own_signal, utility.n_actions)
+        return choice if choice in tied else tied[0]
+    return {a: 1.0 / len(tied) for a in tied}
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +206,10 @@ class UpdateRule:
         if self.variant not in ("bayesian", "majority"):
             raise ModelError(f"unknown update rule {self.variant!r}")
 
-    @property
-    def stochastic_ties(self) -> bool:
-        return self.tie_break.variant is TieBreak.UNIFORM_RANDOM
-
     def deterministic_for_degree(self, degree: int) -> bool:
         """Whether the rule is a deterministic function for this many neighbors."""
         if self.variant == "bayesian":
-            return not self.stochastic_ties
+            return self.tie_break.variant is not TieBreak.UNIFORM_RANDOM
         return degree % 2 == 1
 
 
@@ -215,22 +218,6 @@ def action_count(model: SignalModel, rule: UpdateRule) -> int:
     if rule.variant == "bayesian" and rule.utility is not None:
         return rule.utility.n_actions
     return model.n_states
-
-
-def resolve_tie(tied: Sequence[int], tiebreak: TieBreakRule,
-                own_signal: int | None, n_actions: int):
-    """Pick from a tied action set; deterministic variants return an index."""
-    tied = sorted(int(a) for a in tied)
-    if len(tied) == 1:
-        return tied[0]
-    if tiebreak.variant is TieBreak.LOWEST_INDEX:
-        return tied[0]
-    if tiebreak.variant is TieBreak.OWN_SIGNAL:
-        if own_signal is None:
-            raise ModelError("OwnSignal tie-break requires the agent's signal")
-        choice = tiebreak.action_for_signal(own_signal, n_actions)
-        return choice if choice in tied else tied[0]
-    return {a: 1.0 / len(tied) for a in tied}
 
 
 def round0_kernel(model: SignalModel, rule: "UpdateRule",

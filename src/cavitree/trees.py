@@ -67,10 +67,6 @@ class TreeGraph:
         object.__setattr__(self, "adjacency", _sorted_adjacency(
             self.n, edges + directed))
 
-    @property
-    def max_degree(self) -> int:
-        return max((len(o) for o in self.observed), default=0)
-
 
 def _sorted_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
     adj: list[set[int]] = [set() for _ in range(n)]

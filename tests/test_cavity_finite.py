@@ -509,6 +509,27 @@ def test_round_records_sum_the_core_steps(model15, bayes, monkeypatch, kind):
         assert engine.drifts[t] == max(drifts), t
 
 
+@pytest.mark.parametrize("graph", [path_graph(6), regular_tree(3, 3)],
+                         ids=["path6", "regular3"])
+def test_decision_steps_read_the_stored_tables(model15, bayes, monkeypatch,
+                                               graph):
+    """Every decision step reads its class's stored round-t table itself, in
+    that table's own slot space, even where the class's groups split."""
+    read = []  # (round, table passed)
+    step = engine_module.decision_step_general
+
+    def spy(*args, **kwargs):
+        read.append((args[1], args[0]))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "decision_step_general", spy)
+    engine = FiniteTreeEngine(graph, model15, bayes)
+    engine.run(3)
+    assert {t for t, _ in read} == {0, 1, 2}
+    for t, table in read:
+        assert any(table is stored for stored in engine.g[t]), t
+
+
 def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
     """On regular_tree(5, 5) to round 2 the 3410 messages and 1706 decision
     tables per round fall into a handful of classes, one core step each."""
@@ -614,7 +635,7 @@ def _per_edge_schedule(graph, model, rule, n_actions, rounds):
         for i in range(graph.n):
             slots = [(q[(j, i)][t], i in obs[j], 1) for j in obs[i]]
             table, _, *step_sums = decision_step_general(
-                g[i][t], t, slots, model, rule, channel)
+                g[i][t], t, [1] * len(slots), slots, model, rule, channel)
             g[i].append(table)
             sums[i].append(step_sums)
     return g, q, sums, drifts

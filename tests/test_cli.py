@@ -4,6 +4,7 @@ import hashlib
 import pytest
 
 from cavitree.cli import main
+from cavitree.model import SignalModel
 
 
 def run(tmp_path, *argv):
@@ -148,3 +149,23 @@ def test_model_file_flag(tmp_path):
                "--rounds", "1", "--out", str(out)) == 0
     first = float(out.read_text().strip().splitlines()[1].split(",")[4])
     assert abs(first - 0.3) < 1e-12
+
+
+def test_model_file_runs_report_no_noise_level(tmp_path):
+    """A run on a model file writes an empty noise column and names the file
+    and its hash in the manifest, not the unused --noise default."""
+    doc = {"prior": [0.5, 0.5], "likelihood": [[0.7, 0.3], [0.3, 0.7]]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    digest = SignalModel(**doc).config_hash()
+    for command in ("table", "curve"):
+        out = tmp_path / f"{command}.csv"
+        assert run(tmp_path, command, "--model", str(path), "--d", "3",
+                   "--rounds", "2", "--out", str(out)) == 0
+        header, *rows = out.read_text().strip().splitlines()
+        column = header.split(",").index("noise")
+        assert rows and all(row.split(",")[column] == "" for row in rows)
+        config = json.loads(
+            (tmp_path / f"{command}.csv.manifest.json").read_text())["config"]
+        assert config["noise"] is None
+        assert (config["model"], config["model_hash"]) == (str(path), digest)

@@ -192,7 +192,8 @@ def _singletons_vs_one_group(engine, degree, rounds):
     for t in range(rounds):
         slots = [(engine.slot_tables[t][0], True, 1)] * degree
         g_dense, _, *sums = decision_step_general(
-            engine.dense_decisions(degree, t), t, slots, model, rule, channel)
+            engine.dense_decisions(degree, t), t, [1] * degree, slots, model,
+            rule, channel)
         assert np.array_equal(g_dense, engine.dense_decisions(degree, t + 1)), t
         want = engine.error_probability(t + 1, degree=degree)
         got = error_from_sums(model, sums)[0]

@@ -47,7 +47,7 @@ def test_ball_examples():
 
 def test_ball_nested_and_bounded():
     graph = regular_tree(3, 4)
-    d = graph.max_degree
+    d = max(len(o) for o in graph.observed)
     prev = set()
     for t in range(4):
         cur = ball(graph, 0, t)
