@@ -38,12 +38,17 @@ there.
 The steps enumerate a space in chunks of ``CHUNK`` consecutive ranks, each
 built by ``SlotSpace.build`` from the colex block recursion: no rank is
 unranked, and no space is held whole but the one-slot-smaller space its
-blocks copy.  Digits are uint8 (uint16 past 255 codes), so what is computed
-from them widens first: ``_multiply_slots`` indexes in int64 (a narrow
-digit times the condition count would wrap), the majority margin sums in
-int64, and a rank reads its colex table with the digits as they are.  A
-chunk holds the same ranks however it is built, so every product, and every
-sum over the products in rank order, is the same bit for bit.
+blocks copy.  A chunk is cache-sized: each float64 row of its temporaries
+(a state's product or posterior, the mass, a slot's gather) is 512 KiB,
+small enough to stay in cache between the passes over it.  Digits are uint8
+(uint16 past 255 codes), so what is computed from them widens first:
+``_multiply_slots`` indexes in int64 (a narrow digit times the condition
+count would wrap), the majority margin sums in int64, and a rank reads its
+colex table with the digits as they are.  A chunk holds the same ranks
+however it is built, so every product and every table entry is the same bit
+for bit whatever ``CHUNK`` is.  The error, coupling and cavity sums group
+per chunk (a pairwise sum within it, added to the running total), so
+another ``CHUNK`` moves them within rounding only.
 
 Every float is a float64.  Each cavity, error and coupling quantity is a
 sum of n nonnegative terms, summed pairwise (``np.add.reduceat`` over terms
@@ -94,7 +99,7 @@ from ..trees import BudgetError
 
 logger = logging.getLogger(__name__)
 
-CHUNK = 1 << 20
+CHUNK = 1 << 16
 DRIFT_WARN = 1e-9
 COUPLING_TOL = 1e-9
 MEMORY_BUDGET = 4 << 30  # bytes of table workspace allowed per step
@@ -513,6 +518,8 @@ def _bayesian_actions(post: np.ndarray, x: int, rule: UpdateRule,
                       utility: UtilityTable, coins: int) -> list[np.ndarray]:
     """Vectorized argmax with tolerance ties: the actions for each coin
     value u, where a uniform tie takes the (u % n_tied)-th tied action."""
+    if rule.utility is None and len(post) == 2:
+        return _binary_actions(post, x, rule, coins)
     # einsum's own loop, not BLAS: for so few states a BLAS call costs more
     # than it saves and, unpinned, spreads over every core.
     eu = np.einsum("as,sb->ab", utility.values, post)  # (n_actions, batch)
@@ -530,6 +537,27 @@ def _bayesian_actions(post: np.ndarray, x: int, rule: UpdateRule,
     choice = rule.tie_break.action_for_signal(x, utility.n_actions)
     use_own = (n_tied > 1) & tied[choice]
     return [np.where(use_own, choice, first)]
+
+
+def _binary_actions(post: np.ndarray, x: int, rule: UpdateRule,
+                    coins: int) -> list[np.ndarray]:
+    """``_bayesian_actions`` for two states under the identity utility, whose
+    expected utilities are the posterior rows themselves, bit for bit.
+    Action a ties where post[a] >= post[1 - a] - TIE_TOL: the same test as
+    against max(post) - TIE_TOL, since the larger row passes either way."""
+    tied0 = post[0] >= post[1] - TIE_TOL
+    tied1 = post[1] >= post[0] - TIE_TOL
+    # The first tied action is 1 where only action 1 ties (True > False), the
+    # last tied action 1 where action 1 ties.
+    first, last = np.greater(tied1, tied0), tied1
+    variant = rule.tie_break.variant
+    if variant is TieBreak.LOWEST_INDEX:
+        return [first]
+    if variant is TieBreak.UNIFORM_RANDOM:
+        # u % n_tied picks the first tied action for even u, else the last.
+        return [last if u % 2 else first for u in range(coins)]
+    choice = rule.tie_break.action_for_signal(x, 2)
+    return [np.where(tied0 & tied1, choice, last)]
 
 
 def decision_step_general(

@@ -36,6 +36,25 @@ def _tree_without_hubs(graph: TreeGraph) -> tuple[TreeGraph, dict[int, int]]:
     return TreeGraph(n=len(keep), edges=edges, directed_edges=dedges), relabel
 
 
+_ROUND0: dict = {}
+
+
+def _round0(model: SignalModel, rule: UpdateRule):
+    """The channel, g^0 and Q^0 of (model, rule), built once: they depend on
+    nothing else, so callers share the read-only arrays.  Keyed by the
+    model's hash and the rule's fields, since both hold arrays."""
+    values = None if rule.utility is None else rule.utility.values
+    utility = None if values is None else (values.shape, values.tobytes())
+    key = (model.config_hash(), rule.variant, rule.tie_break, utility)
+    if key not in _ROUND0:
+        channel = AllActive(action_count(model, rule))
+        g0 = round0_table(model, rule, channel.n_actions)
+        q0 = cavity_step_general(g0, 0, None, [], model, rule, channel)[0]
+        g0.flags.writeable = q0.flags.writeable = False
+        _ROUND0[key] = channel, g0, q0
+    return _ROUND0[key]
+
+
 def posterior_with_hubs(
     graph: TreeGraph,
     model: SignalModel,
@@ -65,9 +84,7 @@ def posterior_with_hubs(
         raise ModelError("observations must cover exactly the observed neighbors")
 
     if t <= 1:
-        channel = AllActive(action_count(model, rule))
-        g0 = round0_table(model, rule, channel.n_actions)
-        q0 = cavity_step_general(g0, 0, None, [], model, rule, channel)[0]
+        channel, g0, q0 = _round0(model, rule)
         return posterior_general(
             x, tuple(observed[j] for j in neighbors) if t else (), g0, t, (),
             [(q0, False, len(neighbors))], model, channel)

@@ -133,8 +133,8 @@ def cmd_curve(args) -> int:
     out = args.out or "curve.csv"
     _write_atomic(out, "\n".join(rows) + "\n")
     _manifest("curve", args, {"rule": args.rule, "d": ds, **source,
-                              "rounds": args.rounds}, [out],
-              time.monotonic() - t0)
+                              "rounds": args.rounds, "condition": args.condition},
+              [out], time.monotonic() - t0)
     print(f"wrote {out}")
     return 0
 
@@ -227,8 +227,9 @@ def cmd_conjecture(args) -> int:
     out = args.out or "conjecture.csv"
     _write_atomic(out, "\n".join(rows) + "\n")
     _manifest("conjecture", args, {"d": args.d, **source,
-                                   "rounds": args.rounds}, [out],
-              time.monotonic() - t0)
+                                   "rounds": args.rounds,
+                                   "condition": args.condition},
+              [out], time.monotonic() - t0)
     status = "holds" if report["holds"] else f"VIOLATED at {report['violations']}"
     print(f"conjecture check (not an assertion): Bayesian <= majority {status}")
     return 0 if report["holds"] else 1

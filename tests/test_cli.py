@@ -169,3 +169,15 @@ def test_model_file_runs_report_no_noise_level(tmp_path):
             (tmp_path / f"{command}.csv.manifest.json").read_text())["config"]
         assert config["noise"] is None
         assert (config["model"], config["model_hash"]) == (str(path), digest)
+
+
+@pytest.mark.parametrize("command", ["table", "curve", "conjecture"])
+def test_manifest_records_the_condition(tmp_path, command):
+    """A state-conditioned run's manifest says which state it conditions on,
+    so its config does not read like an averaged run's."""
+    out = tmp_path / f"{command}.csv"
+    assert run(tmp_path, command, "--d", "3", "--rounds", "2",
+               "--condition", "1", "--out", str(out)) in (0, 1)
+    config = json.loads(
+        (tmp_path / f"{command}.csv.manifest.json").read_text())["config"]
+    assert config["condition"] == "1"

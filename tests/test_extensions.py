@@ -294,3 +294,33 @@ def test_hub_outside_ball_is_skipped(model15, bayes):
 def test_hub_beyond_t1_raises(model15, bayes):
     with pytest.raises(ModelError):
         posterior_with_hubs(TRIANGLE, model15, bayes, 0, 0, {1: 0, 2: 0}, 2)
+
+
+def test_hub_round0_is_built_once_per_model_and_rule(bayes, majority,
+                                                     monkeypatch):
+    """t <= 1 hub posteriors run the round-0 cavity step once per (model,
+    rule), an equal model built anew included, and repeated calls return
+    the same posterior bit for bit."""
+    import cavitree.cavity.hubs as hubs_module
+    from cavitree.model import SignalModel
+
+    calls = []
+    step = hubs_module.cavity_step_general
+    monkeypatch.setattr(hubs_module, "cavity_step_general",
+                        lambda *args: calls.append(args) or step(*args))
+
+    def posteriors(model, rule):
+        return [posterior_with_hubs(TRIANGLE, model, rule, 0, x,
+                                    {1: v, 2: w}, t)
+                for t, x, v, w in itertools.product((0, 1), repeat=4)]
+
+    # A noise level no other test uses, so nothing is built before.
+    model = SignalModel.binary_symmetric(0.21)
+    first = posteriors(model, bayes)
+    for same in (model, SignalModel.binary_symmetric(0.21)):
+        for got, want in zip(posteriors(same, bayes), first):
+            assert got.tobytes() == want.tobytes()
+    assert len(calls) == 1
+    posteriors(model, majority)
+    posteriors(SignalModel.binary_symmetric(0.22), bayes)
+    assert len(calls) == 3
