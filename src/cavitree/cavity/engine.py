@@ -171,7 +171,6 @@ class CavityEngine:
         return posterior_general(x, observed, g_prev, t, sizes, messages,
                                  self.model, self.channel)
 
-    def _cavity_table(self, t: int, e: int, scope) -> CavityTable:
+    def _cavity_table(self, t: int, e: int) -> CavityTable:
         return CavityTable(horizon=t, alphabet_size=self.channel.size,
-                           scope=scope, array=self.q[t][e],
-                           drift=self.drifts[t])
+                           array=self.q[t][e])

@@ -157,8 +157,7 @@ class FiniteTreeEngine(CavityEngine):
 
     def cavity_table(self, j: int, i: int, t: int) -> CavityTable:
         check_address(t, len(self.q), "cavity table", (j, i), self.edge_id)
-        return self._cavity_table(t, self.edge_class[t][self.edge_id[(j, i)]],
-                                  (j, i))
+        return self._cavity_table(t, self.edge_class[t][self.edge_id[(j, i)]])
 
     def action_table(self, node: int, t: int) -> np.ndarray:
         """Round-t vote per (signal, packed observations in ``observed``

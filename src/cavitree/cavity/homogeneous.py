@@ -94,7 +94,7 @@ class ConfigModelEngine(CavityEngine):
 
     def cavity_table(self, t: int) -> CavityTable:
         check_round(t, len(self.q), "cavity table")
-        return self._cavity_table(t, 0, "homogeneous")
+        return self._cavity_table(t, 0)
 
 
 class RegularTreeEngine(ConfigModelEngine):
@@ -115,5 +115,4 @@ class RegularTreeEngine(ConfigModelEngine):
             raise ModelError("a DecisionTable has one alphabet; these inputs "
                              "are observed over a larger one")
         return DecisionTable(horizon=t, alphabet_size=self.n_actions,
-                             scope="homogeneous", degree=self.d,
-                             array=self.dense_decisions(self.d, t))
+                             degree=self.d, array=self.dense_decisions(self.d, t))

@@ -18,17 +18,11 @@ class TableError(ValueError):
 
 @dataclass(frozen=True)
 class CavityTable:
-    """Q[sigma, tau, s]: law of a neighbor's trajectory in the zombie process.
-
-    ``scope`` is "homogeneous", "configuration", or an edge pair (j, i).
-    ``drift`` records the pre-renormalization |column sum - 1| maximum.
-    """
+    """Q[sigma, tau, s]: law of a neighbor's trajectory in the zombie process."""
 
     horizon: int
     alphabet_size: int
-    scope: object
     array: np.ndarray
-    drift: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.array, dtype=float)
@@ -65,7 +59,6 @@ class DecisionTable:
 
     horizon: int
     alphabet_size: int
-    scope: object
     degree: int
     array: np.ndarray
 

@@ -1,16 +1,23 @@
 """Brute-force ground truth: forward simulation over all signal vectors.
 
-Every agent's trajectory is computed for every joint private-signal vector
-by simultaneous forward simulation; Bayesian posteriors come from summing
-P(signal vector | s) over the feasible set of vectors consistent with what
-the agent has seen.  Exponential in the number of agents, guarded by a step
-budget.  Works on arbitrary graphs (loops included), which makes it the
-reference for the hub extension as well.
+One vectorized unroll serves every rule.  It simulates every agent over
+*branches*: a branch is a joint private-signal vector, every agent's
+trajectory so far, and the probability of the tie coins that led to it.
+Each round, the branches of a node are keyed by (own trajectory, observed
+trajectories, own signal), and each key is decided once: Bayesian
+posteriors come from summing P(signal vector | s) times the branch weight
+over the key's branches.  A key whose decision is a coin (a majority tie, a
+uniform-random Bayesian tie) splits its branches, one copy per tied action
+weighted by its share; branches that end the round alike merge.
+Deterministic rules never split, so branch b is signal vector b.
+Exponential in the number of agents, guarded by a step budget.  Works on
+arbitrary graphs (loops included), which makes it the reference for the
+hub extension as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +34,19 @@ from .model import (
 )
 from .trees import BudgetError
 
-BUDGET = 10 ** 9  # node-rounds x signal vectors an unroll may simulate
+BUDGET = 10 ** 9  # node-rounds x branches an unroll may simulate
 
 
 @dataclass
 class TrajectoryTensor:
-    """Trajectories of every agent for every private-signal vector.
+    """Trajectories of every agent on every branch of the unroll.
 
-    For deterministic rules ``trajs[t][i, y]`` is the packed trajectory of
-    agent i through round t under signal vector y.  For stochastic rules
-    ``profiles[y]`` maps joint trajectory tuples (through the final horizon)
-    to their probability over the rule's internal randomness.
+    Branch b is signal vector ``vectors[b]`` with tie-coin probability
+    ``weights[b]``; ``trajs[t][i, b]`` is the packed trajectory of agent i
+    through round t on it.  The weights of one vector's branches sum to 1.
+    For deterministic rules branch b is signal vector b with weight 1, and
+    ``decision_tables[i][t]`` maps every reachable (signal, observed codes)
+    to agent i's trajectory through round t.
     """
 
     graph: object
@@ -45,27 +54,45 @@ class TrajectoryTensor:
     rule: UpdateRule
     horizon: int
     n_actions: int
+    deterministic: bool
     signal_digits: np.ndarray
     signal_probs: np.ndarray
-    trajs: list[np.ndarray] | None = None
-    profiles: list[dict[tuple[int, ...], float]] | None = None
-    decision_tables: list[list[dict]] = field(default_factory=list)
+    vectors: np.ndarray
+    weights: np.ndarray
+    trajs: list[np.ndarray]
+    decision_tables: list[list[dict]]
 
-    @property
-    def deterministic(self) -> bool:
-        return self.trajs is not None
+
+def _check_budget(n: int, t_max: int, branches: int, what: str):
+    if n * max(t_max, 1) * branches > BUDGET:
+        raise BudgetError(
+            f"oracle budget exceeded: {n} nodes x {t_max} rounds x {branches} "
+            f"{what} > {BUDGET} steps")
+
+
+def _group(columns, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Key each branch by its entries in ``columns`` (column k below
+    sizes[k]): the inverse into the sorted distinct keys, and the first
+    branch of each key.  Keys are renumbered before they could leave int64."""
+    key, bound = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for col, size in zip(columns, sizes):
+        if bound * size > 2 ** 62:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max()) + 1
+        key = key * size + col.astype(np.int64)
+        bound *= size
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return inverse, first
 
 
 def unroll(graph, model: SignalModel, rule: UpdateRule,
            t_max: int) -> TrajectoryTensor:
-    """Simulate all agents through t_max for every signal vector."""
+    """Simulate all agents through t_max on every branch of every signal
+    vector."""
     n = graph.n
     n_x = model.n_signals
     n_vec = n_x ** n
-    if n * max(t_max, 1) * n_vec > BUDGET:
-        raise BudgetError(
-            f"oracle budget exceeded: {n} nodes x {t_max} rounds x {n_vec} "
-            f"signal vectors > {BUDGET} steps")
+    _check_budget(n, t_max, n_vec, "signal vectors")
     ys = np.arange(n_vec)
     digits = np.empty((n, n_vec), dtype=np.int64)
     for i in range(n):
@@ -75,126 +102,75 @@ def unroll(graph, model: SignalModel, rule: UpdateRule,
         for i in range(n):
             probs[s] *= model.likelihood[s, digits[i]]
 
-    tensor = TrajectoryTensor(graph=graph, model=model, rule=rule, horizon=t_max,
-                              n_actions=action_count(model, rule),
-                              signal_digits=digits,
-                              signal_probs=probs)
-    deterministic = all(rule.deterministic_for_degree(len(o)) for o in graph.observed)
-    if rule.variant == "bayesian" and not deterministic:
-        raise ModelError("the brute-force oracle supports deterministic Bayesian "
-                         "decisions only (stochastic tie-breaks are not unrolled)")
-    if deterministic:
-        _unroll_deterministic(tensor, t_max)
-    else:
-        _unroll_profiles(tensor, t_max)
-    return tensor
-
-
-def _unroll_deterministic(tensor: TrajectoryTensor, t_max: int):
-    graph, model, rule = tensor.graph, tensor.model, tensor.rule
-    n = graph.n
-    n_a = tensor.n_actions
-    digits = tensor.signal_digits
-    round0 = round0_kernel(model, rule, n_a)
-    first = np.array([round0[x][0][0] for x in range(model.n_signals)], dtype=np.int64)
-    trajs = [first[digits]]
-    tensor.decision_tables = [[{} for _ in range(t_max + 1)] for _ in range(n)]
-    for i in range(n):
-        for x in range(model.n_signals):
-            tensor.decision_tables[i][0][(x, ())] = int(first[x])
-
+    n_a = action_count(model, rule)
+    deterministic = all(rule.deterministic_for_degree(len(o))
+                        for o in graph.observed)
     utility = rule.utility or UtilityTable.identity(model.n_states)
-    for t in range(1, t_max + 1):
-        prev = trajs[-1]
-        cur = np.empty_like(prev)
-        m = n_a ** t  # trajectory codes at horizon t-1
+    round0 = round0_kernel(model, rule, n_a)
+    tables = [[{} for _ in range(t_max + 1)] for _ in range(n)]
+    vec, weight = ys, np.ones(n_vec)
+    traj = np.zeros((n, n_vec), dtype=np.min_scalar_type(n_a ** (t_max + 1) - 1))
+    for t in range(t_max + 1):
+        m = n_a ** t  # trajectory codes through round t-1
+        nxt, split = traj.copy(), False
         for i in range(n):
-            nbrs = graph.observed[i]
-            obs = np.zeros(prev.shape[1], dtype=np.int64)
-            for k, j in enumerate(nbrs):
-                obs += prev[j] * m ** k
-            keys = obs * model.n_signals + digits[i]
-            n_keys = int(keys.max()) + 1
-            own_of_key = np.zeros(n_keys, dtype=np.int64)
-            own_of_key[keys] = prev[i]  # own history is a function of the key
-            if rule.variant == "bayesian":
-                weights = np.stack([
-                    np.bincount(keys, weights=tensor.signal_probs[s], minlength=n_keys)
-                    for s in range(model.n_states)])
-            actions = np.zeros(n_keys, dtype=np.int64)
-            for key in np.unique(keys):
-                key = int(key)
-                x = key % model.n_signals
-                obs_code = key // model.n_signals
-                nbr_codes = tuple(int((obs_code // m ** k) % m)
-                                  for k in range(len(nbrs)))
-                own = int(own_of_key[key])
-                if rule.variant == "bayesian":
-                    w = model.prior * weights[:, key]
+            nbrs = list(graph.observed[i]) if t else []
+            x_of = digits[i, vec]
+            inv, first = _group([traj[i], *traj[nbrs], x_of],
+                                [m] * (1 + len(nbrs)) + [n_x])
+            if t and rule.variant == "bayesian":
+                mass = np.stack([np.bincount(inv, weights=probs[s, vec] * weight,
+                                             minlength=len(first))
+                                 for s in range(model.n_states)])
+            kernels = []
+            for k, (x, own, codes) in enumerate(zip(
+                    x_of[first].tolist(), traj[i, first].tolist(),
+                    traj[nbrs][:, first].T.tolist())):
+                codes = tuple(codes)
+                if t == 0:
+                    kern = round0[x]
+                elif rule.variant == "bayesian":
+                    w = model.prior * mass[:, k]
                     total = float(w.sum())
                     if total <= 0.0:
                         raise ModelError("empty feasible set for a realized observation")
-                    a = map_decision(w / total, utility, rule.tie_break, own_signal=x)
+                    dec = map_decision(w / total, utility, rule.tie_break, own_signal=x)
+                    kern = [(dec, 1.0)] if isinstance(dec, int) else sorted(dec.items())
                 else:
-                    votes = [round_digit(c, t - 1, n_a) for c in nbr_codes]
-                    ((a, _),) = majority_kernel(votes).items()
-                actions[key] = a
-                tensor.decision_tables[i][t][(x, nbr_codes)] = own + a * m
-            cur[i] = prev[i] + actions[keys] * m
-        trajs.append(cur)
-    tensor.trajs = trajs
-
-
-def _unroll_profiles(tensor: TrajectoryTensor, t_max: int):
-    """Majority with coin-flip ties: propagate a law over joint trajectories."""
-    graph, model, rule = tensor.graph, tensor.model, tensor.rule
-    n = graph.n
-    n_a = tensor.n_actions
-    round0 = round0_kernel(model, rule, n_a)
-    profiles_per_y = []
-    for y in range(tensor.signal_digits.shape[1]):
-        x_of = [int(tensor.signal_digits[i, y]) for i in range(n)]
-        profiles = _expand_round({(): 1.0},
-                                 [[(a, p) for a, p in round0[x_of[i]] if p > 0]
-                                  for i in range(n)])
-        for t in range(1, t_max + 1):
-            m = n_a ** t
-            kernels_cache: dict[tuple, list] = {}
-            nxt: dict[tuple[int, ...], float] = {}
-            for prof, w in profiles.items():
-                kernels = []
-                for i in range(n):
-                    nbr_codes = tuple(prof[j] for j in graph.observed[i])
-                    cache_key = (i, nbr_codes, prof[i])
-                    kern = kernels_cache.get(cache_key)
-                    if kern is None:
-                        votes = [round_digit(c, t - 1, n_a) for c in nbr_codes]
-                        raw = majority_kernel(votes)
-                        kern = [(prof[i] + a * m, p)
-                                for a, p in sorted(raw.items()) if p > 0]
-                        kernels_cache[cache_key] = kern
-                    kernels.append(kern)
-                for new_prof, p in _profile_products(kernels):
-                    nxt[new_prof] = nxt.get(new_prof, 0.0) + w * p
-            profiles = nxt
-        profiles_per_y.append(profiles)
-    tensor.profiles = profiles_per_y
-
-
-def _expand_round(profiles, kernels):
-    out: dict[tuple[int, ...], float] = {}
-    for prof, w in profiles.items():
-        for new_prof, p in _profile_products(kernels):
-            out[new_prof] = out.get(new_prof, 0.0) + w * p
-    return out
-
-
-def _profile_products(kernels):
-    """Cartesian product of per-node kernels as (profile tuple, probability)."""
-    combos = [((), 1.0)]
-    for kern in kernels:
-        combos = [(prof + (c,), w * p) for prof, w in combos for c, p in kern]
-    return combos
+                    votes = [round_digit(c, t - 1, n_a) for c in codes]
+                    kern = sorted(majority_kernel(votes).items())
+                if deterministic:
+                    tables[i][t][(x, codes)] = own + kern[0][0] * m
+                kernels.append(kern)
+            width = max(len(kern) for kern in kernels)
+            action = np.zeros((len(kernels), width), dtype=np.int64)
+            share = np.ones((len(kernels), width))
+            for k, kern in enumerate(kernels):
+                action[k, :len(kern)], share[k, :len(kern)] = zip(*kern)
+            slot = 0
+            if width > 1:  # one copy of each branch per tied action
+                copies = np.array([len(kern) for kern in kernels])[inv]
+                _check_budget(n, t_max, int(copies.sum()), "branches")
+                src = np.repeat(np.arange(len(inv)), copies)
+                slot = np.arange(len(src)) - np.repeat(np.cumsum(copies) - copies,
+                                                       copies)
+                inv = inv[src]
+                traj, nxt, vec = traj[:, src], nxt[:, src], vec[src]
+                weight = weight[src] * share[inv, slot]
+                split = True
+            nxt[i] = traj[i] + action[inv, slot] * m
+        traj = nxt
+        if split:  # merge the branches that ended the round alike
+            inv, first = _group([vec, *traj], [n_vec] + [n_a * m] * n)
+            weight = np.bincount(inv, weights=weight)
+            vec, traj = vec[first], traj[:, first]
+    dtype = traj.dtype.type
+    trajs = [traj % dtype(n_a ** (t + 1)) for t in range(t_max)] + [traj]
+    return TrajectoryTensor(graph=graph, model=model, rule=rule, horizon=t_max,
+                            n_actions=n_a, deterministic=deterministic,
+                            signal_digits=digits, signal_probs=probs,
+                            vectors=vec, weights=weight, trajs=trajs,
+                            decision_tables=tables)
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +217,10 @@ def oracle_error_probability(tensor: TrajectoryTensor, i: int, t: int,
     if tensor.n_actions != model.n_states:
         raise ModelError("error probability assumes the identity payoff")
     states = range(model.n_states) if condition_state is None else [condition_state]
+    votes = round_digit(tensor.trajs[t][i].astype(np.int64), t, tensor.n_actions)
     err = 0.0
-    n_a = tensor.n_actions
     for s in states:
         weight = model.prior[s] if condition_state is None else 1.0
-        if tensor.deterministic:
-            votes = round_digit(tensor.trajs[t][i], t, n_a)
-            err += weight * float(np.sum(tensor.signal_probs[s] * (votes != s)))
-        else:
-            acc = 0.0
-            for y, profiles in enumerate(tensor.profiles):
-                py = tensor.signal_probs[s, y]
-                for prof, w in profiles.items():
-                    if round_digit(prof[i], t, n_a) != s:
-                        acc += py * w
-            err += weight * acc
+        mass = tensor.signal_probs[s, tensor.vectors] * tensor.weights
+        err += weight * float(np.sum(mass * (votes != s)))
     return err

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cavitree.model import ModelError, TieBreak, TieBreakRule, UpdateRule
+from cavitree import oracle
+from cavitree.cavity import FiniteTreeEngine
+from cavitree.model import UpdateRule
 from cavitree.oracle import (
     feasible_set,
     oracle_decision_tables,
@@ -11,6 +13,7 @@ from cavitree.oracle import (
     unroll,
 )
 from cavitree.trees import BudgetError, TreeGraph, path_graph, star_graph
+from cavitree.verify import ORACLE_TOL, instance_family
 
 SINGLE = TreeGraph(n=1)
 
@@ -100,10 +103,13 @@ def test_relabeling_equivariance(model15, bayes):
             oracle_error_probability(b, 3 - node, 2), rel=1e-12)
 
 
-def test_majority_profiles_normalized(model15, majority):
+def test_majority_branch_weights_normalized(model15, majority):
+    """Each signal vector's branches share out its tie coins' mass."""
     tensor = unroll(path_graph(3), model15, majority, 2)
-    for profiles in tensor.profiles:
-        assert sum(profiles.values()) == pytest.approx(1.0, abs=1e-12)
+    n_vec = tensor.signal_digits.shape[1]
+    assert len(tensor.weights) > n_vec  # the interior node's ties split
+    totals = np.bincount(tensor.vectors, weights=tensor.weights, minlength=n_vec)
+    np.testing.assert_allclose(totals, 1.0, rtol=0, atol=1e-12)
 
 
 def test_budget_guard(model15, bayes):
@@ -113,11 +119,42 @@ def test_budget_guard(model15, bayes):
         unroll(path_graph(26), model15, bayes, 3)
 
 
-def test_stochastic_bayesian_rejected(model15):
-    rule = UpdateRule(variant="bayesian",
-                      tie_break=TieBreakRule(variant=TieBreak.UNIFORM_RANDOM))
-    with pytest.raises(ModelError):
-        unroll(path_graph(2), model15, rule, 1)
+def test_branch_budget_guard(model15, majority, monkeypatch):
+    """Ties split branches past the signal-vector count the upfront check
+    sees; the split that would pass the budget is refused."""
+    graph = path_graph(4)
+    monkeypatch.setattr(oracle, "BUDGET", graph.n * 3 * 2 ** graph.n)
+    with pytest.raises(BudgetError, match="branches"):
+        unroll(graph, model15, majority, 3)
+
+
+def test_uniform_bayesian_ties_match_engine(model15, uniform_ties):
+    """Uniform-random Bayesian ties split branches like majority coins."""
+    rule = UpdateRule(variant="bayesian", tie_break=uniform_ties)
+    for name, graph in instance_family(8):
+        tensor = unroll(graph, model15, rule, 3)
+        engine = FiniteTreeEngine(graph, model15, rule)
+        engine.run(3)
+        for node in range(graph.n):
+            for t in range(4):
+                assert abs(oracle_error_probability(tensor, node, t)
+                           - engine.error_probability(node, t)) <= ORACLE_TOL, (
+                    name, node, t)
+
+
+@pytest.mark.parametrize("variant", ["bayesian", "majority"])
+def test_wide_star_matches_engine(model15, variant):
+    """A hub observing 11 leaves: 8^11 x 2 possible keys, of which only the
+    4096 signal vectors occur, so keys are never laid out densely."""
+    graph = star_graph(12)
+    rule = UpdateRule(variant=variant)
+    tensor = unroll(graph, model15, rule, 3)
+    engine = FiniteTreeEngine(graph, model15, rule)
+    engine.run(3)
+    for node in (0, 1):
+        for t in range(4):
+            assert abs(oracle_error_probability(tensor, node, t)
+                       - engine.error_probability(node, t)) <= ORACLE_TOL
 
 
 def test_decision_tables_recorded(model15, bayes):

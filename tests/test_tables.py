@@ -32,8 +32,6 @@ def test_entries_are_probabilities(engine):
 
 def test_table_constructors_validate():
     with pytest.raises(TableError):
-        CavityTable(horizon=1, alphabet_size=2, scope="homogeneous",
-                    array=np.zeros((3, 2, 2)))
+        CavityTable(horizon=1, alphabet_size=2, array=np.zeros((3, 2, 2)))
     with pytest.raises(TableError):
-        CavityTable(horizon=1, alphabet_size=2, scope="homogeneous",
-                    array=np.zeros((4, 2)))
+        CavityTable(horizon=1, alphabet_size=2, array=np.zeros((4, 2)))
