@@ -86,7 +86,7 @@ class ActiveEdgeEngine(RegularTreeEngine):
         if not 0.0 < p <= 1.0:
             raise ModelError("activation probability must be in (0, 1]; an edge "
                              "that can never fire is not an edge")
-        if rule.variant != "bayesian":
+        if rule.variant != "bayesian" or not rule.deterministic_for_degree(d):
             raise ModelError("the active-edge engine supports deterministic "
                              "Bayesian updates only")
         super().__init__(model, d, rule)

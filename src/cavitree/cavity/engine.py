@@ -160,6 +160,15 @@ class CavityEngine:
                 f"coupling mass deviates by {coupling_dev:.3e} at {where}, t={t}")
         return err
 
+    def _decisions(self, t: int, c: int) -> np.ndarray:
+        """Node class c's round-t decision table as g[x, inputs], one row per
+        signal; ``ModelError`` for a table with tie-coin rows."""
+        table = self.g[t][c]
+        if len(table) != self.model.n_signals:
+            raise ModelError("action tables exist for deterministic "
+                             "rules only; this table has tie-coin rows")
+        return table
+
     def _posterior(self, x: int, observed: tuple[int, ...], t: int,
                    c: int) -> np.ndarray:
         """P(s | x, ``observed``) at node class c of round t, in the class's

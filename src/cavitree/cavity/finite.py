@@ -167,10 +167,8 @@ class FiniteTreeEngine(CavityEngine):
                       range(self.graph.n))
         key = (t, self.node_class[t][node], tuple(self._layout(node, t)[0]))
         if key not in self._actions:
-            table, (space, perm) = self._table(node, t), self._space(node, t)
-            if len(table) != self.model.n_signals:
-                raise ModelError("action tables exist for deterministic "
-                                 "rules only; this table has tie-coin rows")
+            table = self._decisions(t, self.node_class[t][node])
+            space, perm = self._space(node, t)
             self._actions[key] = (space.expand(table, perm)
                                   // self.n_actions ** t).astype(np.int8)
         return self._actions[key]

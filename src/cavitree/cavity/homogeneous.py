@@ -11,6 +11,15 @@ one-group ``core.SlotSpace``), a cavity step splits the observer's fixed
 trajectory off it, and ``dense_decisions`` expands a table to one column
 per ordered input.  ``RegularTreeEngine`` is the one-point degree law, and
 ``ActiveEdgeEngine`` (``active.py``) runs it over the erasure channel.
+
+The engines take every rule: a stochastic one (majority at even degree,
+Bayesian with uniform-random ties) runs through the same tie-coin rows as
+on a finite tree, and ``dense_decisions`` and ``decision_table``, whose
+arrays have one row per signal, refuse a table with coin rows.  The rows
+double each round.  At noise 0.15, on a 2-core x86-64 box, majority at
+d=4 reaches round 6 (3.0 s of CPU, 430 MB peak RSS) and uniform-random
+Bayesian ties at d=5 round 5 (0.9 s); the preflight refuses the next
+round of each, at 22.5 GiB and 10.1 GiB of tables.
 """
 
 from __future__ import annotations
@@ -40,11 +49,9 @@ class ConfigModelEngine(CavityEngine):
         self.rho_v = rho_v
         self.rho_e = edge_perspective(rho_v)
         self.degrees = [d for d in self.rho_e.support]
-        for d in self.degrees:
-            if not rule.deterministic_for_degree(d):
-                raise ModelError(
-                    f"the homogeneous engines need a deterministic rule for "
-                    f"degree {d}; use FiniteTreeEngine for stochastic rules")
+        if rule.variant == "majority" and 0 in self.degrees:
+            raise ModelError("majority dynamics needs at least one neighbor "
+                             "per node")
         super().__init__(model, rule, classes=len(self.degrees))
 
     def _plan_round(self, t: int):
@@ -87,10 +94,11 @@ class ConfigModelEngine(CavityEngine):
 
     def dense_decisions(self, degree: int, t: int) -> np.ndarray:
         """The horizon-t decision table of ``degree`` with one column per
-        ordered tuple of observed trajectories, packed as in a dense table."""
+        ordered tuple of observed trajectories, packed as in a dense table;
+        a table with tie-coin rows has no such array."""
         check_address(t, len(self.g), "decision table", degree, self.degrees)
         space = SlotSpace(self.channel.size ** t, [degree])
-        return space.expand(self.g[t][self.degrees.index(degree)])
+        return space.expand(self._decisions(t, self.degrees.index(degree)))
 
     def cavity_table(self, t: int) -> CavityTable:
         check_round(t, len(self.q), "cavity table")

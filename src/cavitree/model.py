@@ -279,16 +279,19 @@ def model_from_json(doc: dict) -> tuple[SignalModel, TieBreakRule]:
             return model, tie
         model = SignalModel(prior=np.asarray(doc["prior"], float),
                             likelihood=np.asarray(doc["likelihood"], float))
-        states = int(doc.get("states", model.n_states))
-        signals = int(doc.get("signals", model.n_signals))
     except ModelError:
         raise
     except KeyError as exc:
         raise ModelError(f"model document missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ModelError(f"malformed model document: {exc}") from exc
-    if states != model.n_states:
-        raise ModelError("declared state count does not match the prior length")
-    if signals != model.n_signals:
-        raise ModelError("declared signal count does not match the likelihood width")
+    for key, count, noun, source in (
+            ("states", model.n_states, "state", "the prior length"),
+            ("signals", model.n_signals, "signal", "the likelihood width")):
+        declared = doc.get(key, count)
+        if isinstance(declared, bool) or not isinstance(declared, int):
+            raise ModelError(f"declared {noun} count must be a JSON integer, "
+                             f"not {declared!r}")
+        if declared != count:
+            raise ModelError(f"declared {noun} count does not match {source}")
     return model, tie

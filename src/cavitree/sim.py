@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -282,8 +283,11 @@ def simulate(
             votes = new_votes
         return tally
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # One worker per chunk and usable CPU at most: the pool would start
+    # one thread per pending chunk, up to ``threads``.
+    workers = min(threads, len(starts), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             tallies = list(pool.map(run_chunk, starts))
     else:
         tallies = [run_chunk(s) for s in starts]

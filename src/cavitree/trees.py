@@ -45,11 +45,16 @@ class TreeGraph:
                                                    repr=False)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise GraphError(f"a graph has n >= 0 nodes, not {self.n}")
         edges = tuple(tuple(sorted(e)) for e in self.edges)
         directed = tuple(tuple(e) for e in self.directed_edges)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "directed_edges", directed)
         object.__setattr__(self, "hubs", frozenset(self.hubs))
+        if any(not 0 <= h < self.n for h in self.hubs):
+            raise GraphError(f"hubs {sorted(self.hubs)} outside nodes "
+                             f"0..{self.n - 1}")
         seen = set()
         for i, j in edges + directed:
             if not (0 <= i < self.n and 0 <= j < self.n) or i == j:
@@ -307,19 +312,32 @@ def _tree_radius_from(i: int, adj: Sequence[Sequence[int]], n: int) -> int:
 # JSON interfaces
 # ---------------------------------------------------------------------------
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a float, string or bool is refused,
+    not truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphError(f"{what} must be a JSON integer, not {value!r}")
+    return value
+
+
 def graph_from_json(doc: dict) -> TreeGraph:
     """Read {"n": .., "edges": [[i, j], ..]} with optional "directed_edges"
-    and "hubs"; a document of the wrong shape raises ``GraphError``."""
+    and "hubs", every node count and index a JSON integer; a document of
+    the wrong shape raises ``GraphError``."""
     if not isinstance(doc, dict):
         raise GraphError("a graph document is a JSON object")
     try:
-        n = int(doc["n"])
-        edges = tuple((int(i), int(j)) for i, j in doc.get("edges", []))
-        directed = tuple((int(i), int(j))
-                         for i, j in doc.get("directed_edges", []))
-        hubs = frozenset(int(v) for v in doc.get("hubs", []))
+        n = _json_int(doc["n"], "n")
+        pairs = {key: tuple((_json_int(i, "an edge endpoint"),
+                             _json_int(j, "an edge endpoint"))
+                            for i, j in doc.get(key, []))
+                 for key in ("edges", "directed_edges")}
+        hubs = frozenset(_json_int(v, "a hub") for v in doc.get("hubs", []))
+    except GraphError:
+        raise
     except KeyError as exc:
         raise GraphError(f"graph document missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
-    return TreeGraph(n=n, edges=edges, directed_edges=directed, hubs=hubs)
+    return TreeGraph(n=n, edges=pairs["edges"],
+                     directed_edges=pairs["directed_edges"], hubs=hubs)

@@ -5,11 +5,12 @@ import pytest
 
 import cavitree.cavity
 import cavitree.cavity.engine as engine_module
-from cavitree.cavity import CouplingError, RegularTreeEngine
+from cavitree.cavity import (ConfigModelEngine, CouplingError,
+                             FiniteTreeEngine, RegularTreeEngine)
 from cavitree.model import (ModelError, SignalModel, TieBreak, TieBreakRule,
                             UpdateRule)
 from cavitree.oracle import unroll
-from cavitree.trees import path_graph
+from cavitree.trees import DegreeDistribution, path_graph, regular_tree
 
 
 def test_cavity_exports_resolve():
@@ -154,9 +155,39 @@ def test_prefix_consistency_of_decisions(model15, bayes):
         assert cur.prefix_consistent_with(prev)
 
 
-def test_stochastic_rule_rejected_on_even_degree(model15):
-    with pytest.raises(ModelError, match="FiniteTreeEngine"):
-        RegularTreeEngine(model15, 4, UpdateRule(variant="majority"))
+@pytest.mark.parametrize("d, rule", [
+    (4, UpdateRule(variant="majority")),
+    (3, UpdateRule(tie_break=TieBreakRule(TieBreak.UNIFORM_RANDOM))),
+], ids=["majority-d4", "uniform-d3"])
+def test_coin_rows_equal_the_finite_tree_root(model15, d, rule):
+    """A stochastic rule runs on the homogeneous engine through the same
+    tie-coin rows as on a finite tree: through round 4 the root of the
+    depth-4 d-regular tree sees the infinite tree, bit for bit."""
+    regular = RegularTreeEngine(model15, d, rule)
+    finite = FiniteTreeEngine(regular_tree(d, 4), model15, rule)
+    regular.run(4)
+    finite.run(4)
+    assert len(regular.g[4][0]) > model15.n_signals  # coin rows were built
+    assert ([regular.error_probability(t) for t in range(5)]
+            == [finite.error_probability(0, t) for t in range(5)])
+
+
+def test_majority_refuses_a_degree_zero_class(model15, majority):
+    """Majority has no vote to take at degree 0; it is refused, not run on
+    coins."""
+    rho = DegreeDistribution((0, 3), np.array([0.5, 0.5]))
+    with pytest.raises(ModelError, match="at least one neighbor"):
+        ConfigModelEngine(model15, rho, majority)
+
+
+def test_decision_table_refuses_coin_rows(model15, majority):
+    """A DecisionTable has one row per signal; an even-degree majority
+    table has tie-coin rows from round 1 on."""
+    engine = RegularTreeEngine(model15, 4, majority)
+    engine.run(1)
+    assert engine.decision_table(0).array.shape == (2, 1)
+    with pytest.raises(ModelError, match="tie-coin rows"):
+        engine.decision_table(1)
 
 
 def test_error_requires_advance(model15, bayes):

@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 
+import cavitree.cavity.engine as engine_module
 from cavitree.cli import main
 from cavitree.model import SignalModel
 
@@ -126,6 +127,23 @@ def test_budget_exit_code(tmp_path, capsys):
     # Refused before the first core step, not when the step is reached.
     assert run(tmp_path, "simulate", "--tree", "3:2", "--rounds", "12") == 3
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_even_degree_majority_runs_on_the_homogeneous_engine(tmp_path,
+                                                             monkeypatch):
+    """Majority at even degree runs through tie-coin rows; the coins double
+    the rows each round, so round 7 is refused before any core step."""
+    assert run(tmp_path, "table", "--rule", "majority", "--d", "4",
+               "--rounds", "4") == 0
+    assert run(tmp_path, "conjecture", "--d", "4", "--rounds", "4") == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a core step ran before the budget check")
+
+    for name in ("cavity_step_general", "decision_step_general"):
+        monkeypatch.setattr(engine_module, name, refuse)
+    assert run(tmp_path, "table", "--rule", "majority", "--d", "4",
+               "--rounds", "7") == 3
 
 
 @pytest.mark.parametrize("argv", [

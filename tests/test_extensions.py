@@ -14,7 +14,7 @@ from cavitree.cavity import (
 )
 import cavitree.cavity.engine as engine_module
 from cavitree.cavity.core import cavity_step_general
-from cavitree.model import ModelError
+from cavitree.model import ModelError, TieBreak, TieBreakRule, UpdateRule
 from cavitree.oracle import feasible_set, unroll
 from cavitree.trees import (
     BudgetError,
@@ -125,6 +125,14 @@ def test_active_rejects_dead_edges(model15, bayes):
 def test_active_rejects_majority(model15, majority):
     with pytest.raises(ModelError):
         ActiveEdgeEngine(model15, 3, majority, p=0.5)
+
+
+def test_active_rejects_uniform_ties(model15):
+    """Coin rows are not checked on the erasure channel, so a Bayesian rule
+    with uniform-random ties is refused."""
+    rule = UpdateRule(tie_break=TieBreakRule(TieBreak.UNIFORM_RANDOM))
+    with pytest.raises(ModelError, match="deterministic"):
+        ActiveEdgeEngine(model15, 3, rule, p=0.5)
 
 
 def test_active_budget_refuses_horizon_10(model15, bayes, monkeypatch):

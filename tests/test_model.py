@@ -198,3 +198,14 @@ def test_model_json_bad_tie():
 def test_model_json_malformed(doc):
     with pytest.raises(ModelError):
         model_from_json(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("states", 2.9), ("states", 2.0), ("states", "2"), ("signals", True),
+])
+def test_model_json_refuses_non_integer_counts(key, value):
+    """A declared count is a JSON integer: 2.9 is not read as 2."""
+    doc = {"prior": [0.5, 0.5], "likelihood": [[0.9, 0.1], [0.2, 0.8]],
+           key: value}
+    with pytest.raises(ModelError, match="JSON integer"):
+        model_from_json(doc)

@@ -4,7 +4,8 @@ from replay_reference import per_node_replay
 
 from cavitree import sim
 from cavitree.cavity import ConfigModelEngine, FiniteTreeEngine, RegularTreeEngine
-from cavitree.model import ModelError, SignalModel, UpdateRule, UtilityTable
+from cavitree.model import (ModelError, SignalModel, TieBreak, TieBreakRule,
+                            UpdateRule, UtilityTable)
 from cavitree.sim import (
     DegreeTables,
     counter_uniform,
@@ -135,6 +136,33 @@ def test_threads_do_not_change_results(model15, majority):
     a = simulate(graph, model15, majority, 2, 5000, seed=9, chunk=512, threads=1)
     b = simulate(graph, model15, majority, 2, 5000, seed=9, chunk=512, threads=4)
     np.testing.assert_array_equal(a.errors, b.errors)
+
+
+@pytest.mark.parametrize("samples, chunk, cpus, workers", [
+    (100_000_000, 1 << 14, 3, 3),
+    (5000, 512, 64, 10),
+], ids=["cpu-bound", "chunk-bound"])
+def test_thread_pool_is_bounded(model15, majority, monkeypatch, samples,
+                                chunk, cpus, workers):
+    """The pool gets no more workers than chunks or usable CPUs, whatever
+    ``threads`` asks for.  The fake pool records its size and stops the
+    run, so no thread starts."""
+    class Started(Exception):
+        pass
+
+    sizes = []
+
+    def fake_pool(max_workers):
+        sizes.append(max_workers)
+        raise Started
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", fake_pool)
+    monkeypatch.setattr(sim.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    with pytest.raises(Started):
+        simulate(regular_tree(3, 2), model15, majority, 2, samples, seed=9,
+                 chunk=chunk, threads=10_000)
+    assert sizes == [workers]
 
 
 @pytest.mark.parametrize("counts", [{"samples": 0}, {"chunk": -4},
@@ -303,6 +331,20 @@ def test_majority_replay_draws_tie_coins(model15, majority, monkeypatch):
     simulate(graph, model15, majority, 3, 1500, seed=31, chunk=700)
     even = {i for i in range(graph.n) if len(graph.observed[i]) == 4}
     assert drawn and drawn <= even
+
+
+def test_degree_tables_refuse_coin_rows(model15):
+    """Uniform-random ties give the degree-mixture tables coin rows, which
+    no action table holds: the engine refuses them, before the replay's
+    shape check could."""
+    rule = UpdateRule(tie_break=TieBreakRule(TieBreak.UNIFORM_RANDOM))
+    graph = regular_tree(3, 2)
+    engine = ConfigModelEngine(model15, DegreeDistribution(
+        (1, 3), np.array([0.5, 0.5])), rule)
+    engine.run(1)
+    with pytest.raises(ModelError, match="tie-coin rows"):
+        simulate(graph, model15, rule, 1, 10, seed=0,
+                 tables=DegreeTables(engine, graph))
 
 
 def test_replay_rejects_misshapen_action_table(model15, bayes):

@@ -146,6 +146,35 @@ def test_graph_json_malformed(doc):
         graph_from_json(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 2.7, "edges": [[0, 1]]},
+    {"n": 2, "edges": [[0, 1.9]]},
+    {"n": "3"},
+    {"n": True},
+    {"n": 3, "directed_edges": [[0, True]]},
+    {"n": 3, "hubs": [1.0]},
+], ids=["float-n", "float-endpoint", "string-n", "bool-n",
+        "bool-directed-endpoint", "float-hub"])
+def test_graph_json_refuses_non_integers(doc):
+    """Node counts and indices are JSON integers; nothing is truncated or
+    parsed into one."""
+    with pytest.raises(GraphError, match="JSON integer"):
+        graph_from_json(doc)
+
+
+def test_negative_node_count_refused():
+    with pytest.raises(GraphError, match="n >= 0"):
+        TreeGraph(n=-2)
+    with pytest.raises(GraphError, match="n >= 0"):
+        graph_from_json({"n": -2})
+    assert TreeGraph(n=0).observed == ()
+
+
+def test_hub_outside_the_graph_refused():
+    with pytest.raises(GraphError, match="outside nodes"):
+        graph_from_json({"n": 3, "edges": [[0, 1], [1, 2]], "hubs": [99]})
+
+
 def test_neighbor_lists_sorted():
     graph = TreeGraph(n=4, edges=((2, 0), (0, 1), (3, 0)))
     assert graph.observed[0] == (1, 2, 3)
