@@ -134,15 +134,18 @@ def conjecture_check(bayes_errors: Sequence[float],
     """
     if len(bayes_errors) != len(majority_errors):
         raise ModelError("sequences must cover the same rounds")
+    per_round = [b <= m * (1.0 + 1e-9)
+                 for b, m in zip(bayes_errors, majority_errors)]
     violations = [
         {"round": t, "bayesian": float(b), "majority": float(m)}
         for t, (b, m) in enumerate(zip(bayes_errors, majority_errors))
-        if b > m * (1.0 + 1e-9)
+        if not per_round[t]
     ]
     return {
         "kind": "conjecture-check",
         "rounds": len(bayes_errors),
         "holds": not violations,
+        "per_round": per_round,
         "violations": violations,
     }
 

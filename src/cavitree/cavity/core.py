@@ -95,14 +95,12 @@ import numpy as np
 
 from ..model import (ModelError, SignalModel, TieBreak, UpdateRule,
                      UtilityTable, TIE_TOL, round0_kernel, signal_posterior)
-from ..trees import BudgetError
 
 logger = logging.getLogger(__name__)
 
 CHUNK = 1 << 16
 DRIFT_WARN = 1e-9
 COUPLING_TOL = 1e-9
-MEMORY_BUDGET = 4 << 30  # bytes of table workspace allowed per step
 
 
 def _sorted_segments(keys: np.ndarray, n_keys: int):
@@ -118,14 +116,6 @@ def _sorted_segments(keys: np.ndarray, n_keys: int):
 def _segment_add(acc: np.ndarray, order, uniq, starts, weights: np.ndarray):
     """acc[uniq] += the pairwise sum of each key's run of weights."""
     acc[uniq] += np.add.reduceat(weights[order], starts)
-
-
-def check_budget(need: int):
-    """Refuse a step that needs ``need`` bytes of table workspace."""
-    if need > MEMORY_BUDGET:
-        raise BudgetError(
-            f"table workspace of {need / 2 ** 30:.2f} GiB is over the "
-            f"{MEMORY_BUDGET / 2 ** 30:.2f} GiB budget")
 
 
 def check_round(t: int, stored: int, what: str):
@@ -457,9 +447,7 @@ def cavity_step_general(
     n_out = n_obs ** (t + 1)
     n_tau = m if tau_group is not None else 1
     cond_mod = max(channel.n_actions ** (t - 1), 1)
-    sizes = [size for *_, size in groups]
-    check_budget(cavity_step_bytes(t, sizes, tau_group, n_obs, n_s))
-    table = SlotSpace(m, sizes)
+    table = SlotSpace(m, [size for *_, size in groups])
     inputs, order = table.cavity(tau_group)
     # Input row 0 holds the observer's slot, if any; the other rows are summed.
     first = int(tau_group is not None)
@@ -596,7 +584,6 @@ def decision_step_general(
     rows_prev = len(g_prev)
     share = n_x / (rows_prev * coins)
     m = n_obs ** t
-    check_budget(decision_step_bytes(t, sizes, n_obs, rows_prev * coins))
     space, prev = SlotSpace(n_obs ** (t + 1), sizes), SlotSpace(m, prev_sizes)
     total = space.size
     utility = rule.utility or UtilityTable.identity(model.n_states)

@@ -12,15 +12,25 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import ModelError, SignalModel, UpdateRule, action_count
-from .core import (COUPLING_TOL, cavity_step_bytes, cavity_step_general,
-                   check_budget, check_round, coin_values, decision_step_bytes,
-                   decision_step_general, error_from_sums, posterior_general,
-                   round0_sums, round0_table)
+from ..trees import BudgetError
+from .core import (COUPLING_TOL, SlotSpace, cavity_step_bytes,
+                   cavity_step_general, check_round, coin_values,
+                   decision_step_bytes, decision_step_general, error_from_sums,
+                   posterior_general, round0_sums, round0_table)
 from .tables import CavityTable
+
+MEMORY_BUDGET = 4 << 30  # bytes of table workspace allowed per step
 
 
 class CouplingError(RuntimeError):
     """The coupling total-mass runtime check failed (indicates a table bug)."""
+
+
+def check_budget(need: int):
+    """Refuse a step that needs ``need`` bytes of table workspace."""
+    if need > MEMORY_BUDGET:
+        raise BudgetError(f"table workspace of {need / 2 ** 30:.2f} GiB is "
+                          f"over the {MEMORY_BUDGET / 2 ** 30:.2f} GiB budget")
 
 
 def check_address(t: int, stored: int, what: str, key, keys) -> None:
@@ -82,6 +92,7 @@ class CavityEngine:
         self.drifts: list[float] = []
         self.ops: list[int] = []
         self._plans: list[tuple[list, list]] = []
+        self._votes: dict[tuple, np.ndarray] = {}
 
     @property
     def horizon(self) -> int:
@@ -89,8 +100,8 @@ class CavityEngine:
         return len(self.q)
 
     def _planned(self, t: int) -> tuple[list, list]:
-        """Round t's plan, planning every earlier round first and refusing
-        a round whose steps exceed the table budget before any of them runs."""
+        """Round t's plan, planning every earlier round first: the one table
+        budget check, which refuses an over-budget step before any runs."""
         while len(self._plans) <= t:
             r = len(self._plans)
             edges, nodes = plan = self._plan_round(r)
@@ -168,6 +179,23 @@ class CavityEngine:
             raise ModelError("action tables exist for deterministic "
                              "rules only; this table has tie-coin rows")
         return table
+
+    def _slot_space(self, t: int, c: int) -> SlotSpace:
+        """The space node class c's round-t table was built in: one group
+        per slot group of the plan that built it, none at round 0."""
+        groups = self._plans[t - 1][1][c][2] if t else []
+        return SlotSpace(self.channel.size ** t, [size for _, size in groups])
+
+    def vote_table(self, t: int, c: int, order=None) -> np.ndarray:
+        """Node class c's round-t vote per (signal, packed observations),
+        slot p reading observation ``order[p]`` (p by default), built once
+        per key and shared; a table with tie-coin rows has none."""
+        check_round(t, len(self.g), "action table")
+        key = (t, c, order)
+        if key not in self._votes:
+            table = self._slot_space(t, c).expand(self._decisions(t, c), order)
+            self._votes[key] = (table // self.n_actions ** t).astype(np.int8)
+        return self._votes[key]
 
     def _posterior(self, x: int, observed: tuple[int, ...], t: int,
                    c: int) -> np.ndarray:

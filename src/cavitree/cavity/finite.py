@@ -5,11 +5,13 @@ a message conditions on the observer's trajectory only when the observed
 node observes back (undirected edge).  Tables are shared per structural
 class, one cavity step of weight 1 per edge class, and addressed by node
 and edge; a node's slots are sorted so that the neighbours sending one
-message share a group of exchangeable slots.  Every rule runs on the
-vectorized core: a stochastic one (majority with coin-flip ties at even
-degree, Bayesian with uniform-random ties) gives its decision tables coin
-rows, one per tie-coin outcome, so a node's trajectory is a function of its
-row and inputs and ``decision_kernel`` counts the rows of a signal.
+message share a group of exchangeable slots, and a node reads its class's
+table, in the slot space of the class's plan, through its own slot order.
+Every rule runs on the vectorized core: a stochastic one (majority with
+coin-flip ties at even degree, Bayesian with uniform-random ties) gives its
+decision tables coin rows, one per tie-coin outcome, so a node's trajectory
+is a function of its row and inputs and ``decision_kernel`` counts the rows
+of a signal.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from collections import Counter
 
 import numpy as np
 
-from ..model import ModelError, SignalModel, UpdateRule
+from ..model import SignalModel, UpdateRule
 from ..trees import GraphError, TreeGraph, validate
-from .core import SlotSpace, check_input
+from .core import check_input
 from .engine import CavityEngine, check_address
 from .tables import CavityTable
 
@@ -62,9 +64,7 @@ class FiniteTreeEngine(CavityEngine):
             raise GraphError(diag)
         obs = graph.observed
         n = graph.n
-        if rule.variant == "majority" and any(len(o) == 0 for o in obs):
-            raise ModelError("majority dynamics needs at least one neighbor "
-                             "per node")
+        rule.check_degrees([len(o) for o in obs])
         super().__init__(model, rule)
         self.graph = graph
         self.edges = [(j, i) for i in range(n) for j in obs[i]]
@@ -77,7 +77,6 @@ class FiniteTreeEngine(CavityEngine):
         # Per round: the class id of every node (edge).
         self.node_class = [[0] * n]
         self.edge_class: list[list[int]] = []
-        self._actions: dict[tuple, np.ndarray] = {}
 
     def _plan_round(self, t: int):
         """Intern the classes of round t, edges at t and nodes at t+1, whose
@@ -106,9 +105,6 @@ class FiniteTreeEngine(CavityEngine):
     def advance(self) -> None:
         self._step(*self._planned(self.horizon))
 
-    def _table(self, node: int, t: int) -> np.ndarray:
-        return self.g[t][self.node_class[t][node]]
-
     def _layout(self, i: int, t: int):
         """Node i's slots in its round-t class's order, and that class's
         slot groups as ((edge class at t-1, conditions), slots); a round-0
@@ -118,12 +114,6 @@ class FiniteTreeEngine(CavityEngine):
         pairs = [(self.edge_class[t - 1][e], cond) for e, cond in self._slots[i]]
         return (sorted(range(len(pairs)), key=pairs.__getitem__),
                 sorted(Counter(pairs).items()))
-
-    def _space(self, i: int, t: int) -> tuple[SlotSpace, list[int]]:
-        """Node i's round-t class's index space, and the node's slots in the
-        space's order."""
-        perm, groups = self._layout(i, t)
-        return SlotSpace(self.n_actions ** t, [size for _, size in groups]), perm
 
     def error_probability(self, node: int, t: int,
                           condition_state: int | None = None) -> float:
@@ -147,13 +137,14 @@ class FiniteTreeEngine(CavityEngine):
         the share of signal x's rows (coin outcomes) giving each code."""
         check_address(t, len(self.g), "decision table", node,
                       range(self.graph.n))
-        space, perm = self._space(node, t)
+        c = self.node_class[t][node]
+        space = self._slot_space(t, c)
         codes = check_input(x, observed, space.slots, space.base,
                             self.model.n_signals)
-        column = self._table(node, t)[x::self.model.n_signals,
-                                      space.rank(codes, perm)[0]]
+        j = space.rank(codes, self._layout(node, t)[0])[0]
+        column = self.g[t][c][x::self.model.n_signals, j]
         values, counts = np.unique(column, return_counts=True)
-        return [(int(v), float(c / len(column))) for v, c in zip(values, counts)]
+        return [(int(v), float(n / len(column))) for v, n in zip(values, counts)]
 
     def cavity_table(self, j: int, i: int, t: int) -> CavityTable:
         check_address(t, len(self.q), "cavity table", (j, i), self.edge_id)
@@ -165,10 +156,5 @@ class FiniteTreeEngine(CavityEngine):
         share the same object.  A table with coin rows has no such array."""
         check_address(t, len(self.g), "action table", node,
                       range(self.graph.n))
-        key = (t, self.node_class[t][node], tuple(self._layout(node, t)[0]))
-        if key not in self._actions:
-            table = self._decisions(t, self.node_class[t][node])
-            space, perm = self._space(node, t)
-            self._actions[key] = (space.expand(table, perm)
-                                  // self.n_actions ** t).astype(np.int8)
-        return self._actions[key]
+        return self.vote_table(t, self.node_class[t][node],
+                               tuple(self._layout(node, t)[0]))

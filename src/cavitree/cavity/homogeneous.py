@@ -7,9 +7,10 @@ edge class per round, whose message mixes the per-degree cavity steps under
 the edge-perspective law (the unknown-graph recursion), and addresses the
 tables by degree.  Every slot reads the same message, so a node's slots
 form one group: each decision table is indexed by neighbour multisets (a
-one-group ``core.SlotSpace``), a cavity step splits the observer's fixed
-trajectory off it, and ``dense_decisions`` expands a table to one column
-per ordered input.  ``RegularTreeEngine`` is the one-point degree law, and
+one-group ``core.SlotSpace``, the plan's), a cavity step splits the
+observer's fixed trajectory off it, ``dense_decisions`` expands a table to
+one column per ordered input, and ``vote_table`` serves its votes to the
+replay.  ``RegularTreeEngine`` is the one-point degree law, and
 ``ActiveEdgeEngine`` (``active.py``) runs it over the erasure channel.
 
 The engines take every rule: a stochastic one (majority at even degree,
@@ -28,7 +29,7 @@ import numpy as np
 
 from ..model import ModelError, SignalModel, UpdateRule
 from ..trees import DegreeDistribution, edge_perspective
-from .core import SlotSpace, check_round
+from .core import check_round
 from .engine import CavityEngine, check_address
 from .tables import CavityTable, DecisionTable
 
@@ -49,9 +50,7 @@ class ConfigModelEngine(CavityEngine):
         self.rho_v = rho_v
         self.rho_e = edge_perspective(rho_v)
         self.degrees = [d for d in self.rho_e.support]
-        if rule.variant == "majority" and 0 in self.degrees:
-            raise ModelError("majority dynamics needs at least one neighbor "
-                             "per node")
+        rule.check_degrees(self.degrees)
         super().__init__(model, rule, classes=len(self.degrees))
 
     def _plan_round(self, t: int):
@@ -97,8 +96,8 @@ class ConfigModelEngine(CavityEngine):
         ordered tuple of observed trajectories, packed as in a dense table;
         a table with tie-coin rows has no such array."""
         check_address(t, len(self.g), "decision table", degree, self.degrees)
-        space = SlotSpace(self.channel.size ** t, [degree])
-        return space.expand(self._decisions(t, self.degrees.index(degree)))
+        k = self.degrees.index(degree)
+        return self._slot_space(t, k).expand(self._decisions(t, k))
 
     def cavity_table(self, t: int) -> CavityTable:
         check_round(t, len(self.q), "cavity table")

@@ -72,12 +72,6 @@ def _resolve_model(args) -> tuple[SignalModel, TieBreakRule, dict]:
                         "model_hash": model.config_hash()}
 
 
-def _rule(name: str, tie: TieBreakRule) -> UpdateRule:
-    if name not in ("bayesian", "majority"):
-        raise ModelError(f"unknown rule {name!r}")
-    return UpdateRule(variant=name, tie_break=tie)
-
-
 def _condition(args, model: SignalModel) -> int | None:
     cond = getattr(args, "condition", "average")
     if cond == "average":
@@ -101,7 +95,7 @@ def cmd_table(args) -> int:
     t0 = time.monotonic()
     model, tie, source = _resolve_model(args)
     condition = _condition(args, model)
-    errs = RegularTreeEngine(model, args.d, _rule(args.rule, tie)).error_curve(
+    errs = RegularTreeEngine(model, args.d, UpdateRule(args.rule, tie)).error_curve(
         args.rounds, condition)
     noise = "" if source["noise"] is None else source["noise"]
     rows = ["rule,d,noise,round,error_prob"]
@@ -124,7 +118,7 @@ def cmd_curve(args) -> int:
     noise = "" if source["noise"] is None else source["noise"]
     rows = ["d,noise,round,error_prob,loglog,slope"]
     for d in ds:
-        errs = RegularTreeEngine(model, d, _rule(args.rule, tie)).error_curve(
+        errs = RegularTreeEngine(model, d, UpdateRule(args.rule, tie)).error_curve(
             args.rounds, condition)
         diag = bounds_mod.doubling_slope(errs)
         for t, e in enumerate(errs):
@@ -146,8 +140,6 @@ def cmd_bounds(args) -> int:
         "directed": bounds_mod.directed_bound_sequence,
         "chernoff": bounds_mod.chernoff_envelope,
     }
-    if args.variant not in fns:
-        raise ModelError(f"unknown bounds variant {args.variant!r}")
     seq = fns[args.variant](args.d, args.delta0, args.rounds)
     rows = ["variant,d,delta0,t,value"]
     for t, v in enumerate(seq.values):
@@ -191,7 +183,7 @@ def cmd_simulate(args) -> int:
     t0 = time.monotonic()
     model, tie, source = _resolve_model(args)
     graph = _resolve_graph(args)
-    rule = _rule(args.rule, tie)
+    rule = UpdateRule(args.rule, tie)
     tables = None
     if rule.variant == "bayesian":
         tables = FiniteTreeEngine(graph, model, rule)
@@ -218,12 +210,12 @@ def cmd_conjecture(args) -> int:
     t0 = time.monotonic()
     model, tie, source = _resolve_model(args)
     condition = _condition(args, model)
-    bayes, major = (RegularTreeEngine(model, args.d, _rule(name, tie)).error_curve(
+    bayes, major = (RegularTreeEngine(model, args.d, UpdateRule(name, tie)).error_curve(
         args.rounds, condition) for name in ("bayesian", "majority"))
     report = bounds_mod.conjecture_check(bayes, major)
     rows = ["round,bayesian,majority,holds"]
-    for t, (b, m) in enumerate(zip(bayes, major)):
-        rows.append(f"{t},{_fmt(b)},{_fmt(m)},{int(b <= m)}")
+    for t, (b, m, ok) in enumerate(zip(bayes, major, report["per_round"])):
+        rows.append(f"{t},{_fmt(b)},{_fmt(m)},{int(ok)}")
     out = args.out or "conjecture.csv"
     _write_atomic(out, "\n".join(rows) + "\n")
     _manifest("conjecture", args, {"d": args.d, **source,

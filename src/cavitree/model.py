@@ -212,6 +212,13 @@ class UpdateRule:
             return self.tie_break.variant is not TieBreak.UNIFORM_RANDOM
         return degree % 2 == 1
 
+    def check_degrees(self, degrees) -> None:
+        """Refuse majority dynamics for agents with no neighbor to follow,
+        given every agent's degree."""
+        if self.variant == "majority" and 0 in degrees:
+            raise ModelError("majority dynamics needs at least one neighbor "
+                             "per node")
+
 
 def action_count(model: SignalModel, rule: UpdateRule) -> int:
     """The number of actions: the Bayesian utility's, else one per state."""

@@ -199,8 +199,7 @@ def simulate(
     obs = graph.observed
     if rule.variant == "bayesian" and tables is None:
         raise ModelError("the Bayesian rule replays decision tables; supply them")
-    if rule.variant == "majority" and any(len(o) == 0 for o in obs):
-        raise ModelError("majority dynamics needs at least one neighbor per node")
+    rule.check_degrees([len(o) for o in obs])
     n_a = action_count(model, rule)
     kern0 = round0_kernel(model, rule, n_a)
     if any(len(k) != 1 for k in kern0):
@@ -302,24 +301,20 @@ class DegreeTables:
 
     This is the unknown-graph semantics: an agent's table depends on its
     degree only, so configuration-model samples replay the degree-mixture
-    engine's tables.  Each (degree, round) table is expanded to ordered
-    inputs once and shared by every node of that degree.
+    engine's tables: the engine's vote table of a degree, built once and
+    shared by every node of that degree.
     """
 
     def __init__(self, engine, graph):
         self.engine = engine
-        self.deg = [len(o) for o in graph.observed]
-        missing = sorted(set(self.deg) - set(engine.degrees))
+        deg = [len(o) for o in graph.observed]
+        missing = sorted(set(deg) - set(engine.degrees))
         if missing:
             raise ModelError(f"engine lacks tables for degrees {missing}")
-        self._actions: dict[tuple[int, int], np.ndarray] = {}
+        self._class = [engine.degrees.index(d) for d in deg]
 
     def action_table(self, node: int, t: int) -> np.ndarray:
-        key = (self.deg[node], t)
-        if key not in self._actions:
-            g = self.engine.dense_decisions(*key)
-            self._actions[key] = (g // self.engine.n_actions ** t).astype(np.int8)
-        return self._actions[key]
+        return self.engine.vote_table(t, self._class[node])
 
 
 def interior_nodes(graph, t: int, d: int | None = None) -> set[int]:

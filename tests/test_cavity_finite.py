@@ -552,9 +552,9 @@ def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
     # arithmetic.
     for i in range(graph.n):
         for t in range(3):
-            space, perm = engine._space(i, t)
-            np.testing.assert_array_equal(
-                space.expand(engine._table(i, t), perm), g[i][t])
+            c = engine.node_class[t][i]
+            np.testing.assert_array_equal(engine._slot_space(t, c).expand(
+                engine.g[t][c], engine._layout(i, t)[0]), g[i][t])
             want = error_from_sums(model15, sums[i][t])[0]
             assert engine.error_probability(i, t) == pytest.approx(
                 want, rel=1e-14, abs=0), (i, t)
@@ -678,9 +678,9 @@ def test_class_schedule_matches_per_edge_schedule(model30, name, graph,
     g, q, sums, drifts = _per_edge_schedule(graph, model30, rule, n_a, 3)
     for t in range(4):
         for i in range(graph.n):
-            space, perm = engine._space(i, t)
-            np.testing.assert_array_equal(
-                space.expand(engine._table(i, t), perm), g[i][t])
+            c = engine.node_class[t][i]
+            np.testing.assert_array_equal(engine._slot_space(t, c).expand(
+                engine.g[t][c], engine._layout(i, t)[0]), g[i][t])
             if t and len(g[i][t]) == model30.n_signals:
                 np.testing.assert_array_equal(engine.action_table(i, t),
                                               g[i][t] // n_a ** t)

@@ -81,6 +81,17 @@ def test_conjecture_runs(tmp_path):
     assert all(row.endswith(",1") for row in rows)
 
 
+def test_conjecture_csv_carries_the_verdict(tmp_path):
+    """At d=5, noise 0.15 the two round-1 errors differ in the last bits,
+    Bayesian above majority: a tie to the verdict, so every row holds."""
+    out = tmp_path / "cj.csv"
+    assert run(tmp_path, "conjecture", "--d", "5", "--noise", "0.15",
+               "--rounds", "2", "--out", str(out)) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.endswith(",1") for row in rows)
+
+
 def test_simulate_digest_stable(tmp_path):
     args = ("simulate", "--tree", "3:2", "--rule", "majority", "--noise", "0.15",
             "--rounds", "1", "--samples", "5000", "--seed", "1", "--out", "sim")

@@ -239,9 +239,8 @@ def test_symmetric_path_matches_full_path_finite(model30, graph, variant,
     for t in range(4):
         for got, want in zip(sym.g[t], full.g[t]):
             assert np.array_equal(got, want), t
-        for i in {c: i for i, c in enumerate(sym.node_class[t])}.values():
-            space = sym._space(i, t)[0]
-            _assert_own_flip(space.expand(sym._table(i, t)), t)
+        for c, table in enumerate(sym.g[t]):
+            _assert_own_flip(sym._slot_space(t, c).expand(table), t)
         for got, want in zip(sym.sums[t], full.sums[t]):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         for i in range(graph.n):

@@ -347,6 +347,33 @@ def test_degree_tables_refuse_coin_rows(model15):
                  tables=DegreeTables(engine, graph))
 
 
+def test_degree_tables_share_one_array_per_degree(model15, bayes):
+    """Every node of one degree, through any adapter over one engine, is
+    served the same array, so the replay groups them into one gather."""
+    rho = DegreeDistribution((3, 4), np.array([0.5, 0.5]))
+    graph = sample_configuration_graph(rho, 60, seed=3)
+    engine = ConfigModelEngine(model15, rho, bayes)
+    engine.run(2)
+    first, second = DegreeTables(engine, graph), DegreeTables(engine, graph)
+    for t in range(3):
+        for d in (3, 4):
+            nodes = [i for i in range(graph.n) if len(graph.observed[i]) == d]
+            table = first.action_table(nodes[0], t)
+            assert all(second.action_table(i, t) is table for i in nodes)
+            assert all(first.action_table(i, t) is table for i in nodes)
+
+
+def test_degree_tables_refuse_a_round_past_the_tables(model15, bayes):
+    graph = regular_tree(3, 2)
+    engine = ConfigModelEngine(model15, DegreeDistribution(
+        (1, 3), np.array([0.5, 0.5])), bayes)
+    engine.run(1)
+    tables = DegreeTables(engine, graph)
+    tables.action_table(0, 1)
+    with pytest.raises(ModelError):
+        tables.action_table(0, 2)
+
+
 def test_replay_rejects_misshapen_action_table(model15, bayes):
     graph = regular_tree(3, 2)
     engine = FiniteTreeEngine(graph, model15, bayes)
