@@ -161,12 +161,13 @@ class SlotSpace:
     C(c + k - 1, k) * below on, and their other slots run through the first
     C(c + k - 1, k - 1) * below inputs of the *lower* space, this one with
     the top slot removed; the last C(c + k - 2, k - 2) * below of those end
-    in c as well.  So a block copies a prefix of the lower space's digits
-    and appends c, and its weight is the lower weight times k over the run
-    length of c.  The lower space is built whole, once per space and by the
-    same recursion; the space itself never is.  Digits and runs are the
-    narrowest unsigned dtype holding base + top - 1, top the largest group:
-    uint8 for every space of the paper's tables, else uint16 (or wider).
+    in c as well (none if k = 1: block c is the whole lower space).  So a
+    block copies a prefix of the lower space's digits and appends c, and its
+    weight is the lower weight times k over the run length of c.  The lower
+    space is built whole, once per space and by the same recursion; the
+    space itself never is.  Digits and runs are the narrowest unsigned
+    dtype holding base + top - 1, top the largest group: uint8 for every
+    space of the paper's tables, else uint16 (or wider).
     """
 
     def __init__(self, base: int, sizes):
@@ -209,19 +210,14 @@ class SlotSpace:
         k = self.sizes[self._top]
         below = prod(n_g for *_, n_g in self._groups[:self._top])
         low_digits, low_weights, low_runs = self._lower
-        if k == 1:  # block c is the whole lower space: a mixed-radix digit
-            code, low = divmod(np.arange(start, stop), below)
-            np.take(low_digits, low, axis=1, out=digits[:-1])
-            digits[-1] = code
-            return digits, low_weights.take(low), np.ones(n, self.dtype)
         # Per block c in the range: its lower inputs [lo, hi), of which those
-        # from ``tail`` on end in c.
+        # from ``tail`` on end in c (none if the top group has one slot).
         blocks, first = [], 0
         for c in range(self.base):
             length = comb(c + k - 1, k - 1) * below
             if first + length > start:
                 lo, hi = max(start - first, 0), min(stop - first, length)
-                tail = length - comb(c + k - 2, k - 2) * below
+                tail = length - (comb(c + k - 2, k - 2) * below if k > 1 else 0)
                 blocks.append((c, lo, min(max(lo, tail), hi), hi))
                 if first + length >= stop:
                     break

@@ -72,9 +72,8 @@ class CavityEngine:
     terms of its message, a weighted sum of cavity steps: (weight, node
     class, the observer's group or None, slot groups), each slot group
     ((edge class, conditions), slots); round 0's terms have no slots.
-    Per node class at t+1 it lists (its class c at t, c's group sizes,
-    which are the space the step reads g[t][c] in, and its slot groups)
-    for one decision step.
+    Per node class at t+1 it lists its class c at t and its slot groups for
+    one decision step, which reads g[t][c] in c's ``_slot_space``.
     """
 
     def __init__(self, model: SignalModel, rule: UpdateRule, classes: int = 1):
@@ -110,7 +109,7 @@ class CavityEngine:
                 for _, _, tau_group, groups in terms:
                     check_budget(cavity_step_bytes(
                         r, [size for _, size in groups], tau_group, n_obs, n_s))
-            for _, _, groups in nodes:
+            for _, groups in nodes:
                 sizes = [size for _, size in groups]
                 coins = (1 if self.rule.deterministic_for_degree(sum(sizes))
                          else coin_values(self.n_actions))
@@ -148,8 +147,9 @@ class CavityEngine:
         self.drifts.append(drift)
         if nodes is not None:
             steps = [decision_step_general(
-                self.g[t][c], t, sizes, self._messages(groups, t), self.model,
-                self.rule, self.channel) for c, sizes, groups in nodes]
+                self.g[t][c], t, self._slot_space(t, c).sizes,
+                self._messages(groups, t), self.model, self.rule, self.channel)
+                for c, groups in nodes]
             self.g.append([table for table, *_ in steps])
             self.sums.append([sums for _, _, *sums in steps])
             ops += sum(n for _, n, *_ in steps)
@@ -183,7 +183,7 @@ class CavityEngine:
     def _slot_space(self, t: int, c: int) -> SlotSpace:
         """The space node class c's round-t table was built in: one group
         per slot group of the plan that built it, none at round 0."""
-        groups = self._plans[t - 1][1][c][2] if t else []
+        groups = self._plans[t - 1][1][c][1] if t else []
         return SlotSpace(self.channel.size ** t, [size for _, size in groups])
 
     def vote_table(self, t: int, c: int, order=None) -> np.ndarray:
@@ -203,8 +203,9 @@ class CavityEngine:
         slot order, from the messages its round-t table was built from."""
         g_prev, sizes, messages = None, (), []
         if t:
-            prev, sizes, groups = self._plans[t - 1][1][c]
+            prev, groups = self._plans[t - 1][1][c]
             g_prev, messages = self.g[t - 1][prev], self._messages(groups, t - 1)
+            sizes = self._slot_space(t - 1, prev).sizes
         return posterior_general(x, observed, g_prev, t, sizes, messages,
                                  self.model, self.channel)
 

@@ -99,8 +99,7 @@ class FiniteTreeEngine(CavityEngine):
                 for i, slots in enumerate(self._slots)]
         node_class, members = _intern(keys)
         self.node_class[t + 1:] = [node_class]
-        return cavity, [(nodes[i], tuple(k for _, k in self._layout(i, t)[1]),
-                         self._layout(i, t + 1)[1]) for i in members]
+        return cavity, [(nodes[i], self._layout(i, t + 1)[1]) for i in members]
 
     def advance(self) -> None:
         self._step(*self._planned(self.horizon))

@@ -61,7 +61,7 @@ class ConfigModelEngine(CavityEngine):
         mixture = [(p, k, 0, [((0, True), d)]) for k, (d, p)
                    in enumerate(zip(self.degrees, self.rho_e.probs)) if p > 0.0]
         return ([mixture] if t else [[(1.0, 0, None, [])]],
-                [(k, (d,), [((0, True), d)]) for k, d in enumerate(self.degrees)])
+                [(k, [((0, True), d)]) for k, d in enumerate(self.degrees)])
 
     def advance(self, extend_decisions: bool = True) -> None:
         edges, nodes = self._planned(self.horizon)

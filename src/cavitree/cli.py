@@ -26,34 +26,28 @@ from .trees import BudgetError, GraphError, TreeGraph, graph_from_json, regular_
 from .verify import run_verification
 
 
-def _write_atomic(path: str, data: str) -> str:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-    return path
-
-
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def _manifest(command: str, args: argparse.Namespace, config: dict,
-              outputs: list[str], elapsed: float) -> str:
-    path = (args.out or command) + ".manifest.json"
+def _save(command: str, args: argparse.Namespace, config: dict,
+          files: dict[str, list[str]], t0: float) -> None:
+    """Write each file of ``files`` (path: lines), then the manifest
+    ``(--out or command).manifest.json`` that names them with their sha256,
+    each atomically: a reader never sees a half-written file."""
+    data = {path: ("\n".join(lines) + "\n").encode()
+            for path, lines in files.items()}
     doc = {
         "command": command,
         "argv": sys.argv[1:],
         "config": config,
         "tool_version": __version__,
-        "elapsed_seconds": elapsed,
-        "outputs": [{"path": p, "sha256": _digest(p)} for p in outputs],
+        "elapsed_seconds": time.monotonic() - t0,
+        "outputs": [{"path": p, "sha256": hashlib.sha256(b).hexdigest()}
+                    for p, b in data.items()],
     }
-    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    data[(args.out or command) + ".manifest.json"] = (
+        json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    for path, blob in data.items():
+        with open(path + ".tmp", "wb") as fh:
+            fh.write(blob)
+        os.replace(path + ".tmp", path)
 
 
 def _fmt(x: float) -> str:
@@ -64,7 +58,7 @@ def _resolve_model(args) -> tuple[SignalModel, TieBreakRule, dict]:
     """The run's model and tie rule, and the manifest entries that name the
     model: its --noise level, or a --model file with its ``config_hash``
     and no noise level, since the file sets its own likelihood."""
-    if not getattr(args, "model", None):
+    if not args.model:
         return (*model_from_json({"noise": args.noise}), {"noise": args.noise})
     with open(args.model) as fh:
         model, tie = model_from_json(json.load(fh))
@@ -73,7 +67,7 @@ def _resolve_model(args) -> tuple[SignalModel, TieBreakRule, dict]:
 
 
 def _condition(args, model: SignalModel) -> int | None:
-    cond = getattr(args, "condition", "average")
+    cond = args.condition
     if cond == "average":
         return None
     if not (cond.isdigit() and int(cond) < model.n_states):
@@ -102,10 +96,9 @@ def cmd_table(args) -> int:
     for t, e in enumerate(errs):
         rows.append(f"{args.rule},{args.d},{noise},{t},{_fmt(e)}")
     out = args.out or "table.csv"
-    _write_atomic(out, "\n".join(rows) + "\n")
-    _manifest("table", args, {"rule": args.rule, "d": args.d, **source,
-                              "rounds": args.rounds, "condition": args.condition},
-              [out], time.monotonic() - t0)
+    _save("table", args, {"rule": args.rule, "d": args.d, **source,
+                          "rounds": args.rounds, "condition": args.condition},
+          {out: rows}, t0)
     print(f"wrote {out} ({len(errs)} rounds)")
     return 0
 
@@ -125,10 +118,9 @@ def cmd_curve(args) -> int:
             slope = "" if t == 0 else _fmt(diag["slopes"][t - 1])
             rows.append(f"{d},{noise},{t},{_fmt(e)},{_fmt(diag['loglog'][t])},{slope}")
     out = args.out or "curve.csv"
-    _write_atomic(out, "\n".join(rows) + "\n")
-    _manifest("curve", args, {"rule": args.rule, "d": ds, **source,
-                              "rounds": args.rounds, "condition": args.condition},
-              [out], time.monotonic() - t0)
+    _save("curve", args, {"rule": args.rule, "d": ds, **source,
+                          "rounds": args.rounds, "condition": args.condition},
+          {out: rows}, t0)
     print(f"wrote {out}")
     return 0
 
@@ -145,10 +137,9 @@ def cmd_bounds(args) -> int:
     for t, v in enumerate(seq.values):
         rows.append(f"{seq.variant},{args.d},{args.delta0},{t},{_fmt(v)}")
     out = args.out or "bounds.csv"
-    _write_atomic(out, "\n".join(rows) + "\n")
-    _manifest("bounds", args, {"variant": args.variant, "d": args.d,
-                               "delta0": args.delta0, "rounds": args.rounds},
-              [out], time.monotonic() - t0)
+    _save("bounds", args, {"variant": args.variant, "d": args.d,
+                           "delta0": args.delta0, "rounds": args.rounds},
+          {out: rows}, t0)
     print(f"wrote {out}")
     return 0
 
@@ -158,14 +149,12 @@ def cmd_verify(args) -> int:
     report = run_verification(max_nodes=args.max_nodes, max_t=args.max_t)
     for line in report.lines():
         print(line)
-    elapsed = time.monotonic() - t0
     print(f"{'OK' if report.ok else 'FAILED'} "
           f"({sum(p for _, p, _ in report.checks)}/{len(report.checks)} checks, "
-          f"{elapsed:.1f}s)")
+          f"{time.monotonic() - t0:.1f}s)")
     if args.out:
-        _write_atomic(args.out, "\n".join(report.lines()) + "\n")
-        _manifest("verify", args, {"max_nodes": args.max_nodes, "max_t": args.max_t},
-                  [args.out], elapsed)
+        _save("verify", args, {"max_nodes": args.max_nodes, "max_t": args.max_t},
+              {args.out: report.lines()}, t0)
     return 0 if report.ok else 1
 
 
@@ -191,18 +180,15 @@ def cmd_simulate(args) -> int:
     result = simulate(graph, model, rule, args.rounds, args.samples, args.seed,
                       tables=tables, threads=args.threads)
     out = args.out or "simulate"
-    csv_rows = ["node,round,errors,samples"]
-    csv_rows += [f"{n},{t},{e},{s}" for n, t, e, s in result.to_csv_rows()]
-    csv_path = _write_atomic(out + ".csv", "\n".join(csv_rows) + "\n")
-    json_path = _write_atomic(out + ".json",
-                              json.dumps(result.to_json(), sort_keys=True) + "\n")
-    args.out = out
-    _manifest("simulate", args,
-              {"rule": args.rule, **source, "rounds": args.rounds,
-               "samples": args.samples, "seed": args.seed,
-               "graph": args.graph or args.tree},
-              [csv_path, json_path], time.monotonic() - t0)
-    print(f"wrote {csv_path} and {json_path}")
+    rows = ["node,round,errors,samples"]
+    rows += [f"{n},{t},{e},{s}" for n, t, e, s in result.to_csv_rows()]
+    _save("simulate", args,
+          {"rule": args.rule, **source, "rounds": args.rounds,
+           "samples": args.samples, "seed": args.seed,
+           "graph": args.graph or args.tree},
+          {out + ".csv": rows,
+           out + ".json": [json.dumps(result.to_json(), sort_keys=True)]}, t0)
+    print(f"wrote {out}.csv and {out}.json")
     return 0
 
 
@@ -217,11 +203,9 @@ def cmd_conjecture(args) -> int:
     for t, (b, m, ok) in enumerate(zip(bayes, major, report["per_round"])):
         rows.append(f"{t},{_fmt(b)},{_fmt(m)},{int(ok)}")
     out = args.out or "conjecture.csv"
-    _write_atomic(out, "\n".join(rows) + "\n")
-    _manifest("conjecture", args, {"d": args.d, **source,
-                                   "rounds": args.rounds,
-                                   "condition": args.condition},
-              [out], time.monotonic() - t0)
+    _save("conjecture", args, {"d": args.d, **source, "rounds": args.rounds,
+                               "condition": args.condition},
+          {out: rows}, t0)
     status = "holds" if report["holds"] else f"VIOLATED at {report['violations']}"
     print(f"conjecture check (not an assertion): Bayesian <= majority {status}")
     return 0 if report["holds"] else 1
@@ -235,32 +219,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rule=True):
+    degree = {"type": int, "default": 5, "help": "tree degree"}
+
+    def common(p, rule=True, **d):
+        """The options of every model command; ``d``, the keywords of a --d,
+        adds it and --condition, which the homogeneous engine reads."""
         if rule:
             p.add_argument("--rule", default="bayesian",
                            choices=["bayesian", "majority"])
-        p.add_argument("--d", type=int, default=5, help="tree degree")
         p.add_argument("--noise", type=float, default=0.15,
                        help="binary symmetric signal error")
         p.add_argument("--model", help="JSON model configuration file")
         p.add_argument("--rounds", type=int, default=4)
-        p.add_argument("--condition", default="average",
-                       help="'average' (default) or a state index to condition on")
         p.add_argument("--out", help="output file")
+        if d:
+            p.add_argument("--d", **d)
+            p.add_argument("--condition", default="average",
+                           help="'average' (default) or a state index to "
+                                "condition on")
 
     p = sub.add_parser("table", help="error-probability table for one rule")
-    common(p)
+    common(p, **degree)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("curve", help="error decay with log(-log) diagnostics")
-    p.add_argument("--rule", default="bayesian", choices=["bayesian", "majority"])
-    p.add_argument("--d", default="5", help="comma-separated degrees")
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--model", help="JSON model configuration file")
-    p.add_argument("--rounds", type=int, default=4)
-    p.add_argument("--condition", default="average")
-    p.add_argument("--out", help="output file")
-    p.set_defaults(fn=cmd_curve)
+    common(p, default="5", help="comma-separated degrees")
+    p.set_defaults(fn=cmd_curve, noise=0.3)
 
     p = sub.add_parser("bounds", help="analytic majority-dynamics bounds")
     p.add_argument("--variant", default="undirected",
@@ -287,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("conjecture", help="Bayesian vs majority comparison")
-    common(p, rule=False)
+    common(p, rule=False, **degree)
     p.set_defaults(fn=cmd_conjecture)
     return parser
 

@@ -89,6 +89,8 @@ def unroll(graph, model: SignalModel, rule: UpdateRule,
            t_max: int) -> TrajectoryTensor:
     """Simulate all agents through t_max on every branch of every signal
     vector."""
+    if t_max < 0:
+        raise ModelError(f"t_max must be >= 0, not {t_max}")
     n = graph.n
     n_x = model.n_signals
     n_vec = n_x ** n

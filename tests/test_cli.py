@@ -69,8 +69,20 @@ def test_bounds_csv(tmp_path):
     assert delta1 == pytest.approx(0.10951875, abs=1e-12)
 
 
-def test_verify_small_passes(tmp_path):
-    assert run(tmp_path, "verify", "--max-nodes", "4", "--max-t", "2") == 0
+def test_verify_small_passes(tmp_path, capsys):
+    """`verify --out` saves the check lines it prints, and its manifest names
+    the report with its sha256."""
+    assert run(tmp_path, "verify", "--max-nodes", "4", "--max-t", "2",
+               "--out", "r.txt") == 0
+    *checks, summary = capsys.readouterr().out.splitlines()
+    report = (tmp_path / "r.txt").read_bytes()
+    assert checks and all(line.startswith("PASS") for line in checks)
+    assert report.decode().splitlines() == checks
+    assert summary.startswith("OK")
+    manifest = json.loads((tmp_path / "r.txt.manifest.json").read_text())
+    assert manifest["command"] == "verify"
+    assert manifest["outputs"] == [
+        {"path": "r.txt", "sha256": hashlib.sha256(report).hexdigest()}]
 
 
 def test_conjecture_runs(tmp_path):
@@ -130,6 +142,18 @@ def test_configuration_error_exit_code(tmp_path):
     assert run(tmp_path, "verify", "--max-t", "-1") == 2
     assert run(tmp_path, "verify", "--max-nodes", "1") == 2
     assert run(tmp_path, "simulate", "--tree", "3:2", "--threads", "0") == 2
+
+
+@pytest.mark.parametrize("option", [("--d", "7"), ("--condition", "banana")],
+                         ids=["d", "condition"])
+def test_simulate_refuses_options_it_does_not_read(tmp_path, capsys, option):
+    """`simulate` takes its degrees from --tree or --graph and averages over
+    the state, so --d and --condition are unknown options there."""
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "simulate", "--tree", "3:2", "--rounds", "1",
+            "--samples", "10", *option)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 def test_budget_exit_code(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from cavitree import oracle
 from cavitree.cavity import FiniteTreeEngine
-from cavitree.model import UpdateRule
+from cavitree.model import ModelError, UpdateRule
 from cavitree.oracle import (
     feasible_set,
     oracle_decision_tables,
@@ -117,6 +117,28 @@ def test_budget_guard(model15, bayes):
     budget: refused before any table is allocated."""
     with pytest.raises(BudgetError):
         unroll(path_graph(26), model15, bayes, 3)
+
+
+def test_unroll_refuses_a_negative_horizon(model15, bayes):
+    """A horizon below 0 simulates no round, so it is refused, not returned
+    as a tensor holding one round that never ran."""
+    with pytest.raises(ModelError, match="t_max"):
+        unroll(path_graph(3), model15, bayes, -1)
+
+
+def test_group_renumbers_keys_before_they_leave_int64():
+    """Three columns of size 2**32 would key (0, 0, 0) and (1, 0, 0) alike,
+    1 * 2**64 wrapping to 0, without the renumbering; the groups are the
+    distinct rows in sorted order, each with its first branch."""
+    top = 2 ** 32 - 1
+    rows = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1], [1, 0, 0],
+                     [top, top, top], [0, top, 0], [0, 0, 0]], dtype=np.int64)
+    columns = list(rows.T)
+    inverse, first = oracle._group(columns, [2 ** 32] * 3)
+    _, want_first, want_inverse = np.unique(
+        np.stack(columns, 1), axis=0, return_index=True, return_inverse=True)
+    np.testing.assert_array_equal(first, want_first)
+    np.testing.assert_array_equal(inverse, want_inverse.ravel())
 
 
 def test_branch_budget_guard(model15, majority, monkeypatch):

@@ -282,25 +282,35 @@ def _degree_34_sample():
 
 
 def _replay_case(name, model15):
-    """(graph, rule, rounds, tables) for one replay-parity case."""
+    """(model, graph, rule, rounds, tables) for one replay-parity case."""
     bayes, majority = UpdateRule(variant="bayesian"), UpdateRule(variant="majority")
     if name in ("tree", "mixed"):
         graph = regular_tree(3, 3) if name == "tree" else _mixed_direction_tree()
         engine = FiniteTreeEngine(graph, model15, bayes)
         engine.run(3)
-        return graph, bayes, 3, engine
+        return model15, graph, bayes, 3, engine
     rho, graph = _degree_34_sample()
     if name == "majority":
         assert any(len(o) == 4 for o in graph.observed)
-        return graph, majority, 3, None
+        return model15, graph, majority, 3, None
+    if name == "three-signal":
+        # A draw reaches signal 2 through a second CDF cut; signals 1 and 2
+        # vote apart, so a draw that stopped at signal 1 would show.
+        model = SignalModel(prior=np.array([0.5, 0.5]),
+                            likelihood=np.array([[0.6, 0.3, 0.1],
+                                                 [0.1, 0.3, 0.6]]))
+        rule = UpdateRule(variant="majority",
+                          tie_break=TieBreakRule(signal_to_action=(0, 0, 1)))
+        return model, graph, rule, 3, None
     engine = ConfigModelEngine(model15, rho, bayes)
     engine.run(2)
-    return graph, bayes, 2, DegreeTables(engine, graph)
+    return model15, graph, bayes, 2, DegreeTables(engine, graph)
 
 
 @pytest.mark.parametrize("block", [None, 700])
 @pytest.mark.parametrize("chunk", [256, 700])
-@pytest.mark.parametrize("case", ["tree", "mixed", "degree-tables", "majority"])
+@pytest.mark.parametrize("case", ["tree", "mixed", "degree-tables", "majority",
+                                  "three-signal"])
 def test_class_replay_matches_per_node_reference(model15, monkeypatch, case,
                                                  chunk, block):
     """Class gathers give the per-node loop's tallies, bit for bit, for chunk
@@ -308,10 +318,10 @@ def test_class_replay_matches_per_node_reference(model15, monkeypatch, case,
     class (a 700-element block holds one to two nodes of a chunk)."""
     if block is not None:
         monkeypatch.setattr(sim, "_BLOCK", block)
-    graph, rule, rounds, tables = _replay_case(case, model15)
-    got = simulate(graph, model15, rule, rounds, 1500, seed=31, tables=tables,
+    model, graph, rule, rounds, tables = _replay_case(case, model15)
+    got = simulate(graph, model, rule, rounds, 1500, seed=31, tables=tables,
                    chunk=chunk)
-    want = per_node_replay(graph, model15, rule, rounds, 1500, seed=31,
+    want = per_node_replay(graph, model, rule, rounds, 1500, seed=31,
                            tables=tables, chunk=chunk)
     np.testing.assert_array_equal(got.errors, want)
 
