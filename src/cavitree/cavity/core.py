@@ -54,9 +54,10 @@ Every float is a float64.  Each cavity, error and coupling quantity is a
 sum of n nonnegative terms, summed pairwise (``np.add.reduceat`` over terms
 sorted by output key, ``np.sum`` per row), which keeps it within about
 log2(n) ulps (Higham, *Accuracy and Stability of Numerical Algorithms*,
-ch. 4).  Every (tau, s) slice is renormalized after a step and the
-pre-renormalization drift is reported.  The error sum has no loop of its
-own: the decision step that builds a table also sums its cavity product per
+ch. 4).  Each (tau, s) slice is divided by its own column sum in the
+cavity step's one sum array, and the largest distance of a column sum from
+1 is reported as the step's drift.  The error sum has no loop of its own:
+the decision step that builds a table also sums its cavity product per
 (state, signal), and engines weight those sums on request.
 
 The state flip ~ swaps the two states of a binary model and complements
@@ -68,12 +69,13 @@ and rule exactly symmetric, one row per signal and every slot message its
 own flip, both steps run their row loop over signal 0 only.  The decision
 step writes row 1 at the complemented inputs, whose ranks need no sort
 because ~ reverses each group's sorted codes, and mirrors the error and
-coupling sums; the cavity step adds each state's sums to the other
-state's, reversed, so every Q it returns is its own flip bit for bit.  Any
-other step runs every row: lowest-index or uniform-random ties, coin rows,
-the erasure channel, an asymmetric prior, likelihood or utility, and more
-than two states.  A lowest-index table with no tie equals the own-signal
-one, and the steps still run it in full, so its sums keep their rounding.
+coupling sums; the cavity step takes its column sums, then adds the sum
+array and its column sums each to itself reversed on every axis, so every
+Q it returns is its own flip bit for bit.  Any other step runs every row:
+lowest-index or uniform-random ties, coin rows, the erasure channel, an
+asymmetric prior, likelihood or utility, and more than two states.  A
+lowest-index table with no tie equals the own-signal one, and the steps
+still run it in full, so its sums keep their rounding.
 
 The predicate reads no table entry: every table commutes with ~ by
 induction.  g^0 does once the rule check passes, its vote being the
@@ -432,9 +434,9 @@ def cavity_step_general(
     of its ``channel.size``-letter alphabet.  Each row of g adds its
     signal's likelihood times its weight.  ``rule``, the rule that built
     ``g_flat``, lets a flip-symmetric step sum signal 0 only.  Returns the
-    horizon-t table Q[sigma, tau, s] (renormalized per (tau, s) slice), the
-    maximum pre-renormalization drift |column sum - 1|, and the number of
-    summed terms.
+    horizon-t table Q[sigma, tau, s], each (tau, s) slice divided by its own
+    column sum over sigma in the accumulated table, the maximum drift
+    |column sum - 1|, and the number of summed terms.
     """
     n_s, n_x = model.likelihood.shape
     share = n_x / len(g_flat)
@@ -450,14 +452,12 @@ def cavity_step_general(
     slot_rows = _slot_rows(groups, tau_group)
     flip = _flip_symmetric(model, channel, len(g_flat), groups, rule)
 
-    acc = [np.zeros(n_out * n_tau) for _ in range(n_s)]
-    colsum = [np.zeros(n_tau) for _ in range(n_s)]
+    acc = np.zeros((n_s, n_out, n_tau))
     ops = 0
     for start in range(0, inputs.size, CHUNK):
         digits, count = inputs.build(start, min(start + CHUNK, inputs.size))
         j = table.rank(digits, order)
         tau_digit = digits[0] if first else np.zeros_like(j)
-        tau_seg = _sorted_segments(tau_digit, n_tau) if n_tau > 1 else None
         for r, row in enumerate(g_flat[:1] if flip else g_flat):
             out_codes = row[j].astype(np.int64)
             cond = out_codes % cond_mod
@@ -470,24 +470,15 @@ def cavity_step_general(
             product *= count
             for s, w in enumerate(product):
                 for seg, weight in segs:
-                    _segment_add(acc[s], *seg, w * weight)
-                if tau_seg is None:
-                    colsum[s][0] += np.sum(w)
-                else:
-                    _segment_add(colsum[s], *tau_seg, w)
+                    _segment_add(acc[s].reshape(-1), *seg, w * weight)
                 ops += len(j)
+    col = acc.sum(axis=1)
     if flip:
-        # Row 1 adds row 0's sums of the other state at (~sigma, ~tau): the
-        # flat index sigma * n_tau + tau of a binary code pair, reversed.
-        acc = [acc[s] + acc[1 - s][::-1] for s in range(n_s)]
-        colsum = [colsum[s] + colsum[1 - s][::-1] for s in range(n_s)]
-    q = np.empty((n_out, n_tau, n_s))
-    drift = 0.0
-    for s in range(n_s):
-        col = colsum[s]
-        drift = max(drift, float(np.max(np.abs(col - 1.0))))
-        safe = np.where(col > 0, col, 1.0)
-        q[:, :, s] = acc[s].reshape(n_out, n_tau) / safe
+        # Row 1: row 0's sums of the other state at (~sigma, ~tau).
+        acc = acc + acc[::-1, ::-1, ::-1]
+        col = col + col[::-1, ::-1]
+    drift = float(np.max(np.abs(col - 1.0)))
+    q = np.moveaxis(acc / np.where(col > 0, col, 1.0)[:, None, :], 0, -1)
     if drift > DRIFT_WARN:
         logger.warning("cavity step at t=%d: normalization drift %.3e "
                        "(renormalized)", t, drift)

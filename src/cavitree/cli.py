@@ -107,7 +107,11 @@ def cmd_curve(args) -> int:
     t0 = time.monotonic()
     model, tie, source = _resolve_model(args)
     condition = _condition(args, model)
-    ds = [int(v) for v in args.d.split(",")]
+    try:
+        ds = [int(v) for v in args.d.split(",")]
+    except ValueError:
+        raise ModelError(f"--d takes comma-separated integers, not "
+                         f"{args.d!r}") from None
     noise = "" if source["noise"] is None else source["noise"]
     rows = ["d,noise,round,error_prob,loglog,slope"]
     for d in ds:
@@ -163,7 +167,10 @@ def _resolve_graph(args) -> TreeGraph:
         with open(args.graph) as fh:
             return graph_from_json(json.load(fh))
     if args.tree:
-        d, depth = (int(v) for v in args.tree.split(":"))
+        try:
+            d, depth = (int(v) for v in args.tree.split(":"))
+        except ValueError:
+            raise ModelError(f"--tree takes d:depth, not {args.tree!r}") from None
         return regular_tree(d, depth)
     raise ModelError("simulate needs --graph FILE or --tree d:depth")
 

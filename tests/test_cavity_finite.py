@@ -57,6 +57,19 @@ def test_oracle_equivalence_family():
     assert report.ok, "\n".join(report.lines())
 
 
+def test_oracle_equivalence_counts_a_wrong_kernel(monkeypatch):
+    """The table check compares codes: a kernel shifted by one code fails
+    every oracle-tables check."""
+    kernel = FiniteTreeEngine.decision_kernel
+    monkeypatch.setattr(FiniteTreeEngine, "decision_kernel",
+                        lambda self, *args: [(code + 1, p) for code, p
+                                             in kernel(self, *args)])
+    report = oracle_equivalence_suite(max_nodes=3, max_t=2)
+    tables = [ok for name, ok, _ in report.checks
+              if name.startswith("oracle-tables")]
+    assert tables and not any(tables)
+
+
 def test_directed_chain_matches_oracle(model15, bayes):
     # 0 observes 1, 1 observes 2; nobody observes back.
     graph = TreeGraph(n=3, directed_edges=((0, 1), (1, 2)))

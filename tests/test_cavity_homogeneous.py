@@ -1,9 +1,11 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
 
 import cavitree.cavity
+import cavitree.cavity.core as core
 import cavitree.cavity.engine as engine_module
 from cavitree.cavity import (ConfigModelEngine, CouplingError,
                              FiniteTreeEngine, RegularTreeEngine)
@@ -28,10 +30,11 @@ def test_initial_cavity_matches_signal_law(model15, bayes):
     np.testing.assert_allclose(q0[:, 0, 1], [0.15, 0.85], rtol=1e-15)
 
 
-def test_round0_drift_is_recorded():
+def test_round0_drift_is_recorded(monkeypatch, caplog):
     """Round 0's message comes from the cavity step like every other, so
     its drift is recorded and its columns renormalized: in float64 this
-    likelihood's rows sum to 0.9999999999999999."""
+    likelihood's rows sum to 0.9999999999999999.  The drift is each column
+    sum's distance from 1, and a drift above ``DRIFT_WARN`` is logged."""
     model = SignalModel(prior=np.array([0.5, 0.5]),
                         likelihood=np.array([[.7, .2, .1], [.1, .2, .7]]))
     lowest = UpdateRule(tie_break=TieBreakRule(TieBreak.LOWEST_INDEX))
@@ -39,6 +42,14 @@ def test_round0_drift_is_recorded():
     engine.run(1)
     assert engine.drifts[0] > 0
     assert engine.cavity_table(0).normalization_defect() < engine.drifts[0]
+    row_drift = np.max(np.abs(model.likelihood.sum(axis=1) - 1.0))
+    np.testing.assert_array_max_ulp(engine.drifts[0], row_drift, maxulp=4)
+
+    monkeypatch.setattr(core, "DRIFT_WARN", row_drift / 2)
+    with caplog.at_level(logging.WARNING, logger=core.__name__):
+        RegularTreeEngine(model, 3, lowest).run(1)
+    assert any("cavity step at t=0: normalization drift" in r.getMessage()
+               for r in caplog.records)
 
 
 def test_columns_normalized_every_round(model15, bayes):
@@ -210,6 +221,17 @@ def test_error_requires_decision_table(model15, bayes):
     with pytest.raises(ModelError):
         engine.error_probability(-1)
     assert engine.error_probability(2) > 0.0
+
+
+def test_advance_refuses_after_a_skipped_decision_step(model15, bayes):
+    """A cavity step reads the decision table of its round; once an advance
+    skipped that table, the next advance is refused, not run on nothing."""
+    engine = RegularTreeEngine(model15, 3, bayes)
+    engine.run(1)
+    engine.advance(extend_decisions=False)
+    with pytest.raises(ModelError, match="skipped its decision tables"):
+        engine.advance()
+    assert engine.horizon == 2
 
 
 def test_error_rejects_degree_outside_support(model15, bayes):

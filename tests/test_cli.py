@@ -156,6 +156,24 @@ def test_simulate_refuses_options_it_does_not_read(tmp_path, capsys, option):
     assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("simulate", "--tree", "3", "--samples", "10"), "--tree"),
+    (("simulate", "--tree", "3:x", "--samples", "10"), "--tree"),
+    (("simulate", "--tree", "3:2:1", "--samples", "10"), "--tree"),
+    (("curve", "--d", "3,x"), "--d"),
+    (("curve", "--d", ","), "--d"),
+], ids=["tree-one-part", "tree-not-int", "tree-three-parts", "d-not-int",
+        "d-empty"])
+def test_unparsable_option_is_named_in_the_one_line_error(tmp_path, capsys,
+                                                          argv, option):
+    """A --tree or --d that does not parse exits 2 with one line that names
+    the option and the form it takes."""
+    assert run(tmp_path, *argv, "--rounds", "1") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    form = "d:depth" if option == "--tree" else "comma-separated integers"
+    assert len(err) == 1 and f"{option} takes {form}" in err[0]
+
+
 def test_budget_exit_code(tmp_path, capsys):
     assert run(tmp_path, "table", "--d", "5", "--rounds", "12") == 3
     capsys.readouterr()

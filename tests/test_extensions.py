@@ -135,6 +135,15 @@ def test_active_rejects_uniform_ties(model15):
         ActiveEdgeEngine(model15, 3, rule, p=0.5)
 
 
+def test_active_decision_table_refuses_the_erasure_alphabet(model15, bayes):
+    """A DecisionTable reads one alphabet; an erasure channel observes one
+    letter more than there are actions."""
+    engine = ActiveEdgeEngine(model15, 3, bayes, p=0.5)
+    engine.run(1)
+    with pytest.raises(ModelError, match="one alphabet"):
+        engine.decision_table(1)
+
+
 def test_active_budget_refuses_horizon_10(model15, bayes, monkeypatch):
     """At d=1, p<1 the horizon-9 cavity step returns 2.3e9 entries, each
     with a float64 accumulator and a float64 copy: over the budget.  No step
@@ -297,6 +306,31 @@ def test_hub_outside_ball_is_skipped(model15, bayes):
     engine.run(2)
     post = posterior_with_hubs(graph, model15, bayes, 0, 1, {1: 2}, 2)
     np.testing.assert_allclose(post, engine.posterior(0, 1, (2,), 2), atol=0)
+
+
+def test_hub_free_tree_keeps_directed_edges(model15, bayes):
+    """At t = 2 the hub lies outside node 0's ball, and the hub-free tree
+    keeps the directed edge 1 -> 3, so every feasible posterior equals the
+    brute-force one on the loopy graph."""
+    edges = ((0, 1), (1, 2), (2, 5), (3, 5), (4, 5))
+    graph = TreeGraph(n=6, edges=edges, directed_edges=((1, 3),),
+                      hubs=frozenset({5}))
+    tensor = unroll(TreeGraph(n=6, edges=edges, directed_edges=((1, 3),)),
+                    model15, bayes, 1)
+    (neighbor,) = graph.observed[0]
+    feasible = 0
+    for x in (0, 1):
+        for code in range(4):
+            idx = feasible_set(tensor, 0, x, (code,), 1)
+            if idx.size == 0:
+                continue
+            feasible += 1
+            w = model15.prior * np.array(
+                [tensor.signal_probs[s][idx].sum() for s in (0, 1)])
+            post = posterior_with_hubs(graph, model15, bayes, 0, x,
+                                       {neighbor: code}, 2)
+            np.testing.assert_allclose(post, w / w.sum(), atol=1e-10)
+    assert feasible == 6
 
 
 def test_hub_beyond_t1_raises(model15, bayes):

@@ -182,6 +182,18 @@ def test_bayesian_requires_tables(model15, bayes):
         simulate(regular_tree(3, 2), model15, bayes, 1, 10, seed=0)
 
 
+def test_simulate_refuses_stochastic_round0_votes():
+    """Signal 2 leaves both states equally likely, so under uniform-random
+    ties its round-0 vote is a coin, which the replay does not draw."""
+    model = SignalModel(prior=np.array([0.5, 0.5]), likelihood=np.array(
+        [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2]]))
+    rule = UpdateRule(tie_break=TieBreakRule(TieBreak.UNIFORM_RANDOM))
+    graph = path_graph(3)
+    with pytest.raises(ModelError, match="stochastic round-0 votes"):
+        simulate(graph, model, rule, 1, 10, seed=0,
+                 tables=FiniteTreeEngine(graph, model, rule))
+
+
 def test_interior_nodes_examples():
     from cavitree.trees import ball
 
@@ -355,6 +367,13 @@ def test_degree_tables_refuse_coin_rows(model15):
     with pytest.raises(ModelError, match="tie-coin rows"):
         simulate(graph, model15, rule, 1, 10, seed=0,
                  tables=DegreeTables(engine, graph))
+
+
+def test_degree_tables_refuse_degrees_the_engine_lacks(model15, bayes):
+    engine = ConfigModelEngine(model15, DegreeDistribution(
+        (3,), np.array([1.0])), bayes)
+    with pytest.raises(ModelError, match=r"degrees \[1, 2\]"):
+        DegreeTables(engine, path_graph(3))
 
 
 def test_degree_tables_share_one_array_per_degree(model15, bayes):
