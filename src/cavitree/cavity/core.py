@@ -33,7 +33,8 @@ row's likelihood times its weight, the decision step from 1, and
 ``posterior_general`` from prior times likelihood; the decision step's
 Bayesian posterior is its product times prior times likelihood, normalized.
 A change to the product (rescaling slot factors, bounding its rounding) goes
-there.
+there.  Numerics only: no function here checks an outside input or reads a
+stored table at one; ``engine.CavityEngine._own_codes`` does both.
 
 The steps enumerate a space in chunks of ``CHUNK`` consecutive ranks, each
 built by ``SlotSpace.build`` from the colex block recursion: no rank is
@@ -96,7 +97,7 @@ from math import comb, lcm, prod
 import numpy as np
 
 from ..model import (ModelError, SignalModel, TieBreak, UpdateRule,
-                     UtilityTable, TIE_TOL, round0_kernel, signal_posterior)
+                     UtilityTable, TIE_TOL, round0_kernel)
 
 logger = logging.getLogger(__name__)
 
@@ -118,26 +119,6 @@ def _sorted_segments(keys: np.ndarray, n_keys: int):
 def _segment_add(acc: np.ndarray, order, uniq, starts, weights: np.ndarray):
     """acc[uniq] += the pairwise sum of each key's run of weights."""
     acc[uniq] += np.add.reduceat(weights[order], starts)
-
-
-def check_round(t: int, stored: int, what: str):
-    """Refuse a round outside the ``stored`` rounds 0.. an engine holds."""
-    if not 0 <= t < stored:
-        raise ModelError(f"no {what} for round {t} of the {stored} stored")
-
-
-def check_input(x: int, observed, slots: int, base: int,
-                n_signals: int) -> np.ndarray:
-    """One table input as a (slots, 1) column of codes: signal ``x`` and one
-    observed code below ``base`` per slot, else ``ModelError``."""
-    if len(observed) != slots:
-        raise ModelError(f"{len(observed)} observed codes for {slots} slots")
-    if not 0 <= x < n_signals:
-        raise ModelError(f"signal {x} outside 0..{n_signals - 1}")
-    if not all(0 <= code < base for code in observed):
-        raise ModelError(f"observed codes {tuple(observed)} outside "
-                         f"0..{base - 1}")
-    return np.array(observed, dtype=np.int64).reshape(-1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -633,39 +614,14 @@ def decision_step_general(
 # Posterior and error probability
 # ---------------------------------------------------------------------------
 
-def posterior_general(
-    x: int,
-    observed: tuple[int, ...],
-    g_prev: np.ndarray,
-    t: int,
-    prev_sizes,
-    groups: list[tuple[np.ndarray, bool, int]],
-    model: SignalModel,
-    channel,
-) -> np.ndarray:
-    """P(s | x, neighbor trajectories through t-1) via the cavity factorization.
-
-    ``observed`` holds one horizon-(t-1) code per slot; ``groups`` the slot
-    groups as in ``decision_step_general``, at horizon t-1.  The agent's
-    own trajectory is derived from the decision table ``g_prev``, over its
-    own space of group sizes ``prev_sizes``, on the truncated observation,
-    and read by a group that conditions from t = 2 on; ``ModelError`` if it
-    is read and the rows of signal x (its coin outcomes) disagree on it, or
-    if ``check_input`` refuses the input.
-    """
-    if t == 0:
-        return signal_posterior(model, x)
-    sizes = [size for *_, size in groups]
-    n_obs = channel.size
-    m_prev = n_obs ** (t - 1)
-    codes = check_input(x, observed, sum(sizes), n_obs ** t, model.n_signals)
-    j = SlotSpace(m_prev, prev_sizes).rank(codes % m_prev)[0]
-    owns = g_prev[x::model.n_signals, j]
-    reads_own = t >= 2 and any(cond for _, cond, _ in groups)
-    if reads_own and np.any(owns != owns[0]):
-        raise ModelError("own trajectory is not derivable under a stochastic "
-                         "rule; condition on it explicitly")
-    own_cond = int(owns[0]) % channel.n_actions ** (t - 1)
+def posterior_general(x: int, codes: np.ndarray, own_cond: int,
+                      groups: list[tuple[np.ndarray, bool, int]],
+                      model: SignalModel) -> np.ndarray:
+    """P(s | x, neighbor trajectories) via the cavity factorization: prior
+    times likelihood times the cavity product at one checked (slots, 1)
+    column of ``codes``, normalized.  ``groups`` are the slot groups as in
+    ``decision_step_general``, and a group that conditions reads the own
+    trajectory ``own_cond``, which the caller read from its own table."""
     weights = (model.prior * model.likelihood[:, x])[:, None]
     _multiply_slots(weights, codes, _slot_rows(groups), own_cond)
     total = weights.sum()

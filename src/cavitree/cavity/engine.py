@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..model import ModelError, SignalModel, UpdateRule, action_count
+from ..model import (ModelError, SignalModel, UpdateRule, action_count,
+                     signal_posterior)
 from ..trees import BudgetError
 from .core import (COUPLING_TOL, SlotSpace, cavity_step_bytes,
-                   cavity_step_general, check_round, coin_values,
-                   decision_step_bytes, decision_step_general, error_from_sums,
-                   posterior_general, round0_sums, round0_table)
+                   cavity_step_general, coin_values, decision_step_bytes,
+                   decision_step_general, error_from_sums, posterior_general,
+                   round0_sums, round0_table)
 from .tables import CavityTable
 
 MEMORY_BUDGET = 4 << 30  # bytes of table workspace allowed per step
@@ -24,6 +25,26 @@ MEMORY_BUDGET = 4 << 30  # bytes of table workspace allowed per step
 
 class CouplingError(RuntimeError):
     """The coupling total-mass runtime check failed (indicates a table bug)."""
+
+
+def check_round(t: int, stored: int, what: str):
+    """Refuse a round outside the ``stored`` rounds 0.. an engine holds."""
+    if not 0 <= t < stored:
+        raise ModelError(f"no {what} for round {t} of the {stored} stored")
+
+
+def check_input(x: int, observed, slots: int, base: int,
+                n_signals: int) -> np.ndarray:
+    """One table input as a (slots, 1) column of codes: signal ``x`` and one
+    observed code below ``base`` per slot, else ``ModelError``."""
+    if len(observed) != slots:
+        raise ModelError(f"{len(observed)} observed codes for {slots} slots")
+    if not 0 <= x < n_signals:
+        raise ModelError(f"signal {x} outside 0..{n_signals - 1}")
+    if not all(0 <= code < base for code in observed):
+        raise ModelError(f"observed codes {tuple(observed)} outside "
+                         f"0..{base - 1}")
+    return np.array(observed, dtype=np.int64).reshape(-1, 1)
 
 
 def check_budget(need: int):
@@ -74,6 +95,9 @@ class CavityEngine:
     ((edge class, conditions), slots); round 0's terms have no slots.
     Per node class at t+1 it lists its class c at t and its slot groups for
     one decision step, which reads g[t][c] in c's ``_slot_space``.
+
+    Outside the steps only ``_own_codes`` (one input's column, for kernels
+    and posteriors) and ``_decisions`` (the vote tables) read a table.
     """
 
     def __init__(self, model: SignalModel, rule: UpdateRule, classes: int = 1):
@@ -197,17 +221,40 @@ class CavityEngine:
             self._votes[key] = (table // self.n_actions ** t).astype(np.int8)
         return self._votes[key]
 
-    def _posterior(self, x: int, observed: tuple[int, ...], t: int,
-                   c: int) -> np.ndarray:
-        """P(s | x, ``observed``) at node class c of round t, in the class's
-        slot order, from the messages its round-t table was built from."""
-        g_prev, sizes, messages = None, (), []
-        if t:
-            prev, groups = self._plans[t - 1][1][c]
-            g_prev, messages = self.g[t - 1][prev], self._messages(groups, t - 1)
-            sizes = self._slot_space(t - 1, prev).sizes
-        return posterior_general(x, observed, g_prev, t, sizes, messages,
-                                 self.model, self.channel)
+    def _own_codes(self, t: int, c: int, x: int, observed,
+                   order=None) -> np.ndarray:
+        """Node class c's round-t trajectory per row of signal x (per coin
+        outcome) at the input ``observed``, which it checks, slot p reading
+        ``observed[order[p]]``: the one reader of a table's input column."""
+        space = self._slot_space(t, c)
+        codes = check_input(x, observed, space.slots, space.base,
+                            self.model.n_signals)
+        j = space.rank(codes, order)[0]
+        return self.g[t][c][x::self.model.n_signals, j]
+
+    def _posterior(self, x: int, observed: tuple[int, ...], t: int, c: int,
+                   order=None) -> np.ndarray:
+        """P(s | x, ``observed``) at node class c of round t, slot p reading
+        ``observed[order[p]]``, from the messages its round-t table was
+        built from.  Only where one conditions (t >= 2) is the own
+        trajectory read, and refused if signal x's rows disagree on it."""
+        if t == 0:
+            return signal_posterior(self.model, x)
+        prev, groups = self._plans[t - 1][1][c]
+        codes = check_input(x, observed, sum(size for _, size in groups),
+                            self.channel.size ** t, self.model.n_signals)
+        if order is not None:
+            codes = codes[order]
+        own_cond = 0
+        if t >= 2 and any(cond for (_, cond), _ in groups):
+            owns = self._own_codes(t - 1, prev, x,
+                                   codes[:, 0] % self.channel.size ** (t - 1))
+            if np.any(owns != owns[0]):
+                raise ModelError("own trajectory is not derivable under a "
+                                 "stochastic rule; condition on it explicitly")
+            own_cond = int(owns[0]) % self.n_actions ** (t - 1)
+        return posterior_general(x, codes, own_cond,
+                                 self._messages(groups, t - 1), self.model)
 
     def _cavity_table(self, t: int, e: int) -> CavityTable:
         return CavityTable(horizon=t, alphabet_size=self.channel.size,

@@ -22,7 +22,6 @@ import numpy as np
 
 from ..model import SignalModel, UpdateRule
 from ..trees import GraphError, TreeGraph, validate
-from .core import check_input
 from .engine import CavityEngine, check_address
 from .tables import CavityTable
 
@@ -46,14 +45,15 @@ class FiniteTreeEngine(CavityEngine):
     Aho-Hopcroft-Ullman tree hashing.  A node's class at t+1 is its class at
     t with the *sorted* (slot class, conditions) pairs of its messages at t:
     slots with equal pairs form a group of exchangeable slots, one multiset
-    per group in the class's ``core.SlotSpace``, and ``action_table``,
-    ``decision_kernel`` and ``posterior`` permute a node's ``observed``
-    order into the sorted one.  An edge's class is its sender's class with
-    the class of the observer's own message at t-1.  Its key starts with
-    its class at t-1 and ids follow sorted keys, so a group at t-1 stays
-    together, in order, among the sorted pairs at t: the next decision step
-    ranks its truncated inputs in the table's own space, whose groups are
-    runs of consecutive groups of the next round.
+    per group in the class's ``core.SlotSpace``.  ``action_table``,
+    ``decision_kernel`` and ``posterior`` hand the engine the node's slot
+    order, and the engine checks a node's ``observed`` codes and reads them
+    in that order.  An edge's class is its sender's class with the class of
+    the observer's own message at t-1.  Its key starts with its class at
+    t-1 and ids follow sorted keys, so a group at t-1 stays together, in
+    order, among the sorted pairs at t: the next decision step ranks its
+    truncated inputs in the table's own space, whose groups are runs of
+    consecutive groups of the next round.
     """
 
     def __init__(self, graph: TreeGraph, model: SignalModel, rule: UpdateRule):
@@ -123,12 +123,8 @@ class FiniteTreeEngine(CavityEngine):
     def posterior(self, node: int, x: int, observed: tuple[int, ...],
                   t: int) -> np.ndarray:
         check_address(t, len(self.g), "posterior", node, range(self.graph.n))
-        perm = self._layout(node, t)[0]
-        if t:  # before the permutation, which would drop an extra code
-            check_input(x, observed, len(perm), self.n_actions ** t,
-                        self.model.n_signals)
-        return self._posterior(x, tuple(observed[k] for k in perm), t,
-                               self.node_class[t][node])
+        return self._posterior(x, observed, t, self.node_class[t][node],
+                               self._layout(node, t)[0])
 
     def decision_kernel(self, node: int, t: int, x: int,
                         observed: tuple[int, ...]) -> list[tuple[int, float]]:
@@ -136,12 +132,8 @@ class FiniteTreeEngine(CavityEngine):
         the share of signal x's rows (coin outcomes) giving each code."""
         check_address(t, len(self.g), "decision table", node,
                       range(self.graph.n))
-        c = self.node_class[t][node]
-        space = self._slot_space(t, c)
-        codes = check_input(x, observed, space.slots, space.base,
-                            self.model.n_signals)
-        j = space.rank(codes, self._layout(node, t)[0])[0]
-        column = self.g[t][c][x::self.model.n_signals, j]
+        column = self._own_codes(t, self.node_class[t][node], x, observed,
+                                 self._layout(node, t)[0])
         values, counts = np.unique(column, return_counts=True)
         return [(int(v), float(n / len(column))) for v, n in zip(values, counts)]
 

@@ -29,8 +29,7 @@ import numpy as np
 
 from ..model import ModelError, SignalModel, UpdateRule
 from ..trees import DegreeDistribution, edge_perspective
-from .core import check_round
-from .engine import CavityEngine, check_address
+from .engine import CavityEngine, check_address, check_round
 from .tables import CavityTable, DecisionTable
 
 

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..model import ModelError, SignalModel, UpdateRule, action_count
+from ..model import (ModelError, SignalModel, UpdateRule, action_count,
+                     signal_posterior)
 from ..trees import GraphError, TreeGraph, ball, validate
 from .core import cavity_step_general, posterior_general, round0_table
-from .engine import AllActive
+from .engine import AllActive, check_input
 from .finite import FiniteTreeEngine
 
 
@@ -40,18 +41,18 @@ _ROUND0: dict = {}
 
 
 def _round0(model: SignalModel, rule: UpdateRule):
-    """The channel, g^0 and Q^0 of (model, rule), built once: they depend on
-    nothing else, so callers share the read-only arrays.  Keyed by the
+    """The channel and Q^0 of (model, rule), built once: they depend on
+    nothing else, so callers share the read-only message.  Keyed by the
     model's hash and the rule's fields, since both hold arrays."""
     values = None if rule.utility is None else rule.utility.values
     utility = None if values is None else (values.shape, values.tobytes())
     key = (model.config_hash(), rule.variant, rule.tie_break, utility)
     if key not in _ROUND0:
         channel = AllActive(action_count(model, rule))
-        g0 = round0_table(model, rule, channel.n_actions)
-        q0 = cavity_step_general(g0, 0, None, [], model, rule, channel)[0]
-        g0.flags.writeable = q0.flags.writeable = False
-        _ROUND0[key] = channel, g0, q0
+        q0 = cavity_step_general(round0_table(model, rule, channel.n_actions),
+                                 0, None, [], model, rule, channel)[0]
+        q0.flags.writeable = False
+        _ROUND0[key] = channel, q0
     return _ROUND0[key]
 
 
@@ -83,11 +84,14 @@ def posterior_with_hubs(
     if set(observed) != set(neighbors) and t >= 1:
         raise ModelError("observations must cover exactly the observed neighbors")
 
-    if t <= 1:
-        channel, g0, q0 = _round0(model, rule)
-        return posterior_general(
-            x, tuple(observed[j] for j in neighbors) if t else (), g0, t, (),
-            [(q0, False, len(neighbors))], model, channel)
+    if t == 0:
+        return signal_posterior(model, x)
+    if t == 1:
+        channel, q0 = _round0(model, rule)
+        codes = check_input(x, [observed[j] for j in neighbors], len(neighbors),
+                            channel.size, model.n_signals)
+        return posterior_general(x, codes, 0, [(q0, False, len(neighbors))],
+                                 model)
 
     if graph.hubs & ball(graph, node, t):
         raise ModelError(

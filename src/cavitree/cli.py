@@ -70,7 +70,7 @@ def _condition(args, model: SignalModel) -> int | None:
     cond = args.condition
     if cond == "average":
         return None
-    if not (cond.isdigit() and int(cond) < model.n_states):
+    if not (cond.isascii() and cond.isdigit() and int(cond) < model.n_states):
         raise ModelError(f"--condition must be 'average' or a state index "
                          f"0..{model.n_states - 1}, not {cond!r}")
     return int(cond)

@@ -259,38 +259,51 @@ def majority_kernel(votes: Sequence[int]) -> dict[int, float]:
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-_TIE_NAMES = {
-    "own_signal": TieBreak.OWN_SIGNAL,
-    "lowest_index": TieBreak.LOWEST_INDEX,
-    "uniform": TieBreak.UNIFORM_RANDOM,
-}
+def _json_number(value, what: str):
+    """``value``, a JSON number or nested lists of them, as floats; a
+    string or bool is refused, not parsed."""
+    if isinstance(value, list):
+        return [_json_number(item, what) for item in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{what} must be a JSON number, not {value!r}")
+    return float(value)
 
 
 def model_from_json(doc: dict) -> tuple[SignalModel, TieBreakRule]:
     """Read a model configuration document.
 
     Either a full specification (states/signals/prior/likelihood) or the
-    shorthand {"noise": delta} for the binary symmetric model.  A document
-    of the wrong shape raises ``ModelError``.
+    shorthand {"noise": delta} for the binary symmetric model, with an
+    optional prior; every probability a JSON number.  A document of the
+    wrong shape, or with a field it does not read, raises ``ModelError``.
     """
     if not isinstance(doc, dict):
         raise ModelError("a model document is a JSON object")
+    unknown = set(doc) - {"noise", "prior", "likelihood", "states",
+                          "signals", "tie_break"}
+    if unknown:
+        raise ModelError(f"unknown model field {min(unknown)!r}")
+    if "noise" in doc and "likelihood" in doc:
+        raise ModelError("a model document gives noise or likelihood, not both")
     tie_name = doc.get("tie_break", "own_signal")
-    if not isinstance(tie_name, str) or tie_name not in _TIE_NAMES:
+    if tie_name not in [tie.value for tie in TieBreak]:
         raise ModelError(f"unknown tie_break {tie_name!r}")
-    tie = TieBreakRule(variant=_TIE_NAMES[tie_name])
+    tie = TieBreakRule(variant=TieBreak(tie_name))
     try:
+        prior = None
+        if "prior" in doc or "noise" not in doc:
+            prior = np.asarray(_json_number(doc["prior"], "a prior entry"))
         if "noise" in doc:
-            model = SignalModel.binary_symmetric(float(doc["noise"]),
-                                                 prior=doc.get("prior"))
-            return model, tie
-        model = SignalModel(prior=np.asarray(doc["prior"], float),
-                            likelihood=np.asarray(doc["likelihood"], float))
+            model = SignalModel.binary_symmetric(
+                _json_number(doc["noise"], "noise"), prior=prior)
+        else:
+            model = SignalModel(prior=prior, likelihood=np.asarray(
+                _json_number(doc["likelihood"], "a likelihood entry")))
     except ModelError:
         raise
     except KeyError as exc:
         raise ModelError(f"model document missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed model document: {exc}") from exc
     for key, count, noun, source in (
             ("states", model.n_states, "state", "the prior length"),

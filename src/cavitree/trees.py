@@ -323,9 +323,13 @@ def _json_int(value, what: str) -> int:
 def graph_from_json(doc: dict) -> TreeGraph:
     """Read {"n": .., "edges": [[i, j], ..]} with optional "directed_edges"
     and "hubs", every node count and index a JSON integer; a document of
-    the wrong shape raises ``GraphError``."""
+    the wrong shape, or with a field it does not read, raises
+    ``GraphError``."""
     if not isinstance(doc, dict):
         raise GraphError("a graph document is a JSON object")
+    unknown = set(doc) - {"n", "edges", "directed_edges", "hubs"}
+    if unknown:
+        raise GraphError(f"unknown graph field {min(unknown)!r}")
     try:
         n = _json_int(doc["n"], "n")
         pairs = {key: tuple((_json_int(i, "an edge endpoint"),

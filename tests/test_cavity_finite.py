@@ -461,6 +461,30 @@ def test_round1_posterior_with_coin_rows(uniform_ties):
         [16 / 17, 1 / 17], rtol=1e-15)
 
 
+def test_own_trajectory_is_read_only_where_a_message_conditions(
+        uniform_ties):
+    """On a directed path no message conditions, so a posterior never reads
+    the own trajectory, even where node 0's coin rows disagree on it; on an
+    undirected edge a round-2 posterior reads it and is refused."""
+    model = SignalModel(prior=np.array([0.5, 0.5]),
+                        likelihood=np.array([[.7, .2, .1], [.1, .2, .7]]))
+    rule = UpdateRule(variant="bayesian", tie_break=uniform_ties)
+    engine = FiniteTreeEngine(TreeGraph(n=3, directed_edges=((0, 1), (1, 2))),
+                              model, rule)
+    engine.run(3)
+    assert [len(engine.g[t][engine.node_class[t][0]]) for t in range(4)] == [
+        6, 12, 24, 48]
+    assert len(engine.decision_kernel(0, 2, 1, (1,))) > 1  # rows disagree
+    np.testing.assert_allclose(engine.posterior(0, 1, (1,), 2), [0.8, 0.2],
+                               rtol=1e-15)
+    post = engine.posterior(0, 1, (1,), 3)
+    assert post.shape == (2,) and abs(post.sum() - 1.0) < 1e-15
+    undirected = FiniteTreeEngine(path_graph(2), model, rule)
+    undirected.run(3)
+    with pytest.raises(ModelError, match="not derivable"):
+        undirected.posterior(0, 1, (1,), 2)
+
+
 def test_interior_node_matches_homogeneous(model15, bayes):
     """Interior nodes of a deep finite tree follow the infinite-tree numbers."""
     from cavitree.cavity import RegularTreeEngine

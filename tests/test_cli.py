@@ -174,6 +174,41 @@ def test_unparsable_option_is_named_in_the_one_line_error(tmp_path, capsys,
     assert len(err) == 1 and f"{option} takes {form}" in err[0]
 
 
+@pytest.mark.parametrize("command, option, doc, message", [
+    ("simulate", "--graph", {"n": 3, "edge": [[0, 1], [1, 2]]},
+     "field 'edge'"),
+    ("simulate", "--graph", {"n": 3, "edges": [[0, 1]], "hub": [2]},
+     "field 'hub'"),
+    ("table", "--model", {"noise": 0.2, "tie": "uniform"}, "field 'tie'"),
+    ("table", "--model", {"noise": 0.1, "likelihood": [[0.6, 0.4],
+                                                      [0.3, 0.7]]},
+     "noise or likelihood, not both"),
+    ("table", "--model", {"noise": 0.1, "states": 3}, "declared state count"),
+    ("table", "--model", {"noise": "0.1"}, "JSON number"),
+], ids=["graph-edge", "graph-hub", "model-tie", "model-noise-and-likelihood",
+        "model-noise-states", "model-string-noise"])
+def test_document_it_does_not_read_exactly_exits_2(tmp_path, capsys, command,
+                                                   option, doc, message):
+    """A graph or model document with a misspelt field, a likelihood beside
+    its noise level, a count it does not have or a number as a string is a
+    configuration error that says which, not a run on the defaults."""
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    assert run(tmp_path, command, option, "doc.json", "--rounds", "1") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
+@pytest.mark.parametrize("value", ["\u00b2", "\u0661"],
+                         ids=["superscript-two", "arabic-indic-one"])
+def test_condition_takes_ascii_digits_only(tmp_path, capsys, value):
+    """A Unicode digit is not a state index: it exits 2 with the option's
+    own message, not int()'s, and is never read as a state."""
+    assert run(tmp_path, "table", "--rounds", "1", "--condition", value) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert (len(err) == 1 and "--condition must be 'average' or a state index"
+            in err[0])
+
+
 def test_budget_exit_code(tmp_path, capsys):
     assert run(tmp_path, "table", "--d", "5", "--rounds", "12") == 3
     capsys.readouterr()

@@ -200,6 +200,36 @@ def test_model_json_malformed(doc):
         model_from_json(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"noise": 0.2, "tie": "uniform"}, "unknown model field 'tie'"),
+    ({"noise": 0.1, "likelihood": [[0.6, 0.4], [0.3, 0.7]]},
+     "noise or likelihood, not both"),
+    ({"noise": 0.1, "states": 3}, "declared state count"),
+    ({"noise": 0.1, "signals": 3}, "declared signal count"),
+], ids=["tie-typo", "noise-and-likelihood", "noise-states", "noise-signals"])
+def test_model_json_refuses_fields_it_does_not_read(doc, message):
+    """Every field is read or refused, in both forms: an unknown key, a
+    likelihood beside a noise level, or a count the model does not have."""
+    with pytest.raises(ModelError, match=message):
+        model_from_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"noise": "0.1"},
+    {"noise": False},
+    {"noise": 0.1, "prior": ["0.5", "0.5"]},
+    {"prior": [True, False], "likelihood": [[0.9, 0.1], [0.2, 0.8]]},
+    {"prior": [0.5, 0.5], "likelihood": [[1, False], [0.2, 0.8]]},
+    {"prior": [0.5, 0.5], "likelihood": [[0.9, "0.1"], [0.2, 0.8]]},
+], ids=["string-noise", "bool-noise", "string-prior", "bool-prior",
+        "bool-likelihood", "string-likelihood"])
+def test_model_json_refuses_non_numbers(doc):
+    """Probabilities are JSON numbers: a string is not parsed into one and
+    a bool is not read as 1.0 or 0.0."""
+    with pytest.raises(ModelError, match="JSON number"):
+        model_from_json(doc)
+
+
 @pytest.mark.parametrize("key, value", [
     ("states", 2.9), ("states", 2.0), ("states", "2"), ("signals", True),
 ])

@@ -162,6 +162,17 @@ def test_graph_json_refuses_non_integers(doc):
         graph_from_json(doc)
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"n": 3, "edge": [[0, 1], [1, 2]]}, "edge"),
+    ({"n": 3, "edges": [[0, 1], [1, 2]], "hub": [1]}, "hub"),
+], ids=["edge-typo", "hub-typo"])
+def test_graph_json_refuses_unread_fields(doc, key):
+    """A field the reader does not know is refused by name: a typo must not
+    leave the graph without its edges or its hubs."""
+    with pytest.raises(GraphError, match=f"unknown graph field '{key}'"):
+        graph_from_json(doc)
+
+
 def test_negative_node_count_refused():
     with pytest.raises(GraphError, match="n >= 0"):
         TreeGraph(n=-2)
