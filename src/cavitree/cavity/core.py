@@ -68,24 +68,27 @@ tables commute with it: g[1, ~J] = ~g[0, J] and Q[~sigma, ~tau, 1 - s] =
 Q[sigma, tau, s].  Where ``_flip_symmetric`` finds a step's model, channel
 and rule exactly symmetric, one row per signal and every slot message its
 own flip, both steps run their row loop over signal 0 only.  The decision
-step writes row 1 at the complemented inputs, whose ranks need no sort
-because ~ reverses each group's sorted codes, and mirrors the error and
-coupling sums; the cavity step takes its column sums, then adds the sum
-array and its column sums each to itself reversed on every axis, so every
-Q it returns is its own flip bit for bit.  Any other step runs every row:
+step then stores row 0 alone, a *mirrored* table (``table_rows``: the one
+table with fewer rows than signals), and mirrors the error and coupling
+sums; the cavity step takes its column sums, then adds the sum array and
+its column sums each to itself reversed on every axis, so every Q it
+returns is its own flip bit for bit.  Any other step runs every row:
 lowest-index or uniform-random ties, coin rows, the erasure channel, an
 asymmetric prior, likelihood or utility, and more than two states.  A
 lowest-index table with no tie equals the own-signal one, and the steps
-still run it in full, so its sums keep their rounding.
+still run it in full, so its sums keep their rounding.  A step that runs
+every row of a mirrored table reads row 1 at input J as ~(row 0 at ~J)
+(``rows_at``); so do the engine's readers (``engine.CavityEngine``).
 
 The predicate reads no table entry: every table commutes with ~ by
 induction.  g^0 does once the rule check passes, its vote being the
 signal-to-action map (majority) or a symmetric argmax (Bayesian).  A
-mirrored decision step writes row 1 as ~row 0.  A majority step forced
+mirrored table's row 1 is ~row 0 by definition.  A majority step forced
 onto the full path by a coin-row neighbour's message decides by integer
 margins, so its table still commutes with ~ exactly.  ``SlotSpace.expand``
 and the mixture's weighted sum of cavity tables keep tables symmetric.
-``verify.invariant_suite`` checks the decision tables off the hot path.
+``verify.invariant_suite`` checks, off the hot path, that the posteriors
+reading a derived row are signal 0's flipped.
 """
 
 from __future__ import annotations
@@ -239,16 +242,6 @@ class SlotSpace:
             [row for lo, k, _ in self._groups
              for row in _sorted_rows(rows[lo:lo + k])], digits.shape[1])
 
-    def _flip_rank(self, digits: np.ndarray) -> np.ndarray:
-        """Rank of the complement of each column of ``digits``, sorted
-        within each group as ``digits`` returns them, which it complements
-        in place: complementing every code reverses a group's order, so the
-        reversed rows need no sort."""
-        np.subtract(self.base - 1, digits, out=digits)
-        return self._rank_sorted(
-            [digits[lo + i] for lo, k, _ in self._groups
-             for i in range(k - 1, -1, -1)], digits.shape[1])
-
     def _rank_sorted(self, rows: list[np.ndarray], n: int) -> np.ndarray:
         """Rank of ``n`` inputs whose slot rows are sorted within groups."""
         j = np.zeros(n, dtype=np.int64)
@@ -306,8 +299,30 @@ def cavity_step_bytes(t: int, sizes, tau_group: int | None, n_obs: int,
 
 def decision_step_bytes(t: int, sizes, n_obs: int, rows: int) -> int:
     """Bytes of the horizon-(t+1) decision table over slot groups ``sizes``
-    of ``rows`` rows and its workspace."""
+    of ``rows`` rows and its workspace.  It counts every row, also row 1 of
+    a mirrored table, which is not stored: an overestimate of such a step."""
     return 8 * SlotSpace.count(n_obs ** (t + 1), sizes) * (rows + 2)
+
+
+def table_rows(table: np.ndarray, n_signals: int) -> int:
+    """The rows a stored decision table stands for.  A flip-symmetric
+    decision step needs two signals, one row each, and stores row 0 only;
+    no other table has fewer rows than signals, so one that does is
+    *mirrored* and stands for two."""
+    return max(len(table), n_signals)
+
+
+def rows_at(table: np.ndarray, n_signals: int, top: int, space: SlotSpace,
+            digits: np.ndarray, j: np.ndarray, order=None):
+    """Each row of a stored ``table`` in turn, at the inputs ``digits`` of
+    ``space`` (slot p reading row order[p]), whose ranks are ``j``: one
+    gather at a time, however many coin rows.  A mirrored table's row 1 at
+    input J is ~(row 0 at ~J), ~ complementing every code; its trajectory
+    codes run to ``top``, so ~c = top - c."""
+    for row in table:
+        yield row[j]
+    if table_rows(table, n_signals) > len(table):
+        yield top - table[0, space.rank(space.base - 1 - digits, order)]
 
 
 def _slot_rows(groups, skip: int | None = None):
@@ -420,7 +435,8 @@ def cavity_step_general(
     |column sum - 1|, and the number of summed terms.
     """
     n_s, n_x = model.likelihood.shape
-    share = n_x / len(g_flat)
+    rows = table_rows(g_flat, n_x)
+    share = n_x / rows
     n_obs = channel.size
     m = n_obs ** t
     n_out = n_obs ** (t + 1)
@@ -431,7 +447,8 @@ def cavity_step_general(
     # Input row 0 holds the observer's slot, if any; the other rows are summed.
     first = int(tau_group is not None)
     slot_rows = _slot_rows(groups, tau_group)
-    flip = _flip_symmetric(model, channel, len(g_flat), groups, rule)
+    flip = _flip_symmetric(model, channel, rows, groups, rule)
+    top = channel.n_actions ** (t + 1) - 1
 
     acc = np.zeros((n_s, n_out, n_tau))
     ops = 0
@@ -439,8 +456,10 @@ def cavity_step_general(
         digits, count = inputs.build(start, min(start + CHUNK, inputs.size))
         j = table.rank(digits, order)
         tau_digit = digits[0] if first else np.zeros_like(j)
-        for r, row in enumerate(g_flat[:1] if flip else g_flat):
-            out_codes = row[j].astype(np.int64)
+        outs = ([g_flat[0, j]] if flip
+                else rows_at(g_flat, n_x, top, table, digits, j, order))
+        for r, out_codes in enumerate(outs):
+            out_codes = out_codes.astype(np.int64)
             cond = out_codes % cond_mod
             segs = [(_sorted_segments(codes * n_tau + tau_digit, n_out * n_tau),
                      weight)
@@ -535,9 +554,10 @@ def decision_step_general(
     groups of ``groups``, or which has no slot at round 0) on the truncated
     inputs, re-ranked since truncating a sorted tuple can unsort it.  A
     stochastic rule for this degree multiplies the rows by
-    ``coin_values(n_actions)``: new row r extends row r % len(g_prev), and
-    its coin u = r // len(g_prev) breaks a majority zero margin (vote u) or
-    a uniform Bayesian tie.  Returns the table, the number of posterior
+    ``coin_values(n_actions)``: new row r extends row r % rows, ``rows``
+    being g_prev's ``table_rows``, and its coin u = r // rows breaks a
+    majority zero margin (vote u) or a uniform Bayesian tie.  Returns the
+    table (row 0 alone where the step mirrors), the number of posterior
     terms, and the round-(t+1) error and coupling sums: the (n_states,
     n_signals) sums of the cavity product prod_k Q_k[c_k, own, s], each
     input weighted by the ordered tuples it stands for and each row by its
@@ -549,7 +569,7 @@ def decision_step_general(
     deg = sum(sizes)
     n_actions, n_obs = channel.n_actions, channel.size
     coins = 1 if rule.deterministic_for_degree(deg) else coin_values(n_actions)
-    rows_prev = len(g_prev)
+    rows_prev = table_rows(g_prev, n_x)
     share = n_x / (rows_prev * coins)
     m = n_obs ** t
     space, prev = SlotSpace(n_obs ** (t + 1), sizes), SlotSpace(m, prev_sizes)
@@ -558,8 +578,8 @@ def decision_step_general(
     bayesian = rule.variant != "majority"
     slot_rows = _slot_rows(groups)
     flip = _flip_symmetric(model, channel, rows_prev, groups, rule)
-    top = n_actions ** (t + 2) - 1  # ~c = top - c for a new code c
-    g_next = np.empty((rows_prev * coins, total), dtype=np.int32)
+    top = n_actions ** (t + 1) - 1
+    g_next = np.empty((1 if flip else rows_prev * coins, total), dtype=np.int32)
     err_acc = np.zeros((n_s, n_x))
     mass_acc = np.zeros((n_s, n_x))
     ops = 0
@@ -570,7 +590,10 @@ def decision_step_general(
     for start in range(0, total, CHUNK):
         stop = min(start + CHUNK, total)
         digits, count = space.build(start, stop)
-        j_prev = prev.rank(digits % m)
+        truncated = digits % m
+        j_prev = prev.rank(truncated)
+        owns = ([g_prev[0, j_prev]] if flip
+                else rows_at(g_prev, n_x, top, prev, truncated, j_prev))
         cols = slice(start, stop)
         product, post, total_mass = (buf[..., :stop - start] for buf in buffers)
         if not bayesian:
@@ -578,9 +601,9 @@ def decision_step_general(
             margin = 2 * (digits // m).sum(axis=0, dtype=np.int64) - deg
             majority = [np.where(margin == 0, u, margin > 0)
                         for u in range(coins)]
-        for r, row in enumerate(g_prev[:1] if flip else g_prev):
+        for r, own in enumerate(owns):
             x = r % n_x
-            own = row[j_prev].astype(np.int64)
+            own = own.astype(np.int64)
             own_cond = own % n_actions ** t
             product[:] = 1.0
             _multiply_slots(product, digits, slot_rows, own_cond)
@@ -602,8 +625,6 @@ def decision_step_general(
                 for action in actions:
                     mass_acc[s, x] += mass * share
                     err_acc[s, x] += np.sum(w[action != s]) * share
-        if flip:
-            g_next[1, space._flip_rank(digits)] = top - g_next[0, cols]
     if flip:
         err_acc[:, 1] = err_acc[::-1, 0]
         mass_acc[:, 1] = mass_acc[::-1, 0]

@@ -17,7 +17,7 @@ from ..trees import BudgetError
 from .core import (COUPLING_TOL, SlotSpace, cavity_step_bytes,
                    cavity_step_general, coin_values, decision_step_bytes,
                    decision_step_general, error_from_sums, posterior_general,
-                   round0_sums, round0_table)
+                   round0_sums, round0_table, rows_at, table_rows)
 from .tables import CavityTable
 
 MEMORY_BUDGET = 4 << 30  # bytes of table workspace allowed per step
@@ -97,7 +97,10 @@ class CavityEngine:
     one decision step, which reads g[t][c] in c's ``_slot_space``.
 
     Outside the steps only ``_own_codes`` (one input's column, for kernels
-    and posteriors) and ``_decisions`` (the vote tables) read a table.
+    and posteriors) and ``_decisions`` (the dense tables, for
+    ``vote_table``, ``dense_decisions`` and ``decision_table``) read a
+    table.  Of a mirrored table (``core.table_rows``), which stores row 0
+    only, both derive row 1 as ~row 0 at the complemented input.
     """
 
     def __init__(self, model: SignalModel, rule: UpdateRule, classes: int = 1):
@@ -195,14 +198,21 @@ class CavityEngine:
                 f"coupling mass deviates by {coupling_dev:.3e} at {where}, t={t}")
         return err
 
-    def _decisions(self, t: int, c: int) -> np.ndarray:
-        """Node class c's round-t decision table as g[x, inputs], one row per
-        signal; ``ModelError`` for a table with tie-coin rows."""
+    def _decisions(self, t: int, c: int, order=None) -> np.ndarray:
+        """Node class c's round-t decision table as g[x, dense inputs], one
+        row per signal, slot p reading dense slot ``order[p]`` (p by
+        default); ``ModelError`` for a table with tie-coin rows.  Of a
+        mirrored table it expands row 0 only: complementing every digit of
+        a dense input reverses its rank, so row 1 is ~row 0 reversed."""
         table = self.g[t][c]
-        if len(table) != self.model.n_signals:
+        n_x = self.model.n_signals
+        if table_rows(table, n_x) != n_x:
             raise ModelError("action tables exist for deterministic "
                              "rules only; this table has tie-coin rows")
-        return table
+        dense = self._slot_space(t, c).expand(table, order)
+        if len(dense) == n_x:
+            return dense
+        return np.vstack([dense, self.n_actions ** (t + 1) - 1 - dense[0, ::-1]])
 
     def _slot_space(self, t: int, c: int) -> SlotSpace:
         """The space node class c's round-t table was built in: one group
@@ -217,7 +227,7 @@ class CavityEngine:
         check_round(t, len(self.g), "action table")
         key = (t, c, order)
         if key not in self._votes:
-            table = self._slot_space(t, c).expand(self._decisions(t, c), order)
+            table = self._decisions(t, c, order)
             self._votes[key] = (table // self.n_actions ** t).astype(np.int8)
         return self._votes[key]
 
@@ -227,22 +237,26 @@ class CavityEngine:
         outcome) at the input ``observed``, which it checks, slot p reading
         ``observed[order[p]]``: the one reader of a table's input column."""
         space = self._slot_space(t, c)
-        codes = check_input(x, observed, space.slots, space.base,
-                            self.model.n_signals)
-        j = space.rank(codes, order)[0]
-        return self.g[t][c][x::self.model.n_signals, j]
+        n_x = self.model.n_signals
+        codes = check_input(x, observed, space.slots, space.base, n_x)
+        column = np.concatenate(list(rows_at(
+            self.g[t][c], n_x, self.n_actions ** (t + 1) - 1, space, codes,
+            space.rank(codes, order), order)))
+        return column[x::n_x]
 
     def _posterior(self, x: int, observed: tuple[int, ...], t: int, c: int,
-                   order=None) -> np.ndarray:
-        """P(s | x, ``observed``) at node class c of round t, slot p reading
-        ``observed[order[p]]``, from the messages its round-t table was
-        built from.  Only where one conditions (t >= 2) is the own
-        trajectory read, and refused if signal x's rows disagree on it."""
+                   slots: int, order=None) -> np.ndarray:
+        """P(s | x, ``observed``) at node class c of round t, whose nodes
+        observe ``slots`` neighbours, slot p reading ``observed[order[p]]``,
+        from the messages its round-t table was built from.  At t = 0 each
+        observed trajectory is empty, code 0, and the posterior is the
+        signal's.  Only where one conditions (t >= 2) is the own trajectory
+        read, and refused if signal x's rows disagree on it."""
+        codes = check_input(x, observed, slots, self.channel.size ** t,
+                            self.model.n_signals)
         if t == 0:
             return signal_posterior(self.model, x)
         prev, groups = self._plans[t - 1][1][c]
-        codes = check_input(x, observed, sum(size for _, size in groups),
-                            self.channel.size ** t, self.model.n_signals)
         if order is not None:
             codes = codes[order]
         own_cond = 0

@@ -124,6 +124,7 @@ class FiniteTreeEngine(CavityEngine):
                   t: int) -> np.ndarray:
         check_address(t, len(self.g), "posterior", node, range(self.graph.n))
         return self._posterior(x, observed, t, self.node_class[t][node],
+                               len(self.graph.observed[node]),
                                self._layout(node, t)[0])
 
     def decision_kernel(self, node: int, t: int, x: int,

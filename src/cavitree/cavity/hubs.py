@@ -68,7 +68,8 @@ def posterior_with_hubs(
     """P(s | x, observations through t-1) on an almost-tree with hubs.
 
     ``observed`` maps each observed neighbor (tree nodes and hubs alike) to
-    its packed trajectory through round t-1.  Through t = 1 this is the
+    its packed trajectory through round t-1 (code 0, the empty trajectory,
+    at t = 0), else ``ModelError``.  Through t = 1 this is the
     product of the neighbors' round-0 messages; later, with no hubs inside
     the ball, it is exactly the tree posterior.
     """
@@ -81,15 +82,15 @@ def posterior_with_hubs(
     if t < 0 or node not in range(graph.n):
         raise ModelError(f"no posterior for node {node} at round {t}")
     neighbors = graph.observed[node]
-    if set(observed) != set(neighbors) and t >= 1:
+    if set(observed) != set(neighbors):
         raise ModelError("observations must cover exactly the observed neighbors")
 
-    if t == 0:
-        return signal_posterior(model, x)
-    if t == 1:
+    if t <= 1:
         channel, q0 = _round0(model, rule)
         codes = check_input(x, [observed[j] for j in neighbors], len(neighbors),
-                            channel.size, model.n_signals)
+                            channel.size ** t, model.n_signals)
+        if t == 0:
+            return signal_posterior(model, x)
         return posterior_general(x, codes, 0, [(q0, False, len(neighbors))],
                                  model)
 

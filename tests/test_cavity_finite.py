@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from exact_reference import ExactRegularTree
 
+import cavitree.cavity.core as core
 import cavitree.cavity.engine as engine_module
 import cavitree.cavity.finite as finite
 from cavitree.cavity import (
@@ -415,6 +416,36 @@ def test_accessors_refuse_inputs_outside_the_table(model15, bayes, kind):
             call()
 
 
+def _round0_posterior(kind, model, rule):
+    """A round-0 posterior, as a function of (signal, codes), at a node
+    observing three neighbours (regular) or two (finite, hubs)."""
+    if kind == "hubs":
+        return lambda x, codes: posterior_with_hubs(
+            _TRIANGLE, model, rule, 0, x, dict(zip((1, 2, 3), codes)), 0)
+    if kind == "regular":
+        engine = RegularTreeEngine(model, 3, rule)
+        return lambda x, codes: engine.posterior(x, codes, 0)
+    engine = FiniteTreeEngine(path_graph(3), model, rule)
+    return lambda x, codes: engine.posterior(1, x, codes, 0)
+
+
+@pytest.mark.parametrize("kind,x,codes", [
+    ("regular", 0, (9, 9, 9)), ("regular", 0, (0, 0, 1)),
+    ("regular", 2, (0, 0, 0)), ("finite", 0, (5, 7, 9)),
+    ("finite", 0, (0, 1)), ("finite", 0, (0,)), ("finite", -1, (0, 0)),
+    ("hubs", 0, (0, 1)), ("hubs", 0, (0,)), ("hubs", 0, (0, 0, 0)),
+    ("hubs", 2, (0, 0))])
+def test_round0_posterior_checks_its_input(model15, bayes, kind, x, codes):
+    """At t = 0 every observed trajectory is empty: a posterior takes one
+    code 0 per observed neighbour and a valid signal, as at t >= 1, and
+    refuses anything else rather than answering the signal's posterior."""
+    ask = _round0_posterior(kind, model15, bayes)
+    zeros = (0,) * (3 if kind == "regular" else 2)
+    np.testing.assert_array_equal(ask(1, zeros), [0.15, 0.85])
+    with pytest.raises(ModelError):
+        ask(x, codes)
+
+
 def test_error_round_out_of_range(model15, bayes):
     engine = FiniteTreeEngine(path_graph(3), model15, bayes)
     engine.run(2)
@@ -571,7 +602,7 @@ def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
     """On regular_tree(5, 5) to round 2 the 3410 messages and 1706 decision
     tables per round fall into a handful of classes, one core step each."""
     graph = regular_tree(5, 5)
-    g, _, sums, _ = _per_edge_schedule(graph, model15, bayes, 2, 2)
+    g, _, sums, _ = _per_edge_schedule(graph, model15, bayes, 2, 2, monkeypatch)
     calls = []
     for name in ("cavity_step_general", "decision_step_general"):
         step = getattr(engine_module, name)
@@ -589,9 +620,7 @@ def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
     # arithmetic.
     for i in range(graph.n):
         for t in range(3):
-            c = engine.node_class[t][i]
-            np.testing.assert_array_equal(engine._slot_space(t, c).expand(
-                engine.g[t][c], engine._layout(i, t)[0]), g[i][t])
+            np.testing.assert_array_equal(_node_table(engine, i, t), g[i][t])
             want = error_from_sums(model15, sums[i][t])[0]
             assert engine.error_probability(i, t) == pytest.approx(
                 want, rel=1e-14, abs=0), (i, t)
@@ -648,10 +677,21 @@ def test_sorted_slot_class_counts(model15, bayes):
         assert len(perms) == counts[t - 1][1], t
 
 
-def _per_edge_schedule(graph, model, rule, n_actions, rounds):
-    """One core step per directed edge and per node, with no sharing and
-    each slot its own group, in ``observed`` order: the reference whose
-    tables the class schedule must reproduce bit for bit."""
+def _node_table(engine, i, t):
+    """Node i's round-t table over its dense inputs in ``observed`` order,
+    every row: the engine's, or, where coin rows leave no action table,
+    the stored rows expanded (a table with coin rows is never mirrored)."""
+    c, order = engine.node_class[t][i], engine._layout(i, t)[0]
+    if len(engine.g[t][c]) > engine.model.n_signals:
+        return engine._slot_space(t, c).expand(engine.g[t][c], order)
+    return engine._decisions(t, c, order)
+
+
+def _per_edge_schedule(graph, model, rule, n_actions, rounds, monkeypatch):
+    """One core step per directed edge and per node, with no sharing, each
+    slot its own group, in ``observed`` order, and every row computed (no
+    step mirrors): the reference whose tables the class schedule must
+    reproduce bit for bit."""
     obs = graph.observed
     channel = engine_module.AllActive(n_actions)
     g0 = round0_table(model, rule, n_actions)
@@ -659,22 +699,24 @@ def _per_edge_schedule(graph, model, rule, n_actions, rounds):
     sums = {i: [round0_sums(model, g0)] for i in range(graph.n)}
     q = {(j, i): [] for i in range(graph.n) for j in obs[i]}
     drifts = [0.0] * rounds
-    for t in range(rounds):
-        for (j, i), tables in q.items():
-            # Round 0's step has no slots: the sender's round-0 vote alone.
-            tau_pos = obs[j].index(i) if t and i in obs[j] else None
-            slots = [(q[(l, j)][t - 1], j in obs[l], 1)
-                     for l in obs[j]] if t else []
-            table, step_drift, _ = cavity_step_general(
-                g[j][t], t, tau_pos, slots, model, rule, channel)
-            drifts[t] = max(drifts[t], step_drift)
-            tables.append(table)
-        for i in range(graph.n):
-            slots = [(q[(j, i)][t], i in obs[j], 1) for j in obs[i]]
-            table, _, *step_sums = decision_step_general(
-                g[i][t], t, [1] * len(slots), slots, model, rule, channel)
-            g[i].append(table)
-            sums[i].append(step_sums)
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_flip_symmetric", lambda *a, **k: False)
+        for t in range(rounds):
+            for (j, i), tables in q.items():
+                # Round 0's step has no slots: the sender's round-0 vote alone.
+                tau_pos = obs[j].index(i) if t and i in obs[j] else None
+                slots = [(q[(l, j)][t - 1], j in obs[l], 1)
+                         for l in obs[j]] if t else []
+                table, step_drift, _ = cavity_step_general(
+                    g[j][t], t, tau_pos, slots, model, rule, channel)
+                drifts[t] = max(drifts[t], step_drift)
+                tables.append(table)
+            for i in range(graph.n):
+                slots = [(q[(j, i)][t], i in obs[j], 1) for j in obs[i]]
+                table, _, *step_sums = decision_step_general(
+                    g[i][t], t, [1] * len(slots), slots, model, rule, channel)
+                g[i].append(table)
+                sums[i].append(step_sums)
     return g, q, sums, drifts
 
 
@@ -704,7 +746,7 @@ _CLASS_CASES = [(name, graph, label) for name, graph in _CLASS_TREES
                          ids=[f"{name}-{label}"
                               for name, _, label in _CLASS_CASES])
 def test_class_schedule_matches_per_edge_schedule(model30, name, graph,
-                                                  label):
+                                                  label, monkeypatch):
     """Tables, expanded to each node's ``observed`` order, are bit-identical
     to the per-edge schedule's; messages, sums and errors, summed in
     another order, agree to rounding."""
@@ -712,12 +754,11 @@ def test_class_schedule_matches_per_edge_schedule(model30, name, graph,
     engine = FiniteTreeEngine(graph, model30, rule)
     engine.run(3)
     n_a = engine.n_actions
-    g, q, sums, drifts = _per_edge_schedule(graph, model30, rule, n_a, 3)
+    g, q, sums, drifts = _per_edge_schedule(graph, model30, rule, n_a, 3,
+                                            monkeypatch)
     for t in range(4):
         for i in range(graph.n):
-            c = engine.node_class[t][i]
-            np.testing.assert_array_equal(engine._slot_space(t, c).expand(
-                engine.g[t][c], engine._layout(i, t)[0]), g[i][t])
+            np.testing.assert_array_equal(_node_table(engine, i, t), g[i][t])
             if t and len(g[i][t]) == model30.n_signals:
                 np.testing.assert_array_equal(engine.action_table(i, t),
                                               g[i][t] // n_a ** t)

@@ -20,8 +20,8 @@ from cavitree.model import (
 )
 from cavitree.trees import regular_tree
 
-# Odd, so that chunks straddle the colex blocks, the groups and the rows of
-# the flip ranks, and far below every space the cases below build.
+# Odd, so that chunks straddle the colex blocks and the groups, and far below
+# every space the cases below build.
 SMALL_CHUNK = 97
 WHOLE = 1 << 30  # every space of the cases below in one chunk
 
@@ -50,27 +50,21 @@ ENGINES = {
 
 
 def _run(make, rounds, chunk, monkeypatch):
-    """An engine run to ``rounds`` with ``core.CHUNK`` set to ``chunk``, the
-    start rank of every chunk the steps built and the width of every chunk
-    whose flip ranks they took."""
-    starts, flips = [], []
-    build, flip_rank = SlotSpace.build, SlotSpace._flip_rank
+    """An engine run to ``rounds`` with ``core.CHUNK`` set to ``chunk``, and
+    the start rank of every chunk the steps built."""
+    starts = []
+    build = SlotSpace.build
 
     def spy_build(self, start, stop):
         starts.append(start)
         return build(self, start, stop)
 
-    def spy_flip(self, digits):
-        flips.append(digits.shape[1])
-        return flip_rank(self, digits)
-
     with monkeypatch.context() as patch:
         patch.setattr(core, "CHUNK", chunk)
         patch.setattr(SlotSpace, "build", spy_build)
-        patch.setattr(SlotSpace, "_flip_rank", spy_flip)
         engine = make()
         engine.run(rounds)
-    return engine, starts, flips
+    return engine, starts
 
 
 @pytest.mark.parametrize("label", list(ENGINES))
@@ -78,11 +72,12 @@ def test_chunked_steps_match_one_chunk(label, monkeypatch):
     """Decision tables are equal in value and dtype; the error, coupling and
     cavity sums, which group per chunk, agree within 1e-14 relative."""
     make, rounds = ENGINES[label]
-    whole, *_ = _run(make, rounds, WHOLE, monkeypatch)
-    chunked, starts, flips = _run(make, rounds, SMALL_CHUNK, monkeypatch)
+    whole, _ = _run(make, rounds, WHOLE, monkeypatch)
+    chunked, starts = _run(make, rounds, SMALL_CHUNK, monkeypatch)
     assert any(start % SMALL_CHUNK == 0 and start > 0 for start in starts)
-    if "flip" in label:  # row 1 written at complemented ranks, per chunk
-        assert max(flips) == SMALL_CHUNK
+    if "flip" in label:  # a mirrored table stores row 0 only
+        assert all(len(g) == 1 for t in range(1, rounds + 1)
+                   for g in chunked.g[t])
     if "coin-rows" in label:
         assert max(len(g) for g in chunked.g[rounds]) > 2
     for t in range(rounds + 1):

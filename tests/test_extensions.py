@@ -278,15 +278,20 @@ HUB_CASES = {
 @pytest.mark.parametrize("label", list(HUB_CASES))
 def test_triangle_hub_matches_loopy_oracle(model15, bayes, label):
     """Through t = 1 the hub average equals the brute-force posterior on the
-    loopy graph, at every signal and observation."""
+    loopy graph, at every signal and observation; at t = 0 every observed
+    trajectory is empty, code 0, and any other code is refused."""
     graph, node = HUB_CASES[label]
     loopy = TreeGraph(n=graph.n, edges=graph.edges,
                       directed_edges=graph.directed_edges)
     tensor = unroll(loopy, model15, bayes, 1)
     neighbors = graph.observed[node]
+    with pytest.raises(ModelError, match="outside 0..0"):
+        posterior_with_hubs(graph, model15, bayes, node, 0,
+                            dict.fromkeys(neighbors, 1), 0)
     for t in (0, 1):
         for x in (0, 1):
-            for obs in itertools.product((0, 1), repeat=len(neighbors)):
+            for obs in itertools.product((0, 1) if t else (0,),
+                                         repeat=len(neighbors)):
                 post = posterior_with_hubs(graph, model15, bayes, node, x,
                                            dict(zip(neighbors, obs)), t)
                 idx = feasible_set(tensor, node, x, obs if t else None, 0)
@@ -354,7 +359,8 @@ def test_hub_round0_is_built_once_per_model_and_rule(bayes, majority,
     def posteriors(model, rule):
         return [posterior_with_hubs(TRIANGLE, model, rule, 0, x,
                                     {1: v, 2: w}, t)
-                for t, x, v, w in itertools.product((0, 1), repeat=4)]
+                for t, x, v, w in itertools.product((0, 1), repeat=4)
+                if t or v == w == 0]  # round-0 trajectories are empty
 
     # A noise level no other test uses, so nothing is built before.
     model = SignalModel.binary_symmetric(0.21)

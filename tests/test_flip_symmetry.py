@@ -1,18 +1,22 @@
 """The state flip: when both core steps compute signal 0 only, and that
 the mirrored tables match the full computation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import cavitree.cavity.core as core
+import cavitree.cavity.engine as engine_module
 from cavitree.cavity import (
     ActiveEdgeEngine,
     ConfigModelEngine,
     FiniteTreeEngine,
     RegularTreeEngine,
 )
-from cavitree.cavity.core import _flip_symmetric
+from cavitree.cavity.core import _flip_symmetric, rows_at, table_rows
 from cavitree.model import (
+    ModelError,
     SignalModel,
     TieBreak,
     TieBreakRule,
@@ -29,7 +33,8 @@ def _decision_inputs(engine, t):
     engine.run(t)
     engine.advance(extend_decisions=False)
     d = engine.degrees[0]
-    return (engine.model, engine.channel, len(engine.g[t][0]),
+    return (engine.model, engine.channel,
+            table_rows(engine.g[t][0], engine.model.n_signals),
             [(engine.slot_tables[t][0], True, d)])
 
 
@@ -106,20 +111,19 @@ def test_predicate_rejects_asymmetric_inputs(model15, bayes):
 
 def test_verify_flags_a_broken_decision_table(monkeypatch):
     """The predicate reads no table entry; the invariant suite checks that
-    the tables are their own flips, and fails on one changed code."""
-    dense = RegularTreeEngine.dense_decisions
-
-    def broken(engine, degree, t):
-        g = dense(engine, degree, t)
-        if t == 3:
-            g = g.copy()
-            g[1, 7] ^= 1 << 3  # the round-3 vote of one input
-        return g
+    the tables are their own flips where a posterior reads them, and fails
+    when the engine derives row 1 of a mirrored table at the input itself,
+    not at its complement."""
+    def broken(table, n_signals, top, space, digits, j, order=None):
+        rows = list(rows_at(table, n_signals, top, space, digits, j, order))
+        if len(rows) > len(table):
+            rows[1] = top - table[0, j]
+        return rows
 
     checks = {name: passed for name, passed, _ in
               invariant_suite(ds=(3,), noises=(0.15,), max_t=3).checks}
     assert checks["decision-flip d=3 noise=0.15 bayesian"]
-    monkeypatch.setattr(RegularTreeEngine, "dense_decisions", broken)
+    monkeypatch.setattr(engine_module, "rows_at", broken)
     checks = {name: passed for name, passed, _ in
               invariant_suite(ds=(3,), noises=(0.15,), max_t=3).checks}
     assert not checks["decision-flip d=3 noise=0.15 bayesian"]
@@ -134,7 +138,8 @@ def test_lowest_index_takes_the_full_path(model15, bayes, monkeypatch):
     lowest = UpdateRule(tie_break=TieBreakRule(TieBreak.LOWEST_INDEX))
     sym, full = _run_homogeneous(lambda: RegularTreeEngine(model15, 4, lowest),
                                  3, monkeypatch)
-    inputs = (sym.model, sym.channel, len(sym.g[1][0]),
+    inputs = (sym.model, sym.channel,
+              table_rows(sym.g[1][0], sym.model.n_signals),
               [(sym.slot_tables[0][0], True, 4)])
     assert _flip_symmetric(*inputs, bayes)
     assert not _flip_symmetric(*inputs, lowest)
@@ -158,6 +163,24 @@ def _assert_own_flip(g, t):
     input reverses the column index, and every signal and coin the row
     index."""
     assert np.array_equal(g[::-1, ::-1], 2 ** (t + 1) - 1 - g), t
+
+
+def _assert_table_matches(sym, full, t, c):
+    """Node class c's round-t table is the full path's, whose rows are
+    computed apart and make a table that is its own flip.  A table without
+    coin rows is compared dense, row 1 derived where the mirrored engine
+    stores one row; one with coin rows is stored whole on both paths.
+    Returns whether the mirrored engine stores one row."""
+    stored = sym.g[t][c]
+    if len(stored) > sym.model.n_signals:
+        assert np.array_equal(stored, full.g[t][c]), t
+        _assert_own_flip(full._slot_space(t, c).expand(stored), t)
+        return False
+    want = full._decisions(t, c)
+    assert len(full.g[t][c]) == 2
+    assert np.array_equal(sym._decisions(t, c), want), t
+    _assert_own_flip(want, t)
+    return len(stored) == 1
 
 
 def _assert_q(q_sym, q_full):
@@ -193,8 +216,7 @@ def test_symmetric_path_matches_full_path(variant, d, noise, monkeypatch):
     # Each step summed the signal-0 rows only.
     assert 2 * sum(sym.ops) == sum(full.ops)
     for t in range(5):
-        assert np.array_equal(sym.g[t][0], full.g[t][0]), t
-        _assert_own_flip(sym.dense_decisions(d, t), t)
+        assert _assert_table_matches(sym, full, t, 0) == (t > 0), t
         for got, want in zip(sym.sums[t][0], full.sums[t][0]):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         assert sym.error_probability(t) == pytest.approx(
@@ -210,17 +232,18 @@ def test_symmetric_path_matches_full_path_mixture(model15, bayes,
     assert 2 * sum(sym.ops) == sum(full.ops)
     for t in range(4):
         for k, d in enumerate((3, 4)):
-            assert np.array_equal(sym.g[t][k], full.g[t][k])
-            _assert_own_flip(sym.dense_decisions(d, t), t)
+            assert _assert_table_matches(sym, full, t, k) == (t > 0), t
             assert sym.error_probability(t, degree=d) == pytest.approx(
                 full.error_probability(t, degree=d), rel=1e-14, abs=0)
         _assert_q(sym.q[t][0], full.q[t][0])
 
 
-@pytest.mark.parametrize("graph", [
-    regular_tree(3, 3),
-    TreeGraph(n=7, edges=((0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (0, 6)))],
-    ids=["regular3", "lopsided"])
+LOPSIDED = TreeGraph(n=7, edges=((0, 1), (1, 2), (2, 3), (1, 4), (4, 5),
+                                 (0, 6)))
+
+
+@pytest.mark.parametrize("graph", [regular_tree(3, 3), LOPSIDED],
+                         ids=["regular3", "lopsided"])
 @pytest.mark.parametrize("variant", ["bayesian", "majority"])
 def test_symmetric_path_matches_full_path_finite(model30, graph, variant,
                                                  monkeypatch):
@@ -236,20 +259,80 @@ def test_symmetric_path_matches_full_path_finite(model30, graph, variant,
         full.run(3)
     assert sym.node_class == full.node_class
     assert sym.edge_class == full.edge_class
+    coins = variant == "majority" and graph.n == 7
     for t in range(4):
-        for got, want in zip(sym.g[t], full.g[t]):
-            assert np.array_equal(got, want), t
-        for c, table in enumerate(sym.g[t]):
-            _assert_own_flip(sym._slot_space(t, c).expand(table), t)
+        assert len(sym.g[t]) == len(full.g[t])
+        mirrored = [_assert_table_matches(sym, full, t, c)
+                    for c in range(len(sym.g[t]))]
+        # On the lopsided tree only round 1's degree-1 and 3 nodes mirror.
+        assert mirrored == ([t == 1, False, t == 1] if coins and t
+                            else [t > 0] * len(mirrored)), t
         for got, want in zip(sym.sums[t], full.sums[t]):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         for i in range(graph.n):
             assert sym.error_probability(i, t) == pytest.approx(
                 full.error_probability(i, t), rel=1e-14, abs=0)
-    coins = variant == "majority" and graph.n == 7
     for got_t, want_t in zip(sym.q, full.q):
         for got, want in zip(got_t, want_t):
             if coins:  # some messages mirrored, some not
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
             else:
                 _assert_q(got, want)
+
+
+def _outcome(call):
+    """A reader's answer, or the message it refuses with."""
+    try:
+        return call()
+    except ModelError as err:
+        return str(err)
+
+
+def test_derived_rows_match_the_full_path_lopsided(model30, monkeypatch):
+    """Majority on the lopsided tree: round 1's degree-1 and degree-3 nodes
+    store one row, and the round-2 decision steps of the degree-1 nodes
+    read it without mirroring, since the coin rows of their degree-2
+    neighbours break the flip.  Those steps, and every reader of a derived
+    row at signal 1 through round 3 (kernels, posteriors, action tables),
+    agree with the full path."""
+    rule = UpdateRule(variant="majority")
+    derived = []
+
+    def spy(table, n_signals, *args):
+        rows = list(rows_at(table, n_signals, *args))
+        derived.append(len(rows) > len(table))
+        return rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "rows_at", spy)
+        sym = FiniteTreeEngine(LOPSIDED, model30, rule)
+        sym.run(3)
+    assert any(derived)
+    with monkeypatch.context() as patch:
+        _full_path(patch)
+        full = FiniteTreeEngine(LOPSIDED, model30, rule)
+        full.run(3)
+    leaves = [i for i in range(LOPSIDED.n) if len(LOPSIDED.observed[i]) == 1]
+    for i in leaves:  # a mirrored round-1 table, a full round-2 one
+        c1, c2 = sym.node_class[1][i], sym.node_class[2][i]
+        assert len(sym.g[1][c1]) == 1 and len(sym.g[2][c2]) == 2
+        assert np.array_equal(sym._decisions(2, c2), full._decisions(2, c2))
+    checked = 0
+    for t in range(4):
+        for i in range(LOPSIDED.n):
+            got = _outcome(lambda: sym.action_table(i, t))
+            want = _outcome(lambda: full.action_table(i, t))
+            assert type(got) is type(want) and np.array_equal(got, want)
+            for obs in itertools.product(range(2 ** t),
+                                         repeat=len(LOPSIDED.observed[i])):
+                inputs = obs if t else ()  # a round-0 table has no slots
+                assert (sym.decision_kernel(i, t, 1, inputs)
+                        == full.decision_kernel(i, t, 1, inputs)), (i, t, obs)
+                got = _outcome(lambda: sym.posterior(i, 1, obs, t))
+                want = _outcome(lambda: full.posterior(i, 1, obs, t))
+                if isinstance(want, str):
+                    assert got == want, (i, t, obs)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+                    checked += 1
+    assert checked > 0

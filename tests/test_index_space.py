@@ -10,6 +10,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+import cavitree.cavity.core as core
 import cavitree.cavity.engine as engine_module
 from cavitree.cavity import ActiveEdgeEngine, ConfigModelEngine, RegularTreeEngine
 from cavitree.cavity.core import (
@@ -185,10 +186,12 @@ def test_multiset_rank_sorts_and_expand_agrees(n_codes, size):
                                   table[:, mixed.rank(ordered[order])])
 
 
-def _singletons_vs_one_group(engine, degree, rounds):
+def _singletons_vs_one_group(engine, degree, rounds, monkeypatch):
     """Run each step of ``engine`` again with every slot its own group on
-    its own slot tables and compare with the one-group step."""
+    its own slot tables, on the full path (every row computed), and compare
+    with the one-group step, whose dense table derives a mirrored row."""
     model, rule, channel = engine.model, engine.rule, engine.channel
+    monkeypatch.setattr(core, "_flip_symmetric", lambda *a, **k: False)
     for t in range(rounds):
         slots = [(engine.slot_tables[t][0], True, 1)] * degree
         g_dense, _, *sums = decision_step_general(
@@ -214,24 +217,24 @@ def _singletons_vs_one_group(engine, degree, rounds):
 @pytest.mark.parametrize("variant,d,rounds", [("bayesian", 5, 4),
                                               ("bayesian", 3, 6),
                                               ("majority", 3, 6)])
-def test_steps_agree_across_spaces(model15, variant, d, rounds):
+def test_steps_agree_across_spaces(model15, variant, d, rounds, monkeypatch):
     engine = RegularTreeEngine(model15, d, UpdateRule(variant=variant))
     engine.run(rounds)
-    _singletons_vs_one_group(engine, d, rounds)
+    _singletons_vs_one_group(engine, d, rounds, monkeypatch)
 
 
-def test_steps_agree_across_spaces_erasure(model15, bayes):
+def test_steps_agree_across_spaces_erasure(model15, bayes, monkeypatch):
     engine = ActiveEdgeEngine(model15, 3, bayes, p=0.5)
     engine.run(3)
-    _singletons_vs_one_group(engine, 3, 3)
+    _singletons_vs_one_group(engine, 3, 3, monkeypatch)
 
 
-def test_steps_agree_across_spaces_mixture(model15, bayes):
+def test_steps_agree_across_spaces_mixture(model15, bayes, monkeypatch):
     rho_v = DegreeDistribution((3, 5), np.array([0.5, 0.5]))
     engine = ConfigModelEngine(model15, rho_v, bayes)
     engine.run(3)
     for d in rho_v.support:
-        _singletons_vs_one_group(engine, d, 3)
+        _singletons_vs_one_group(engine, d, 3, monkeypatch)
 
 
 def test_multiset_budget_admits_d5_round6(model15, bayes, monkeypatch):
