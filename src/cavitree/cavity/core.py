@@ -76,17 +76,17 @@ returns is its own flip bit for bit.  Any other step runs every row:
 lowest-index or uniform-random ties, coin rows, the erasure channel, an
 asymmetric prior, likelihood or utility, and more than two states.  A
 lowest-index table with no tie equals the own-signal one, and the steps
-still run it in full, so its sums keep their rounding.  A step that runs
-every row of a mirrored table reads row 1 at input J as ~(row 0 at ~J)
-(``rows_at``); so do the engine's readers (``engine.CavityEngine``).
+still run it in full, so its sums keep their rounding.  One reader,
+``rows_at``, yields a stored table's rows as int64 codes, a mirrored row 1
+at J as ~(row 0 at ~J), to both steps, ``dense_rows`` and ``engine``.
 
 The predicate reads no table entry: every table commutes with ~ by
 induction.  g^0 does once the rule check passes, its vote being the
 signal-to-action map (majority) or a symmetric argmax (Bayesian).  A
 mirrored table's row 1 is ~row 0 by definition.  A majority step forced
 onto the full path by a coin-row neighbour's message decides by integer
-margins, so its table still commutes with ~ exactly.  ``SlotSpace.expand``
-and the mixture's weighted sum of cavity tables keep tables symmetric.
+margins, so its table still commutes with ~ exactly.  ``dense_rows`` and
+the mixture's weighted sum of cavity tables keep tables symmetric.
 ``verify.invariant_suite`` checks, off the hot path, that the posteriors
 reading a derived row are signal 0's flipped.
 """
@@ -262,17 +262,6 @@ class SlotSpace:
         return (SlotSpace(self.base, [1] + sizes),
                 [*range(1, lo + 1), 0, *range(lo + 1, self.slots)])
 
-    def expand(self, table: np.ndarray, order=None) -> np.ndarray:
-        """``table`` over the dense space of one slot per group: slot p of
-        this space reads dense slot order[p] (slot p by default)."""
-        into = SlotSpace(self.base, [1] * self.slots)
-        out = np.empty((table.shape[0], into.size), dtype=table.dtype)
-        for start in range(0, into.size, CHUNK):
-            stop = min(start + CHUNK, into.size)
-            out[:, start:stop] = table[:, self.rank(into.build(start, stop)[0],
-                                                    order)]
-        return out
-
 
 def _sorted_rows(digits) -> list[np.ndarray]:
     """The rows of ``digits`` sorted within each column (insertion network)."""
@@ -314,15 +303,31 @@ def table_rows(table: np.ndarray, n_signals: int) -> int:
 
 def rows_at(table: np.ndarray, n_signals: int, top: int, space: SlotSpace,
             digits: np.ndarray, j: np.ndarray, order=None):
-    """Each row of a stored ``table`` in turn, at the inputs ``digits`` of
-    ``space`` (slot p reading row order[p]), whose ranks are ``j``: one
-    gather at a time, however many coin rows.  A mirrored table's row 1 at
-    input J is ~(row 0 at ~J), ~ complementing every code; its trajectory
-    codes run to ``top``, so ~c = top - c."""
+    """Each row a stored ``table`` stands for, in turn, as int64 codes at
+    the inputs ``digits`` of ``space`` (slot p reading row order[p]), whose
+    ranks are ``j``: one gather at a time, however many coin rows.  A
+    mirrored table's row 1 at input J is ~(row 0 at ~J), ~ complementing
+    every code; codes run to ``top``, so ~c = top - c, in int64."""
     for row in table:
-        yield row[j]
+        yield row[j].astype(np.int64)
     if table_rows(table, n_signals) > len(table):
-        yield top - table[0, space.rank(space.base - 1 - digits, order)]
+        row0 = table[0, space.rank(space.base - 1 - digits, order)]
+        yield np.subtract(top, row0, dtype=np.int64)
+
+
+def dense_rows(table: np.ndarray, n_signals: int, top: int, space: SlotSpace,
+               order=None) -> np.ndarray:
+    """``rows_at`` over the dense space of one slot per slot of ``space``,
+    chunk by chunk, in ``table``'s dtype: slot p of ``space`` reads dense
+    slot order[p] (slot p by default)."""
+    dense = SlotSpace(space.base, [1] * space.slots)
+    out = np.empty((table_rows(table, n_signals), dense.size), table.dtype)
+    for start in range(0, dense.size, CHUNK):
+        digits = dense.build(start, min(start + CHUNK, dense.size))[0]
+        for r, row in enumerate(rows_at(table, n_signals, top, space, digits,
+                                        space.rank(digits, order), order)):
+            out[r, start:start + len(row)] = row
+    return out
 
 
 def _slot_rows(groups, skip: int | None = None):
@@ -456,10 +461,8 @@ def cavity_step_general(
         digits, count = inputs.build(start, min(start + CHUNK, inputs.size))
         j = table.rank(digits, order)
         tau_digit = digits[0] if first else np.zeros_like(j)
-        outs = ([g_flat[0, j]] if flip
-                else rows_at(g_flat, n_x, top, table, digits, j, order))
-        for r, out_codes in enumerate(outs):
-            out_codes = out_codes.astype(np.int64)
+        outs = rows_at(g_flat, n_x, top, table, digits, j, order)
+        for r, out_codes in zip(range(1 if flip else rows), outs):
             cond = out_codes % cond_mod
             segs = [(_sorted_segments(codes * n_tau + tau_digit, n_out * n_tau),
                      weight)
@@ -591,9 +594,7 @@ def decision_step_general(
         stop = min(start + CHUNK, total)
         digits, count = space.build(start, stop)
         truncated = digits % m
-        j_prev = prev.rank(truncated)
-        owns = ([g_prev[0, j_prev]] if flip
-                else rows_at(g_prev, n_x, top, prev, truncated, j_prev))
+        owns = rows_at(g_prev, n_x, top, prev, truncated, prev.rank(truncated))
         cols = slice(start, stop)
         product, post, total_mass = (buf[..., :stop - start] for buf in buffers)
         if not bayesian:
@@ -601,9 +602,8 @@ def decision_step_general(
             margin = 2 * (digits // m).sum(axis=0, dtype=np.int64) - deg
             majority = [np.where(margin == 0, u, margin > 0)
                         for u in range(coins)]
-        for r, own in enumerate(owns):
+        for r, own in zip(range(1 if flip else rows_prev), owns):
             x = r % n_x
-            own = own.astype(np.int64)
             own_cond = own % n_actions ** t
             product[:] = 1.0
             _multiply_slots(product, digits, slot_rows, own_cond)

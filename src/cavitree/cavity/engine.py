@@ -16,8 +16,9 @@ from ..model import (ModelError, SignalModel, UpdateRule, action_count,
 from ..trees import BudgetError
 from .core import (COUPLING_TOL, SlotSpace, cavity_step_bytes,
                    cavity_step_general, coin_values, decision_step_bytes,
-                   decision_step_general, error_from_sums, posterior_general,
-                   round0_sums, round0_table, rows_at, table_rows)
+                   decision_step_general, dense_rows, error_from_sums,
+                   posterior_general, round0_sums, round0_table, rows_at,
+                   table_rows)
 from .tables import CavityTable
 
 MEMORY_BUDGET = 4 << 30  # bytes of table workspace allowed per step
@@ -99,8 +100,8 @@ class CavityEngine:
     Outside the steps only ``_own_codes`` (one input's column, for kernels
     and posteriors) and ``_decisions`` (the dense tables, for
     ``vote_table``, ``dense_decisions`` and ``decision_table``) read a
-    table.  Of a mirrored table (``core.table_rows``), which stores row 0
-    only, both derive row 1 as ~row 0 at the complemented input.
+    table, both through ``core.rows_at``, which derives row 1 of a mirrored
+    table (``core.table_rows``).
     """
 
     def __init__(self, model: SignalModel, rule: UpdateRule, classes: int = 1):
@@ -201,18 +202,14 @@ class CavityEngine:
     def _decisions(self, t: int, c: int, order=None) -> np.ndarray:
         """Node class c's round-t decision table as g[x, dense inputs], one
         row per signal, slot p reading dense slot ``order[p]`` (p by
-        default); ``ModelError`` for a table with tie-coin rows.  Of a
-        mirrored table it expands row 0 only: complementing every digit of
-        a dense input reverses its rank, so row 1 is ~row 0 reversed."""
+        default); ``ModelError`` for a table with tie-coin rows."""
         table = self.g[t][c]
         n_x = self.model.n_signals
         if table_rows(table, n_x) != n_x:
             raise ModelError("action tables exist for deterministic "
                              "rules only; this table has tie-coin rows")
-        dense = self._slot_space(t, c).expand(table, order)
-        if len(dense) == n_x:
-            return dense
-        return np.vstack([dense, self.n_actions ** (t + 1) - 1 - dense[0, ::-1]])
+        return dense_rows(table, n_x, self.n_actions ** (t + 1) - 1,
+                          self._slot_space(t, c), order)
 
     def _slot_space(self, t: int, c: int) -> SlotSpace:
         """The space node class c's round-t table was built in: one group
@@ -231,14 +228,14 @@ class CavityEngine:
             self._votes[key] = (table // self.n_actions ** t).astype(np.int8)
         return self._votes[key]
 
-    def _own_codes(self, t: int, c: int, x: int, observed,
+    def _own_codes(self, t: int, c: int, x: int, observed, slots: int,
                    order=None) -> np.ndarray:
         """Node class c's round-t trajectory per row of signal x (per coin
-        outcome) at the input ``observed``, which it checks, slot p reading
-        ``observed[order[p]]``: the one reader of a table's input column."""
+        outcome) at ``observed``, checked as ``slots`` codes (0 at t = 0), slot
+        p reading ``observed[order[p]]``: the reader of one input's column."""
         space = self._slot_space(t, c)
         n_x = self.model.n_signals
-        codes = check_input(x, observed, space.slots, space.base, n_x)
+        codes = check_input(x, observed, slots, space.base, n_x)
         column = np.concatenate(list(rows_at(
             self.g[t][c], n_x, self.n_actions ** (t + 1) - 1, space, codes,
             space.rank(codes, order), order)))
@@ -261,8 +258,8 @@ class CavityEngine:
             codes = codes[order]
         own_cond = 0
         if t >= 2 and any(cond for (_, cond), _ in groups):
-            owns = self._own_codes(t - 1, prev, x,
-                                   codes[:, 0] % self.channel.size ** (t - 1))
+            truncated = codes[:, 0] % self.channel.size ** (t - 1)
+            owns = self._own_codes(t - 1, prev, x, truncated, slots)
             if np.any(owns != owns[0]):
                 raise ModelError("own trajectory is not derivable under a "
                                  "stochastic rule; condition on it explicitly")

@@ -129,11 +129,12 @@ class FiniteTreeEngine(CavityEngine):
 
     def decision_kernel(self, node: int, t: int, x: int,
                         observed: tuple[int, ...]) -> list[tuple[int, float]]:
-        """Kernel over the node's trajectory through round t for this input:
-        the share of signal x's rows (coin outcomes) giving each code."""
+        """Kernel over the node's trajectory through round t at one code per
+        neighbour (0 at t = 0): the share of signal x's rows giving each."""
         check_address(t, len(self.g), "decision table", node,
                       range(self.graph.n))
         column = self._own_codes(t, self.node_class[t][node], x, observed,
+                                 len(self.graph.observed[node]),
                                  self._layout(node, t)[0])
         values, counts = np.unique(column, return_counts=True)
         return [(int(v), float(n / len(column))) for v, n in zip(values, counts)]

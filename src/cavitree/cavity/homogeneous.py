@@ -11,8 +11,8 @@ one-group ``core.SlotSpace``, the plan's), a cavity step splits the
 observer's fixed trajectory off it, ``dense_decisions`` expands a table to
 one column per ordered input, and ``vote_table`` serves its votes to the
 replay.  On the paper's flip-symmetric model a table stores row 0 only
-(a mirrored table, see ``core``), and both expand row 0 and derive row 1
-from it.  ``RegularTreeEngine`` is the one-point degree law, and
+(a mirrored table, see ``core``), and both read row 1 as ``core.rows_at``
+derives it.  ``RegularTreeEngine`` is the one-point degree law, and
 ``ActiveEdgeEngine`` (``active.py``) runs it over the erasure channel.
 
 The engines take every rule: a stochastic one (majority at even degree,

@@ -46,7 +46,7 @@ class TrajectoryTensor:
     through round t on it.  The weights of one vector's branches sum to 1.
     For deterministic rules branch b is signal vector b with weight 1, and
     ``decision_tables[i][t]`` maps every reachable (signal, observed codes)
-    to agent i's trajectory through round t.
+    to agent i's trajectory through round t, one code 0 each at round 0.
     """
 
     graph: object
@@ -116,7 +116,7 @@ def unroll(graph, model: SignalModel, rule: UpdateRule,
         m = n_a ** t  # trajectory codes through round t-1
         nxt, split = traj.copy(), False
         for i in range(n):
-            nbrs = list(graph.observed[i]) if t else []
+            nbrs = list(graph.observed[i])
             x_of = digits[i, vec]
             inv, first = _group([traj[i], *traj[nbrs], x_of],
                                 [m] * (1 + len(nbrs)) + [n_x])

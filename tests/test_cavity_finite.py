@@ -19,6 +19,7 @@ from cavitree.cavity import (
 from cavitree.cavity.core import (
     cavity_step_general,
     decision_step_general,
+    dense_rows,
     error_from_sums,
     round0_sums,
     round0_table,
@@ -446,6 +447,22 @@ def test_round0_posterior_checks_its_input(model15, bayes, kind, x, codes):
         ask(x, codes)
 
 
+@pytest.mark.parametrize("codes", [(), (0,), (0, 1), (5, 7), (0, 0, 0)])
+def test_round0_kernel_takes_the_posterior_input(model15, bayes, codes):
+    """A round-0 kernel takes a round-0 posterior's input, one code 0 per
+    observed neighbour, and refuses any other, no codes included; the
+    oracle keys its round-0 tables by the same input."""
+    engine = FiniteTreeEngine(path_graph(3), model15, bayes)
+    tables = oracle_decision_tables(unroll(path_graph(3), model15, bayes, 0))
+    for x in (0, 1):
+        assert engine.decision_kernel(1, 0, x, (0, 0)) == [(x, 1.0)]
+        assert engine.decision_kernel(0, 0, x, (0,)) == [(x, 1.0)]
+    assert tables[1][0] == {(0, (0, 0)): 0, (1, (0, 0)): 1}
+    assert tables[0][0] == {(0, (0,)): 0, (1, (0,)): 1}
+    with pytest.raises(ModelError):
+        engine.decision_kernel(1, 0, 0, codes)
+
+
 def test_error_round_out_of_range(model15, bayes):
     engine = FiniteTreeEngine(path_graph(3), model15, bayes)
     engine.run(2)
@@ -680,10 +697,13 @@ def test_sorted_slot_class_counts(model15, bayes):
 def _node_table(engine, i, t):
     """Node i's round-t table over its dense inputs in ``observed`` order,
     every row: the engine's, or, where coin rows leave no action table,
-    the stored rows expanded (a table with coin rows is never mirrored)."""
+    the stored rows read densely (a table with coin rows is never
+    mirrored)."""
     c, order = engine.node_class[t][i], engine._layout(i, t)[0]
     if len(engine.g[t][c]) > engine.model.n_signals:
-        return engine._slot_space(t, c).expand(engine.g[t][c], order)
+        return dense_rows(engine.g[t][c], engine.model.n_signals,
+                          engine.n_actions ** (t + 1) - 1,
+                          engine._slot_space(t, c), order)
     return engine._decisions(t, c, order)
 
 

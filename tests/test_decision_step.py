@@ -9,7 +9,7 @@ import pytest
 
 import cavitree.cavity.core as core
 from cavitree.cavity import ActiveEdgeEngine, FiniteTreeEngine, RegularTreeEngine
-from cavitree.cavity.core import SlotSpace, _bayesian_actions
+from cavitree.cavity.core import SlotSpace, _bayesian_actions, dense_rows
 from cavitree.model import (
     TIE_TOL,
     SignalModel,
@@ -93,17 +93,25 @@ def test_chunked_steps_match_one_chunk(label, monkeypatch):
 
 
 def test_chunked_expand_matches_one_chunk(monkeypatch):
+    """The dense reader gives the same table in chunks as in one, for three
+    stored rows and for a one-row (mirrored) table, whose derived row is
+    read across the chunk boundaries too."""
     space = SlotSpace(5, [2, 3])
     table = np.random.default_rng(7).integers(0, 64, (3, space.size),
                                               dtype=np.int32)
     order = [3, 0, 4, 1, 2]
-    with monkeypatch.context() as patch:
-        patch.setattr(core, "CHUNK", WHOLE)
-        want = [space.expand(table), space.expand(table, order)]
-    with monkeypatch.context() as patch:
-        patch.setattr(core, "CHUNK", SMALL_CHUNK)
-        got = [space.expand(table), space.expand(table, order)]
+    cases = [(stored, slots) for stored in (table, table[:1])
+             for slots in (None, order)]
+
+    def expand(chunk):
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "CHUNK", chunk)
+            return [dense_rows(stored, 2, 63, space, slots)
+                    for stored, slots in cases]
+
+    want, got = expand(WHOLE), expand(SMALL_CHUNK)
     assert 5 ** 5 > SMALL_CHUNK
+    assert [len(a) for a in got] == [3, 3, 2, 2]
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 

@@ -14,7 +14,8 @@ from cavitree.cavity import (
     FiniteTreeEngine,
     RegularTreeEngine,
 )
-from cavitree.cavity.core import _flip_symmetric, rows_at, table_rows
+from cavitree.cavity.core import (_flip_symmetric, dense_rows, rows_at,
+                                  table_rows)
 from cavitree.model import (
     ModelError,
     SignalModel,
@@ -130,6 +131,53 @@ def test_verify_flags_a_broken_decision_table(monkeypatch):
     assert not checks["decision-flip d=3 noise=0.15 majority"]
 
 
+def test_dense_tables_read_row_1_through_rows_at(model15, bayes,
+                                                 monkeypatch):
+    """The dense tables take a mirrored table's row 1 from ``core.rows_at``
+    and from no rule of their own: deriving it at the input itself, not at
+    its complement, changes ``dense_decisions`` and a fresh ``vote_table``
+    of the d=3 round-2 table."""
+    sym, full = _run_homogeneous(lambda: RegularTreeEngine(model15, 3, bayes),
+                                 2, monkeypatch)
+    assert len(sym.g[2][0]) == 1 and len(full.g[2][0]) == 2
+    dense, votes = full.dense_decisions(3, 2), full.vote_table(2, 0)
+    assert np.array_equal(sym.dense_decisions(3, 2), dense)
+
+    def at_the_input(table, n_signals, top, space, digits, j, order=None):
+        for row in table:
+            yield row[j].astype(np.int64)
+        if table_rows(table, n_signals) > len(table):
+            yield top - table[0, j].astype(np.int64)
+
+    monkeypatch.setattr(core, "rows_at", at_the_input)
+    assert not np.array_equal(sym.dense_decisions(3, 2), dense)
+    assert not np.array_equal(sym.vote_table(2, 0), votes)
+
+
+def test_a_uint8_table_reads_as_its_int32_original(model15, bayes):
+    """A uint8 copy of a mirrored table gives ``rows_at`` the same int64
+    codes as the int32 table, the derived row ~(row 0 at ~J) = top - row 0
+    included, without wrapping, and the dense reader the same values."""
+    engine = RegularTreeEngine(model15, 5, bayes)
+    engine.run(3)
+    table, space, top = engine.g[3][0], engine._slot_space(3, 0), 2 ** 4 - 1
+    narrow = table.astype(np.uint8)
+    assert len(table) == 1 and table.dtype == np.int32
+    assert np.array_equal(narrow, table)
+    digits = space.build(0, space.size)[0]
+    j = space.rank(digits)
+    want = list(rows_at(table, 2, top, space, digits, j))
+    got = list(rows_at(narrow, 2, top, space, digits, j))
+    assert len(got) == len(want) == 2
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    assert got[1].min() >= 0 and got[1].max() <= top
+    dense = dense_rows(narrow, 2, top, space)
+    assert dense.dtype == np.uint8
+    assert np.array_equal(dense, dense_rows(table, 2, top, space))
+    assert np.array_equal(dense, engine.dense_decisions(5, 3))
+
+
 def test_lowest_index_takes_the_full_path(model15, bayes, monkeypatch):
     """At d=4 no round-1 input ties, so the lowest-index table equals the
     own-signal one and the round-1 cavity step's inputs are symmetric; the
@@ -174,7 +222,8 @@ def _assert_table_matches(sym, full, t, c):
     stored = sym.g[t][c]
     if len(stored) > sym.model.n_signals:
         assert np.array_equal(stored, full.g[t][c]), t
-        _assert_own_flip(full._slot_space(t, c).expand(stored), t)
+        _assert_own_flip(dense_rows(stored, 2, 2 ** (t + 1) - 1,
+                                    full._slot_space(t, c)), t)
         return False
     want = full._decisions(t, c)
     assert len(full.g[t][c]) == 2
@@ -299,9 +348,10 @@ def test_derived_rows_match_the_full_path_lopsided(model30, monkeypatch):
     derived = []
 
     def spy(table, n_signals, *args):
-        rows = list(rows_at(table, n_signals, *args))
-        derived.append(len(rows) > len(table))
-        return rows
+        # Only the rows a step reads: a mirroring step stops after row 0.
+        for r, row in enumerate(rows_at(table, n_signals, *args)):
+            derived.append(r >= len(table))
+            yield row
 
     with monkeypatch.context() as patch:
         patch.setattr(core, "rows_at", spy)
@@ -325,9 +375,8 @@ def test_derived_rows_match_the_full_path_lopsided(model30, monkeypatch):
             assert type(got) is type(want) and np.array_equal(got, want)
             for obs in itertools.product(range(2 ** t),
                                          repeat=len(LOPSIDED.observed[i])):
-                inputs = obs if t else ()  # a round-0 table has no slots
-                assert (sym.decision_kernel(i, t, 1, inputs)
-                        == full.decision_kernel(i, t, 1, inputs)), (i, t, obs)
+                assert (sym.decision_kernel(i, t, 1, obs)
+                        == full.decision_kernel(i, t, 1, obs)), (i, t, obs)
                 got = _outcome(lambda: sym.posterior(i, 1, obs, t))
                 want = _outcome(lambda: full.posterior(i, 1, obs, t))
                 if isinstance(want, str):

@@ -18,6 +18,7 @@ from cavitree.cavity.core import (
     SlotSpace,
     cavity_step_general,
     decision_step_general,
+    dense_rows,
     error_from_sums,
 )
 from cavitree.model import ModelError, UpdateRule
@@ -169,20 +170,25 @@ def test_mixed_grouping_matches_enumeration(n_codes):
 
 @pytest.mark.parametrize("n_codes,size", [(3, 3), (4, 4), (5, 2)])
 def test_multiset_rank_sorts_and_expand_agrees(n_codes, size):
-    """Every ordered tuple ranks as its sorted tuple, and expansion reads
-    each dense column from the column of its sorted tuple, in any slot
-    order."""
+    """Every ordered tuple ranks as its sorted tuple, and the dense reader
+    takes each dense column from the column of its sorted tuple, in any
+    slot order; a one-row (mirrored) table's row 1 from its complement."""
     space = SlotSpace(n_codes, [size])
     dense = SlotSpace(n_codes, [1] * size)
     ordered = dense.build(0, dense.size)[0]
     ranks = space.rank(ordered)
     np.testing.assert_array_equal(ranks, space.rank(np.sort(ordered, axis=0)))
     table = np.arange(2 * space.size, dtype=np.int32).reshape(2, -1)
-    np.testing.assert_array_equal(space.expand(table), table[:, ranks])
+    top = 2 * space.size - 1
+    np.testing.assert_array_equal(dense_rows(table, 2, top, space),
+                                  table[:, ranks])
+    np.testing.assert_array_equal(
+        dense_rows(table[:1], 2, top, space),
+        [table[0, ranks], top - table[0, space.rank(n_codes - 1 - ordered)]])
     mixed = SlotSpace(n_codes, [1, size - 1])
     table = np.arange(2 * mixed.size, dtype=np.int32).reshape(2, -1)
     order = list(range(size))[::-1]
-    np.testing.assert_array_equal(mixed.expand(table, order),
+    np.testing.assert_array_equal(dense_rows(table, 2, top, mixed, order),
                                   table[:, mixed.rank(ordered[order])])
 
 

@@ -182,7 +182,7 @@ def test_wide_star_matches_engine(model15, variant):
 def test_decision_tables_recorded(model15, bayes):
     tensor = unroll(path_graph(2), model15, bayes, 1)
     tables = oracle_decision_tables(tensor)
-    assert tables[0][0][(0, ())] == 0
+    assert tables[0][0][(0, (0,))] == 0  # round 0: one empty code, 0
     # round-1 entries hold the full two-round trajectory
     assert tables[0][1][(0, (0,))] == 0  # agree on 0: stay at 0
     assert tables[0][1][(0, (1,))] == 0  # disagree: keep own signal
