@@ -28,6 +28,6 @@ for name, graph in [("path of 5", path_graph(5)),
             abs(oracle_error_probability(tensor, i, t)
                 - engine.error_probability(i, t))
             for i in range(graph.n) for t in range(T_MAX + 1))
-        coins = any(len(g) > model.n_signals for g in engine.g[T_MAX])
+        coins = any(g.rows > model.n_signals for g in engine.g[T_MAX])
         kind = "tables with coin rows" if coins else "one row per signal"
         print(f"  {variant:9s} via {kind:26s} max deviation {worst:.2e}")

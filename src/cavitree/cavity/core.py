@@ -2,23 +2,25 @@
 
 A node of degree ``deg`` indexes its neighbors by *slots*, in groups: the
 slots of a group read the same message (edge class and conditioning), so
-they are exchangeable.  A decision table at horizon t is an integer array
-``g[r, J]`` over the ``deg`` observed trajectories (horizon t-1, codes
-< n_obs**t); the value is the node's own packed action trajectory through
-round t (code < n_a**(t+1)).  Row r stands for the private signal
-r % n_signals and, for each round whose rule is stochastic, one tie coin: a
-tie coin is one more private, state-independent input.  A stochastic round
-has ``coin_values(n_a)`` coin values, so u % n_tied is uniform over any tied
-set; it multiplies the rows, appending its coin as the high row digit.
-Every row weighs n_signals / rows, so a deterministic rule keeps one row
-per signal, of weight 1.  The index space ``SlotSpace`` ranks J as one
-multiset of codes per group, each input weighted by the ordered tuples it
-stands for; the steps take their slot messages as groups and build it.
-The homogeneous engines have one group; groups of one slot each pack every
-ordered tuple, slot k contributing ``code_k * (n_obs**t)**k``.  Every step
-takes the engine's observation ``channel``: its ``n_actions`` (n_a), its
-``size`` (n_obs, the observed letters per round: the n_a actions, plus a
-star on the erasure channel of ``active.py``) and its ``emit``.  Cavity
+they are exchangeable.  A decision table at horizon t is a
+``StoredTable``: an integer array ``codes[r, J]`` over the ``deg`` observed
+trajectories (horizon t-1, codes < n_obs**t), with the index space of J,
+its top code, its rows and its sums.  The value is the node's own packed
+action trajectory through round t (code < n_a**(t+1)).  Row r stands for
+the private signal r % n_signals and, for each round whose rule is
+stochastic, one tie coin: a tie coin is one more private,
+state-independent input.  A stochastic round has ``coin_values(n_a)`` coin
+values, so u % n_tied is uniform over any tied set; it multiplies the rows,
+appending its coin as the high row digit.  Every row weighs n_signals /
+rows, so a deterministic rule keeps one row per signal, of weight 1.  The
+index space ``SlotSpace`` ranks J as one multiset of codes per group, each
+input weighted by the ordered tuples it stands for; the steps take their
+slot messages as groups and build it.  The homogeneous engines have one
+group; groups of one slot each pack every ordered tuple, slot k
+contributing ``code_k * (n_obs**t)**k``.  Every step takes the engine's
+observation ``channel``: its ``n_actions`` (n_a), its ``size`` (n_obs, the
+observed letters per round: the n_a actions, plus a star on the erasure
+channel of ``active.py``) and its ``emit``.  Cavity
 tables are arrays ``Q[sigma, tau, s]`` with the conditioning axis one
 horizon shorter than the trajectory axis (a round-t vote cannot depend on
 the observer's round-t action); Q^0 is the cavity step of a node with no
@@ -33,7 +35,7 @@ row's likelihood times its weight, the decision step from 1, and
 ``posterior_general`` from prior times likelihood; the decision step's
 Bayesian posterior is its product times prior times likelihood, normalized.
 A change to the product (rescaling slot factors, bounding its rounding) goes
-there.  Numerics only: no function here checks an outside input or reads a
+there.  Numerics only: no function here checks a table input or reads a
 stored table at one; ``engine.CavityEngine._own_codes`` does both.
 
 The steps enumerate a space in chunks of ``CHUNK`` consecutive ranks, each
@@ -59,7 +61,8 @@ ch. 4).  Each (tau, s) slice is divided by its own column sum in the
 cavity step's one sum array, and the largest distance of a column sum from
 1 is reported as the step's drift.  The error sum has no loop of its own:
 the decision step that builds a table also sums its cavity product per
-(state, signal), and engines weight those sums on request.
+(state, signal) into the table's ``sums``, and engines weight those sums
+on request.
 
 The state flip ~ swaps the two states of a binary model and complements
 every signal, vote and code.  On the paper's model (a uniform prior, a
@@ -68,25 +71,25 @@ tables commute with it: g[1, ~J] = ~g[0, J] and Q[~sigma, ~tau, 1 - s] =
 Q[sigma, tau, s].  Where ``_flip_symmetric`` finds a step's model, channel
 and rule exactly symmetric, one row per signal and every slot message its
 own flip, both steps run their row loop over signal 0 only.  The decision
-step then stores row 0 alone, a *mirrored* table (``table_rows``: the one
-table with fewer rows than signals), and mirrors the error and coupling
-sums; the cavity step takes its column sums, then adds the sum array and
-its column sums each to itself reversed on every axis, so every Q it
-returns is its own flip bit for bit.  Any other step runs every row:
-lowest-index or uniform-random ties, coin rows, the erasure channel, an
-asymmetric prior, likelihood or utility, and more than two states.  A
-lowest-index table with no tie equals the own-signal one, and the steps
-still run it in full, so its sums keep their rounding.  One reader,
-``rows_at``, yields a stored table's rows as int64 codes, a mirrored row 1
-at J as ~(row 0 at ~J), to both steps, ``dense_rows`` and ``engine``.
+step then stores row 0 alone, a *mirrored* table of two rows, and mirrors
+the error and coupling sums; the cavity step takes its column sums, then
+adds the sum array and its column sums each to itself reversed on every
+axis, so every Q it returns is its own flip bit for bit.  Any other step
+runs every row: lowest-index or uniform-random ties, coin rows, the
+erasure channel, an asymmetric prior, likelihood or utility, and more than
+two states.  A lowest-index table with no tie equals the own-signal one,
+and the steps still run it in full, so its sums keep their rounding.  One
+reader, ``StoredTable.rows_at``, yields a table's rows as int64 codes, a
+mirrored row 1 at J as ~(row 0 at ~J), to both steps, ``StoredTable.dense``
+and ``engine``.
 
 The predicate reads no table entry: every table commutes with ~ by
 induction.  g^0 does once the rule check passes, its vote being the
 signal-to-action map (majority) or a symmetric argmax (Bayesian).  A
 mirrored table's row 1 is ~row 0 by definition.  A majority step forced
 onto the full path by a coin-row neighbour's message decides by integer
-margins, so its table still commutes with ~ exactly.  ``dense_rows`` and
-the mixture's weighted sum of cavity tables keep tables symmetric.
+margins, so its table still commutes with ~ exactly.  ``StoredTable.dense``
+and the mixture's weighted sum of cavity tables keep tables symmetric.
 ``verify.invariant_suite`` checks, off the hot path, that the posteriors
 reading a derived row are signal 0's flipped.
 """
@@ -94,6 +97,7 @@ reading a derived row are signal 0's flipped.
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from functools import cached_property
 from math import comb, lcm, prod
 
@@ -293,41 +297,48 @@ def decision_step_bytes(t: int, sizes, n_obs: int, rows: int) -> int:
     return 8 * SlotSpace.count(n_obs ** (t + 1), sizes) * (rows + 2)
 
 
-def table_rows(table: np.ndarray, n_signals: int) -> int:
-    """The rows a stored decision table stands for.  A flip-symmetric
-    decision step needs two signals, one row each, and stores row 0 only;
-    no other table has fewer rows than signals, so one that does is
-    *mirrored* and stands for two."""
-    return max(len(table), n_signals)
+@dataclass(frozen=True, eq=False)
+class StoredTable:
+    """One stored decision table at horizon t: ``codes[r, J]``, its stored
+    rows over the inputs J of ``space``; ``top``, the largest code
+    n_a**(t+1) - 1; the ``rows`` it stands for; and ``sums``, the error and
+    coupling sums of the step that wrote it.  A flip-symmetric decision
+    step stores row 0 alone and stands for two: a *mirrored* table."""
 
+    codes: np.ndarray
+    space: SlotSpace
+    top: int
+    rows: int
+    sums: tuple[np.ndarray, np.ndarray]
 
-def rows_at(table: np.ndarray, n_signals: int, top: int, space: SlotSpace,
-            digits: np.ndarray, j: np.ndarray, order=None):
-    """Each row a stored ``table`` stands for, in turn, as int64 codes at
-    the inputs ``digits`` of ``space`` (slot p reading row order[p]), whose
-    ranks are ``j``: one gather at a time, however many coin rows.  A
-    mirrored table's row 1 at input J is ~(row 0 at ~J), ~ complementing
-    every code; codes run to ``top``, so ~c = top - c, in int64."""
-    for row in table:
-        yield row[j].astype(np.int64)
-    if table_rows(table, n_signals) > len(table):
-        row0 = table[0, space.rank(space.base - 1 - digits, order)]
-        yield np.subtract(top, row0, dtype=np.int64)
+    @property
+    def nbytes(self) -> int:
+        return self.codes.nbytes
 
+    def rows_at(self, digits: np.ndarray, order=None):
+        """Each row the table stands for, in turn, as int64 codes at the
+        inputs ``digits`` of its space (slot p reading row order[p]): one
+        gather at a time, however many coin rows.  A mirrored table's row 1
+        at input J is ~(row 0 at ~J), ~ complementing every code: ~c = top
+        - c, in int64."""
+        j = self.space.rank(digits, order)
+        for row in self.codes:
+            yield row[j].astype(np.int64)
+        if self.rows > len(self.codes):
+            flipped = self.space.rank(self.space.base - 1 - digits, order)
+            yield np.subtract(self.top, self.codes[0, flipped], dtype=np.int64)
 
-def dense_rows(table: np.ndarray, n_signals: int, top: int, space: SlotSpace,
-               order=None) -> np.ndarray:
-    """``rows_at`` over the dense space of one slot per slot of ``space``,
-    chunk by chunk, in ``table``'s dtype: slot p of ``space`` reads dense
-    slot order[p] (slot p by default)."""
-    dense = SlotSpace(space.base, [1] * space.slots)
-    out = np.empty((table_rows(table, n_signals), dense.size), table.dtype)
-    for start in range(0, dense.size, CHUNK):
-        digits = dense.build(start, min(start + CHUNK, dense.size))[0]
-        for r, row in enumerate(rows_at(table, n_signals, top, space, digits,
-                                        space.rank(digits, order), order)):
-            out[r, start:start + len(row)] = row
-    return out
+    def dense(self, order=None) -> np.ndarray:
+        """``rows_at`` over the dense space of one slot per slot, chunk by
+        chunk, in the codes' dtype: slot p of the table reads dense slot
+        order[p] (slot p by default)."""
+        dense = SlotSpace(self.space.base, [1] * self.space.slots)
+        out = np.empty((self.rows, dense.size), self.codes.dtype)
+        for start in range(0, dense.size, CHUNK):
+            digits = dense.build(start, min(start + CHUNK, dense.size))[0]
+            for r, row in enumerate(self.rows_at(digits, order)):
+                out[r, start:start + len(row)] = row
+        return out
 
 
 def _slot_rows(groups, skip: int | None = None):
@@ -394,17 +405,22 @@ def _flip_symmetric(model: SignalModel, channel, rows: int, groups,
 # Round 0
 # ---------------------------------------------------------------------------
 
-def round0_table(model: SignalModel, rule: UpdateRule, n_actions: int) -> np.ndarray:
-    """g^0: the round-0 vote per row, shape (rows, 1).  A tie at some signal
+def round0_table(model: SignalModel, rule: UpdateRule,
+                 n_actions: int) -> StoredTable:
+    """g^0: the round-0 vote per row over one input, with its error and
+    coupling sums (no neighbours, a product of 1).  A tie at some signal
     adds coin rows: row r's coin r // n_signals picks among the tied votes."""
     kernels = round0_kernel(model, rule, n_actions)
     coins = 1 if all(len(k) == 1 for k in kernels) else coin_values(n_actions)
-    n_x = model.n_signals
-    out = np.empty((n_x * coins, 1), dtype=np.int32)
-    for r in range(len(out)):
+    n_s, n_x = model.likelihood.shape
+    codes = np.empty((n_x * coins, 1), dtype=np.int32)
+    for r in range(len(codes)):
         kern = kernels[r % n_x]
-        out[r, 0] = kern[r // n_x % len(kern)][0]
-    return out
+        codes[r, 0] = kern[r // n_x % len(kern)][0]
+    miss = (codes[:, 0][None, :] != np.arange(n_s)[:, None]).astype(np.float64)
+    err = miss.reshape(n_s, -1, n_x).sum(axis=1) * (n_x / len(codes))
+    return StoredTable(codes, SlotSpace(1, []), n_actions - 1, len(codes),
+                       (err, np.ones_like(err)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +428,7 @@ def round0_table(model: SignalModel, rule: UpdateRule, n_actions: int) -> np.nda
 # ---------------------------------------------------------------------------
 
 def cavity_step_general(
-    g_flat: np.ndarray,
+    g: StoredTable,
     t: int,
     tau_group: int | None,
     groups: list[tuple[np.ndarray, bool, int]],
@@ -424,9 +440,9 @@ def cavity_step_general(
 
     ``groups`` holds the node's slot groups as (horizon-(t-1) message,
     whether it conditions on the node's trajectory, number of slots), and
-    ``g_flat`` is the node's horizon-t decision table over their
-    ``SlotSpace``; round 0's step has no slots and reads g^0, so Q^0 is the
-    law of the round-0 vote.  One slot of group ``tau_group`` holds the
+    ``g`` is the node's horizon-t decision table over their ``SlotSpace``;
+    round 0's step has no slots and reads g^0, so Q^0 is the law of the
+    round-0 vote.  One slot of group ``tau_group`` holds the
     observer's fixed (zombie) trajectory tau (None: the observer is not
     observed back); every other slot carries its group's message, summed as
     multisets per group weighted by their counts.  ``channel.emit(out, tau,
@@ -434,47 +450,45 @@ def cavity_step_general(
     observer whose trajectory is ``tau``, to (observed code, weight) pairs
     of its ``channel.size``-letter alphabet.  Each row of g adds its
     signal's likelihood times its weight.  ``rule``, the rule that built
-    ``g_flat``, lets a flip-symmetric step sum signal 0 only.  Returns the
+    ``g``, lets a flip-symmetric step sum signal 0 only.  Returns the
     horizon-t table Q[sigma, tau, s], each (tau, s) slice divided by its own
     column sum over sigma in the accumulated table, the maximum drift
     |column sum - 1|, and the number of summed terms.
     """
     n_s, n_x = model.likelihood.shape
-    rows = table_rows(g_flat, n_x)
-    share = n_x / rows
+    share = n_x / g.rows
     n_obs = channel.size
     m = n_obs ** t
     n_out = n_obs ** (t + 1)
     n_tau = m if tau_group is not None else 1
     cond_mod = max(channel.n_actions ** (t - 1), 1)
-    table = SlotSpace(m, [size for *_, size in groups])
-    inputs, order = table.cavity(tau_group)
+    inputs, order = SlotSpace(m, [size for *_, size in groups]).cavity(
+        tau_group)
     # Input row 0 holds the observer's slot, if any; the other rows are summed.
     first = int(tau_group is not None)
     slot_rows = _slot_rows(groups, tau_group)
-    flip = _flip_symmetric(model, channel, rows, groups, rule)
-    top = channel.n_actions ** (t + 1) - 1
+    flip = _flip_symmetric(model, channel, g.rows, groups, rule)
 
     acc = np.zeros((n_s, n_out, n_tau))
     ops = 0
     for start in range(0, inputs.size, CHUNK):
         digits, count = inputs.build(start, min(start + CHUNK, inputs.size))
-        j = table.rank(digits, order)
-        tau_digit = digits[0] if first else np.zeros_like(j)
-        outs = rows_at(g_flat, n_x, top, table, digits, j, order)
-        for r, out_codes in zip(range(1 if flip else rows), outs):
+        n = len(count)
+        tau_digit = digits[0] if first else np.zeros(n, dtype=np.int64)
+        outs = g.rows_at(digits, order)
+        for r, out_codes in zip(range(1 if flip else g.rows), outs):
             cond = out_codes % cond_mod
             segs = [(_sorted_segments(codes * n_tau + tau_digit, n_out * n_tau),
                      weight)
                     for codes, weight in channel.emit(out_codes, tau_digit, t)]
             product = np.repeat(model.likelihood[:, r % n_x, None] * share,
-                                len(j), axis=1)
+                                n, axis=1)
             _multiply_slots(product, digits[first:], slot_rows, cond)
             product *= count
             for s, w in enumerate(product):
                 for seg, weight in segs:
                     _segment_add(acc[s].reshape(-1), *seg, w * weight)
-                ops += len(j)
+                ops += n
     col = acc.sum(axis=1)
     if flip:
         # Row 1: row 0's sums of the other state at (~sigma, ~tau).
@@ -539,49 +553,47 @@ def _binary_actions(post: np.ndarray, x: int, rule: UpdateRule,
 
 
 def decision_step_general(
-    g_prev: np.ndarray,
+    g_prev: StoredTable,
     t: int,
-    prev_sizes,
     groups: list[tuple[np.ndarray, bool, int]],
     model: SignalModel,
     rule: UpdateRule,
     channel,
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+) -> tuple[StoredTable, int]:
     """Extend the decision table to horizon t+1 from slot tables at horizon t.
 
     ``groups`` holds the slot groups as (horizon-t slot table, conditions,
     slots).  Inputs are one observed trajectory at horizon t per slot,
     ranked in the groups' ``SlotSpace``; the output appends the round-(t+1)
-    vote to the agent's horizon-t trajectory, looked up from ``g_prev`` (in
-    g_prev's own space, ``prev_sizes``, whose groups are runs of consecutive
-    groups of ``groups``, or which has no slot at round 0) on the truncated
-    inputs, re-ranked since truncating a sorted tuple can unsort it.  A
-    stochastic rule for this degree multiplies the rows by
-    ``coin_values(n_actions)``: new row r extends row r % rows, ``rows``
-    being g_prev's ``table_rows``, and its coin u = r // rows breaks a
-    majority zero margin (vote u) or a uniform Bayesian tie.  Returns the
-    table (row 0 alone where the step mirrors), the number of posterior
-    terms, and the round-(t+1) error and coupling sums: the (n_states,
-    n_signals) sums of the cavity product prod_k Q_k[c_k, own, s], each
-    input weighted by the ordered tuples it stands for and each row by its
-    weight, over the inputs whose new vote differs from s, and over all
-    inputs (1 on consistent tables).
+    vote to the agent's horizon-t trajectory, read from ``g_prev`` at the
+    truncated inputs, which it ranks in its own space (whose groups are
+    runs of consecutive groups of ``groups``, or which has no slot at round
+    0), since truncating a sorted tuple can unsort it.  A stochastic rule
+    for this degree multiplies the rows by ``coin_values(n_actions)``: new
+    row r extends row r % rows, ``rows`` being g_prev's, and its coin u =
+    r // rows breaks a majority zero margin (vote u) or a uniform Bayesian
+    tie.  Returns the new table and the number of posterior terms.  The
+    table holds row 0 alone where the step mirrors, a new ``SlotSpace``
+    (the built one holds its lower space), and the round-(t+1) error and
+    coupling sums: the (n_states, n_signals) sums of the cavity product
+    prod_k Q_k[c_k, own, s], each input weighted by the ordered tuples it
+    stands for and each row by its weight, over the inputs whose new vote
+    differs from s, and over all inputs (1 on consistent tables).
     """
     n_s, n_x = model.likelihood.shape
     sizes = [size for *_, size in groups]
     deg = sum(sizes)
     n_actions, n_obs = channel.n_actions, channel.size
     coins = 1 if rule.deterministic_for_degree(deg) else coin_values(n_actions)
-    rows_prev = table_rows(g_prev, n_x)
+    rows_prev = g_prev.rows
     share = n_x / (rows_prev * coins)
     m = n_obs ** t
-    space, prev = SlotSpace(n_obs ** (t + 1), sizes), SlotSpace(m, prev_sizes)
+    space = SlotSpace(n_obs ** (t + 1), sizes)
     total = space.size
     utility = rule.utility or UtilityTable.identity(model.n_states)
     bayesian = rule.variant != "majority"
     slot_rows = _slot_rows(groups)
     flip = _flip_symmetric(model, channel, rows_prev, groups, rule)
-    top = n_actions ** (t + 1) - 1
     g_next = np.empty((1 if flip else rows_prev * coins, total), dtype=np.int32)
     err_acc = np.zeros((n_s, n_x))
     mass_acc = np.zeros((n_s, n_x))
@@ -593,8 +605,7 @@ def decision_step_general(
     for start in range(0, total, CHUNK):
         stop = min(start + CHUNK, total)
         digits, count = space.build(start, stop)
-        truncated = digits % m
-        owns = rows_at(g_prev, n_x, top, prev, truncated, prev.rank(truncated))
+        owns = g_prev.rows_at(digits % m)
         cols = slice(start, stop)
         product, post, total_mass = (buf[..., :stop - start] for buf in buffers)
         if not bayesian:
@@ -628,7 +639,9 @@ def decision_step_general(
     if flip:
         err_acc[:, 1] = err_acc[::-1, 0]
         mass_acc[:, 1] = mass_acc[::-1, 0]
-    return g_next, ops, err_acc, mass_acc
+    return StoredTable(g_next, SlotSpace(space.base, sizes),
+                       n_actions ** (t + 2) - 1, rows_prev * coins,
+                       (err_acc, mass_acc)), ops
 
 
 # ---------------------------------------------------------------------------
@@ -652,24 +665,13 @@ def posterior_general(x: int, codes: np.ndarray, own_cond: int,
     return weights[:, 0] / total
 
 
-def round0_sums(model: SignalModel, g0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The round-0 error and coupling sums: no neighbors, a product of 1."""
-    n_s, n_x = model.likelihood.shape
-    states = np.arange(n_s)[:, None]
-    miss = (g0[:, 0][None, :] != states).astype(np.float64)
-    err = miss.reshape(n_s, -1, n_x).sum(axis=1) * (n_x / len(g0))
-    return err, np.ones_like(err)
-
-
 def error_from_sums(model: SignalModel, sums: tuple[np.ndarray, np.ndarray],
                     condition_state: int | None = None) -> tuple[float, float]:
     """P(vote != state) from a table's error and coupling sums, plus the
     worst |coupling mass - 1|, which callers check against COUPLING_TOL."""
     err_acc, mass_acc = sums
-    states = range(model.n_states) if condition_state is None else [condition_state]
     err = 0.0
-    for s in states:
-        weight = model.prior[s] if condition_state is None else 1.0
+    for s, weight in model.state_weights(condition_state):
         for x in range(model.n_signals):
             err += weight * model.likelihood[s, x] * err_acc[s, x]
     return float(err), float(np.max(np.abs(mass_acc - 1.0)))

@@ -14,11 +14,9 @@ import numpy as np
 from ..model import (ModelError, SignalModel, UpdateRule, action_count,
                      signal_posterior)
 from ..trees import BudgetError
-from .core import (COUPLING_TOL, SlotSpace, cavity_step_bytes,
-                   cavity_step_general, coin_values, decision_step_bytes,
-                   decision_step_general, dense_rows, error_from_sums,
-                   posterior_general, round0_sums, round0_table, rows_at,
-                   table_rows)
+from .core import (COUPLING_TOL, cavity_step_bytes, cavity_step_general,
+                   coin_values, decision_step_bytes, decision_step_general,
+                   error_from_sums, posterior_general, round0_table)
 from .tables import CavityTable
 
 MEMORY_BUDGET = 4 << 30  # bytes of table workspace allowed per step
@@ -83,8 +81,9 @@ class AllActive:
 class CavityEngine:
     """Per-round records of a class graph, and the step that extends them.
 
-    ``g[t][c]`` and ``sums[t][c]`` hold node class c's round-t decision
-    table and its error and coupling sums; ``q[t][e]`` and
+    ``g[t][c]`` holds node class c's round-t decision table, a
+    ``core.StoredTable`` with its slot space and error and coupling sums,
+    written by ``core.round0_table`` or a decision step; ``q[t][e]`` and
     ``slot_tables[t][e]`` edge class e's horizon-t message and the channel's
     fold of it; ``drifts[t]`` the largest normalization drift of round t's
     cavity steps, and ``ops[t]`` the terms of all its core steps.
@@ -95,13 +94,13 @@ class CavityEngine:
     class, the observer's group or None, slot groups), each slot group
     ((edge class, conditions), slots); round 0's terms have no slots.
     Per node class at t+1 it lists its class c at t and its slot groups for
-    one decision step, which reads g[t][c] in c's ``_slot_space``.
+    one decision step, which reads g[t][c] in the table's own space.
 
     Outside the steps only ``_own_codes`` (one input's column, for kernels
     and posteriors) and ``_decisions`` (the dense tables, for
     ``vote_table``, ``dense_decisions`` and ``decision_table``) read a
-    table, both through ``core.rows_at``, which derives row 1 of a mirrored
-    table (``core.table_rows``).
+    table, both through the table's ``rows_at``, which derives row 1 of a
+    mirrored table.
     """
 
     def __init__(self, model: SignalModel, rule: UpdateRule, classes: int = 1):
@@ -111,9 +110,7 @@ class CavityEngine:
         self.rule = rule
         self.n_actions = action_count(model, rule)
         self.channel = AllActive(self.n_actions)
-        g0 = round0_table(model, rule, self.n_actions)
-        self.g = [[g0] * classes]
-        self.sums = [[round0_sums(model, g0)] * classes]
+        self.g = [[round0_table(model, rule, self.n_actions)] * classes]
         self.q: list[list[np.ndarray]] = []
         self.slot_tables: list[list[np.ndarray]] = []
         self.drifts: list[float] = []
@@ -142,7 +139,7 @@ class CavityEngine:
                 coins = (1 if self.rule.deterministic_for_degree(sum(sizes))
                          else coin_values(self.n_actions))
                 check_budget(decision_step_bytes(
-                    r, sizes, n_obs, len(self.g[0][0]) * coins ** (r + 1)))
+                    r, sizes, n_obs, self.g[0][0].rows * coins ** (r + 1)))
             self._plans.append(plan)
         return self._plans[t]
 
@@ -175,12 +172,10 @@ class CavityEngine:
         self.drifts.append(drift)
         if nodes is not None:
             steps = [decision_step_general(
-                self.g[t][c], t, self._slot_space(t, c).sizes,
-                self._messages(groups, t), self.model, self.rule, self.channel)
-                for c, groups in nodes]
-            self.g.append([table for table, *_ in steps])
-            self.sums.append([sums for _, _, *sums in steps])
-            ops += sum(n for _, n, *_ in steps)
+                self.g[t][c], t, self._messages(groups, t), self.model,
+                self.rule, self.channel) for c, groups in nodes]
+            self.g.append([table for table, _ in steps])
+            ops += sum(n for _, n in steps)
         self.ops.append(ops)
 
     def _messages(self, groups, t: int):
@@ -192,7 +187,7 @@ class CavityEngine:
                where: str) -> float:
         """Node class c's round-t error; ``CouplingError`` if its coupling
         mass is off, which is a table bug, not a small error."""
-        err, coupling_dev = error_from_sums(self.model, self.sums[t][c],
+        err, coupling_dev = error_from_sums(self.model, self.g[t][c].sums,
                                             condition_state)
         if coupling_dev > COUPLING_TOL:
             raise CouplingError(
@@ -204,24 +199,18 @@ class CavityEngine:
         row per signal, slot p reading dense slot ``order[p]`` (p by
         default); ``ModelError`` for a table with tie-coin rows."""
         table = self.g[t][c]
-        n_x = self.model.n_signals
-        if table_rows(table, n_x) != n_x:
+        if table.rows != self.model.n_signals:
             raise ModelError("action tables exist for deterministic "
                              "rules only; this table has tie-coin rows")
-        return dense_rows(table, n_x, self.n_actions ** (t + 1) - 1,
-                          self._slot_space(t, c), order)
-
-    def _slot_space(self, t: int, c: int) -> SlotSpace:
-        """The space node class c's round-t table was built in: one group
-        per slot group of the plan that built it, none at round 0."""
-        groups = self._plans[t - 1][1][c][1] if t else []
-        return SlotSpace(self.channel.size ** t, [size for _, size in groups])
+        return table.dense(order)
 
     def vote_table(self, t: int, c: int, order=None) -> np.ndarray:
         """Node class c's round-t vote per (signal, packed observations),
         slot p reading observation ``order[p]`` (p by default), built once
         per key and shared; a table with tie-coin rows has none."""
         check_round(t, len(self.g), "action table")
+        if c not in range(len(self.g[t])):
+            raise ModelError(f"no action table for class {c!r} at round {t}")
         key = (t, c, order)
         if key not in self._votes:
             table = self._decisions(t, c, order)
@@ -233,13 +222,9 @@ class CavityEngine:
         """Node class c's round-t trajectory per row of signal x (per coin
         outcome) at ``observed``, checked as ``slots`` codes (0 at t = 0), slot
         p reading ``observed[order[p]]``: the reader of one input's column."""
-        space = self._slot_space(t, c)
-        n_x = self.model.n_signals
-        codes = check_input(x, observed, slots, space.base, n_x)
-        column = np.concatenate(list(rows_at(
-            self.g[t][c], n_x, self.n_actions ** (t + 1) - 1, space, codes,
-            space.rank(codes, order), order)))
-        return column[x::n_x]
+        table, n_x = self.g[t][c], self.model.n_signals
+        codes = check_input(x, observed, slots, table.space.base, n_x)
+        return np.concatenate(list(table.rows_at(codes, order)))[x::n_x]
 
     def _posterior(self, x: int, observed: tuple[int, ...], t: int, c: int,
                    slots: int, order=None) -> np.ndarray:

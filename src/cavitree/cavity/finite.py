@@ -116,7 +116,7 @@ class FiniteTreeEngine(CavityEngine):
 
     def error_probability(self, node: int, t: int,
                           condition_state: int | None = None) -> float:
-        check_address(t, len(self.sums), "error", node, range(self.graph.n))
+        check_address(t, len(self.g), "error", node, range(self.graph.n))
         return self._error(t, self.node_class[t][node], condition_state,
                            f"node {node}")
 

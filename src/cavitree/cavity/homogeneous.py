@@ -11,9 +11,10 @@ one-group ``core.SlotSpace``, the plan's), a cavity step splits the
 observer's fixed trajectory off it, ``dense_decisions`` expands a table to
 one column per ordered input, and ``vote_table`` serves its votes to the
 replay.  On the paper's flip-symmetric model a table stores row 0 only
-(a mirrored table, see ``core``), and both read row 1 as ``core.rows_at``
-derives it.  ``RegularTreeEngine`` is the one-point degree law, and
-``ActiveEdgeEngine`` (``active.py``) runs it over the erasure channel.
+(a mirrored table, see ``core``), and both read row 1 as the table's
+``rows_at`` derives it.  ``RegularTreeEngine`` is the one-point degree
+law, and ``ActiveEdgeEngine`` (``active.py``) runs it over the erasure
+channel.
 
 The engines take every rule: a stochastic one (majority at even degree,
 Bayesian with uniform-random ties) runs through the same tie-coin rows as
@@ -23,8 +24,8 @@ double each round.  At noise 0.15, on a 2-core x86-64 box, majority at
 d=4 reaches round 6 (3.0 s of CPU, 430 MB peak RSS) and uniform-random
 Bayesian ties at d=5 round 5 (0.9 s); the preflight refuses the next
 round of each, at 22.5 GiB and 10.1 GiB of tables.  Bayesian d=5 with
-own-signal ties reaches round 6 in 1.3-1.5 s of CPU and 94 MB peak RSS,
-its round-6 table one stored row of 10,424,128 inputs.
+own-signal ties reaches round 6, its round-6 table one stored row of
+10,424,128 inputs.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class ConfigModelEngine(CavityEngine):
                 p * self.error_probability(t, degree=d,
                                            condition_state=condition_state)
                 for d, p in zip(self.rho_v.support, self.rho_v.probs) if p > 0))
-        check_address(t, len(self.sums), "error sums", degree, self.degrees)
+        check_address(t, len(self.g), "error sums", degree, self.degrees)
         return self._error(t, self.degrees.index(degree), condition_state,
                            f"degree {degree}")
 

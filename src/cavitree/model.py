@@ -61,6 +61,18 @@ class SignalModel:
     def n_signals(self) -> int:
         return self.likelihood.shape[1]
 
+    def state_weights(self, condition_state: int | None) -> list[tuple]:
+        """The (state, weight) pairs an error sums over: each state at its
+        prior, or ``condition_state``, an int in 0..n_states - 1, at 1."""
+        if condition_state is None:
+            return [(s, self.prior[s]) for s in range(self.n_states)]
+        if (isinstance(condition_state, bool)
+                or not isinstance(condition_state, (int, np.integer))
+                or not 0 <= condition_state < self.n_states):
+            raise ModelError(f"condition_state {condition_state!r} is not a "
+                             f"state in 0..{self.n_states - 1}")
+        return [(condition_state, 1.0)]
+
     @classmethod
     def binary_symmetric(cls, noise: float, prior: Sequence[float] | None = None) -> "SignalModel":
         """Two states, two signals, P(x != s) = noise."""

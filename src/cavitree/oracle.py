@@ -218,11 +218,9 @@ def oracle_error_probability(tensor: TrajectoryTensor, i: int, t: int,
     model = tensor.model
     if tensor.n_actions != model.n_states:
         raise ModelError("error probability assumes the identity payoff")
-    states = range(model.n_states) if condition_state is None else [condition_state]
     votes = round_digit(tensor.trajs[t][i].astype(np.int64), t, tensor.n_actions)
     err = 0.0
-    for s in states:
-        weight = model.prior[s] if condition_state is None else 1.0
+    for s, weight in model.state_weights(condition_state):
         mass = tensor.signal_probs[s, tensor.vectors] * tensor.weights
         err += weight * float(np.sum(mass * (votes != s)))
     return err

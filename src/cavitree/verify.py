@@ -145,8 +145,8 @@ def invariant_suite(ds=(3, 5), noises=(0.15, 0.3),
                            f"max defect {worst_marg:.2e}")
 
                 errs = [engine.error_probability(t) for t in range(max_t + 1)]
-                worst_coupling = max(error_from_sums(model, sums)[1]
-                                     for sums, in engine.sums[1:])
+                worst_coupling = max(error_from_sums(model, g.sums)[1]
+                                     for g, in engine.g[1:])
                 report.add(f"coupling {label}", worst_coupling <= COUPLING_TOL,
                            f"max |mass-1| {worst_coupling:.2e}")
 

@@ -19,9 +19,7 @@ from cavitree.cavity import (
 from cavitree.cavity.core import (
     cavity_step_general,
     decision_step_general,
-    dense_rows,
     error_from_sums,
-    round0_sums,
     round0_table,
 )
 from cavitree.model import (
@@ -190,7 +188,7 @@ def test_majority_even_degree_has_coin_rows(model15, majority):
     engine = FiniteTreeEngine(path_graph(3), model15, majority)
     engine.run(2)
     # Node 1 (degree 2) flips a coin from round 1 on: 2 signals x 2 x 2 rows.
-    assert engine.g[2][engine.node_class[2][1]].shape[0] == 8
+    assert engine.g[2][engine.node_class[2][1]].codes.shape[0] == 8
     with pytest.raises(ModelError):
         engine.action_table(1, 1)
     # interior node ties when its two neighbors disagree at the prior round
@@ -501,7 +499,7 @@ def test_round1_posterior_with_coin_rows(uniform_ties):
     rule = UpdateRule(variant="bayesian", tie_break=uniform_ties)
     engine = FiniteTreeEngine(path_graph(2), model, rule)
     engine.run(2)
-    assert len(engine.g[0][0]) > model.n_signals  # coin rows at round 0
+    assert len(engine.g[0][0].codes) > model.n_signals  # coin rows at round 0
     np.testing.assert_allclose(engine.posterior(0, 1, (0,), 1), [0.8, 0.2],
                                rtol=1e-15)
     np.testing.assert_allclose(
@@ -520,7 +518,8 @@ def test_own_trajectory_is_read_only_where_a_message_conditions(
     engine = FiniteTreeEngine(TreeGraph(n=3, directed_edges=((0, 1), (1, 2))),
                               model, rule)
     engine.run(3)
-    assert [len(engine.g[t][engine.node_class[t][0]]) for t in range(4)] == [
+    assert [len(engine.g[t][engine.node_class[t][0]].codes)
+            for t in range(4)] == [
         6, 12, 24, 48]
     assert len(engine.decision_kernel(0, 2, 1, (1,))) > 1  # rows disagree
     np.testing.assert_allclose(engine.posterior(0, 1, (1,), 2), [0.8, 0.2],
@@ -619,7 +618,7 @@ def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
     """On regular_tree(5, 5) to round 2 the 3410 messages and 1706 decision
     tables per round fall into a handful of classes, one core step each."""
     graph = regular_tree(5, 5)
-    g, _, sums, _ = _per_edge_schedule(graph, model15, bayes, 2, 2, monkeypatch)
+    g, _, _ = _per_edge_schedule(graph, model15, bayes, 2, 2, monkeypatch)
     calls = []
     for name in ("cavity_step_general", "decision_step_general"):
         step = getattr(engine_module, name)
@@ -637,8 +636,9 @@ def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
     # arithmetic.
     for i in range(graph.n):
         for t in range(3):
-            np.testing.assert_array_equal(_node_table(engine, i, t), g[i][t])
-            want = error_from_sums(model15, sums[i][t])[0]
+            np.testing.assert_array_equal(_node_table(engine, i, t),
+                                          g[i][t].codes)
+            want = error_from_sums(model15, g[i][t].sums)[0]
             assert engine.error_probability(i, t) == pytest.approx(
                 want, rel=1e-14, abs=0), (i, t)
     exact = ExactRegularTree("bayesian", 5, Fraction(3, 20))
@@ -700,10 +700,8 @@ def _node_table(engine, i, t):
     the stored rows read densely (a table with coin rows is never
     mirrored)."""
     c, order = engine.node_class[t][i], engine._layout(i, t)[0]
-    if len(engine.g[t][c]) > engine.model.n_signals:
-        return dense_rows(engine.g[t][c], engine.model.n_signals,
-                          engine.n_actions ** (t + 1) - 1,
-                          engine._slot_space(t, c), order)
+    if engine.g[t][c].rows > engine.model.n_signals:
+        return engine.g[t][c].dense(order)
     return engine._decisions(t, c, order)
 
 
@@ -716,7 +714,6 @@ def _per_edge_schedule(graph, model, rule, n_actions, rounds, monkeypatch):
     channel = engine_module.AllActive(n_actions)
     g0 = round0_table(model, rule, n_actions)
     g = {i: [g0] for i in range(graph.n)}
-    sums = {i: [round0_sums(model, g0)] for i in range(graph.n)}
     q = {(j, i): [] for i in range(graph.n) for j in obs[i]}
     drifts = [0.0] * rounds
     with monkeypatch.context() as patch:
@@ -733,11 +730,9 @@ def _per_edge_schedule(graph, model, rule, n_actions, rounds, monkeypatch):
                 tables.append(table)
             for i in range(graph.n):
                 slots = [(q[(j, i)][t], i in obs[j], 1) for j in obs[i]]
-                table, _, *step_sums = decision_step_general(
-                    g[i][t], t, [1] * len(slots), slots, model, rule, channel)
-                g[i].append(table)
-                sums[i].append(step_sums)
-    return g, q, sums, drifts
+                g[i].append(decision_step_general(
+                    g[i][t], t, slots, model, rule, channel)[0])
+    return g, q, drifts
 
 
 _MIXED = TreeGraph(n=7, edges=((0, 1), (1, 2), (1, 3), (3, 4)),
@@ -774,19 +769,21 @@ def test_class_schedule_matches_per_edge_schedule(model30, name, graph,
     engine = FiniteTreeEngine(graph, model30, rule)
     engine.run(3)
     n_a = engine.n_actions
-    g, q, sums, drifts = _per_edge_schedule(graph, model30, rule, n_a, 3,
-                                            monkeypatch)
+    g, q, drifts = _per_edge_schedule(graph, model30, rule, n_a, 3,
+                                      monkeypatch)
     for t in range(4):
         for i in range(graph.n):
-            np.testing.assert_array_equal(_node_table(engine, i, t), g[i][t])
-            if t and len(g[i][t]) == model30.n_signals:
+            want = g[i][t]
+            np.testing.assert_array_equal(_node_table(engine, i, t),
+                                          want.codes)
+            if t and len(want.codes) == model30.n_signals:
                 np.testing.assert_array_equal(engine.action_table(i, t),
-                                              g[i][t] // n_a ** t)
-            for got, want in zip(engine.sums[t][engine.node_class[t][i]],
-                                 sums[i][t]):
-                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+                                              want.codes // n_a ** t)
+            for a, b in zip(engine.g[t][engine.node_class[t][i]].sums,
+                            want.sums):
+                np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
             assert engine.error_probability(i, t) == pytest.approx(
-                error_from_sums(model30, sums[i][t])[0], rel=1e-14, abs=0)
+                error_from_sums(model30, want.sums)[0], rel=1e-14, abs=0)
     for (j, i), tables in q.items():
         for t, table in enumerate(tables):
             np.testing.assert_allclose(engine.cavity_table(j, i, t).array,

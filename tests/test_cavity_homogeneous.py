@@ -157,6 +157,39 @@ def test_condition_state_flip_symmetric(model15, bayes):
     assert avg == pytest.approx((a + b) / 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("state", [-1, 2, True, 1.0, "1"])
+def test_condition_state_outside_the_states_is_refused(model15, bayes,
+                                                       state):
+    """A state index is an int in 0..n_states - 1: -1 does not wrap to
+    state 1, and 2, a bool, a float or a string are refused alike, on the
+    homogeneous and on the finite-tree engine; a NumPy int is a state."""
+    engine = RegularTreeEngine(model15, 3, bayes)
+    engine.run(2)
+    finite = FiniteTreeEngine(path_graph(3), model15, bayes)
+    finite.run(2)
+    assert (engine.error_probability(2, condition_state=np.int64(1))
+            == engine.error_probability(2, condition_state=1))
+    assert (finite.error_probability(1, 2, np.int64(0))
+            == finite.error_probability(1, 2, 0))
+    with pytest.raises(ModelError, match="condition_state"):
+        engine.error_probability(2, condition_state=state)
+    with pytest.raises(ModelError, match="condition_state"):
+        engine.error_probability(2, degree=3, condition_state=state)
+    with pytest.raises(ModelError, match="condition_state"):
+        finite.error_probability(1, 2, state)
+
+
+def test_vote_table_refuses_a_class_outside_the_round(model15, bayes):
+    """``vote_table``'s class index does not wrap: -1 and one past the last
+    class are refused, not read as the last class or an ``IndexError``."""
+    engine = RegularTreeEngine(model15, 3, bayes)
+    engine.run(2)
+    assert engine.vote_table(1, 0).shape == (2, 2 ** 3)
+    for c in (-1, 1):
+        with pytest.raises(ModelError, match="class"):
+            engine.vote_table(1, c)
+
+
 def test_prefix_consistency_of_decisions(model15, bayes):
     engine = RegularTreeEngine(model15, 3, bayes)
     engine.run(3)
@@ -178,7 +211,7 @@ def test_coin_rows_equal_the_finite_tree_root(model15, d, rule):
     finite = FiniteTreeEngine(regular_tree(d, 4), model15, rule)
     regular.run(4)
     finite.run(4)
-    assert len(regular.g[4][0]) > model15.n_signals  # coin rows were built
+    assert len(regular.g[4][0].codes) > model15.n_signals  # coin rows were built
     assert ([regular.error_probability(t) for t in range(5)]
             == [finite.error_probability(0, t) for t in range(5)])
 

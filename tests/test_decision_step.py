@@ -9,7 +9,7 @@ import pytest
 
 import cavitree.cavity.core as core
 from cavitree.cavity import ActiveEdgeEngine, FiniteTreeEngine, RegularTreeEngine
-from cavitree.cavity.core import SlotSpace, _bayesian_actions, dense_rows
+from cavitree.cavity.core import SlotSpace, StoredTable, _bayesian_actions
 from cavitree.model import (
     TIE_TOL,
     SignalModel,
@@ -76,16 +76,16 @@ def test_chunked_steps_match_one_chunk(label, monkeypatch):
     chunked, starts = _run(make, rounds, SMALL_CHUNK, monkeypatch)
     assert any(start % SMALL_CHUNK == 0 and start > 0 for start in starts)
     if "flip" in label:  # a mirrored table stores row 0 only
-        assert all(len(g) == 1 for t in range(1, rounds + 1)
+        assert all(len(g.codes) == 1 for t in range(1, rounds + 1)
                    for g in chunked.g[t])
     if "coin-rows" in label:
-        assert max(len(g) for g in chunked.g[rounds]) > 2
+        assert max(len(g.codes) for g in chunked.g[rounds]) > 2
     for t in range(rounds + 1):
         assert len(chunked.g[t]) == len(whole.g[t])
         for got, want in zip(chunked.g[t], whole.g[t]):
-            assert got.dtype == want.dtype and np.array_equal(got, want), t
-        for got, want in zip(chunked.sums[t], whole.sums[t]):
-            for a, b in zip(got, want):
+            assert got.codes.dtype == want.codes.dtype, t
+            assert np.array_equal(got.codes, want.codes), t
+            for a, b in zip(got.sums, want.sums):
                 np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
     for t in range(rounds):
         for got, want in zip(chunked.q[t], whole.q[t]):
@@ -100,14 +100,15 @@ def test_chunked_expand_matches_one_chunk(monkeypatch):
     table = np.random.default_rng(7).integers(0, 64, (3, space.size),
                                               dtype=np.int32)
     order = [3, 0, 4, 1, 2]
-    cases = [(stored, slots) for stored in (table, table[:1])
+    cases = [(stored, slots)
+             for stored in (StoredTable(table, space, 63, 3, None),
+                            StoredTable(table[:1], space, 63, 2, None))
              for slots in (None, order)]
 
     def expand(chunk):
         with monkeypatch.context() as patch:
             patch.setattr(core, "CHUNK", chunk)
-            return [dense_rows(stored, 2, 63, space, slots)
-                    for stored, slots in cases]
+            return [stored.dense(slots) for stored, slots in cases]
 
     want, got = expand(WHOLE), expand(SMALL_CHUNK)
     assert 5 ** 5 > SMALL_CHUNK

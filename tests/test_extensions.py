@@ -1,5 +1,6 @@
 """Degree-mixture recursion, active edges, and hub averaging."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,7 +14,7 @@ from cavitree.cavity import (
     posterior_with_hubs,
 )
 import cavitree.cavity.engine as engine_module
-from cavitree.cavity.core import cavity_step_general
+from cavitree.cavity.core import SlotSpace, cavity_step_general
 from cavitree.model import ModelError, TieBreak, TieBreakRule, UpdateRule
 from cavitree.oracle import feasible_set, unroll
 from cavitree.trees import (
@@ -75,9 +76,12 @@ def test_two_point_mixture_is_weighted_average(model15, bayes):
     q_prev = cfg.q[0][0]
     by_hand = None
     for d, p in zip(rho_e.support, rho_e.probs):
-        q_d = cavity_step_general(cfg.dense_decisions(d, 1), 1, 0,
-                                  [(q_prev, True, 1)] * d, model15, bayes,
-                                  cfg.channel)[0]
+        # The stored round-1 table, expanded to one group per slot.
+        dense = dataclasses.replace(
+            cfg.g[1][cfg.degrees.index(d)], codes=cfg.dense_decisions(d, 1),
+            space=SlotSpace(cfg.channel.size, [1] * d))
+        q_d = cavity_step_general(dense, 1, 0, [(q_prev, True, 1)] * d,
+                                  model15, bayes, cfg.channel)[0]
         by_hand = p * q_d if by_hand is None else by_hand + p * q_d
     np.testing.assert_allclose(cfg.q[1][0], by_hand, atol=1e-12)
 

@@ -1,21 +1,20 @@
 """The state flip: when both core steps compute signal 0 only, and that
 the mirrored tables match the full computation."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 import cavitree.cavity.core as core
-import cavitree.cavity.engine as engine_module
 from cavitree.cavity import (
     ActiveEdgeEngine,
     ConfigModelEngine,
     FiniteTreeEngine,
     RegularTreeEngine,
 )
-from cavitree.cavity.core import (_flip_symmetric, dense_rows, rows_at,
-                                  table_rows)
+from cavitree.cavity.core import StoredTable, _flip_symmetric
 from cavitree.model import (
     ModelError,
     SignalModel,
@@ -34,8 +33,7 @@ def _decision_inputs(engine, t):
     engine.run(t)
     engine.advance(extend_decisions=False)
     d = engine.degrees[0]
-    return (engine.model, engine.channel,
-            table_rows(engine.g[t][0], engine.model.n_signals),
+    return (engine.model, engine.channel, engine.g[t][0].rows,
             [(engine.slot_tables[t][0], True, d)])
 
 
@@ -113,18 +111,20 @@ def test_predicate_rejects_asymmetric_inputs(model15, bayes):
 def test_verify_flags_a_broken_decision_table(monkeypatch):
     """The predicate reads no table entry; the invariant suite checks that
     the tables are their own flips where a posterior reads them, and fails
-    when the engine derives row 1 of a mirrored table at the input itself,
+    when a table derives row 1 of a mirrored table at the input itself,
     not at its complement."""
-    def broken(table, n_signals, top, space, digits, j, order=None):
-        rows = list(rows_at(table, n_signals, top, space, digits, j, order))
-        if len(rows) > len(table):
-            rows[1] = top - table[0, j]
+    rows_at = StoredTable.rows_at
+
+    def broken(table, digits, order=None):
+        rows = list(rows_at(table, digits, order))
+        if len(rows) > len(table.codes):
+            rows[1] = table.top - table.codes[0, table.space.rank(digits, order)]
         return rows
 
     checks = {name: passed for name, passed, _ in
               invariant_suite(ds=(3,), noises=(0.15,), max_t=3).checks}
     assert checks["decision-flip d=3 noise=0.15 bayesian"]
-    monkeypatch.setattr(engine_module, "rows_at", broken)
+    monkeypatch.setattr(StoredTable, "rows_at", broken)
     checks = {name: passed for name, passed, _ in
               invariant_suite(ds=(3,), noises=(0.15,), max_t=3).checks}
     assert not checks["decision-flip d=3 noise=0.15 bayesian"]
@@ -133,23 +133,24 @@ def test_verify_flags_a_broken_decision_table(monkeypatch):
 
 def test_dense_tables_read_row_1_through_rows_at(model15, bayes,
                                                  monkeypatch):
-    """The dense tables take a mirrored table's row 1 from ``core.rows_at``
-    and from no rule of their own: deriving it at the input itself, not at
-    its complement, changes ``dense_decisions`` and a fresh ``vote_table``
-    of the d=3 round-2 table."""
+    """The dense tables take a mirrored table's row 1 from the table's
+    ``rows_at`` and from no rule of their own: deriving it at the input
+    itself, not at its complement, changes ``dense_decisions`` and a fresh
+    ``vote_table`` of the d=3 round-2 table."""
     sym, full = _run_homogeneous(lambda: RegularTreeEngine(model15, 3, bayes),
                                  2, monkeypatch)
-    assert len(sym.g[2][0]) == 1 and len(full.g[2][0]) == 2
+    assert len(sym.g[2][0].codes) == 1 and len(full.g[2][0].codes) == 2
     dense, votes = full.dense_decisions(3, 2), full.vote_table(2, 0)
     assert np.array_equal(sym.dense_decisions(3, 2), dense)
 
-    def at_the_input(table, n_signals, top, space, digits, j, order=None):
-        for row in table:
+    def at_the_input(table, digits, order=None):
+        j = table.space.rank(digits, order)
+        for row in table.codes:
             yield row[j].astype(np.int64)
-        if table_rows(table, n_signals) > len(table):
-            yield top - table[0, j].astype(np.int64)
+        if table.rows > len(table.codes):
+            yield table.top - table.codes[0, j].astype(np.int64)
 
-    monkeypatch.setattr(core, "rows_at", at_the_input)
+    monkeypatch.setattr(StoredTable, "rows_at", at_the_input)
     assert not np.array_equal(sym.dense_decisions(3, 2), dense)
     assert not np.array_equal(sym.vote_table(2, 0), votes)
 
@@ -160,21 +161,21 @@ def test_a_uint8_table_reads_as_its_int32_original(model15, bayes):
     included, without wrapping, and the dense reader the same values."""
     engine = RegularTreeEngine(model15, 5, bayes)
     engine.run(3)
-    table, space, top = engine.g[3][0], engine._slot_space(3, 0), 2 ** 4 - 1
-    narrow = table.astype(np.uint8)
-    assert len(table) == 1 and table.dtype == np.int32
-    assert np.array_equal(narrow, table)
-    digits = space.build(0, space.size)[0]
-    j = space.rank(digits)
-    want = list(rows_at(table, 2, top, space, digits, j))
-    got = list(rows_at(narrow, 2, top, space, digits, j))
+    table = engine.g[3][0]
+    narrow = dataclasses.replace(table, codes=table.codes.astype(np.uint8))
+    assert len(table.codes) == 1 and table.codes.dtype == np.int32
+    assert table.top == 2 ** 4 - 1
+    assert np.array_equal(narrow.codes, table.codes)
+    digits = table.space.build(0, table.space.size)[0]
+    want = list(table.rows_at(digits))
+    got = list(narrow.rows_at(digits))
     assert len(got) == len(want) == 2
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
-    assert got[1].min() >= 0 and got[1].max() <= top
-    dense = dense_rows(narrow, 2, top, space)
+    assert got[1].min() >= 0 and got[1].max() <= table.top
+    dense = narrow.dense()
     assert dense.dtype == np.uint8
-    assert np.array_equal(dense, dense_rows(table, 2, top, space))
+    assert np.array_equal(dense, table.dense())
     assert np.array_equal(dense, engine.dense_decisions(5, 3))
 
 
@@ -186,15 +187,14 @@ def test_lowest_index_takes_the_full_path(model15, bayes, monkeypatch):
     lowest = UpdateRule(tie_break=TieBreakRule(TieBreak.LOWEST_INDEX))
     sym, full = _run_homogeneous(lambda: RegularTreeEngine(model15, 4, lowest),
                                  3, monkeypatch)
-    inputs = (sym.model, sym.channel,
-              table_rows(sym.g[1][0], sym.model.n_signals),
+    inputs = (sym.model, sym.channel, sym.g[1][0].rows,
               [(sym.slot_tables[0][0], True, 4)])
     assert _flip_symmetric(*inputs, bayes)
     assert not _flip_symmetric(*inputs, lowest)
     assert sum(sym.ops) == sum(full.ops)
     for t in range(4):
         assert np.array_equal(sym.q[t][0], full.q[t][0]), t
-        for got, want in zip(sym.sums[t][0], full.sums[t][0]):
+        for got, want in zip(sym.g[t][0].sums, full.g[t][0].sums):
             assert np.array_equal(got, want), t
 
 
@@ -220,16 +220,15 @@ def _assert_table_matches(sym, full, t, c):
     stores one row; one with coin rows is stored whole on both paths.
     Returns whether the mirrored engine stores one row."""
     stored = sym.g[t][c]
-    if len(stored) > sym.model.n_signals:
-        assert np.array_equal(stored, full.g[t][c]), t
-        _assert_own_flip(dense_rows(stored, 2, 2 ** (t + 1) - 1,
-                                    full._slot_space(t, c)), t)
+    if stored.rows > sym.model.n_signals:
+        assert np.array_equal(stored.codes, full.g[t][c].codes), t
+        _assert_own_flip(stored.dense(), t)
         return False
     want = full._decisions(t, c)
-    assert len(full.g[t][c]) == 2
+    assert len(full.g[t][c].codes) == 2
     assert np.array_equal(sym._decisions(t, c), want), t
     _assert_own_flip(want, t)
-    return len(stored) == 1
+    return len(stored.codes) == 1
 
 
 def _assert_q(q_sym, q_full):
@@ -266,7 +265,7 @@ def test_symmetric_path_matches_full_path(variant, d, noise, monkeypatch):
     assert 2 * sum(sym.ops) == sum(full.ops)
     for t in range(5):
         assert _assert_table_matches(sym, full, t, 0) == (t > 0), t
-        for got, want in zip(sym.sums[t][0], full.sums[t][0]):
+        for got, want in zip(sym.g[t][0].sums, full.g[t][0].sums):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         assert sym.error_probability(t) == pytest.approx(
             full.error_probability(t), rel=1e-14, abs=0)
@@ -316,8 +315,9 @@ def test_symmetric_path_matches_full_path_finite(model30, graph, variant,
         # On the lopsided tree only round 1's degree-1 and 3 nodes mirror.
         assert mirrored == ([t == 1, False, t == 1] if coins and t
                             else [t > 0] * len(mirrored)), t
-        for got, want in zip(sym.sums[t], full.sums[t]):
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        for got, want in zip(sym.g[t], full.g[t]):
+            np.testing.assert_allclose(got.sums, want.sums, rtol=1e-14,
+                                       atol=0)
         for i in range(graph.n):
             assert sym.error_probability(i, t) == pytest.approx(
                 full.error_probability(i, t), rel=1e-14, abs=0)
@@ -346,15 +346,16 @@ def test_derived_rows_match_the_full_path_lopsided(model30, monkeypatch):
     agree with the full path."""
     rule = UpdateRule(variant="majority")
     derived = []
+    rows_at = StoredTable.rows_at
 
-    def spy(table, n_signals, *args):
+    def spy(table, *args):
         # Only the rows a step reads: a mirroring step stops after row 0.
-        for r, row in enumerate(rows_at(table, n_signals, *args)):
-            derived.append(r >= len(table))
+        for r, row in enumerate(rows_at(table, *args)):
+            derived.append(r >= len(table.codes))
             yield row
 
     with monkeypatch.context() as patch:
-        patch.setattr(core, "rows_at", spy)
+        patch.setattr(StoredTable, "rows_at", spy)
         sym = FiniteTreeEngine(LOPSIDED, model30, rule)
         sym.run(3)
     assert any(derived)
@@ -365,7 +366,7 @@ def test_derived_rows_match_the_full_path_lopsided(model30, monkeypatch):
     leaves = [i for i in range(LOPSIDED.n) if len(LOPSIDED.observed[i]) == 1]
     for i in leaves:  # a mirrored round-1 table, a full round-2 one
         c1, c2 = sym.node_class[1][i], sym.node_class[2][i]
-        assert len(sym.g[1][c1]) == 1 and len(sym.g[2][c2]) == 2
+        assert len(sym.g[1][c1].codes) == 1 and len(sym.g[2][c2].codes) == 2
         assert np.array_equal(sym._decisions(2, c2), full._decisions(2, c2))
     checked = 0
     for t in range(4):

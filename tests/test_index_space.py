@@ -4,6 +4,7 @@ singleton groups against dense packing, a mixed grouping against brute
 force, and both core steps run with singleton groups and with one group on
 the same slot tables."""
 
+import dataclasses
 import itertools
 from math import comb, factorial
 
@@ -16,9 +17,9 @@ from cavitree.cavity import ActiveEdgeEngine, ConfigModelEngine, RegularTreeEngi
 from cavitree.cavity.core import (
     CHUNK,
     SlotSpace,
+    StoredTable,
     cavity_step_general,
     decision_step_general,
-    dense_rows,
     error_from_sums,
 )
 from cavitree.model import ModelError, UpdateRule
@@ -180,16 +181,17 @@ def test_multiset_rank_sorts_and_expand_agrees(n_codes, size):
     np.testing.assert_array_equal(ranks, space.rank(np.sort(ordered, axis=0)))
     table = np.arange(2 * space.size, dtype=np.int32).reshape(2, -1)
     top = 2 * space.size - 1
-    np.testing.assert_array_equal(dense_rows(table, 2, top, space),
-                                  table[:, ranks])
     np.testing.assert_array_equal(
-        dense_rows(table[:1], 2, top, space),
+        StoredTable(table, space, top, 2, None).dense(), table[:, ranks])
+    np.testing.assert_array_equal(
+        StoredTable(table[:1], space, top, 2, None).dense(),
         [table[0, ranks], top - table[0, space.rank(n_codes - 1 - ordered)]])
     mixed = SlotSpace(n_codes, [1, size - 1])
     table = np.arange(2 * mixed.size, dtype=np.int32).reshape(2, -1)
     order = list(range(size))[::-1]
-    np.testing.assert_array_equal(dense_rows(table, 2, top, mixed, order),
-                                  table[:, mixed.rank(ordered[order])])
+    np.testing.assert_array_equal(
+        StoredTable(table, mixed, top, 2, None).dense(order),
+        table[:, mixed.rank(ordered[order])])
 
 
 def _singletons_vs_one_group(engine, degree, rounds, monkeypatch):
@@ -198,19 +200,27 @@ def _singletons_vs_one_group(engine, degree, rounds, monkeypatch):
     with the one-group step, whose dense table derives a mirrored row."""
     model, rule, channel = engine.model, engine.rule, engine.channel
     monkeypatch.setattr(core, "_flip_symmetric", lambda *a, **k: False)
+
+    def dense(t):
+        """The round-t table of ``degree``, expanded to one group per slot."""
+        return dataclasses.replace(
+            engine.g[t][engine.degrees.index(degree)],
+            codes=engine.dense_decisions(degree, t),
+            space=SlotSpace(channel.size ** t, [1] * degree))
+
     for t in range(rounds):
         slots = [(engine.slot_tables[t][0], True, 1)] * degree
-        g_dense, _, *sums = decision_step_general(
-            engine.dense_decisions(degree, t), t, [1] * degree, slots, model,
-            rule, channel)
-        assert np.array_equal(g_dense, engine.dense_decisions(degree, t + 1)), t
+        g_dense, _ = decision_step_general(dense(t), t, slots, model, rule,
+                                           channel)
+        assert np.array_equal(g_dense.codes,
+                              engine.dense_decisions(degree, t + 1)), t
         want = engine.error_probability(t + 1, degree=degree)
-        got = error_from_sums(model, sums)[0]
+        got = error_from_sums(model, g_dense.sums)[0]
         assert got == pytest.approx(want, rel=1e-14, abs=0), t
         if t == 0:
             continue
         q_dense = cavity_step_general(
-            engine.dense_decisions(degree, t), t, 0,
+            dense(t), t, 0,
             [(engine.slot_tables[t - 1][0], True, 1)] * degree, model, rule,
             channel)[0]
         q_multi = cavity_step_general(

@@ -43,6 +43,15 @@ def test_star4_center_round1(model15, bayes):
     assert oracle_error_probability(tensor, 0, 1) == pytest.approx(target, rel=1e-12)
 
 
+@pytest.mark.parametrize("state", [-1, 2, True, 0.0])
+def test_condition_state_outside_the_states_is_refused(model15, bayes, state):
+    """-1 does not wrap to state 1, and 2, a bool or a float are refused."""
+    tensor = unroll(path_graph(3), model15, bayes, 2)
+    assert oracle_error_probability(tensor, 1, 2, condition_state=1) < 0.5
+    with pytest.raises(ModelError, match="condition_state"):
+        oracle_error_probability(tensor, 1, 2, condition_state=state)
+
+
 def test_feasible_set_own_signal_only(model15, bayes):
     graph = path_graph(3)
     tensor = unroll(graph, model15, bayes, 2)
