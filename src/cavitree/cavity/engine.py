@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import (ModelError, SignalModel, UpdateRule, action_count,
-                     signal_posterior)
+                     is_index, signal_posterior)
 from ..trees import BudgetError
 from .core import (COUPLING_TOL, cavity_step_bytes, cavity_step_general,
                    coin_values, decision_step_bytes, decision_step_general,
@@ -38,9 +38,9 @@ def check_input(x: int, observed, slots: int, base: int,
     observed code below ``base`` per slot, else ``ModelError``."""
     if len(observed) != slots:
         raise ModelError(f"{len(observed)} observed codes for {slots} slots")
-    if not 0 <= x < n_signals:
-        raise ModelError(f"signal {x} outside 0..{n_signals - 1}")
-    if not all(0 <= code < base for code in observed):
+    if not is_index(x, n_signals):
+        raise ModelError(f"signal {x!r} outside 0..{n_signals - 1}")
+    if not all(is_index(code, base) for code in observed):
         raise ModelError(f"observed codes {tuple(observed)} outside "
                          f"0..{base - 1}")
     return np.array(observed, dtype=np.int64).reshape(-1, 1)
@@ -83,10 +83,11 @@ class CavityEngine:
 
     ``g[t][c]`` holds node class c's round-t decision table, a
     ``core.StoredTable`` with its slot space and error and coupling sums,
-    written by ``core.round0_table`` or a decision step; ``q[t][e]`` and
-    ``slot_tables[t][e]`` edge class e's horizon-t message and the channel's
-    fold of it; ``drifts[t]`` the largest normalization drift of round t's
-    cavity steps, and ``ops[t]`` the terms of all its core steps.
+    written by ``core.round0_table`` or a decision step; ``q[t][e]`` edge
+    class e's horizon-t message, read through the channel's fold;
+    ``drifts[t]`` the largest normalization drift of round t's cavity
+    steps, and ``ops[t]`` the terms of all its core steps.  Every advance
+    writes a whole round, messages then decision tables, or none of it.
 
     A subclass's ``_plan_round(t)`` returns round t's plan, and its
     ``advance`` runs it with ``_step``.  Per edge class the plan lists the
@@ -112,7 +113,6 @@ class CavityEngine:
         self.channel = AllActive(self.n_actions)
         self.g = [[round0_table(model, rule, self.n_actions)] * classes]
         self.q: list[list[np.ndarray]] = []
-        self.slot_tables: list[list[np.ndarray]] = []
         self.drifts: list[float] = []
         self.ops: list[int] = []
         self._plans: list[tuple[list, list]] = []
@@ -153,10 +153,8 @@ class CavityEngine:
 
     def _step(self, edges, nodes) -> None:
         """Run round t's plan: every edge class's horizon-t message, then
-        every node class's next decision table (none if ``nodes`` is None)."""
+        every node class's next decision table."""
         t = self.horizon
-        if len(self.g) <= t:
-            raise ModelError("a previous advance skipped its decision tables")
         q_t, drift, ops = [], 0.0, 0
         for terms in edges:
             message = None
@@ -168,19 +166,21 @@ class CavityEngine:
                 message = weight * q if message is None else message + weight * q
             q_t.append(message)
         self.q.append(q_t)
-        self.slot_tables.append([self.channel.fold(q, t) for q in q_t])
-        self.drifts.append(drift)
-        if nodes is not None:
+        try:
             steps = [decision_step_general(
                 self.g[t][c], t, self._messages(groups, t), self.model,
                 self.rule, self.channel) for c, groups in nodes]
-            self.g.append([table for table, _ in steps])
-            ops += sum(n for _, n in steps)
-        self.ops.append(ops)
+        except BaseException:  # no half round; the next advance redoes it
+            self.q.pop()
+            raise
+        self.g.append([table for table, _ in steps])
+        self.drifts.append(drift)
+        self.ops.append(ops + sum(n for _, n in steps))
 
     def _messages(self, groups, t: int):
-        """The core steps' slot groups: each group's horizon-t slot table."""
-        return [(self.slot_tables[t][e], cond, size)
+        """The core steps' slot groups: each group's horizon-t message,
+        folded by the channel into its slot table."""
+        return [(self.channel.fold(self.q[t][e], t), cond, size)
                 for (e, cond), size in groups]
 
     def _error(self, t: int, c: int, condition_state: int | None,

@@ -67,9 +67,10 @@ class ConfigModelEngine(CavityEngine):
         return ([mixture] if t else [[(1.0, 0, None, [])]],
                 [(k, [((0, True), d)]) for k, d in enumerate(self.degrees)])
 
-    def advance(self, extend_decisions: bool = True) -> None:
-        edges, nodes = self._planned(self.horizon)
-        self._step(edges, nodes if extend_decisions else None)
+    def advance(self) -> None:
+        # FiniteTreeEngine's twin, kept per class: bench/spans.py times
+        # each planner's advance by its own name.
+        self._step(*self._planned(self.horizon))
 
     def error_probability(self, t: int, degree: int | None = None,
                           condition_state: int | None = None) -> float:
@@ -90,8 +91,7 @@ class ConfigModelEngine(CavityEngine):
 
     def posterior(self, x: int, observed: tuple[int, ...], t: int) -> np.ndarray:
         """P(s | x, one observed trajectory through t-1 per neighbor)."""
-        check_address(t, len(self.q) + 1, "posterior", len(observed),
-                      self.degrees)
+        check_address(t, len(self.g), "posterior", len(observed), self.degrees)
         return self._posterior(x, tuple(observed), t,
                                self.degrees.index(len(observed)), len(observed))
 

@@ -24,6 +24,13 @@ class ModelError(ValueError):
     """Invalid model configuration or argument."""
 
 
+def is_index(value, n: int) -> bool:
+    """Whether ``value`` is an int in 0..n-1: a NumPy integer counts, a bool
+    or a float does not."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and 0 <= value < n)
+
+
 @dataclass(frozen=True)
 class SignalModel:
     """Prior over world states plus the conditional signal law P(x|s).
@@ -43,6 +50,8 @@ class SignalModel:
         object.__setattr__(self, "likelihood", lik)
         if prior.ndim != 1 or lik.ndim != 2 or lik.shape[0] != prior.shape[0]:
             raise ModelError("prior must be (n_states,), likelihood (n_states, n_signals)")
+        if not (np.all(np.isfinite(prior)) and np.all(np.isfinite(lik))):
+            raise ModelError("prior and likelihood must be finite")
         if np.any(prior < 0) or abs(prior.sum() - 1.0) > PROB_TOL:
             raise ModelError("prior must be nonnegative and sum to 1")
         if np.any(lik < 0) or np.any(np.abs(lik.sum(axis=1) - 1.0) > PROB_TOL):
@@ -66,9 +75,7 @@ class SignalModel:
         prior, or ``condition_state``, an int in 0..n_states - 1, at 1."""
         if condition_state is None:
             return [(s, self.prior[s]) for s in range(self.n_states)]
-        if (isinstance(condition_state, bool)
-                or not isinstance(condition_state, (int, np.integer))
-                or not 0 <= condition_state < self.n_states):
+        if not is_index(condition_state, self.n_states):
             raise ModelError(f"condition_state {condition_state!r} is not a "
                              f"state in 0..{self.n_states - 1}")
         return [(condition_state, 1.0)]
@@ -96,8 +103,8 @@ def signal_posterior(model: SignalModel, x: int) -> np.ndarray:
 
     Returns the vector proportional to prior(s) * P(x|s), normalized.
     """
-    if not 0 <= x < model.n_signals:
-        raise ModelError(f"signal index {x} out of range")
+    if not is_index(x, model.n_signals):
+        raise ModelError(f"signal index {x!r} out of range")
     weights = model.prior * model.likelihood[:, x]
     total = weights.sum()
     if total <= 0.0:

@@ -198,8 +198,10 @@ class DegreeDistribution:
             raise GraphError("support and probs must be matching non-empty sequences")
         if len(set(support)) != len(support) or any(d < 0 for d in support):
             raise GraphError("support must be distinct nonnegative degrees")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise GraphError("probabilities must be nonnegative and sum to 1")
+        if (not np.all(np.isfinite(probs)) or np.any(probs < 0)
+                or abs(probs.sum() - 1.0) > 1e-12):
+            raise GraphError("probabilities must be finite, nonnegative and "
+                             "sum to 1")
 
     def as_dict(self) -> dict[int, float]:
         return {d: float(p) for d, p in zip(self.support, self.probs)}

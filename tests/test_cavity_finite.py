@@ -398,15 +398,23 @@ def _input_accessor(kind, model, rule):
 def test_accessors_refuse_inputs_outside_the_table(model15, bayes, kind):
     """A wrong number of codes, a code outside 0..n_obs**t - 1 or a signal
     outside 0..n_signals - 1 raises ModelError; none is misread as another
-    input or fails with an IndexError.  So does a node, edge or degree the
-    engine does not have: a negative node is not read from the end of a
-    list, and none fails with an IndexError or a KeyError."""
+    input or fails with an IndexError.  So does a signal or code that is
+    not an int (a NumPy integer is one): a bool, a float or a string is not
+    read as the int it truncates to, nor fails with a TypeError.  So does a
+    node, edge or degree the engine does not have: a negative node is not
+    read from the end of a list, and none fails with an IndexError or a
+    KeyError."""
     ask, slots, base, elsewhere = _input_accessor(kind, model15, bayes)
     zeros = (0,) * (slots - 1)
-    ask(0, zeros + (0,))
+    np.testing.assert_array_equal(
+        ask(np.int64(0), tuple(np.int64(c) for c in zeros + (0,))),
+        ask(0, zeros + (0,)))
     for x, codes in [(0, (-1,) + zeros), (0, zeros + (base,)),
                      (0, zeros + (0, 0)), (0, zeros), (2, zeros + (0,)),
-                     (-1, zeros + (0,))]:
+                     (-1, zeros + (0,)), (True, zeros + (0,)),
+                     (0.0, zeros + (0,)), (0, zeros + (False,)),
+                     (0, zeros + (np.False_,)), (0, zeros + (0.5,)),
+                     (0, zeros + (0.0,)), (0, zeros + ("0",))]:
         with pytest.raises(ModelError):
             ask(x, codes)
     assert elsewhere

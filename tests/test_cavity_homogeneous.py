@@ -13,6 +13,7 @@ from cavitree.model import (ModelError, SignalModel, TieBreak, TieBreakRule,
                             UpdateRule)
 from cavitree.oracle import unroll
 from cavitree.trees import DegreeDistribution, path_graph, regular_tree
+from cavitree.verify import invariant_suite, oracle_equivalence_suite
 
 
 def test_cavity_exports_resolve():
@@ -241,12 +242,11 @@ def test_error_requires_advance(model15, bayes):
 
 
 def test_error_requires_decision_table(model15, bayes):
-    """A cavity step without its decision step stores no error sums for the
-    new horizon, so that round is refused with ModelError."""
+    """After ``run(2)`` the decision tables reach round 2, so round 3 has
+    no error sums and is refused with ModelError."""
     engine = RegularTreeEngine(model15, 3, bayes)
     engine.run(2)
-    engine.advance(extend_decisions=False)
-    assert engine.horizon == 3
+    assert engine.horizon == 2
     with pytest.raises(ModelError):
         engine.error_probability(3)
     with pytest.raises(ModelError):
@@ -256,15 +256,28 @@ def test_error_requires_decision_table(model15, bayes):
     assert engine.error_probability(2) > 0.0
 
 
-def test_advance_refuses_after_a_skipped_decision_step(model15, bayes):
-    """A cavity step reads the decision table of its round; once an advance
-    skipped that table, the next advance is refused, not run on nothing."""
+def test_a_failed_round_leaves_no_half_round(model15, bayes, monkeypatch):
+    """A decision step that raises (say, out of memory) leaves no record of
+    its round, so the next advance redoes that round whole."""
+    step = engine_module.decision_step_general
+
+    def fail_at_round_2(g, t, *args, **kwargs):
+        if t == 2:
+            raise MemoryError
+        return step(g, t, *args, **kwargs)
+
     engine = RegularTreeEngine(model15, 3, bayes)
-    engine.run(1)
-    engine.advance(extend_decisions=False)
-    with pytest.raises(ModelError, match="skipped its decision tables"):
-        engine.advance()
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "decision_step_general", fail_at_round_2)
+        with pytest.raises(MemoryError):
+            engine.run(3)
     assert engine.horizon == 2
+    assert (len(engine.g), len(engine.drifts), len(engine.ops)) == (3, 2, 2)
+    engine.run(3)
+    fresh = RegularTreeEngine(model15, 3, bayes)
+    fresh.run(3)
+    assert ([engine.error_probability(t) for t in range(4)]
+            == [fresh.error_probability(t) for t in range(4)])
 
 
 def test_error_rejects_degree_outside_support(model15, bayes):
@@ -285,10 +298,8 @@ def test_ops_counter_within_complexity_envelope(model15, bayes):
         assert engine.ops[t] <= bound
 
 
-def test_inconsistent_cavity_table_raises_coupling_error(model15, bayes,
-                                                         monkeypatch):
-    """A cavity table whose columns sum to 1 + 1e-6 makes the coupling mass
-    of the next decision table deviate; its error must not be reported."""
+def _scale_cavity_tables(monkeypatch):
+    """Make every cavity table after round 0 sum to 1 + 1e-6 per column."""
     step = engine_module.cavity_step_general
 
     def scaled(g, t, *args, **kwargs):
@@ -296,6 +307,28 @@ def test_inconsistent_cavity_table_raises_coupling_error(model15, bayes,
         return (q * (1 + 1e-6) if t else q), drift, ops
 
     monkeypatch.setattr(engine_module, "cavity_step_general", scaled)
+
+
+def test_verify_reports_a_coupling_fault_as_a_failed_check(monkeypatch):
+    """The scaled cavity tables under both verification suites: each
+    returns its report with the fault as a failed check, not CouplingError."""
+    _scale_cavity_tables(monkeypatch)
+    checks = {name: (passed, detail) for name, passed, detail in
+              invariant_suite(ds=(3,), noises=(0.15,), max_t=3).checks}
+    for variant in ("bayesian", "majority"):
+        passed, detail = checks[f"coupling d=3 noise=0.15 {variant}"]
+        assert not passed and "max |mass-1| 3.00e-06" in detail
+    checks = {name: (passed, detail) for name, passed, detail in
+              oracle_equivalence_suite(max_nodes=3, max_t=2).checks}
+    passed, detail = checks["oracle-error path3 bayesian"]
+    assert not passed and "coupling mass deviates" in detail
+
+
+def test_inconsistent_cavity_table_raises_coupling_error(model15, bayes,
+                                                         monkeypatch):
+    """A cavity table whose columns sum to 1 + 1e-6 makes the coupling mass
+    of the next decision table deviate; its error must not be reported."""
+    _scale_cavity_tables(monkeypatch)
     engine = RegularTreeEngine(model15, 3, bayes)
     engine.run(2)
     engine.error_probability(1)  # reads the unscaled round-0 message

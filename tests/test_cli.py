@@ -185,13 +185,20 @@ def test_unparsable_option_is_named_in_the_one_line_error(tmp_path, capsys,
      "noise or likelihood, not both"),
     ("table", "--model", {"noise": 0.1, "states": 3}, "declared state count"),
     ("table", "--model", {"noise": "0.1"}, "JSON number"),
+    ("table", "--model", {"prior": [0.5, 0.5],
+                          "likelihood": [[float("nan"), 0.5], [0.5, 0.5]]},
+     "must be finite"),
+    ("table", "--model", {"noise": 0.2, "prior": [float("nan"), 0.5]},
+     "must be finite"),
 ], ids=["graph-edge", "graph-hub", "model-tie", "model-noise-and-likelihood",
-        "model-noise-states", "model-string-noise"])
+        "model-noise-states", "model-string-noise", "model-nan-likelihood",
+        "model-nan-prior"])
 def test_document_it_does_not_read_exactly_exits_2(tmp_path, capsys, command,
                                                    option, doc, message):
     """A graph or model document with a misspelt field, a likelihood beside
-    its noise level, a count it does not have or a number as a string is a
-    configuration error that says which, not a run on the defaults."""
+    its noise level, a count it does not have, a number as a string or a NaN
+    probability (which Python's JSON reader takes) is a configuration error
+    that says which, not a run on the defaults nor a traceback."""
     (tmp_path / "doc.json").write_text(json.dumps(doc))
     assert run(tmp_path, command, option, "doc.json", "--rounds", "1") == 2
     err = capsys.readouterr().err.strip().splitlines()

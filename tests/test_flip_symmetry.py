@@ -30,11 +30,10 @@ from cavitree.verify import FLIP_TOL, invariant_suite
 def _decision_inputs(engine, t):
     """The arguments of the predicate at the engine's horizon-t decision
     step, before the rule."""
-    engine.run(t)
-    engine.advance(extend_decisions=False)
+    engine.run(t + 1)
     d = engine.degrees[0]
     return (engine.model, engine.channel, engine.g[t][0].rows,
-            [(engine.slot_tables[t][0], True, d)])
+            [(engine.channel.fold(engine.q[t][0], t), True, d)])
 
 
 def _flips(model, rule, d=3, t=2, p=1.0):
@@ -188,7 +187,7 @@ def test_lowest_index_takes_the_full_path(model15, bayes, monkeypatch):
     sym, full = _run_homogeneous(lambda: RegularTreeEngine(model15, 4, lowest),
                                  3, monkeypatch)
     inputs = (sym.model, sym.channel, sym.g[1][0].rows,
-              [(sym.slot_tables[0][0], True, 4)])
+              [(sym.channel.fold(sym.q[0][0], 0), True, 4)])
     assert _flip_symmetric(*inputs, bayes)
     assert not _flip_symmetric(*inputs, lowest)
     assert sum(sym.ops) == sum(full.ops)
@@ -241,13 +240,11 @@ def _assert_q(q_sym, q_full):
 
 def _run_homogeneous(make, rounds, monkeypatch):
     sym = make()
-    sym.run(rounds)
-    sym.advance(extend_decisions=False)
+    sym.run(rounds + 1)
     with monkeypatch.context() as patch:
         _full_path(patch)
         full = make()
-        full.run(rounds)
-        full.advance(extend_decisions=False)
+        full.run(rounds + 1)
     return sym, full
 
 

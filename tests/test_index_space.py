@@ -209,7 +209,7 @@ def _singletons_vs_one_group(engine, degree, rounds, monkeypatch):
             space=SlotSpace(channel.size ** t, [1] * degree))
 
     for t in range(rounds):
-        slots = [(engine.slot_tables[t][0], True, 1)] * degree
+        slots = [(channel.fold(engine.q[t][0], t), True, 1)] * degree
         g_dense, _ = decision_step_general(dense(t), t, slots, model, rule,
                                            channel)
         assert np.array_equal(g_dense.codes,
@@ -221,11 +221,13 @@ def _singletons_vs_one_group(engine, degree, rounds, monkeypatch):
             continue
         q_dense = cavity_step_general(
             dense(t), t, 0,
-            [(engine.slot_tables[t - 1][0], True, 1)] * degree, model, rule,
+            [(channel.fold(engine.q[t - 1][0], t - 1), True, 1)] * degree,
+            model, rule,
             channel)[0]
         q_multi = cavity_step_general(
             engine.g[t][engine.degrees.index(degree)], t, 0,
-            [(engine.slot_tables[t - 1][0], True, degree)], model, rule,
+            [(channel.fold(engine.q[t - 1][0], t - 1), True, degree)],
+            model, rule,
             channel)[0]
         np.testing.assert_allclose(q_multi, q_dense, rtol=0, atol=1e-15)
 

@@ -57,6 +57,27 @@ def test_prior_must_normalize():
                     likelihood=np.array([[0.9, 0.1], [0.2, 0.8]]))
 
 
+@pytest.mark.parametrize("prior,likelihood", [
+    ([np.nan, 0.5], [[0.9, 0.1], [0.2, 0.8]]),
+    ([0.5, 0.5], [[np.nan, 0.5], [0.5, 0.5]]),
+    ([np.inf, 0.5], [[0.9, 0.1], [0.2, 0.8]]),
+    ([0.5, 0.5], [[0.9, 0.1], [np.inf, -np.inf]]),
+], ids=["nan-prior", "nan-likelihood", "inf-prior", "inf-likelihood"])
+def test_non_finite_probabilities_refused(prior, likelihood):
+    """NaN passes every ``< 0`` and ``> tol`` test, so it is refused by
+    name, as is an infinity."""
+    with pytest.raises(ModelError, match="finite"):
+        SignalModel(prior=np.array(prior), likelihood=np.array(likelihood))
+
+
+def test_signal_posterior_takes_an_int_signal(model15):
+    np.testing.assert_array_equal(signal_posterior(model15, np.int64(1)),
+                                  signal_posterior(model15, 1))
+    for x in (True, 1.0, 0.5, "1"):
+        with pytest.raises(ModelError):
+            signal_posterior(model15, x)
+
+
 def test_informative_rows_required():
     with pytest.raises(ModelError):
         SignalModel(prior=np.array([0.5, 0.5]),

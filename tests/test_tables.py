@@ -7,8 +7,7 @@ from cavitree.cavity import CavityTable, RegularTreeEngine, TableError
 @pytest.fixture(scope="module")
 def engine(model15, bayes):
     eng = RegularTreeEngine(model15, 3, bayes)
-    eng.run(2)
-    eng.advance(extend_decisions=False)
+    eng.run(3)
     return eng
 
 

@@ -57,6 +57,13 @@ def test_ball_nested_and_bounded():
         prev = cur
 
 
+@pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 1.0],
+                                   [np.inf, 0.5]])
+def test_degree_law_refuses_non_finite_probabilities(probs):
+    with pytest.raises(GraphError, match="finite"):
+        DegreeDistribution((3, 4), np.array(probs))
+
+
 def test_edge_perspective_single_degree():
     rho = DegreeDistribution((5,), np.array([1.0]))
     out = edge_perspective(rho)
