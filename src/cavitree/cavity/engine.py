@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import (ModelError, SignalModel, UpdateRule, action_count,
-                     is_index, signal_posterior)
+                     is_index, is_int, signal_posterior)
 from ..trees import BudgetError
 from .core import (COUPLING_TOL, cavity_step_bytes, cavity_step_general,
                    coin_values, decision_step_bytes, decision_step_general,
@@ -27,9 +27,9 @@ class CouplingError(RuntimeError):
 
 
 def check_round(t: int, stored: int, what: str):
-    """Refuse a round outside the ``stored`` rounds 0.. an engine holds."""
-    if not 0 <= t < stored:
-        raise ModelError(f"no {what} for round {t} of the {stored} stored")
+    """Refuse a round that is not an int among the ``stored`` rounds held."""
+    if not is_index(t, stored):
+        raise ModelError(f"no {what} for round {t!r} of the {stored} stored")
 
 
 def check_input(x: int, observed, slots: int, base: int,
@@ -55,9 +55,11 @@ def check_budget(need: int):
 
 def check_address(t: int, stored: int, what: str, key, keys) -> None:
     """Refuse a round outside the ``stored`` rounds 0.. an engine holds, or
-    a node, edge or degree ``key`` that is not among ``keys``."""
+    a node, edge or degree ``key`` that is not among ``keys`` or not made of
+    ints."""
     check_round(t, stored, what)
-    if key not in keys:
+    parts = key if isinstance(key, tuple) else (key,)
+    if not all(map(is_int, parts)) or key not in keys:
         raise ModelError(f"no {what} for {key!r}, which is not in this engine")
 
 
@@ -87,7 +89,7 @@ class CavityEngine:
     class e's horizon-t message, read through the channel's fold;
     ``drifts[t]`` the largest normalization drift of round t's cavity
     steps, and ``ops[t]`` the terms of all its core steps.  Every advance
-    writes a whole round, messages then decision tables, or none of it.
+    stores a whole round once its last step returns, and none if one raises.
 
     A subclass's ``_plan_round(t)`` returns round t's plan, and its
     ``advance`` runs it with ``_step``.  Per edge class the plan lists the
@@ -146,6 +148,8 @@ class CavityEngine:
     def run(self, rounds: int) -> None:
         """Advance through round ``rounds``, planning every round first, so
         that a step over the table budget is refused before any runs."""
+        if not is_int(rounds):
+            raise ModelError(f"rounds must be an int, not {rounds!r}")
         if rounds > 0:
             self._planned(rounds - 1)
         while self.horizon < rounds:
@@ -153,34 +157,32 @@ class CavityEngine:
 
     def _step(self, edges, nodes) -> None:
         """Run round t's plan: every edge class's horizon-t message, then
-        every node class's next decision table."""
+        every node class's next decision table; only then store the round."""
         t = self.horizon
+        prev = self.q[t - 1] if t else []
         q_t, drift, ops = [], 0.0, 0
         for terms in edges:
             message = None
             for weight, c, tau_group, groups in terms:
                 q, step_drift, n = cavity_step_general(
-                    self.g[t][c], t, tau_group, self._messages(groups, t - 1),
+                    self.g[t][c], t, tau_group,
+                    self._messages(prev, groups, t - 1),
                     self.model, self.rule, self.channel)
                 drift, ops = max(drift, step_drift), ops + n
                 message = weight * q if message is None else message + weight * q
             q_t.append(message)
+        steps = [decision_step_general(
+            self.g[t][c], t, self._messages(q_t, groups, t), self.model,
+            self.rule, self.channel) for c, groups in nodes]
         self.q.append(q_t)
-        try:
-            steps = [decision_step_general(
-                self.g[t][c], t, self._messages(groups, t), self.model,
-                self.rule, self.channel) for c, groups in nodes]
-        except BaseException:  # no half round; the next advance redoes it
-            self.q.pop()
-            raise
         self.g.append([table for table, _ in steps])
         self.drifts.append(drift)
         self.ops.append(ops + sum(n for _, n in steps))
 
-    def _messages(self, groups, t: int):
-        """The core steps' slot groups: each group's horizon-t message,
-        folded by the channel into its slot table."""
-        return [(self.channel.fold(self.q[t][e], t), cond, size)
+    def _messages(self, q: list, groups, t: int):
+        """The core steps' slot groups: each group's horizon-t message in
+        ``q``, folded by the channel into its slot table."""
+        return [(self.channel.fold(q[e], t), cond, size)
                 for (e, cond), size in groups]
 
     def _error(self, t: int, c: int, condition_state: int | None,
@@ -209,7 +211,7 @@ class CavityEngine:
         slot p reading observation ``order[p]`` (p by default), built once
         per key and shared; a table with tie-coin rows has none."""
         check_round(t, len(self.g), "action table")
-        if c not in range(len(self.g[t])):
+        if not is_index(c, len(self.g[t])):
             raise ModelError(f"no action table for class {c!r} at round {t}")
         key = (t, c, order)
         if key not in self._votes:
@@ -249,8 +251,8 @@ class CavityEngine:
                 raise ModelError("own trajectory is not derivable under a "
                                  "stochastic rule; condition on it explicitly")
             own_cond = int(owns[0]) % self.n_actions ** (t - 1)
-        return posterior_general(x, codes, own_cond,
-                                 self._messages(groups, t - 1), self.model)
+        return posterior_general(x, codes, own_cond, self._messages(
+            self.q[t - 1], groups, t - 1), self.model)
 
     def _cavity_table(self, t: int, e: int) -> CavityTable:
         return CavityTable(horizon=t, alphabet_size=self.channel.size,

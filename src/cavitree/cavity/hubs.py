@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import (ModelError, SignalModel, UpdateRule, action_count,
-                     signal_posterior)
+                     is_index, is_int, signal_posterior)
 from ..trees import GraphError, TreeGraph, ball, validate
 from .core import cavity_step_general, posterior_general, round0_table
 from .engine import AllActive, check_input
@@ -76,11 +76,11 @@ def posterior_with_hubs(
     diag = validate(graph)
     if diag is not None:
         raise GraphError(diag)
+    if not (is_index(node, graph.n) and is_int(t) and t >= 0):
+        raise ModelError(f"no posterior for node {node!r} at round {t!r}")
     if node in graph.hubs:
         raise GraphError("posterior at a hub node is not defined by the removal "
                          "construction")
-    if t < 0 or node not in range(graph.n):
-        raise ModelError(f"no posterior for node {node} at round {t}")
     neighbors = graph.observed[node]
     if set(observed) != set(neighbors):
         raise ModelError("observations must cover exactly the observed neighbors")

@@ -24,11 +24,15 @@ class ModelError(ValueError):
     """Invalid model configuration or argument."""
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an int: a NumPy integer counts, a bool, a float
+    or a string does not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def is_index(value, n: int) -> bool:
-    """Whether ``value`` is an int in 0..n-1: a NumPy integer counts, a bool
-    or a float does not."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and 0 <= value < n)
+    """Whether ``value`` is an int in 0..n-1."""
+    return is_int(value) and 0 <= value < n
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .model import (
     UpdateRule,
     UtilityTable,
     action_count,
+    is_int,
     majority_kernel,
     map_decision,
     round0_kernel,
@@ -89,8 +90,8 @@ def unroll(graph, model: SignalModel, rule: UpdateRule,
            t_max: int) -> TrajectoryTensor:
     """Simulate all agents through t_max on every branch of every signal
     vector."""
-    if t_max < 0:
-        raise ModelError(f"t_max must be >= 0, not {t_max}")
+    if not is_int(t_max) or t_max < 0:
+        raise ModelError(f"t_max must be an int >= 0, not {t_max!r}")
     n = graph.n
     n_x = model.n_signals
     n_vec = n_x ** n

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ModelError, SignalModel, UpdateRule, action_count,
-                    round0_kernel)
+                    is_index, is_int, round0_kernel)
 from .trees import ball
 
 _KIND_STATE = 1
@@ -193,8 +193,10 @@ def simulate(
     """
     for name, value, least in (("samples", samples, 1), ("chunk", chunk, 1),
                                ("rounds", rounds, 0)):
-        if value < least:
-            raise ModelError(f"{name} must be >= {least}, not {value}")
+        if not is_int(value) or value < least:
+            raise ModelError(f"{name} must be an int >= {least}, not {value!r}")
+    if not is_index(seed, _MAX_BITS + 1):
+        raise ModelError(f"seed must be an int in 0..2**64 - 1, not {seed!r}")
     n = graph.n
     obs = graph.observed
     if rule.variant == "bayesian" and tables is None:

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .model import is_int
+
 MAX_RETRIES = 1000  # draws of a degree sequence, and of a pairing, per graph
 
 
@@ -190,6 +192,8 @@ class DegreeDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
+        if not all(map(is_int, self.support)):
+            raise GraphError(f"degrees must be ints, not {tuple(self.support)!r}")
         support = tuple(int(d) for d in self.support)
         probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "support", support)
@@ -261,6 +265,8 @@ def sample_configuration_graph(
     a pairing containing a self-loop or a double edge is rejected wholesale,
     each at most ``MAX_RETRIES`` times.
     """
+    if not is_int(n) or n < 0:
+        raise GraphError(f"a graph has an int n >= 0 nodes, not {n!r}")
     rng = np.random.default_rng(seed)
     support = np.array(rho_v.support)
     for _ in range(MAX_RETRIES):
@@ -317,7 +323,7 @@ def _tree_radius_from(i: int, adj: Sequence[Sequence[int]], n: int) -> int:
 def _json_int(value, what: str) -> int:
     """``value`` if it is a JSON integer; a float, string or bool is refused,
     not truncated or parsed."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise GraphError(f"{what} must be a JSON integer, not {value!r}")
     return value
 

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from cavitree.model import SignalModel, TieBreak, TieBreakRule, UpdateRule
+
+# Every run draws the same examples and writes no example database into the
+# checkout; the example count stays hypothesis's default.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

@@ -147,3 +147,12 @@ def test_undirected_dominates_exact_majority(model15, majority, assert_rel):
         bound = undirected_bound_sequence(d, 0.15, 4)
         for t in range(5):
             assert engine.error_probability(t) <= bound.values[t] + 1e-15, (d, t)
+
+
+@pytest.mark.parametrize("bound, d, message", [
+    (undirected_bound_sequence, 2, "d >= 3"),
+    (directed_bound_sequence, 0, "d >= 1"),
+    (chernoff_envelope, 4, "d >= 5")])
+def test_bounds_refuse_degrees_below_their_range(bound, d, message):
+    with pytest.raises(ModelError, match=message):
+        bound(d, 0.15, 2)

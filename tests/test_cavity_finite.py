@@ -364,33 +364,51 @@ def _input_accessor(kind, model, rule):
     hubs stop), with its number of slots and of codes per slot, and calls
     of its engine's accessors at a node, edge or degree it does not have.
     On path_graph(3) node -1 would read as leaf 2, so a leaf's input is
-    asked there."""
+    asked there; True would read as node 1 and 1.0 fail as a list index.
+    Rounds, nodes and degrees that are not ints are asked of every
+    accessor that takes one."""
     if kind == "hubs":
-        def ask(x, codes, node=0):
+        def ask(x, codes, node=0, t=1):
             return posterior_with_hubs(_TRIANGLE, model, rule, node, x,
-                                       dict(zip((1, 2, 3), codes)), 1)
-        return ask, 2, 2, [lambda: ask(0, (0, 0), 3)]
+                                       dict(zip((1, 2, 3), codes)), t)
+        return ask, 2, 2, [partial(ask, 0, (0, 0), node) for node in
+                           (3, 1.0, True, "0")] + [
+            partial(ask, 0, (0, 0), 0, t) for t in (1.0, True, "1")]
     if kind == "regular":
         engine = RegularTreeEngine(model, 3, rule)
         engine.run(2)
+        rounds = [engine.error_probability, engine.cavity_table,
+                  partial(engine.vote_table, c=0),
+                  partial(engine.posterior, 0, (0, 1, 1)), engine.error_curve,
+                  engine.run, partial(engine.dense_decisions, 3)]
         return (lambda x, codes: engine.posterior(x, codes, 2), 3, 4,
                 [lambda: engine.dense_decisions(4, 1),
-                 lambda: engine.error_probability(1, degree=4)])
+                 lambda: engine.error_probability(1, degree=4),
+                 lambda: engine.vote_table(1, True),
+                 lambda: RegularTreeEngine(model, 3.5, rule)] + [
+                    partial(engine.error_probability, 1, degree=d)
+                    for d in (3.0, "3")] + [
+                    partial(call, t) for call in rounds
+                    for t in (1.0, True, "1", 2.5)])
     engine = FiniteTreeEngine(path_graph(3), model, rule)
     engine.run(2)
     if kind == "finite-posterior":
-        def ask(x, codes, node=1):
-            return engine.posterior(node, x, codes, 2)
-        others = [lambda node: engine.error_probability(node, 1)]
-        edges = [lambda: engine.cavity_table(0, 2, 1)]
+        def ask(x, codes, node=1, t=2):
+            return engine.posterior(node, x, codes, t)
+        others = [lambda node, t=1: engine.error_probability(node, t)]
+        edges = [lambda: engine.cavity_table(0, 2, 1),
+                 lambda: engine.cavity_table(1.0, 0, 1),
+                 lambda: engine.cavity_table(True, 0, 1),
+                 lambda: engine.cavity_table(1, 0, 1.0)]
     else:
-        def ask(x, codes, node=1):
-            return engine.decision_kernel(node, 2, x, codes)
-        others = [lambda node: engine.action_table(node, 1)]
+        def ask(x, codes, node=1, t=2):
+            return engine.decision_kernel(node, t, x, codes)
+        others = [lambda node, t=1: engine.action_table(node, t)]
         edges = []
-    calls = [lambda node: ask(0, (0,), node)] + others
-    return ask, 2, 4, edges + [partial(call, node) for node in (-1, 3)
-                               for call in calls]
+    calls = [lambda node, t=2: ask(0, (0,), node, t)] + others
+    return ask, 2, 4, edges + [partial(call, node) for node in
+                               (-1, 3, True, 1.0, "1") for call in calls] + [
+        partial(call, 1, t=t) for t in (1.0, True, "1") for call in calls]
 
 
 @pytest.mark.parametrize("kind", ["regular", "finite-posterior",
@@ -403,7 +421,7 @@ def test_accessors_refuse_inputs_outside_the_table(model15, bayes, kind):
     read as the int it truncates to, nor fails with a TypeError.  So does a
     node, edge or degree the engine does not have: a negative node is not
     read from the end of a list, and none fails with an IndexError or a
-    KeyError."""
+    KeyError; nor does a round, node, edge or degree that is not an int."""
     ask, slots, base, elsewhere = _input_accessor(kind, model15, bayes)
     zeros = (0,) * (slots - 1)
     np.testing.assert_array_equal(
@@ -481,6 +499,18 @@ def test_hub_graph_rejected(model15, bayes):
     graph = TreeGraph(n=3, edges=((0, 1), (1, 2), (0, 2)), hubs=frozenset({2}))
     with pytest.raises(GraphError):
         FiniteTreeEngine(graph, model15, bayes)
+
+
+def test_hub_posterior_refuses_a_cycle_left_by_hub_removal(model15, bayes):
+    graph = TreeGraph(n=4, edges=((0, 1), (1, 2), (0, 2), (2, 3)),
+                      hubs=frozenset({3}))
+    with pytest.raises(GraphError, match="cycle"):
+        posterior_with_hubs(graph, model15, bayes, 0, 0, {1: 0, 2: 0}, 1)
+
+
+def test_hub_posterior_refuses_a_hub_node(model15, bayes):
+    with pytest.raises(GraphError, match="hub node"):
+        posterior_with_hubs(_TRIANGLE, model15, bayes, 2, 0, {0: 0, 1: 0}, 1)
 
 
 def test_loopy_graph_rejected(model15, bayes):

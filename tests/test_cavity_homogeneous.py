@@ -280,6 +280,43 @@ def test_a_failed_round_leaves_no_half_round(model15, bayes, monkeypatch):
             == [fresh.error_probability(t) for t in range(4)])
 
 
+def test_a_failed_cavity_step_leaves_no_half_round(model15, bayes, monkeypatch):
+    """A cavity step that raises, before any decision step of its round
+    runs, leaves no record of the round either."""
+    step = engine_module.cavity_step_general
+
+    def fail_at_round_2(g, t, *args, **kwargs):
+        if t == 2:
+            raise MemoryError
+        return step(g, t, *args, **kwargs)
+
+    engine = RegularTreeEngine(model15, 3, bayes)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "cavity_step_general", fail_at_round_2)
+        with pytest.raises(MemoryError):
+            engine.run(3)
+    assert (len(engine.q), len(engine.g), len(engine.drifts),
+            len(engine.ops)) == (2, 3, 2, 2)
+    engine.run(3)
+    fresh = RegularTreeEngine(model15, 3, bayes)
+    fresh.run(3)
+    assert ([engine.error_probability(t) for t in range(4)]
+            == [fresh.error_probability(t) for t in range(4)])
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_regular_tree_refuses_a_degree_below_1(model15, bayes, d):
+    with pytest.raises(ModelError, match="degree must be"):
+        RegularTreeEngine(model15, d, bayes)
+
+
+def test_majority_refuses_a_model_without_two_actions(majority):
+    model = SignalModel(prior=np.full(3, 1 / 3), likelihood=np.array(
+        [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
+    with pytest.raises(ModelError, match="binary actions"):
+        RegularTreeEngine(model, 3, majority)
+
+
 def test_error_rejects_degree_outside_support(model15, bayes):
     engine = RegularTreeEngine(model15, 3, bayes)
     engine.run(2)

@@ -245,12 +245,32 @@ def test_even_degree_majority_runs_on_the_homogeneous_engine(tmp_path,
     ("--variant", "undirected", "--d", "2000", "--rounds", "1"),
     ("--variant", "directed", "--d", "2000", "--rounds", "1"),
     ("--variant", "chernoff", "--delta0", "nan"),
-], ids=["undirected-large-d", "directed-large-d", "chernoff-nan-delta0"])
+    ("--variant", "chernoff", "--d", "4"),
+], ids=["undirected-large-d", "directed-large-d", "chernoff-nan-delta0",
+        "chernoff-small-d"])
 def test_bounds_bad_input_exit_code(tmp_path, capsys, argv):
-    """A degree whose binomial coefficients overflow a float, and a delta0
-    that is not a probability, are configuration errors."""
+    """A degree whose binomial coefficients overflow a float, a delta0 that
+    is not a probability and a degree below a bound's range are
+    configuration errors."""
     assert run(tmp_path, "bounds", *argv) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--tree", "3:2", "--rule", "majority", "--seed", "-1"),
+     "seed"),
+    (("simulate", "--tree", "3:2", "--rule", "majority", "--seed",
+      str(1 << 64)), "seed"),
+    (("table", "--d", "0"), "degree"),
+], ids=["negative-seed", "seed-past-64-bits", "table-degree-0"])
+def test_out_of_range_input_exits_2_with_one_line(tmp_path, capsys, argv,
+                                                  message):
+    """A seed outside 0..2**64 - 1 would replay another seed's draws under
+    its own name, and a degree below 1 has no tree: each is refused."""
+    assert run(tmp_path, *argv, "--rounds", "1") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not list(tmp_path.iterdir())
 
 
 def test_model_file_flag(tmp_path):

@@ -84,6 +84,27 @@ def test_informative_rows_required():
                     likelihood=np.array([[0.7, 0.3], [0.7, 0.3]]))
 
 
+@pytest.mark.parametrize("prior, likelihood, message", [
+    ([0.5, 0.5], [0.85, 0.15], "n_states, n_signals"),
+    ([[0.5, 0.5]], [[0.85, 0.15], [0.15, 0.85]], "prior must be"),
+    ([0.5, 0.5], [[0.85, 0.15, 0.0]], "n_states, n_signals"),
+    ([0.5, 0.5], [[0.85, 0.25], [0.15, 0.85]], "likelihood row"),
+    ([0.5, 0.5], [[1.1, -0.1], [0.15, 0.85]], "likelihood row")],
+    ids=["flat-likelihood", "2d-prior", "rows-not-states", "row-sum",
+         "negative-entry"])
+def test_malformed_model_refused(prior, likelihood, message):
+    with pytest.raises(ModelError, match=message):
+        SignalModel(prior=np.array(prior), likelihood=np.array(likelihood))
+
+
+@pytest.mark.parametrize("values, message", [
+    ([1.0, 0.0], "2-d"), ([[1.0, 0.0], [0.0, np.nan]], "finite"),
+    ([[1.0, np.inf], [0.0, 1.0]], "finite")])
+def test_malformed_utility_refused(values, message):
+    with pytest.raises(ModelError, match=message):
+        UtilityTable(np.array(values))
+
+
 def test_signal_posterior_symmetric_noise(model15):
     np.testing.assert_allclose(signal_posterior(model15, 0), [0.85, 0.15])
 
@@ -152,6 +173,17 @@ def test_concentrated_posterior_returns_state():
 def test_empty_action_set():
     with pytest.raises(ModelError):
         map_decision(np.array([1.0]), UtilityTable(np.zeros((0, 1))), OWN, 0)
+
+
+def test_decision_refuses_a_posterior_that_does_not_sum_to_1():
+    with pytest.raises(ModelError, match="sum to 1"):
+        map_decision(np.array([0.5, 0.6]), IDENT2, OWN, 0)
+
+
+def test_own_signal_tie_needs_the_signal():
+    with pytest.raises(ModelError, match="requires the agent's signal"):
+        map_decision(np.array([0.5, 0.5]), IDENT2, OWN)
+    assert map_decision(np.array([0.5, 0.5]), IDENT2, OWN, 1) == 1
 
 
 def test_own_signal_needs_correspondence():

@@ -5,7 +5,7 @@ import pytest
 
 from cavitree import oracle
 from cavitree.cavity import FiniteTreeEngine
-from cavitree.model import ModelError, UpdateRule
+from cavitree.model import ModelError, SignalModel, UpdateRule, UtilityTable
 from cavitree.oracle import (
     feasible_set,
     oracle_decision_tables,
@@ -133,6 +133,44 @@ def test_unroll_refuses_a_negative_horizon(model15, bayes):
     as a tensor holding one round that never ran."""
     with pytest.raises(ModelError, match="t_max"):
         unroll(path_graph(3), model15, bayes, -1)
+
+
+@pytest.mark.parametrize("t_max", [1.5, True, "1"])
+def test_unroll_refuses_a_horizon_that_is_not_an_int(model15, bayes, t_max):
+    """1.5 is not a horizon, and True is not read as 1."""
+    with pytest.raises(ModelError, match="t_max"):
+        unroll(path_graph(3), model15, bayes, t_max)
+
+
+def test_unroll_refuses_a_signal_vector_no_state_can_give():
+    """On noiseless signals the neighbours' signals (0, 1) have probability
+    0 in both states, so the Bayesian update has nothing to condition."""
+    model = SignalModel(prior=np.array([0.5, 0.5]), likelihood=np.eye(2))
+    with pytest.raises(ModelError, match="empty feasible set"):
+        unroll(path_graph(2), model, UpdateRule(), 1)
+
+
+def test_queries_refuse_what_the_tensor_does_not_hold(model15, bayes,
+                                                      majority):
+    """Past the horizon, at the wrong arity, on coin-flip branches and,
+    for error probabilities, with more actions than states."""
+    tensor = unroll(path_graph(3), model15, bayes, 1)
+    for call, message in [
+            (lambda: feasible_set(tensor, 1, 0, (0, 0), 2), "unrolled"),
+            (lambda: feasible_set(tensor, 1, 0, (0,), 1), "arity"),
+            (lambda: oracle_error_probability(tensor, 1, 2), "unrolled")]:
+        with pytest.raises(ModelError, match=message):
+            call()
+    coins = unroll(path_graph(3), model15, majority, 1)
+    for call in (lambda: feasible_set(coins, 1, 0, (0, 0), 1),
+                 lambda: oracle_decision_tables(coins)):
+        with pytest.raises(ModelError, match="deterministic rules"):
+            call()
+    rule = UpdateRule(utility=UtilityTable(np.array(
+        [[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]])))
+    three = unroll(path_graph(2), model15, rule, 1)
+    with pytest.raises(ModelError, match="identity payoff"):
+        oracle_error_probability(three, 0, 1)
 
 
 def test_group_renumbers_keys_before_they_leave_int64():

@@ -166,15 +166,25 @@ def test_thread_pool_is_bounded(model15, majority, monkeypatch, samples,
 
 
 @pytest.mark.parametrize("counts", [{"samples": 0}, {"chunk": -4},
-                                    {"chunk": 0}, {"rounds": -1}])
+                                    {"chunk": 0}, {"rounds": -1},
+                                    {"samples": 10.5}, {"rounds": True},
+                                    {"chunk": 4.0}, {"seed": 1.5},
+                                    {"seed": -1}, {"seed": 1 << 64},
+                                    {"seed": True}, {"seed": "1"}])
 def test_simulate_refuses_bad_counts(model15, majority, counts):
     """No sample, no chunk or a negative round count is refused up front,
-    not returned as a scalar tally that ``rate`` cannot index."""
+    not returned as a scalar tally that ``rate`` cannot index; so is a
+    count or seed that is not an int (True is not 1), and a seed outside
+    0..2**64 - 1, which the draws would read modulo 2**64 while the result
+    records it as given."""
     kwargs = {"rounds": 2, "samples": 10, "seed": 0, **counts}
     with pytest.raises(ModelError, match=next(iter(counts))):
         simulate(regular_tree(3, 2), model15, majority, **kwargs)
     assert simulate(regular_tree(3, 2), model15, majority, rounds=0,
                     samples=1, seed=0, chunk=1).errors.shape == (10, 1)
+    for seed in ((1 << 64) - 1, np.uint64((1 << 64) - 1)):
+        assert simulate(regular_tree(3, 2), model15, majority, rounds=0,
+                        samples=1, seed=seed).seed == seed
 
 
 def test_bayesian_requires_tables(model15, bayes):

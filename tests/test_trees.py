@@ -64,6 +64,25 @@ def test_degree_law_refuses_non_finite_probabilities(probs):
         DegreeDistribution((3, 4), np.array(probs))
 
 
+@pytest.mark.parametrize("support", [(3.5, 4.0), ("3", "4"), (True, 4)],
+                         ids=["floats", "strings", "bool"])
+def test_degree_law_refuses_degrees_that_are_not_ints(support):
+    """A degree is an int: 3.5 is not read as 3, "3" as 3, nor True as 1."""
+    with pytest.raises(GraphError, match="ints"):
+        DegreeDistribution(support, np.array([0.5, 0.5]))
+    rho = DegreeDistribution(np.array([3, 4]), np.array([0.5, 0.5]))
+    assert rho.support == (3, 4)
+    assert all(type(d) is int for d in rho.support)
+
+
+@pytest.mark.parametrize("support, probs", [
+    ((3, 4), [1.0]), ((), []), ((3, 3), [0.5, 0.5]), ((-1, 3), [0.5, 0.5])],
+    ids=["mismatched", "empty", "duplicate", "negative"])
+def test_degree_law_refuses_a_malformed_support(support, probs):
+    with pytest.raises(GraphError, match="support"):
+        DegreeDistribution(support, np.array(probs))
+
+
 def test_edge_perspective_single_degree():
     rho = DegreeDistribution((5,), np.array([1.0]))
     out = edge_perspective(rho)
@@ -122,6 +141,20 @@ def test_configuration_locally_treelike():
         radii = np.array(sample.tree_ball_radius)
         fractions.append(np.mean(radii >= 2))
     assert min(fractions) > 0.9
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, True])
+def test_configuration_refuses_a_bad_node_count(n):
+    rho = DegreeDistribution((2,), np.array([1.0]))
+    with pytest.raises(GraphError, match="n >= 0"):
+        sample_configuration_graph(rho, n, seed=0)
+
+
+def test_configuration_refuses_an_odd_degree_sum():
+    """One node of degree 3 has an odd degree sum however often redrawn."""
+    rho = DegreeDistribution((3,), np.array([1.0]))
+    with pytest.raises(BudgetError, match="even degree sequence"):
+        sample_configuration_graph(rho, 1, seed=0)
 
 
 def test_configuration_rejects_exhausted_budget():
@@ -196,3 +229,24 @@ def test_hub_outside_the_graph_refused():
 def test_neighbor_lists_sorted():
     graph = TreeGraph(n=4, edges=((2, 0), (0, 1), (3, 0)))
     assert graph.observed[0] == (1, 2, 3)
+
+
+@pytest.mark.parametrize("edges, directed, message", [
+    (((0, 3),), (), "bad edge"), (((1, 1),), (), "bad edge"),
+    ((), ((0, -1),), "bad edge"), (((0, 1), (1, 0)), (), "duplicate edge"),
+    (((0, 1),), ((1, 0),), "duplicate edge")],
+    ids=["outside", "self-loop", "directed-outside", "twice", "both-kinds"])
+def test_tree_graph_refuses_bad_edges(edges, directed, message):
+    with pytest.raises(GraphError, match=message):
+        TreeGraph(n=3, edges=edges, directed_edges=directed)
+
+
+def test_ball_refuses_a_negative_radius():
+    with pytest.raises(GraphError, match="radius"):
+        ball(path_graph(3), 0, -1)
+
+
+@pytest.mark.parametrize("d, depth", [(0, 2), (3, -1)])
+def test_regular_tree_refuses_bad_arguments(d, depth):
+    with pytest.raises(GraphError, match="d >= 1 and depth >= 0"):
+        regular_tree(d, depth)
