@@ -235,18 +235,19 @@ class CavityEngine:
         from the messages its round-t table was built from.  At t = 0 each
         observed trajectory is empty, code 0, and the posterior is the
         signal's.  Only where one conditions (t >= 2) is the own trajectory
-        read, and refused if signal x's rows disagree on it."""
+        read, from the class's own round-t table, and refused if signal x's
+        rows disagree on it."""
         codes = check_input(x, observed, slots, self.channel.size ** t,
                             self.model.n_signals)
         if t == 0:
             return signal_posterior(self.model, x)
-        prev, groups = self._plans[t - 1][1][c]
+        groups = self._plans[t - 1][1][c][1]
         if order is not None:
-            codes = codes[order]
+            codes = codes[list(order)]
         own_cond = 0
         if t >= 2 and any(cond for (_, cond), _ in groups):
-            truncated = codes[:, 0] % self.channel.size ** (t - 1)
-            owns = self._own_codes(t - 1, prev, x, truncated, slots)
+            owns = self._own_codes(t, c, x, codes[:, 0], slots)
+            owns %= self.n_actions ** t
             if np.any(owns != owns[0]):
                 raise ModelError("own trajectory is not derivable under a "
                                  "stochastic rule; condition on it explicitly")

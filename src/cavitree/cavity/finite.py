@@ -4,9 +4,9 @@ Every directed observation pair (i observes j) carries a message Q_{j->i};
 a message conditions on the observer's trajectory only when the observed
 node observes back (undirected edge).  Tables are shared per structural
 class, one cavity step of weight 1 per edge class, and addressed by node
-and edge; a node's slots are sorted so that the neighbours sending one
-message share a group of exchangeable slots, and a node reads its class's
-table, in the slot space of the class's plan, through its own slot order.
+and edge; a node's slots are sorted once, when its class is interned, so
+that the neighbours sending one message share a group of exchangeable
+slots, and a node reads its class's table through that stored order.
 Every rule runs on the vectorized core: a stochastic one (majority with
 coin-flip ties at even degree, Bayesian with uniform-random ties) gives its
 decision tables coin rows, one per tie-coin outcome, so a node's trajectory
@@ -16,7 +16,7 @@ of a signal.
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import groupby
 
 import numpy as np
 
@@ -45,10 +45,10 @@ class FiniteTreeEngine(CavityEngine):
     Aho-Hopcroft-Ullman tree hashing.  A node's class at t+1 is its class at
     t with the *sorted* (slot class, conditions) pairs of its messages at t:
     slots with equal pairs form a group of exchangeable slots, one multiset
-    per group in the class's ``core.SlotSpace``.  ``action_table``,
-    ``decision_kernel`` and ``posterior`` hand the engine the node's slot
-    order, and the engine checks a node's ``observed`` codes and reads them
-    in that order.  An edge's class is its sender's class with the class of
+    per group in the class's ``core.SlotSpace``.  The sort's permutation is
+    the node's ``slot_order[t+1]``, in which the engine reads the
+    ``observed`` codes of its ``action_table``, ``decision_kernel`` and
+    ``posterior``.  An edge's class is its sender's class with the class of
     the observer's own message at t-1.  Its key starts with its class at
     t-1 and ids follow sorted keys, so a group at t-1 stays together, in
     order, among the sorted pairs at t: the next decision step ranks its
@@ -74,13 +74,15 @@ class FiniteTreeEngine(CavityEngine):
         # Per node i: its slot edges j->i, each with whether it conditions.
         self._slots = [tuple((self.edge_id[(j, i)], i in obs[j]) for j in obs[i])
                        for i in range(n)]
-        # Per round: the class id of every node (edge).
+        # Per round: the class of every node (edge); every node's slot order.
         self.node_class = [[0] * n]
+        self.slot_order = [[()] * n]
         self.edge_class: list[list[int]] = []
 
     def _plan_round(self, t: int):
         """Intern the classes of round t, edges at t and nodes at t+1, whose
-        keys need no tables, and plan one core step per class."""
+        keys need no tables, and plan one core step per class: one sort per
+        node gives its key, its slot order and its class's groups."""
         nodes = self.node_class[t]
         prev = self.edge_class[t - 1] if t else [0] * len(self.edges)
         keys = [(prev[e], -1 if rev is None else prev[rev], nodes[j])
@@ -90,29 +92,26 @@ class FiniteTreeEngine(CavityEngine):
         cavity = []
         for e in members:
             j, rev = self.edges[e][0], self._reverse[e]
-            groups = self._layout(j, t)[1]
+            groups = self._plans[t - 1][1][nodes[j]][1] if t else []
             tau_group = None if rev is None or not t else [
                 pair for pair, _ in groups].index((prev[rev], True))
             cavity.append([(1.0, nodes[j], tau_group, groups)])
 
-        keys = [(nodes[i], tuple(sorted((edge_class[e], cond) for e, cond in slots)))
-                for i, slots in enumerate(self._slots)]
+        keys, orders, shared = [], [], {}
+        for i, slots in enumerate(self._slots):
+            pairs = [(edge_class[e], cond) for e, cond in slots]
+            order = tuple(sorted(range(len(pairs)), key=pairs.__getitem__))
+            orders.append(shared.setdefault(order, order))  # one per order
+            keys.append((nodes[i], tuple(pairs[k] for k in order)))
         node_class, members = _intern(keys)
         self.node_class[t + 1:] = [node_class]
-        return cavity, [(nodes[i], self._layout(i, t + 1)[1]) for i in members]
+        self.slot_order[t + 1:] = [orders]
+        return cavity, [(nodes[i], [(pair, len(list(run)))
+                                    for pair, run in groupby(keys[i][1])])
+                        for i in members]
 
     def advance(self) -> None:
         self._step(*self._planned(self.horizon))
-
-    def _layout(self, i: int, t: int):
-        """Node i's slots in its round-t class's order, and that class's
-        slot groups as ((edge class at t-1, conditions), slots); a round-0
-        table has one input and no slots."""
-        if t == 0:
-            return [], []
-        pairs = [(self.edge_class[t - 1][e], cond) for e, cond in self._slots[i]]
-        return (sorted(range(len(pairs)), key=pairs.__getitem__),
-                sorted(Counter(pairs).items()))
 
     def error_probability(self, node: int, t: int,
                           condition_state: int | None = None) -> float:
@@ -125,7 +124,7 @@ class FiniteTreeEngine(CavityEngine):
         check_address(t, len(self.g), "posterior", node, range(self.graph.n))
         return self._posterior(x, observed, t, self.node_class[t][node],
                                len(self.graph.observed[node]),
-                               self._layout(node, t)[0])
+                               self.slot_order[t][node])
 
     def decision_kernel(self, node: int, t: int, x: int,
                         observed: tuple[int, ...]) -> list[tuple[int, float]]:
@@ -135,7 +134,7 @@ class FiniteTreeEngine(CavityEngine):
                       range(self.graph.n))
         column = self._own_codes(t, self.node_class[t][node], x, observed,
                                  len(self.graph.observed[node]),
-                                 self._layout(node, t)[0])
+                                 self.slot_order[t][node])
         values, counts = np.unique(column, return_counts=True)
         return [(int(v), float(n / len(column))) for v, n in zip(values, counts)]
 
@@ -150,4 +149,4 @@ class FiniteTreeEngine(CavityEngine):
         check_address(t, len(self.g), "action table", node,
                       range(self.graph.n))
         return self.vote_table(t, self.node_class[t][node],
-                               tuple(self._layout(node, t)[0]))
+                               self.slot_order[t][node])

@@ -21,7 +21,7 @@ import time
 from . import __version__, bounds as bounds_mod
 from .cavity import FiniteTreeEngine, RegularTreeEngine
 from .model import ModelError, SignalModel, TieBreakRule, UpdateRule, model_from_json
-from .sim import simulate
+from .sim import check_counts, simulate
 from .trees import BudgetError, GraphError, TreeGraph, graph_from_json, regular_tree
 from .verify import run_verification
 
@@ -77,8 +77,8 @@ def _condition(args, model: SignalModel) -> int | None:
 
 
 def _check_counts(args) -> None:
-    for name, least in (("rounds", 0), ("samples", 1), ("max_t", 0),
-                        ("max_nodes", 2), ("threads", 1)):
+    for name, least in (("rounds", 0), ("max_t", 0), ("max_nodes", 2),
+                        ("threads", 1)):
         value = getattr(args, name, least)
         if value < least:
             raise ModelError(f"--{name.replace('_', '-')} must be >= {least}, "
@@ -180,6 +180,7 @@ def cmd_simulate(args) -> int:
     model, tie, source = _resolve_model(args)
     graph = _resolve_graph(args)
     rule = UpdateRule(args.rule, tie)
+    check_counts(args.rounds, args.samples, args.seed)
     tables = None
     if rule.variant == "bayesian":
         tables = FiniteTreeEngine(graph, model, rule)

@@ -171,6 +171,18 @@ def _majority(votes: np.ndarray, block: np.ndarray, nbr: np.ndarray,
     return v
 
 
+def check_counts(rounds: int, samples: int, seed: int,
+                 chunk: int = 1 << 14) -> None:
+    """Refuse a sample or chunk count below 1, a round count below 0, any
+    of them not an int, and a seed outside 0..2**64 - 1."""
+    for name, value, least in (("samples", samples, 1), ("chunk", chunk, 1),
+                               ("rounds", rounds, 0)):
+        if not is_int(value) or value < least:
+            raise ModelError(f"{name} must be an int >= {least}, not {value!r}")
+    if not is_index(seed, _MAX_BITS + 1):
+        raise ModelError(f"seed must be an int in 0..2**64 - 1, not {seed!r}")
+
+
 def simulate(
     graph,
     model: SignalModel,
@@ -191,12 +203,7 @@ def simulate(
     table object (majority: nodes of one degree) vote in one gather per
     block of nodes, not one per node.
     """
-    for name, value, least in (("samples", samples, 1), ("chunk", chunk, 1),
-                               ("rounds", rounds, 0)):
-        if not is_int(value) or value < least:
-            raise ModelError(f"{name} must be an int >= {least}, not {value!r}")
-    if not is_index(seed, _MAX_BITS + 1):
-        raise ModelError(f"seed must be an int in 0..2**64 - 1, not {seed!r}")
+    check_counts(rounds, samples, seed, chunk)
     n = graph.n
     obs = graph.observed
     if rule.variant == "bayesian" and tables is None:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import is_int
+from .model import is_index, is_int
 
 MAX_RETRIES = 1000  # draws of a degree sequence, and of a pairing, per graph
 
@@ -47,23 +47,24 @@ class TreeGraph:
                                                    repr=False)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise GraphError(f"a graph has n >= 0 nodes, not {self.n}")
-        edges = tuple(tuple(sorted(e)) for e in self.edges)
-        directed = tuple(tuple(e) for e in self.directed_edges)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "directed_edges", directed)
+        _node_count(self.n)
         object.__setattr__(self, "hubs", frozenset(self.hubs))
+        if not all(map(is_int, self.hubs)):
+            raise GraphError(f"hubs must be ints, not {set(self.hubs)}")
         if any(not 0 <= h < self.n for h in self.hubs):
             raise GraphError(f"hubs {sorted(self.hubs)} outside nodes "
                              f"0..{self.n - 1}")
+        directed = tuple(tuple(e) for e in self.directed_edges)
         seen = set()
-        for i, j in edges + directed:
-            if not (0 <= i < self.n and 0 <= j < self.n) or i == j:
-                raise GraphError(f"bad edge ({i}, {j})")
+        for i, j in (*self.edges, *directed):
+            if not (is_index(i, self.n) and is_index(j, self.n)) or i == j:
+                raise GraphError(f"bad edge ({i!r}, {j!r})")
             if (min(i, j), max(i, j)) in seen:
                 raise GraphError(f"duplicate edge between {i} and {j}")
             seen.add((min(i, j), max(i, j)))
+        edges = tuple(tuple(sorted(e)) for e in self.edges)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "directed_edges", directed)
         obs: list[set[int]] = [set() for _ in range(self.n)]
         for i, j in edges:
             obs[i].add(j)
@@ -73,6 +74,13 @@ class TreeGraph:
         object.__setattr__(self, "observed", tuple(tuple(sorted(s)) for s in obs))
         object.__setattr__(self, "adjacency", _sorted_adjacency(
             self.n, edges + directed))
+
+
+def _node_count(n) -> int:
+    """``n`` if it is an int >= 0, else ``GraphError``."""
+    if not is_int(n) or n < 0:
+        raise GraphError(f"a graph has an int n >= 0 nodes, not {n!r}")
+    return n
 
 
 def _sorted_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
@@ -126,8 +134,10 @@ def _trace_cycle(parent: dict[int, int | None], v: int, w: int) -> list[int]:
 
 def ball(graph: TreeGraph, i: int, t: int) -> set[int]:
     """All nodes at support distance <= t from node i."""
-    if t < 0:
-        raise GraphError("ball radius must be >= 0")
+    if not is_index(i, graph.n):
+        raise GraphError(f"no node {i!r} in a graph of {graph.n} nodes")
+    if not is_int(t) or t < 0:
+        raise GraphError(f"ball radius must be an int >= 0, not {t!r}")
     adj = graph.adjacency
     dist = {i: 0}
     queue = deque([i])
@@ -147,12 +157,13 @@ def ball(graph: TreeGraph, i: int, t: int) -> set[int]:
 # ---------------------------------------------------------------------------
 
 def path_graph(n: int) -> TreeGraph:
-    return TreeGraph(n=n, edges=tuple((k, k + 1) for k in range(n - 1)))
+    return TreeGraph(n=n, edges=tuple(
+        (k, k + 1) for k in range(_node_count(n) - 1)))
 
 
 def star_graph(n: int) -> TreeGraph:
     """Center node 0 with n-1 leaves."""
-    return TreeGraph(n=n, edges=tuple((0, k) for k in range(1, n)))
+    return TreeGraph(n=n, edges=tuple((0, k) for k in range(1, _node_count(n))))
 
 
 def _level_tree(arities) -> TreeGraph:
@@ -172,13 +183,17 @@ def regular_tree(d: int, depth: int) -> TreeGraph:
 
     Node 0 is the root; nodes are added level by level.
     """
-    if d < 1 or depth < 0:
-        raise GraphError("need d >= 1 and depth >= 0")
+    if not (is_int(d) and is_int(depth)) or d < 1 or depth < 0:
+        raise GraphError(f"need ints d >= 1 and depth >= 0, not {d!r} and "
+                         f"{depth!r}")
     return _level_tree([d] + [d - 1] * (depth - 1) if depth else [])
 
 
 def rooted_arity_tree(arity: int, depth: int) -> TreeGraph:
     """Rooted tree where every non-leaf has ``arity`` children (root included)."""
+    if not (is_int(arity) and is_int(depth)) or arity < 1 or depth < 0:
+        raise GraphError(f"need ints arity >= 1 and depth >= 0, not {arity!r} "
+                         f"and {depth!r}")
     return _level_tree([arity] * depth)
 
 
@@ -265,8 +280,7 @@ def sample_configuration_graph(
     a pairing containing a self-loop or a double edge is rejected wholesale,
     each at most ``MAX_RETRIES`` times.
     """
-    if not is_int(n) or n < 0:
-        raise GraphError(f"a graph has an int n >= 0 nodes, not {n!r}")
+    _node_count(n)
     rng = np.random.default_rng(seed)
     support = np.array(rho_v.support)
     for _ in range(MAX_RETRIES):
@@ -320,14 +334,6 @@ def _tree_radius_from(i: int, adj: Sequence[Sequence[int]], n: int) -> int:
 # JSON interfaces
 # ---------------------------------------------------------------------------
 
-def _json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; a float, string or bool is refused,
-    not truncated or parsed."""
-    if not is_int(value):
-        raise GraphError(f"{what} must be a JSON integer, not {value!r}")
-    return value
-
-
 def graph_from_json(doc: dict) -> TreeGraph:
     """Read {"n": .., "edges": [[i, j], ..]} with optional "directed_edges"
     and "hubs", every node count and index a JSON integer; a document of
@@ -339,14 +345,10 @@ def graph_from_json(doc: dict) -> TreeGraph:
     if unknown:
         raise GraphError(f"unknown graph field {min(unknown)!r}")
     try:
-        n = _json_int(doc["n"], "n")
-        pairs = {key: tuple((_json_int(i, "an edge endpoint"),
-                             _json_int(j, "an edge endpoint"))
-                            for i, j in doc.get(key, []))
+        n = doc["n"]
+        pairs = {key: tuple((i, j) for i, j in doc.get(key, []))
                  for key in ("edges", "directed_edges")}
-        hubs = frozenset(_json_int(v, "a hub") for v in doc.get("hubs", []))
-    except GraphError:
-        raise
+        hubs = frozenset(doc.get("hubs", []))
     except KeyError as exc:
         raise GraphError(f"graph document missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -1,4 +1,6 @@
 import itertools
+import re
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -118,8 +120,7 @@ def test_posterior_matches_oracle_in_observed_order(model15, bayes):
     tensor = unroll(graph, model15, bayes, 2)
     engine = FiniteTreeEngine(graph, model15, bayes)
     engine.run(2)
-    assert any(engine._layout(i, 2)[0] != sorted(engine._layout(i, 2)[0])
-               for i in range(graph.n))
+    assert any(list(order) != sorted(order) for order in engine.slot_order[2])
     checked = 0
     for i in range(graph.n):
         for (x, obs), _ in oracle_decision_tables(tensor)[i][2].items():
@@ -691,6 +692,11 @@ def test_core_steps_run_once_per_structural_class(model15, bayes, monkeypatch):
             hom.error_probability(t), rel=1e-14)
 
 
+def _groups(engine, i, t):
+    """The slot groups that round t-1's plan gives node i's class at t."""
+    return engine._plans[t - 1][1][engine.node_class[t][i]][1]
+
+
 def test_class_members_share_tables(model15, bayes):
     """Nodes of one class share one action-table object.  At round 1 leaves
     0 and 2 of node 1 are in one class; leaf 5 observes node 1 unobserved,
@@ -708,9 +714,9 @@ def test_class_members_share_tables(model15, bayes):
     for t in range(1, 4):
         assert engine.action_table(0, t) is engine.action_table(2, t), t
     # Round-0 messages are all alike; from round 1 on, 3->1 differs.
-    assert [size for _, size in engine._layout(1, 1)[1]] == [3]
+    assert [size for _, size in _groups(engine, 1, 1)] == [3]
     for t in (2, 3):
-        assert sorted(size for _, size in engine._layout(1, t)[1]) == [1, 2]
+        assert sorted(size for _, size in _groups(engine, 1, t)) == [1, 2]
     for t in range(3):
         e10, e12 = engine.edge_id[(1, 0)], engine.edge_id[(1, 2)]
         assert engine.edge_class[t][e10] == engine.edge_class[t][e12], t
@@ -727,7 +733,7 @@ def test_sorted_slot_class_counts(model15, bayes):
               for t in range(1, 5)]
     assert counts == [(1, 2), (2, 3), (4, 4), (6, 5)]
     for t in range(1, 5):
-        perms = {(engine.node_class[t][i], tuple(engine._layout(i, t)[0]))
+        perms = {(engine.node_class[t][i], engine.slot_order[t][i])
                  for i in range(engine.graph.n)}
         assert len(perms) == counts[t - 1][1], t
 
@@ -737,7 +743,7 @@ def _node_table(engine, i, t):
     every row: the engine's, or, where coin rows leave no action table,
     the stored rows read densely (a table with coin rows is never
     mirrored)."""
-    c, order = engine.node_class[t][i], engine._layout(i, t)[0]
+    c, order = engine.node_class[t][i], engine.slot_order[t][i]
     if engine.g[t][c].rows > engine.model.n_signals:
         return engine.g[t][c].dense(order)
     return engine._decisions(t, c, order)
@@ -827,3 +833,57 @@ def test_class_schedule_matches_per_edge_schedule(model30, name, graph,
             np.testing.assert_allclose(engine.cavity_table(j, i, t).array,
                                        table, rtol=0, atol=1e-15)
     np.testing.assert_allclose(engine.drifts, drifts, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("graph", [_MIXED, regular_tree(3, 3),
+                                   rooted_arity_tree(2, 3)],
+                         ids=["mixed", "regular3", "arity2"])
+def test_stored_slot_order_sorts_each_nodes_pairs(model15, bayes, graph):
+    """Each node's stored order at round t is the stable sort of its (edge
+    class at t-1, conditions) pairs, and its class's plan groups are the
+    run lengths of the sorted pairs; a round-0 table has no slots."""
+    engine = FiniteTreeEngine(graph, model15, bayes)
+    engine.run(3)
+    assert engine.slot_order[0] == [()] * graph.n
+    for t in range(1, 4):
+        for i, observed in enumerate(graph.observed):
+            pairs = [(engine.edge_class[t - 1][engine.edge_id[(j, i)]],
+                      i in graph.observed[j]) for j in observed]
+            order = sorted(range(len(pairs)), key=lambda k: pairs[k])
+            assert engine.slot_order[t][i] == tuple(order), (t, i)
+            assert _groups(engine, i, t) == sorted(Counter(pairs).items()), (
+                t, i)
+
+
+def test_refused_plan_leaves_the_earlier_rounds_readable(model15, bayes):
+    """A plan refused over budget leaves its node classes and slot orders
+    behind; the rounds run afterwards read as on a fresh engine."""
+    graph = regular_tree(3, 2)
+    engine, fresh = (FiniteTreeEngine(graph, model15, bayes)
+                     for _ in range(2))
+    with pytest.raises(BudgetError):
+        engine.run(12)
+    assert len(engine.slot_order) > 3
+    engine.run(2)
+    fresh.run(2)
+    checked = 0
+    for t in range(3):
+        for i, observed in enumerate(graph.observed):
+            assert engine.action_table(i, t).tobytes() == (
+                fresh.action_table(i, t).tobytes())
+            for codes in itertools.product(range(2 ** t),
+                                           repeat=len(observed)):
+                for x in (0, 1):
+                    assert (engine.decision_kernel(i, t, x, codes)
+                            == fresh.decision_kernel(i, t, x, codes))
+                    try:
+                        want = fresh.posterior(i, x, codes, t)
+                    except ModelError as exc:
+                        with pytest.raises(ModelError, match=re.escape(
+                                str(exc))):
+                            engine.posterior(i, x, codes, t)
+                        continue
+                    assert engine.posterior(i, x, codes, t).tobytes() == (
+                        want.tobytes())
+                    checked += 1
+    assert checked > 0

@@ -4,6 +4,7 @@ import hashlib
 import pytest
 
 import cavitree.cavity.engine as engine_module
+import cavitree.cli as cli
 from cavitree.cli import main
 from cavitree.model import SignalModel
 
@@ -271,6 +272,21 @@ def test_out_of_range_input_exits_2_with_one_line(tmp_path, capsys, argv,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and message in err[0]
     assert not list(tmp_path.iterdir())
+
+
+def test_simulate_checks_its_counts_before_building_tables(tmp_path, capsys,
+                                                          monkeypatch):
+    """A refused seed or sample count exits 2 before the Bayesian tables
+    are built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("tables built before the counts were checked")
+
+    monkeypatch.setattr(cli, "FiniteTreeEngine", refuse)
+    for option, value in (("--seed", "-1"), ("--samples", "0")):
+        assert run(tmp_path, "simulate", "--tree", "5:5", "--rounds", "4",
+                   option, value) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and option[2:] in err[0]
 
 
 def test_model_file_flag(tmp_path):

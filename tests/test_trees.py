@@ -13,6 +13,7 @@ from cavitree.trees import (
     regular_tree,
     rooted_arity_tree,
     sample_configuration_graph,
+    star_graph,
     validate,
 )
 
@@ -186,19 +187,19 @@ def test_graph_json_malformed(doc):
         graph_from_json(doc)
 
 
-@pytest.mark.parametrize("doc", [
-    {"n": 2.7, "edges": [[0, 1]]},
-    {"n": 2, "edges": [[0, 1.9]]},
-    {"n": "3"},
-    {"n": True},
-    {"n": 3, "directed_edges": [[0, True]]},
-    {"n": 3, "hubs": [1.0]},
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 2.7, "edges": [[0, 1]]}, "int n >= 0 nodes, not 2.7"),
+    ({"n": 2, "edges": [[0, 1.9]]}, r"bad edge \(0, 1.9\)"),
+    ({"n": "3"}, "int n >= 0 nodes, not '3'"),
+    ({"n": True}, "int n >= 0 nodes, not True"),
+    ({"n": 3, "directed_edges": [[0, True]]}, r"bad edge \(0, True\)"),
+    ({"n": 3, "hubs": [1.0]}, "hubs must be ints"),
 ], ids=["float-n", "float-endpoint", "string-n", "bool-n",
         "bool-directed-endpoint", "float-hub"])
-def test_graph_json_refuses_non_integers(doc):
+def test_graph_json_refuses_non_integers(doc, message):
     """Node counts and indices are JSON integers; nothing is truncated or
-    parsed into one."""
-    with pytest.raises(GraphError, match="JSON integer"):
+    parsed into one.  ``TreeGraph`` makes the check."""
+    with pytest.raises(GraphError, match=message):
         graph_from_json(doc)
 
 
@@ -250,3 +251,41 @@ def test_ball_refuses_a_negative_radius():
 def test_regular_tree_refuses_bad_arguments(d, depth):
     with pytest.raises(GraphError, match="d >= 1 and depth >= 0"):
         regular_tree(d, depth)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TreeGraph(n=True), "int n >= 0"),
+    (lambda: TreeGraph(n=2.0, edges=((0, 1),)), "int n >= 0"),
+    (lambda: TreeGraph(n=3, hubs={1.0}), "hubs must be ints"),
+    (lambda: TreeGraph(n=3, edges=((0, 1.0),)), "bad edge"),
+    (lambda: TreeGraph(n=3, directed_edges=((0, "1"),)), "bad edge"),
+    (lambda: ball(path_graph(3), 0, 1.5), "radius"),
+    (lambda: ball(path_graph(3), 5, 1), "no node 5"),
+    (lambda: ball(path_graph(3), 1.0, 1), "no node 1.0"),
+    (lambda: regular_tree(3, 1.5), "d >= 1 and depth >= 0"),
+    (lambda: path_graph(2.5), "int n >= 0"),
+    (lambda: star_graph("3"), "int n >= 0"),
+    (lambda: rooted_arity_tree(2, -1), "arity >= 1 and depth >= 0"),
+    (lambda: rooted_arity_tree(-2, 2), "arity >= 1 and depth >= 0"),
+    (lambda: rooted_arity_tree(2.0, 2), "arity >= 1 and depth >= 0"),
+], ids=["bool-n", "float-n", "float-hub", "float-endpoint",
+        "string-directed-endpoint", "float-radius", "ball-outside",
+        "float-centre", "regular-float-depth", "path-float-n",
+        "star-string-n", "arity-negative-depth", "arity-negative",
+        "arity-float"])
+def test_graph_arguments_must_be_ints(build, message):
+    """Node counts, endpoints, hubs, centres, radii, degrees and depths that
+    are not ints in range are refused with ``GraphError``, not truncated,
+    failed on with a bare ``TypeError`` or turned into a one-node tree."""
+    with pytest.raises(GraphError, match=message):
+        build()
+
+
+def test_graph_arguments_take_numpy_ints():
+    n, zero, one, two = (np.int64(v) for v in (3, 0, 1, 2))
+    graph = TreeGraph(n=n, edges=((zero, one),), directed_edges=((two, one),),
+                      hubs={two})
+    assert graph.observed == ((1,), (0,), (1,))
+    assert ball(graph, zero, one) == {0, 1}
+    assert [path_graph(n).n, star_graph(n).n, regular_tree(n, one).n,
+            rooted_arity_tree(two, two).n] == [3, 3, 4, 7]
