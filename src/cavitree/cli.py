@@ -77,8 +77,7 @@ def _condition(args, model: SignalModel) -> int | None:
 
 
 def _check_counts(args) -> None:
-    for name, least in (("rounds", 0), ("max_t", 0), ("max_nodes", 2),
-                        ("threads", 1)):
+    for name, least in (("rounds", 0), ("max_t", 0), ("max_nodes", 2)):
         value = getattr(args, name, least)
         if value < least:
             raise ModelError(f"--{name.replace('_', '-')} must be >= {least}, "
@@ -180,7 +179,7 @@ def cmd_simulate(args) -> int:
     model, tie, source = _resolve_model(args)
     graph = _resolve_graph(args)
     rule = UpdateRule(args.rule, tie)
-    check_counts(args.rounds, args.samples, args.seed)
+    check_counts(args.rounds, args.samples, args.seed, threads=args.threads)
     tables = None
     if rule.variant == "bayesian":
         tables = FiniteTreeEngine(graph, model, rule)

@@ -172,11 +172,11 @@ def _majority(votes: np.ndarray, block: np.ndarray, nbr: np.ndarray,
 
 
 def check_counts(rounds: int, samples: int, seed: int,
-                 chunk: int = 1 << 14) -> None:
-    """Refuse a sample or chunk count below 1, a round count below 0, any
-    of them not an int, and a seed outside 0..2**64 - 1."""
+                 chunk: int = 1 << 14, threads: int = 1) -> None:
+    """Refuse a sample, chunk or thread count below 1, a round count below
+    0, any of them not an int, and a seed outside 0..2**64 - 1."""
     for name, value, least in (("samples", samples, 1), ("chunk", chunk, 1),
-                               ("rounds", rounds, 0)):
+                               ("threads", threads, 1), ("rounds", rounds, 0)):
         if not is_int(value) or value < least:
             raise ModelError(f"{name} must be an int >= {least}, not {value!r}")
     if not is_index(seed, _MAX_BITS + 1):
@@ -203,7 +203,7 @@ def simulate(
     table object (majority: nodes of one degree) vote in one gather per
     block of nodes, not one per node.
     """
-    check_counts(rounds, samples, seed, chunk)
+    check_counts(rounds, samples, seed, chunk, threads)
     n = graph.n
     obs = graph.observed
     if rule.variant == "bayesian" and tables is None:
@@ -323,6 +323,8 @@ class DegreeTables:
         self._class = [engine.degrees.index(d) for d in deg]
 
     def action_table(self, node: int, t: int) -> np.ndarray:
+        if not is_index(node, len(self._class)):
+            raise ModelError(f"no action table for node {node!r} in this graph")
         return self.engine.vote_table(t, self._class[node])
 
 

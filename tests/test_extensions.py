@@ -318,7 +318,7 @@ def test_hub_outside_ball_is_skipped(model15, bayes):
 
 
 def test_hub_free_tree_keeps_directed_edges(model15, bayes):
-    """At t = 2 the hub lies outside node 0's ball, and the hub-free tree
+    """At t = 2 the hub lies outside node 0's ball, and the split tree
     keeps the directed edge 1 -> 3, so every feasible posterior equals the
     brute-force one on the loopy graph."""
     edges = ((0, 1), (1, 2), (2, 5), (3, 5), (4, 5))
@@ -347,18 +347,27 @@ def test_hub_beyond_t1_raises(model15, bayes):
         posterior_with_hubs(TRIANGLE, model15, bayes, 0, 0, {1: 0, 2: 0}, 2)
 
 
-def test_hub_round0_is_built_once_per_model_and_rule(bayes, majority,
-                                                     monkeypatch):
-    """t <= 1 hub posteriors run the round-0 cavity step once per (model,
-    rule), an equal model built anew included, and repeated calls return
-    the same posterior bit for bit."""
+def _count_engines(monkeypatch):
+    """Start hub posteriors from an empty engine cache, and return the list
+    that records each engine they build."""
     import cavitree.cavity.hubs as hubs_module
-    from cavitree.model import SignalModel
 
     calls = []
-    step = hubs_module.cavity_step_general
-    monkeypatch.setattr(hubs_module, "cavity_step_general",
-                        lambda *args: calls.append(args) or step(*args))
+    build = hubs_module.FiniteTreeEngine
+    monkeypatch.setattr(hubs_module, "_ENGINE", {})
+    monkeypatch.setattr(hubs_module, "FiniteTreeEngine",
+                        lambda *args: calls.append(args) or build(*args))
+    return calls
+
+
+def test_hub_engine_is_built_once_per_model_and_rule(bayes, majority,
+                                                     monkeypatch):
+    """Hub posteriors build the split tree's engine once per (graph, model,
+    rule), an equal model built anew included, and repeated calls return
+    the same posterior bit for bit."""
+    from cavitree.model import SignalModel
+
+    calls = _count_engines(monkeypatch)
 
     def posteriors(model, rule):
         return [posterior_with_hubs(TRIANGLE, model, rule, 0, x,
@@ -366,7 +375,6 @@ def test_hub_round0_is_built_once_per_model_and_rule(bayes, majority,
                 for t, x, v, w in itertools.product((0, 1), repeat=4)
                 if t or v == w == 0]  # round-0 trajectories are empty
 
-    # A noise level no other test uses, so nothing is built before.
     model = SignalModel.binary_symmetric(0.21)
     first = posteriors(model, bayes)
     for same in (model, SignalModel.binary_symmetric(0.21)):
@@ -376,3 +384,86 @@ def test_hub_round0_is_built_once_per_model_and_rule(bayes, majority,
     posteriors(model, majority)
     posteriors(SignalModel.binary_symmetric(0.22), bayes)
     assert len(calls) == 3
+
+
+def test_hub_calls_past_round_one_share_one_engine(model15, bayes,
+                                                   monkeypatch):
+    from cavitree.trees import path_graph
+
+    calls = _count_engines(monkeypatch)
+    graph = path_graph(6)
+    for k in range(50):
+        posterior_with_hubs(graph, model15, bayes, 2, k % 2,
+                            {1: 0, 3: 0}, 2)
+    assert len(calls) == 1
+
+
+def test_hub_split_gives_each_observer_a_leaf():
+    """Each agent keeps its observed count in the split: one leaf per
+    (agent, observed hub) pair, none for a hub it does not observe, no
+    edge between hubs, and the directed edges between agents."""
+    from cavitree.cavity.hubs import _split
+
+    graph = TreeGraph(n=7, edges=((0, 1), (0, 4), (1, 4), (4, 5), (2, 5),
+                                  (5, 6)),
+                      directed_edges=((1, 2), (3, 6), (6, 0)),
+                      hubs=frozenset({4, 5, 6}))
+    tree, node = _split(graph)
+    agents = [0, 1, 2, 3]
+    leaves = {(0, 4), (1, 4), (2, 5), (3, 6)}  # hub 6 observes 0, not back
+    assert set(node) == set(agents) | leaves
+    assert sorted(node.values()) == list(range(tree.n))
+    for a in agents:
+        assert [node.get(j, node.get((a, j))) for j in graph.observed[a]] \
+            == list(tree.observed[node[a]])
+    for a, h in leaves:
+        assert tree.observed[node[a, h]] == (node[a],)
+        assert (node[a], node[a, h]) in tree.edges
+    assert tree.directed_edges == ((node[1], node[2]),)
+    assert tree.hubs == frozenset()
+
+
+def test_refused_hub_run_keeps_the_engine_usable(model15, bayes):
+    """The split of a hub-free tree is the tree itself; a run refused for
+    its budget leaves the kept engine answering as a fresh one."""
+    graph = regular_tree(3, 2)
+    with pytest.raises(BudgetError):
+        posterior_with_hubs(graph, model15, bayes, 0, 0, {1: 0, 2: 0, 3: 0},
+                            12)
+    fresh = FiniteTreeEngine(graph, model15, bayes)
+    fresh.run(2)
+    for t, codes in ((1, (0, 1, 1)), (2, (0, 2, 3))):
+        got = posterior_with_hubs(graph, model15, bayes, 0, 1,
+                                  dict(zip((1, 2, 3), codes)), t)
+        assert got.tobytes() == fresh.posterior(0, 1, codes, t).tobytes()
+
+
+def test_hub_majority_refuses_an_agent_who_observes_no_one(model15,
+                                                           majority):
+    """Node 3 observes no one, so the split tree's engine refuses majority
+    on the whole graph, as the hub-free engine, the simulator and the
+    oracle do."""
+    graph = TreeGraph(n=4, edges=((0, 1), (0, 2), (1, 2)),
+                      hubs=frozenset({2}))
+    with pytest.raises(ModelError, match="at least one neighbor"):
+        posterior_with_hubs(graph, model15, majority, 0, 0, {1: 1, 2: 0}, 1)
+
+
+def test_hub_majority_past_round_one_matches_loopy_oracle(model15, majority):
+    """Nodes 3 and 4 observe only the hub, which lies outside node 0's
+    radius-2 ball: under majority (coin ties at node 2) each feasible
+    posterior is the brute-force one on the loopy graph."""
+    edges = ((0, 1), (1, 2), (2, 5), (3, 5), (4, 5))
+    graph = TreeGraph(n=6, edges=edges, directed_edges=((1, 3),),
+                      hubs=frozenset({5}))
+    tensor = unroll(TreeGraph(n=6, edges=edges, directed_edges=((1, 3),)),
+                    model15, majority, 1)
+    for x, code in itertools.product((0, 1), range(4)):
+        seen = ((tensor.signal_digits[0][tensor.vectors] == x)
+                & (tensor.trajs[1][1] == code))
+        w = model15.prior * np.array(
+            [(tensor.weights * tensor.signal_probs[s][tensor.vectors])[seen]
+             .sum() for s in (0, 1)])
+        post = posterior_with_hubs(graph, model15, majority, 0, x,
+                                   {1: code}, 2)
+        np.testing.assert_allclose(post, w / w.sum(), atol=1e-12)

@@ -170,13 +170,15 @@ def test_thread_pool_is_bounded(model15, majority, monkeypatch, samples,
                                     {"samples": 10.5}, {"rounds": True},
                                     {"chunk": 4.0}, {"seed": 1.5},
                                     {"seed": -1}, {"seed": 1 << 64},
-                                    {"seed": True}, {"seed": "1"}])
+                                    {"seed": True}, {"seed": "1"},
+                                    {"threads": 0}, {"threads": -3},
+                                    {"threads": True}, {"threads": 2.5}])
 def test_simulate_refuses_bad_counts(model15, majority, counts):
-    """No sample, no chunk or a negative round count is refused up front,
-    not returned as a scalar tally that ``rate`` cannot index; so is a
-    count or seed that is not an int (True is not 1), and a seed outside
-    0..2**64 - 1, which the draws would read modulo 2**64 while the result
-    records it as given."""
+    """No sample, chunk or thread, or a negative round count, is refused
+    up front, not returned as a scalar tally that ``rate`` cannot index; so
+    is a count or seed that is not an int (True is not 1), and a seed
+    outside 0..2**64 - 1, which the draws would read modulo 2**64 while the
+    result records it as given."""
     kwargs = {"rounds": 2, "samples": 10, "seed": 0, **counts}
     with pytest.raises(ModelError, match=next(iter(counts))):
         simulate(regular_tree(3, 2), model15, majority, **kwargs)
@@ -400,6 +402,16 @@ def test_degree_tables_share_one_array_per_degree(model15, bayes):
             table = first.action_table(nodes[0], t)
             assert all(second.action_table(i, t) is table for i in nodes)
             assert all(first.action_table(i, t) is table for i in nodes)
+
+
+@pytest.mark.parametrize("node", [-1, True, 20, 1.0])
+def test_degree_tables_refuse_a_node_outside_the_graph(model15, bayes, node):
+    rho = DegreeDistribution((3, 4), np.array([0.5, 0.5]))
+    graph = sample_configuration_graph(rho, 20, seed=3)
+    engine = ConfigModelEngine(model15, rho, bayes)
+    engine.run(1)
+    with pytest.raises(ModelError, match="no action table for node"):
+        DegreeTables(engine, graph).action_table(node, 1)
 
 
 def test_degree_tables_refuse_a_round_past_the_tables(model15, bayes):
