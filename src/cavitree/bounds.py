@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelError
+from .model import ModelError, is_int
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,9 @@ class BoundSequence:
 
 def binomial_tail(n: int, k0: int, q: float) -> float:
     """P(Binomial(n, q) >= k0) by direct summation of exact coefficients."""
+    if not (is_int(n) and is_int(k0)) or n < 0:
+        raise ModelError(f"binomial_tail needs ints n >= 0 and k0, not "
+                         f"n={n!r}, k0={k0!r}")
     if k0 <= 0:
         return 1.0
     if k0 > n:
@@ -49,6 +52,15 @@ def binomial_tail(n: int, k0: int, q: float) -> float:
     return min(total, 1.0)
 
 
+def _check_degree(d: int, least: int, message: str) -> None:
+    """Refuse a degree that is not an int, or one below ``least`` with
+    ``message``."""
+    if not is_int(d):
+        raise ModelError(f"d must be an int, not {d!r}")
+    if d < least:
+        raise ModelError(message)
+
+
 def _ceil_threshold(value: float) -> int:
     return math.ceil(value - 1e-12)
 
@@ -58,6 +70,8 @@ def _sequence(d: int, delta0: float, rounds: int, step,
     """delta0 and ``rounds`` iterates of delta_{t+1} = step(delta_t)."""
     if not 0.0 <= delta0 <= 1.0:
         raise ModelError("delta0 must be a probability")
+    if not is_int(rounds) or rounds < 0:
+        raise ModelError(f"rounds must be an int >= 0, not {rounds!r}")
     vals = [delta0]
     for _ in range(rounds):
         vals.append(step(vals[-1]))
@@ -68,8 +82,7 @@ def undirected_bound_sequence(d: int, delta0: float, rounds: int) -> BoundSequen
     """delta_t = P(Binomial(d-1, delta_{t-1}) >= d/2 - 1), from Lemma-style
     conditioning on a pair of adjacent trajectories; an upper bound on the
     exact majority error at every round."""
-    if d < 3:
-        raise ModelError("undirected recursion needs d >= 3")
+    _check_degree(d, 3, "undirected recursion needs d >= 3")
     k0 = _ceil_threshold(d / 2 - 1)
     return _sequence(d, delta0, rounds, lambda p: binomial_tail(d - 1, k0, p),
                      "undirected")
@@ -77,8 +90,7 @@ def undirected_bound_sequence(d: int, delta0: float, rounds: int) -> BoundSequen
 
 def directed_bound_sequence(d: int, delta0: float, rounds: int) -> BoundSequence:
     """delta_t = P(Binomial(d, delta_{t-1}) >= d/2) on the directed d-ary tree."""
-    if d < 1:
-        raise ModelError("directed recursion needs d >= 1")
+    _check_degree(d, 1, "directed recursion needs d >= 1")
     k0 = _ceil_threshold(d / 2)
     return _sequence(d, delta0, rounds, lambda p: binomial_tail(d, k0, p),
                      "directed")
@@ -86,8 +98,7 @@ def directed_bound_sequence(d: int, delta0: float, rounds: int) -> BoundSequence
 
 def chernoff_envelope(d: int, delta0: float, rounds: int) -> BoundSequence:
     """Iterate delta_{t+1} = (2e delta_t (d-1)/(d-2))^((d-2)/2) as an equality."""
-    if d < 5:
-        raise ModelError("the Chernoff envelope is stated for d >= 5")
+    _check_degree(d, 5, "the Chernoff envelope is stated for d >= 5")
     coeff = 2.0 * math.e * (d - 1) / (d - 2)
     expo = (d - 2) / 2.0
     return _sequence(d, delta0, rounds,
@@ -98,8 +109,7 @@ def chernoff_envelope(d: int, delta0: float, rounds: int) -> BoundSequence:
 def noise_threshold(d: int) -> float:
     """Initial noise below which the envelope contracts:
     (2e(d-1)/(d-2))^(-(d-2)/(d-4)); defined for d > 4."""
-    if d <= 4:
-        raise ModelError("noise threshold formula requires d > 4")
+    _check_degree(d, 5, "noise threshold formula requires d > 4")
     return (2.0 * math.e * (d - 1) / (d - 2)) ** (-(d - 2) / (d - 4))
 
 
@@ -110,7 +120,7 @@ def doubling_slope(errors: Sequence[float]) -> dict:
     stretch (as in saturated majority sequences) clears it.
     """
     p = np.asarray(errors, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ModelError("slopes need error probabilities strictly inside (0, 1)")
     loglog = np.log(-np.log(p))
     slopes = np.diff(loglog)

@@ -43,6 +43,7 @@ class ErasureChannel:
         self.n_actions = n_actions
         self.size = n_actions + 1
         self.p = p
+        self._folds: dict[int, tuple[np.ndarray, ...]] = {}
 
     def emit(self, out: np.ndarray, tau: np.ndarray, t: int):
         """Observed codes of action trajectories ``out`` through round t.
@@ -60,17 +61,26 @@ class ErasureChannel:
 
     def fold(self, q: np.ndarray, h: int) -> np.ndarray:
         """Slot table Q~_h[c, a, s] of the horizon-h message ``q``."""
-        n_a, e = self.n_actions, self.size
-        c = np.arange(e ** (h + 1), dtype=np.int64)[:, None]
-        a = np.arange(n_a ** h, dtype=np.int64)[None, :]
-        tau = np.zeros((c.shape[0], a.shape[1]), dtype=np.int64)
-        fired = np.zeros_like(c)
-        for r in range(h):
-            active = (c // e ** r) % e != n_a
-            tau += np.where(active, (a // n_a ** r) % n_a, n_a) * e ** r
-            fired += active
-        bern = self.p ** fired * (1.0 - self.p) ** (h - fired)
-        return bern[:, :, None] * q[c, tau]
+        c, tau, bern = self._fold_index(h)
+        return bern * q[c, tau]
+
+    def _fold_index(self, h: int) -> tuple[np.ndarray, ...]:
+        """The fold's gather at horizon h, built once per horizon: each
+        observed code c, the masked code tau[c, a] of each action
+        trajectory a, and bern_h(pat(c)) as a (codes, 1, 1) column."""
+        if h not in self._folds:
+            n_a, e = self.n_actions, self.size
+            c = np.arange(e ** (h + 1), dtype=np.int64)[:, None]
+            a = np.arange(n_a ** h, dtype=np.int64)[None, :]
+            tau = np.zeros((c.shape[0], a.shape[1]), dtype=np.int64)
+            fired = np.zeros_like(c)
+            for r in range(h):
+                active = (c // e ** r) % e != n_a
+                tau += np.where(active, (a // n_a ** r) % n_a, n_a) * e ** r
+                fired += active
+            bern = self.p ** fired * (1.0 - self.p) ** (h - fired)
+            self._folds[h] = c, tau, bern[:, :, None]
+        return self._folds[h]
 
 
 class ActiveEdgeEngine(RegularTreeEngine):

@@ -252,7 +252,7 @@ class SlotSpace:
         for lo, k, size in reversed(self._groups):
             j *= size
             for i in range(k):
-                j += self._colex[i][rows[lo + i]]
+                j += self._colex[i].take(rows[lo + i])
         return j
 
     def cavity(self, group: int | None):
@@ -363,6 +363,15 @@ def _multiply_slots(product: np.ndarray, digits, slot_rows, own_cond):
             idx += own_cond
         for s, row in enumerate(rows):
             np.multiply(product[s], row.take(idx), out=product[s])
+
+
+def _low_digits(a: np.ndarray, m: int) -> np.ndarray:
+    """a % m for an array of ints >= 0, computed as a - a // m * m in one
+    new array: the same integers, since NumPy's % costs several times more
+    than a floor division and a multiply, on narrow ints most of all."""
+    low = a // m
+    low *= m
+    return np.subtract(a, low, out=low)
 
 
 def coin_values(n_actions: int) -> int:
@@ -477,7 +486,7 @@ def cavity_step_general(
         tau_digit = digits[0] if first else np.zeros(n, dtype=np.int64)
         outs = g.rows_at(digits, order)
         for r, out_codes in zip(range(1 if flip else g.rows), outs):
-            cond = out_codes % cond_mod
+            cond = _low_digits(out_codes, cond_mod)
             segs = [(_sorted_segments(codes * n_tau + tau_digit, n_out * n_tau),
                      weight)
                     for codes, weight in channel.emit(out_codes, tau_digit, t)]
@@ -605,7 +614,7 @@ def decision_step_general(
     for start in range(0, total, CHUNK):
         stop = min(start + CHUNK, total)
         digits, count = space.build(start, stop)
-        owns = g_prev.rows_at(digits % m)
+        owns = g_prev.rows_at(_low_digits(digits, m))
         cols = slice(start, stop)
         product, post, total_mass = (buf[..., :stop - start] for buf in buffers)
         if not bayesian:
@@ -615,7 +624,7 @@ def decision_step_general(
                         for u in range(coins)]
         for r, own in zip(range(1 if flip else rows_prev), owns):
             x = r % n_x
-            own_cond = own % n_actions ** t
+            own_cond = _low_digits(own, n_actions ** t)
             product[:] = 1.0
             _multiply_slots(product, digits, slot_rows, own_cond)
             if bayesian:

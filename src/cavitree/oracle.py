@@ -27,6 +27,7 @@ from .model import (
     UpdateRule,
     UtilityTable,
     action_count,
+    is_index,
     is_int,
     majority_kernel,
     map_decision,
@@ -180,6 +181,16 @@ def unroll(graph, model: SignalModel, rule: UpdateRule,
 # Queries
 # ---------------------------------------------------------------------------
 
+def _check_query(tensor: TrajectoryTensor, i: int, t: int) -> None:
+    """Refuse a node outside the graph or a round the tensor does not hold;
+    a negative index is not counted from the end."""
+    if not is_index(i, tensor.graph.n):
+        raise ModelError(f"node {i!r} outside 0..{tensor.graph.n - 1}")
+    if not is_index(t, tensor.horizon + 1):
+        raise ModelError(f"no round {t!r}: tensor only unrolled through "
+                         f"t={tensor.horizon}")
+
+
 def feasible_set(tensor: TrajectoryTensor, i: int, x_i: int,
                  observed: tuple[int, ...] | None, t: int = 0) -> np.ndarray:
     """Signal-vector indices consistent with (x_i, neighbor trajectories through t).
@@ -191,10 +202,9 @@ def feasible_set(tensor: TrajectoryTensor, i: int, x_i: int,
     """
     if not tensor.deterministic:
         raise ModelError("feasible sets are defined for deterministic rules")
+    _check_query(tensor, i, t)
     if observed is None:
         return np.flatnonzero(tensor.signal_digits[i] == x_i)
-    if t > tensor.horizon:
-        raise ModelError(f"tensor only unrolled through t={tensor.horizon}")
     nbrs = tensor.graph.observed[i]
     if len(observed) != len(nbrs):
         raise ModelError("observation arity does not match the neighborhood")
@@ -214,8 +224,7 @@ def oracle_decision_tables(tensor: TrajectoryTensor):
 def oracle_error_probability(tensor: TrajectoryTensor, i: int, t: int,
                              condition_state: int | None = None) -> float:
     """P(vote of i at round t differs from the state), identity payoff."""
-    if t > tensor.horizon:
-        raise ModelError(f"tensor only unrolled through t={tensor.horizon}")
+    _check_query(tensor, i, t)
     model = tensor.model
     if tensor.n_actions != model.n_states:
         raise ModelError("error probability assumes the identity payoff")

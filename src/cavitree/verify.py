@@ -27,7 +27,7 @@ import numpy as np
 
 from .cavity import CouplingError, FiniteTreeEngine, RegularTreeEngine
 from .cavity.core import COUPLING_TOL, error_from_sums
-from .model import ModelError, SignalModel, UpdateRule
+from .model import ModelError, SignalModel, UpdateRule, is_int
 from .oracle import oracle_decision_tables, oracle_error_probability, unroll
 from .trees import TreeGraph, path_graph, rooted_arity_tree, star_graph
 
@@ -53,6 +53,8 @@ class VerifyReport:
 
 
 def instance_family(max_nodes: int) -> list[tuple[str, TreeGraph]]:
+    if not is_int(max_nodes) or max_nodes < 2:
+        raise ModelError(f"max_nodes must be an int >= 2, not {max_nodes!r}")
     family = [(f"path{n}", path_graph(n)) for n in range(2, min(max_nodes, 6) + 1)]
     for n in (4, 5):
         if n <= max_nodes:

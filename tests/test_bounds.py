@@ -120,6 +120,43 @@ def test_doubling_slope_rejects_boundary():
         doubling_slope([1.0, 0.5])
 
 
+@pytest.mark.parametrize("n,k0", [(2.5, 1), (True, 1), (5, 1.5), (-1, 0)])
+def test_binomial_tail_refuses_counts_that_are_not_ints(n, k0):
+    """2.5 used to leak a TypeError from math.comb, and True was read as 1."""
+    with pytest.raises(ModelError, match="needs ints n >= 0 and k0"):
+        binomial_tail(n, k0, 0.3)
+
+
+@pytest.mark.parametrize("fn,d", [(undirected_bound_sequence, 5.0),
+                                  (directed_bound_sequence, True),
+                                  (chernoff_envelope, "5")])
+def test_sequences_refuse_a_degree_that_is_not_an_int(fn, d):
+    """directed_bound_sequence(True, ...) used to answer as d = 1."""
+    with pytest.raises(ModelError, match="d must be an int"):
+        fn(d, 0.15, 2)
+
+
+@pytest.mark.parametrize("fn,rounds", [(undirected_bound_sequence, 2.5),
+                                       (directed_bound_sequence, True),
+                                       (chernoff_envelope, -1)])
+def test_sequences_refuse_rounds_that_are_not_an_int_from_zero(fn, rounds):
+    """2.5 used to leak a TypeError from range(), and -1 answered with
+    delta0 alone."""
+    with pytest.raises(ModelError, match="rounds must be an int >= 0"):
+        fn(5, 0.15, rounds)
+
+
+def test_noise_threshold_refuses_a_degree_that_is_not_an_int():
+    with pytest.raises(ModelError, match="d must be an int"):
+        noise_threshold(5.5)
+
+
+def test_doubling_slope_rejects_nan():
+    """NaN passed both boundary tests and gave NaN slopes."""
+    with pytest.raises(ModelError, match="strictly inside"):
+        doubling_slope([0.1, math.nan])
+
+
 def test_conjecture_check_weak_inequality():
     report = conjecture_check([0.1, 0.01], [0.1, 0.01])
     assert report["holds"] and not report["violations"]

@@ -112,6 +112,53 @@ def test_builder_matches_greedy_unrank_d5_round6():
         np.testing.assert_array_equal(space.rank(digits[:, ranks - start]), ranks)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_low_digits_is_mod_over_every_narrow_digit(dtype):
+    """The core steps truncate codes as a - a // m * m, not a % m: the same
+    integers and dtype, for every digit of the dtype at every modulus below
+    2**8 and at every power of 2 and 3 the dtype holds."""
+    digits = np.arange(np.iinfo(dtype).max + 1, dtype=dtype)
+    moduli = set(range(1, 256)) | {n ** t for n in (2, 3) for t in range(17)
+                                   if n ** t < len(digits)}
+    for m in sorted(moduli):
+        low = core._low_digits(digits, m)
+        assert low.dtype == dtype
+        np.testing.assert_array_equal(low, digits % m)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_low_digits_is_mod_over_int64_codes(n):
+    """On int64 codes at every modulus n**t, up to codes near 2**62."""
+    rng = np.random.default_rng(n)
+    codes = np.concatenate([np.arange(3 ** 8),
+                            rng.integers(0, 2 ** 62, 4096),
+                            [2 ** 62 - 1, 2 ** 62]]).astype(np.int64)
+    t = 0
+    while n ** t < 2 ** 62:
+        low = core._low_digits(codes, n ** t)
+        assert low.dtype == np.int64
+        np.testing.assert_array_equal(low, codes % n ** t)
+        t += 1
+
+
+@pytest.mark.parametrize("base,sizes", [(254, (2,)), (255, (2,)),
+                                        (256, (1, 1)), (300, (2,)),
+                                        (255, (1, 2))])
+def test_rank_reads_narrow_rows_as_int64(base, sizes):
+    """Ranks of uint8 and uint16 rows equal those of the same rows in int64,
+    sorted within groups or not, at the edges of the two dtypes."""
+    space = SlotSpace(base, sizes)
+    digits = space.build(0, space.size)[0]
+    for rows in (digits, digits[::-1]):
+        want = space.rank(rows.astype(np.int64))
+        for dtype in (np.uint8, np.uint16):
+            if rows.max() <= np.iinfo(dtype).max:
+                np.testing.assert_array_equal(space.rank(rows.astype(dtype)),
+                                              want)
+    np.testing.assert_array_equal(space.rank(digits.astype(np.int64)),
+                                  np.arange(space.size))
+
+
 @pytest.mark.parametrize("n_codes,size", SMALL)
 def test_multiset_space_matches_reference(n_codes, size):
     space = SlotSpace(n_codes, [size])

@@ -142,6 +142,33 @@ def test_unroll_refuses_a_horizon_that_is_not_an_int(model15, bayes, t_max):
         unroll(path_graph(3), model15, bayes, t_max)
 
 
+@pytest.mark.parametrize("node,t,message", [
+    (-1, 1, "node -1 outside 0..2"),  # would read the last node
+    (3, 1, "node 3 outside 0..2"),  # would leak an IndexError
+    (True, 1, "node True"),
+    (0, -1, "no round -1"),  # would read the last round
+    (0, 1.0, "no round 1.0")])
+def test_queries_refuse_a_node_or_round_not_unrolled(model15, bayes, node,
+                                                     t, message):
+    """Only nodes 0..n-1 and rounds 0..horizon are read; a negative index
+    is not counted from the end."""
+    tensor = unroll(path_graph(3), model15, bayes, 1)
+    for call in (lambda: oracle_error_probability(tensor, node, t),
+                 lambda: feasible_set(tensor, node, 0, (0,), t),
+                 lambda: feasible_set(tensor, node, 0, None, t)):
+        with pytest.raises(ModelError, match=f"^{message}"):
+            call()
+
+
+@pytest.mark.parametrize("max_nodes", [2.5, True, 1])
+def test_instance_family_refuses_a_size_that_is_not_an_int_above_one(
+        max_nodes):
+    """2.5 used to leak a TypeError from range(), and 1 gave an empty
+    family, on which the oracle suite passes with no check."""
+    with pytest.raises(ModelError, match="max_nodes must be an int >= 2"):
+        instance_family(max_nodes)
+
+
 def test_unroll_refuses_a_signal_vector_no_state_can_give():
     """On noiseless signals the neighbours' signals (0, 1) have probability
     0 in both states, so the Bayesian update has nothing to condition."""
