@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -283,9 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built on main's first call: in-process callers of
+# main would otherwise pay about 1 ms per call to rebuild it.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_counts(args)
         return args.fn(args)

@@ -6,6 +6,12 @@ sampling correctness separable.  Randomness is counter-based: every draw is
 a pure function of (seed, purpose, sample, node, round), so results are
 independent of chunking or scheduling and sample batches can run in
 parallel.
+
+A draw is one SplitMix64 round over the sample's stream xored with a key per
+(node, round), and the keys are built once per run.  This form replaced two
+rounds per draw, so its tallies differ from those of earlier versions; the
+tests pin two runs' tallies, so that a later change of stream is seen.
+Signals are drawn for a cache-sized block of nodes at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _MAX_BITS = (1 << 64) - 1
+_HALF = np.uint64(1 << 63)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -46,8 +53,17 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 def counter_uniform(seed: int, kind: int, sample: np.ndarray, node: int,
                     t: int) -> np.ndarray:
-    """Deterministic uniform in [0, 1) for each (seed, kind, sample, node, t)."""
-    return _node_uniform(_stream(seed, kind, sample), node, t)
+    """Deterministic uniform in [0, 1) for each (seed, kind, sample, node, t):
+    the draw the replay makes.  The seed is read modulo 2**64; ``kind``,
+    ``node`` and ``t`` must be ints in 0..2**64 - 1."""
+    for name, value in (("kind", kind), ("node", node), ("t", t)):
+        if not is_index(value, _MAX_BITS + 1):
+            raise ModelError(f"{name} must be an int in 0..2**64 - 1, "
+                             f"not {value!r}")
+    bits = _draw_bits(_stream(seed, kind, sample), _keys([node], t))[0]
+    u = (bits >> np.uint64(11)).astype(np.float64)
+    u *= 2.0 ** -53
+    return u
 
 
 def _stream(seed: int, kind: int, sample: np.ndarray) -> np.ndarray:
@@ -61,21 +77,18 @@ def _stream(seed: int, kind: int, sample: np.ndarray) -> np.ndarray:
     return _mix(z)
 
 
-def _node_bits(stream: np.ndarray, node: int, t: int,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """The raw draws of (node, t) on each sample's stream, written to
-    ``out`` if given."""
-    z = _mix(np.bitwise_xor(stream, np.uint64(node), out=out))
-    if t:  # round 0 (every signal draw) skips a pass: xor with 0 is a no-op
-        z ^= np.uint64(t)
+def _keys(nodes, t: int) -> np.ndarray:
+    """The key of each (node, t), mix(mix(node) ^ t)."""
+    z = _mix(np.array(nodes, dtype=np.uint64))
+    z ^= np.uint64(t)
     return _mix(z)
 
 
-def _node_uniform(stream: np.ndarray, node: int, t: int) -> np.ndarray:
-    """The top 53 bits of each draw, scaled exactly into [0, 1)."""
-    u = (_node_bits(stream, node, t) >> np.uint64(11)).astype(np.float64)
-    u *= 2.0 ** -53
-    return u
+def _draw_bits(stream: np.ndarray, keys: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The raw draws of each key on each sample's stream, one mixing round
+    of their xor, shape (keys, samples); written to ``out`` if given."""
+    return _mix(np.bitwise_xor(stream, keys[:, None], out=out))
 
 
 def _bits_cut(c: float) -> int:
@@ -126,9 +139,14 @@ def _graph_descriptor(graph) -> dict:
     return {"n": graph.n, "digest": digest}
 
 
-# Elements per block temporary: the gathers of one class run over blocks
-# of at most this many (node, sample) pairs.
-_BLOCK = 1 << 20
+# Elements per block temporary: the gathers of one class, and its tie coins,
+# run over blocks of at most this many (node, sample) pairs.  Blocks of
+# 2**20 spill the cache and took about 15% more CPU on one thread; blocks of
+# 2**16 add per-block Python, which holds the lock that two threads share.
+_BLOCK = 1 << 18
+# Signal draws per block, 128 KiB of uint64 bits: one node per block at the
+# default chunk, several at smaller chunks.
+_DRAW = 1 << 14
 
 
 def _group_nodes(obs, payloads: list) -> list[tuple]:
@@ -156,18 +174,20 @@ def _replay(table: np.ndarray, signals: np.ndarray, codes: np.ndarray,
 
 
 def _majority(votes: np.ndarray, block: np.ndarray, nbr: np.ndarray,
-              coin_stream: np.ndarray, t: int) -> np.ndarray:
-    """Majority votes of a block of equal-degree nodes; a node with a tie
-    draws its coins from its own counter stream."""
+              coin_stream: np.ndarray, coin_keys: np.ndarray) -> np.ndarray:
+    """Majority votes of a block of equal-degree nodes; the nodes with a
+    tie draw their coins from their own counter streams, in one call.  A
+    coin is heads when its raw bits are below 2**63, exactly u < 0.5."""
     ones = np.zeros((len(block), votes.shape[1]), dtype=np.int16)
     for k in range(nbr.shape[1]):
         ones += votes[nbr[:, k]]
     margin = 2 * ones.astype(np.int32) - nbr.shape[1]
     v = (margin > 0).astype(np.int8)
     tie = margin == 0
-    for r in np.flatnonzero(tie.any(axis=1)):
-        coin = _node_uniform(coin_stream, int(block[r]), t) < 0.5
-        np.copyto(v[r], coin, where=tie[r])
+    tied = np.flatnonzero(tie.any(axis=1))
+    if len(tied):
+        coin = _draw_bits(coin_stream, coin_keys[block[tied]]) < _HALF
+        v[tied] = np.where(tie[tied], coin, v[tied])
     return v
 
 
@@ -244,6 +264,10 @@ def simulate(
     bits_cuts = np.array([[_bits_cut(c) for c in row] for row in signal_cdf],
                          dtype=np.uint64)
 
+    # The keys of each round a draw is made in: the signals' at round 0, and
+    # under majority the tie coins' at rounds 1..rounds.
+    keys = [_keys(np.arange(n), t)
+            for t in range(1 if bayesian else rounds + 1)]
     starts = list(range(0, samples, chunk))
 
     def run_chunk(start: int) -> np.ndarray:
@@ -254,22 +278,25 @@ def simulate(
         u = counter_uniform(seed, _KIND_STATE, idx, 0, 0)
         state = np.searchsorted(prior_cdf, u, side="right").astype(np.int8)
         signal_stream = _stream(seed, _KIND_SIGNAL, idx)
-        coin_stream = _stream(seed, _KIND_COIN, idx)
+        coin_stream = None if bayesian else _stream(seed, _KIND_COIN, idx)
         thresholds = [bits_cuts[state, x] for x in range(bits_cuts.shape[1])]
         signals = np.empty((n, count), dtype=np.int8)
-        # One draw buffer per chunk: a fresh one per node is 128 KiB at the
+        # One draw buffer per chunk: a fresh one per block is 128 KiB at the
         # default chunk, glibc's mmap threshold, so its cost would depend on
         # the allocator's state.
-        buffer = np.empty(count, dtype=np.uint64)
-        # Node by node: drawing blocks of nodes at once measured slower.
-        for i in range(n):
-            bits = _node_bits(signal_stream, i, 0, out=buffer)
+        draw_rows = max(1, _DRAW // count)
+        buffer = np.empty((min(draw_rows, n), count), dtype=np.uint64)
+        for b in range(0, n, draw_rows):
+            block_keys = keys[0][b:b + draw_rows]
+            bits = _draw_bits(signal_stream, block_keys,
+                              out=buffer[:len(block_keys)])
             bits >>= np.uint64(11)
             # The first compare writes the signals, so a binary signal takes
             # one; each further cut adds the draws that reach it.
-            np.greater_equal(bits, thresholds[0], out=signals[i])
+            drawn = signals[b:b + draw_rows]
+            np.greater_equal(bits, thresholds[0], out=drawn)
             for column in thresholds[1:]:
-                signals[i] += bits >= column
+                drawn += bits >= column
         votes = signals if vote0_identity else vote0[signals]
         codes = votes.astype(codes_dtype) if bayesian else None
         tally[:, 0] = np.count_nonzero(votes != state, axis=1)
@@ -283,7 +310,8 @@ def simulate(
                     if bayesian:
                         v = _replay(table, signals[block], codes, block_nbr, m)
                     else:
-                        v = _majority(votes, block, block_nbr, coin_stream, t)
+                        v = _majority(votes, block, block_nbr, coin_stream,
+                                      keys[t])
                     new_votes[block] = v
                     tally[block, t] = np.count_nonzero(v != state, axis=1)
             if bayesian and t < rounds:

@@ -70,6 +70,24 @@ def test_bounds_csv(tmp_path):
     assert delta1 == pytest.approx(0.10951875, abs=1e-12)
 
 
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    """In-process calls share one parser: a run, a configuration error and
+    a second run build it once between them, with the same exit codes."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        argv = ("bounds", "--d", "5", "--rounds", "2", "--out", "b.csv")
+        assert run(tmp_path, *argv) == 0
+        assert run(tmp_path, "table", "--rounds", "-1") == 2
+        assert run(tmp_path, *argv) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
 def test_verify_small_passes(tmp_path, capsys):
     """`verify --out` saves the check lines it prints, and its manifest names
     the report with its sha256."""

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from replay_reference import per_node_replay
@@ -33,10 +35,12 @@ def _splitmix(z: int) -> int:
 
 def _reference_uniform(seed: int, kind: int, sample: int, node: int,
                        t: int) -> float:
-    z = _splitmix(sample ^ _splitmix(seed & _MASK))
-    for word in (kind, node, t):
-        z = _splitmix(z ^ word)
-    return (z >> 11) / 2.0 ** 53
+    """The draw derived from its definition: the sample's stream is two
+    rounds over the mixed seed and the kind, the key of (node, t) is
+    mix(mix(node) ^ t), and the draw is one round over their xor."""
+    stream = _splitmix(_splitmix(sample ^ _splitmix(seed & _MASK)) ^ kind)
+    key = _splitmix(_splitmix(node) ^ t)
+    return (_splitmix(stream ^ key) >> 11) / 2.0 ** 53
 
 
 @pytest.mark.parametrize("seed, kind, node, t", [
@@ -48,6 +52,57 @@ def test_counter_uniform_matches_python_splitmix(seed, kind, node, t):
                           node, t)
     want = [_reference_uniform(seed, kind, s, node, t) for s in samples]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("name, value", [
+    ("kind", 2.5), ("kind", -1), ("node", 2.5), ("node", True),
+    ("node", -1), ("node", np.int64(-1)), ("node", 1 << 64), ("node", "1"),
+    ("t", -1), ("t", 1.0), ("t", False)])
+def test_counter_uniform_refuses_words_that_are_not_uint64(name, value):
+    """A kind, node or round outside the ints 0..2**64 - 1 is refused, not
+    drawn for (a float or a bool) or left to numpy's OverflowError."""
+    words = {"kind": 2, "node": 3, "t": 1, name: value}
+    with pytest.raises(ModelError, match=f"^{name} must be an int"):
+        counter_uniform(7, sample=np.arange(4, dtype=np.uint64), **words)
+    words[name] = (1 << 64) - 1
+    assert counter_uniform(7, sample=np.arange(4, dtype=np.uint64),
+                           **words).shape == (4,)
+
+
+_SAMPLES = 1 << 20
+
+
+def _draws(kind: int, node: int, t: int) -> np.ndarray:
+    return counter_uniform(2024, kind, np.arange(_SAMPLES, dtype=np.uint64),
+                           node, t)
+
+
+@pytest.mark.parametrize("a, b", [
+    ((sim._KIND_SIGNAL, 0, 0), (sim._KIND_SIGNAL, 1, 0)),
+    ((sim._KIND_SIGNAL, 1705, 0), (sim._KIND_SIGNAL, 1706, 0)),
+    ((sim._KIND_COIN, 40, 2), (sim._KIND_COIN, 41, 2)),
+    ((sim._KIND_COIN, 3, 1), (sim._KIND_COIN, 3, 2)),
+    ((sim._KIND_SIGNAL, 3, 0), (sim._KIND_SIGNAL, 3, 1)),
+    ((sim._KIND_SIGNAL, 3, 0), (sim._KIND_COIN, 3, 0)),
+    ((sim._KIND_SIGNAL, 3, 0), (sim._KIND_COIN, 3, 1)),
+], ids=["adjacent-signals", "adjacent-signals-far", "adjacent-coins",
+        "next-round", "next-round-from-0", "signal-coin", "signal-coin-t1"])
+def test_draws_are_uncorrelated(a, b):
+    """Draws that share a sample but differ in node, round or kind keep a
+    Pearson correlation below 5 standard errors of zero over 2**20 samples."""
+    r = np.corrcoef(_draws(*a), _draws(*b))[0, 1]
+    assert abs(r) < 5 / np.sqrt(_SAMPLES)
+
+
+def test_adjacent_nodes_fill_joint_bins_evenly():
+    """The draws of nodes 0 and 1 fall into a 16 x 16 grid of joint bins as
+    independent uniforms would: chi-square with 255 degrees of freedom
+    below 377, its upper 1e-6 point (Wilson-Hilferty)."""
+    a, b = ((_draws(sim._KIND_SIGNAL, node, 0) * 16).astype(np.intp)
+            for node in (0, 1))
+    counts = np.bincount(16 * a + b, minlength=256)
+    expected = _SAMPLES / 256
+    assert np.sum((counts - expected) ** 2) / expected < 377
 
 
 @pytest.mark.parametrize("c", [0.0, 5e-324, 0.15, 0.5, 0.85, 1.0 - 2 ** -53,
@@ -80,9 +135,10 @@ def test_replay_with_cdf_entry_above_one(majority):
 def test_top_draw_stays_inside_the_cdf(model15, majority, monkeypatch):
     """The top draw, all 64 bits set, is u = 1 - 2**-53, the largest
     uniform below 1; state and signal are the last index, not past it."""
-    monkeypatch.setattr(sim, "_node_bits",
-                        lambda stream, node, t, out=None: np.full(
-                            stream.shape, (1 << 64) - 1, dtype=np.uint64))
+    monkeypatch.setattr(sim, "_draw_bits",
+                        lambda stream, keys, out=None: np.full(
+                            (len(keys), len(stream)), (1 << 64) - 1,
+                            dtype=np.uint64))
     top = counter_uniform(1, 1, np.arange(3, dtype=np.uint64), 0, 0)
     assert top.tolist() == [1 - 2 ** -53] * 3
     graph = regular_tree(3, 2)
@@ -350,21 +406,60 @@ def test_class_replay_matches_per_node_reference(model15, monkeypatch, case,
     np.testing.assert_array_equal(got.errors, want)
 
 
+@pytest.mark.parametrize("draw", [None, 15])
+@pytest.mark.parametrize("chunk", [1, 5, (1 << 14) - 1, 1 << 14])
+@pytest.mark.parametrize("case", ["tree", "majority"])
+def test_replay_matches_reference_across_draw_blocks(model15, monkeypatch,
+                                                     case, chunk, draw):
+    """Signal blocks hold max(1, _DRAW // count) nodes: 16384 at chunk 1,
+    3276 at chunk 5 and one at the two largest, where the last chunk holds
+    3 samples and so wider blocks.  With _DRAW = 15 the tree's 22 nodes and
+    the sample's 40 split into several blocks, the last one short at chunks
+    1 and 5."""
+    if draw is not None:
+        monkeypatch.setattr(sim, "_DRAW", draw)
+    model, graph, rule, rounds, tables = _replay_case(case, model15)
+    samples = 2 * chunk + 3
+    got = simulate(graph, model, rule, rounds, samples, seed=47,
+                   tables=tables, chunk=chunk)
+    want = per_node_replay(graph, model, rule, rounds, samples, seed=47,
+                           tables=tables, chunk=chunk)
+    np.testing.assert_array_equal(got.errors, want)
+
+
 def test_majority_replay_draws_tie_coins(model15, majority, monkeypatch):
-    """The majority case above reaches ties: degree-4 nodes draw coins."""
+    """The majority case above reaches ties: degree-4 nodes draw coins, and
+    no other node does."""
     _, graph = _degree_34_sample()
+    coin_node = {int(key): node for t in range(1, 4)
+                 for node, key in enumerate(sim._keys(np.arange(graph.n), t))}
     drawn = set()
-    draw = sim._node_uniform
+    draw = sim._draw_bits
 
-    def spy(stream, node, t):
-        if t > 0:
-            drawn.add(node)
-        return draw(stream, node, t)
+    def spy(stream, keys, out=None):
+        drawn.update(coin_node[int(k)] for k in keys if int(k) in coin_node)
+        return draw(stream, keys, out)
 
-    monkeypatch.setattr(sim, "_node_uniform", spy)
+    monkeypatch.setattr(sim, "_draw_bits", spy)
     simulate(graph, model15, majority, 3, 1500, seed=31, chunk=700)
     even = {i for i in range(graph.n) if len(graph.observed[i]) == 4}
     assert drawn and drawn <= even
+
+
+@pytest.mark.parametrize("case, sha256", [
+    ("tree",
+     "eaa752f9ba75319781a0cf09d586900abf5e6937b1a892bf1af6560e2396cb49"),
+    ("majority",
+     "7e708a331e23d8d19b4b71dd6c0e03b7144a9ca6192eb37ab7c90b8e6fd9cb9e"),
+])
+def test_golden_tallies(model15, case, sha256):
+    """Two small runs' tallies, pinned: a change of the counter stream
+    changes them, and must be made on purpose.  The majority run on the
+    degree-{3, 4} sample breaks ties with coins."""
+    model, graph, rule, rounds, tables = _replay_case(case, model15)
+    got = simulate(graph, model, rule, rounds, 1500, seed=31, tables=tables,
+                   chunk=700)
+    assert hashlib.sha256(got.errors.tobytes()).hexdigest() == sha256
 
 
 def test_degree_tables_refuse_coin_rows(model15):
