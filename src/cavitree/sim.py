@@ -12,6 +12,14 @@ A draw is one SplitMix64 round over the sample's stream xored with a key per
 rounds per draw, so its tallies differ from those of earlier versions; the
 tests pin two runs' tallies, so that a later change of stream is seen.
 Signals are drawn for a cache-sized block of nodes at a time.
+
+A chunk of samples keeps three (nodes x chunk) buffers per worker under the
+Bayesian rule: signals, the packed vote codes of past rounds and the round's
+votes.  Majority keeps two vote buffers that swap each round, the first of
+them the signals'.  Each buffer is one byte per entry (the codes while
+actions ** (rounds + 1) <= 256); everything else is a temporary of one block
+of nodes.  Misses are counted by popcount over uint64 words of one-byte
+mismatch flags.
 """
 
 from __future__ import annotations
@@ -297,13 +305,31 @@ def simulate(
             np.greater_equal(bits, thresholds[0], out=drawn)
             for column in thresholds[1:]:
                 drawn += bits >= column
-        votes = signals if vote0_identity else vote0[signals]
-        codes = votes.astype(codes_dtype) if bayesian else None
-        tally[:, 0] = np.count_nonzero(votes != state, axis=1)
         rows = max(1, _BLOCK // count)
+        # Misses are counted by popcount: a block's one-byte mismatch flags,
+        # padded with False to whole uint64 words, are read as words.
+        flags = np.zeros((min(rows, n), -(-count // 8) * 8), dtype=np.bool_)
+
+        def misses(v: np.ndarray) -> np.ndarray:
+            words = flags[:len(v)]
+            np.not_equal(v, state, out=words[:, :count])
+            return np.bitwise_count(words.view(np.uint64)).sum(axis=1)
+
+        # Round-0 votes go to codes (Bayesian) or over the signals, which
+        # majority reads no further; each round's votes go to ``fresh``.
+        codes = np.empty((n, count), dtype=codes_dtype) if bayesian else None
+        for b in range(0, n, rows):
+            v = signals[b:b + rows]
+            if not vote0_identity:
+                v = vote0[v]
+            tally[b:b + rows, 0] = misses(v)
+            if bayesian:
+                codes[b:b + rows] = v
+            elif not vote0_identity:
+                signals[b:b + rows] = v
+        votes, fresh = signals, np.empty_like(signals)
         for t in range(1, rounds + 1):
             m = n_a ** t
-            new_votes = np.empty_like(votes)
             for table, nodes, nbr in steps[t - 1]:
                 for b in range(0, len(nodes), rows):
                     block, block_nbr = nodes[b:b + rows], nbr[b:b + rows]
@@ -312,11 +338,20 @@ def simulate(
                     else:
                         v = _majority(votes, block, block_nbr, coin_stream,
                                       keys[t])
-                    new_votes[block] = v
-                    tally[block, t] = np.count_nonzero(v != state, axis=1)
-            if bayesian and t < rounds:
-                codes += new_votes.astype(codes_dtype) * m
-            votes = new_votes
+                    if t < rounds:
+                        fresh[block] = v
+                    tally[block, t] = misses(v)
+            if t == rounds:
+                break
+            if bayesian:
+                # Only once every node's round-t vote is in ``fresh``: the
+                # round's replays read the codes of rounds before it.
+                for b in range(0, n, rows):
+                    step = fresh[b:b + rows].astype(codes_dtype)
+                    step *= m
+                    codes[b:b + rows] += step
+            else:
+                votes, fresh = fresh, votes
         return tally
 
     # One worker per chunk and usable CPU at most: the pool would start

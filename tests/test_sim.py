@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,15 +408,16 @@ def test_class_replay_matches_per_node_reference(model15, monkeypatch, case,
 
 
 @pytest.mark.parametrize("draw", [None, 15])
-@pytest.mark.parametrize("chunk", [1, 5, (1 << 14) - 1, 1 << 14])
-@pytest.mark.parametrize("case", ["tree", "majority"])
+@pytest.mark.parametrize("chunk", [1, 5, 7, 9, (1 << 14) - 1, 1 << 14])
+@pytest.mark.parametrize("case", ["tree", "majority", "three-signal"])
 def test_replay_matches_reference_across_draw_blocks(model15, monkeypatch,
                                                      case, chunk, draw):
     """Signal blocks hold max(1, _DRAW // count) nodes: 16384 at chunk 1,
     3276 at chunk 5 and one at the two largest, where the last chunk holds
     3 samples and so wider blocks.  With _DRAW = 15 the tree's 22 nodes and
     the sample's 40 split into several blocks, the last one short at chunks
-    1 and 5."""
+    1 and 5.  Misses are counted over uint64 words of one-byte flags padded
+    with False: chunks of 7 and 9 fall one short of a word and one over."""
     if draw is not None:
         monkeypatch.setattr(sim, "_DRAW", draw)
     model, graph, rule, rounds, tables = _replay_case(case, model15)
@@ -425,6 +427,31 @@ def test_replay_matches_reference_across_draw_blocks(model15, monkeypatch,
     want = per_node_replay(graph, model, rule, rounds, samples, seed=47,
                            tables=tables, chunk=chunk)
     np.testing.assert_array_equal(got.errors, want)
+
+
+@pytest.mark.parametrize("variant, buffers", [("bayesian", 4),
+                                               ("majority", 3)])
+def test_replay_working_set_stays_within_its_buffers(model15, variant,
+                                                     buffers):
+    """A chunk holds three one-byte (nodes x chunk) buffers under the
+    Bayesian rule (signals, codes and the round's votes) and two under
+    majority, plus temporaries of one block of nodes: the traced peak of a
+    two-chunk run stays below one buffer more than that."""
+    graph = regular_tree(5, 5)
+    rule = UpdateRule(variant=variant)
+    tables = None
+    if variant == "bayesian":
+        tables = FiniteTreeEngine(graph, model15, rule)
+        tables.run(2)
+    chunk = 8192
+    tracemalloc.start()
+    try:
+        simulate(graph, model15, rule, 2, 2 * chunk, seed=5, tables=tables,
+                 chunk=chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers * graph.n * chunk, peak / (graph.n * chunk)
 
 
 def test_majority_replay_draws_tie_coins(model15, majority, monkeypatch):
