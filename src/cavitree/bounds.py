@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelError, is_int
+from .model import ModelError, check_int, is_int
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,19 @@ class BoundSequence:
             raise ModelError("sequence must start at delta0")
 
 
+def _check_tail(n: int, k0: int, q: float) -> None:
+    """Refuse a tail P(Binomial(n, q) >= k0) whose n is not an int >= 0,
+    whose k0 is not an int or whose q is not a probability."""
+    check_int("n", n, 0)
+    if not is_int(k0):
+        raise ModelError(f"k0 must be an int, not {k0!r}")
+    if not 0.0 <= q <= 1.0:
+        raise ModelError(f"q must be a probability, not {q!r}")
+
+
 def binomial_tail(n: int, k0: int, q: float) -> float:
     """P(Binomial(n, q) >= k0) by direct summation of exact coefficients."""
-    if not (is_int(n) and is_int(k0)) or n < 0:
-        raise ModelError(f"binomial_tail needs ints n >= 0 and k0, not "
-                         f"n={n!r}, k0={k0!r}")
+    _check_tail(n, k0, q)
     if k0 <= 0:
         return 1.0
     if k0 > n:
@@ -53,10 +61,9 @@ def binomial_tail(n: int, k0: int, q: float) -> float:
 
 
 def _check_degree(d: int, least: int, message: str) -> None:
-    """Refuse a degree that is not an int, or one below ``least`` with
+    """Refuse a degree that is not an int >= 0, or one below ``least`` with
     ``message``."""
-    if not is_int(d):
-        raise ModelError(f"d must be an int, not {d!r}")
+    check_int("d", d, 0)
     if d < least:
         raise ModelError(message)
 
@@ -70,8 +77,7 @@ def _sequence(d: int, delta0: float, rounds: int, step,
     """delta0 and ``rounds`` iterates of delta_{t+1} = step(delta_t)."""
     if not 0.0 <= delta0 <= 1.0:
         raise ModelError("delta0 must be a probability")
-    if not is_int(rounds) or rounds < 0:
-        raise ModelError(f"rounds must be an int >= 0, not {rounds!r}")
+    check_int("rounds", rounds, 0)
     vals = [delta0]
     for _ in range(rounds):
         vals.append(step(vals[-1]))
@@ -162,6 +168,7 @@ def conjecture_check(bayes_errors: Sequence[float],
 
 def pascal_tail(n: int, k0: int, q: float) -> float:
     """Independent tail oracle: accumulate the PMF by Pascal recurrence."""
+    _check_tail(n, k0, q)
     row = [1.0]
     for m in range(1, n + 1):
         nxt = [0.0] * (m + 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import (ModelError, SignalModel, UpdateRule, action_count,
-                     is_index, is_int, signal_posterior)
+                     check_int, is_index, is_int, signal_posterior)
 from ..trees import BudgetError
 from .core import (COUPLING_TOL, cavity_step_bytes, cavity_step_general,
                    coin_values, decision_step_bytes, decision_step_general,
@@ -148,8 +148,7 @@ class CavityEngine:
     def run(self, rounds: int) -> None:
         """Advance through round ``rounds``, planning every round first, so
         that a step over the table budget is refused before any runs."""
-        if not is_int(rounds):
-            raise ModelError(f"rounds must be an int, not {rounds!r}")
+        check_int("rounds", rounds, 0)
         if rounds > 0:
             self._planned(rounds - 1)
         while self.horizon < rounds:

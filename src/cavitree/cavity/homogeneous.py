@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..model import ModelError, SignalModel, UpdateRule, is_int
+from ..model import ModelError, SignalModel, UpdateRule, check_int
 from ..trees import DegreeDistribution, edge_perspective
 from .engine import CavityEngine, check_address, check_round
 from .tables import CavityTable, DecisionTable
@@ -115,8 +115,7 @@ class RegularTreeEngine(ConfigModelEngine):
     """
 
     def __init__(self, model: SignalModel, d: int, rule: UpdateRule):
-        if not is_int(d) or d < 1:
-            raise ModelError(f"degree must be an int >= 1, not {d!r}")
+        check_int("degree", d, 1)
         super().__init__(model, DegreeDistribution((d,), np.array([1.0])), rule)
         self.d = d
 

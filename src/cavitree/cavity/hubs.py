@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..model import ModelError, SignalModel, UpdateRule, is_index, is_int
+from ..model import ModelError, SignalModel, UpdateRule, check_int, is_index
 from ..trees import GraphError, TreeGraph, ball, validate
 from .finite import FiniteTreeEngine
 
@@ -85,8 +85,9 @@ def posterior_with_hubs(
     diag = validate(graph)
     if diag is not None:
         raise GraphError(diag)
-    if not (is_index(node, graph.n) and is_int(t) and t >= 0):
-        raise ModelError(f"no posterior for node {node!r} at round {t!r}")
+    if not is_index(node, graph.n):
+        raise ModelError(f"no posterior for node {node!r}")
+    check_int("t", t, 0)
     if node in graph.hubs:
         raise GraphError("posterior at a hub node is not defined by the removal "
                          "construction")

@@ -77,14 +77,6 @@ def _condition(args, model: SignalModel) -> int | None:
     return int(cond)
 
 
-def _check_counts(args) -> None:
-    for name, least in (("rounds", 0), ("max_t", 0), ("max_nodes", 2)):
-        value = getattr(args, name, least)
-        if value < least:
-            raise ModelError(f"--{name.replace('_', '-')} must be >= {least}, "
-                             f"not {value}")
-
-
 def cmd_table(args) -> int:
     t0 = time.monotonic()
     model, tie, source = _resolve_model(args)
@@ -294,7 +286,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _check_counts(args)
         return args.fn(args)
     except BudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)

@@ -30,6 +30,12 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_int(name: str, value, least: int, error=ModelError) -> None:
+    """Refuse ``value`` with ``error`` unless it is an int >= ``least``."""
+    if not is_int(value) or value < least:
+        raise error(f"{name} must be an int >= {least}, not {value!r}")
+
+
 def is_index(value, n: int) -> bool:
     """Whether ``value`` is an int in 0..n-1."""
     return is_int(value) and 0 <= value < n
@@ -149,6 +155,7 @@ class UtilityTable:
 
     @classmethod
     def identity(cls, n: int) -> "UtilityTable":
+        check_int("n", n, 1)
         return cls(values=np.eye(n))
 
 

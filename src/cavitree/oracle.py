@@ -27,8 +27,8 @@ from .model import (
     UpdateRule,
     UtilityTable,
     action_count,
+    check_int,
     is_index,
-    is_int,
     majority_kernel,
     map_decision,
     round0_kernel,
@@ -91,8 +91,7 @@ def unroll(graph, model: SignalModel, rule: UpdateRule,
            t_max: int) -> TrajectoryTensor:
     """Simulate all agents through t_max on every branch of every signal
     vector."""
-    if not is_int(t_max) or t_max < 0:
-        raise ModelError(f"t_max must be an int >= 0, not {t_max!r}")
+    check_int("t_max", t_max, 0)
     n = graph.n
     n_x = model.n_signals
     n_vec = n_x ** n
@@ -203,6 +202,9 @@ def feasible_set(tensor: TrajectoryTensor, i: int, x_i: int,
     if not tensor.deterministic:
         raise ModelError("feasible sets are defined for deterministic rules")
     _check_query(tensor, i, t)
+    if not is_index(x_i, tensor.model.n_signals):
+        raise ModelError(f"signal {x_i!r} outside "
+                         f"0..{tensor.model.n_signals - 1}")
     if observed is None:
         return np.flatnonzero(tensor.signal_digits[i] == x_i)
     nbrs = tensor.graph.observed[i]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ModelError, SignalModel, UpdateRule, action_count,
-                    is_index, is_int, round0_kernel)
+                    check_int, is_index, is_int, round0_kernel)
 from .trees import ball
 
 _KIND_STATE = 1
@@ -64,6 +64,8 @@ def counter_uniform(seed: int, kind: int, sample: np.ndarray, node: int,
     """Deterministic uniform in [0, 1) for each (seed, kind, sample, node, t):
     the draw the replay makes.  The seed is read modulo 2**64; ``kind``,
     ``node`` and ``t`` must be ints in 0..2**64 - 1."""
+    if not is_int(seed):
+        raise ModelError(f"seed must be an int, not {seed!r}")
     for name, value in (("kind", kind), ("node", node), ("t", t)):
         if not is_index(value, _MAX_BITS + 1):
             raise ModelError(f"{name} must be an int in 0..2**64 - 1, "
@@ -79,7 +81,7 @@ def _stream(seed: int, kind: int, sample: np.ndarray) -> np.ndarray:
     seed is mixed before it meets the counter: xored in raw, nearby seeds
     only permute the low counter bits, so over a sample range that is a
     multiple of their difference they draw the same numbers."""
-    key = _mix(np.array([seed & _MAX_BITS], dtype=np.uint64))[0]
+    key = _mix(np.array([int(seed) & _MAX_BITS], dtype=np.uint64))[0]
     z = _mix(np.asarray(sample, dtype=np.uint64) ^ key)
     z ^= np.uint64(kind)
     return _mix(z)
@@ -205,8 +207,7 @@ def check_counts(rounds: int, samples: int, seed: int,
     0, any of them not an int, and a seed outside 0..2**64 - 1."""
     for name, value, least in (("samples", samples, 1), ("chunk", chunk, 1),
                                ("threads", threads, 1), ("rounds", rounds, 0)):
-        if not is_int(value) or value < least:
-            raise ModelError(f"{name} must be an int >= {least}, not {value!r}")
+        check_int(name, value, least)
     if not is_index(seed, _MAX_BITS + 1):
         raise ModelError(f"seed must be an int in 0..2**64 - 1, not {seed!r}")
 
@@ -401,6 +402,7 @@ def interior_nodes(graph, t: int, d: int | None = None) -> set[int]:
     adj = graph.adjacency
     if d is None:
         d = max((len(a) for a in adj), default=0)
+    check_int("d", d, 0)
     out = set()
     for i in range(graph.n):
         members = ball(graph, i, t)

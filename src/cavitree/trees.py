@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import is_index, is_int
+from .model import check_int, is_index, is_int
 
 MAX_RETRIES = 1000  # draws of a degree sequence, and of a pairing, per graph
 
@@ -78,8 +78,7 @@ class TreeGraph:
 
 def _node_count(n) -> int:
     """``n`` if it is an int >= 0, else ``GraphError``."""
-    if not is_int(n) or n < 0:
-        raise GraphError(f"a graph has an int n >= 0 nodes, not {n!r}")
+    check_int("n", n, 0, GraphError)
     return n
 
 
@@ -136,8 +135,7 @@ def ball(graph: TreeGraph, i: int, t: int) -> set[int]:
     """All nodes at support distance <= t from node i."""
     if not is_index(i, graph.n):
         raise GraphError(f"no node {i!r} in a graph of {graph.n} nodes")
-    if not is_int(t) or t < 0:
-        raise GraphError(f"ball radius must be an int >= 0, not {t!r}")
+    check_int("ball radius", t, 0, GraphError)
     adj = graph.adjacency
     dist = {i: 0}
     queue = deque([i])
@@ -183,17 +181,15 @@ def regular_tree(d: int, depth: int) -> TreeGraph:
 
     Node 0 is the root; nodes are added level by level.
     """
-    if not (is_int(d) and is_int(depth)) or d < 1 or depth < 0:
-        raise GraphError(f"need ints d >= 1 and depth >= 0, not {d!r} and "
-                         f"{depth!r}")
+    check_int("d", d, 1, GraphError)
+    check_int("depth", depth, 0, GraphError)
     return _level_tree([d] + [d - 1] * (depth - 1) if depth else [])
 
 
 def rooted_arity_tree(arity: int, depth: int) -> TreeGraph:
     """Rooted tree where every non-leaf has ``arity`` children (root included)."""
-    if not (is_int(arity) and is_int(depth)) or arity < 1 or depth < 0:
-        raise GraphError(f"need ints arity >= 1 and depth >= 0, not {arity!r} "
-                         f"and {depth!r}")
+    check_int("arity", arity, 1, GraphError)
+    check_int("depth", depth, 0, GraphError)
     return _level_tree([arity] * depth)
 
 
@@ -261,8 +257,8 @@ class SampledGraph:
                                                    repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "adjacency",
-                           _sorted_adjacency(self.n, self.edges))
+        object.__setattr__(self, "adjacency", _sorted_adjacency(
+            _node_count(self.n), self.edges))
 
     @property
     def observed(self) -> tuple[tuple[int, ...], ...]:
@@ -281,6 +277,7 @@ def sample_configuration_graph(
     each at most ``MAX_RETRIES`` times.
     """
     _node_count(n)
+    check_int("seed", seed, 0, GraphError)
     rng = np.random.default_rng(seed)
     support = np.array(rho_v.support)
     for _ in range(MAX_RETRIES):

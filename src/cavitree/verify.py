@@ -27,13 +27,14 @@ import numpy as np
 
 from .cavity import CouplingError, FiniteTreeEngine, RegularTreeEngine
 from .cavity.core import COUPLING_TOL, error_from_sums
-from .model import ModelError, SignalModel, UpdateRule, is_int
+from .model import ModelError, SignalModel, UpdateRule, check_int
 from .oracle import oracle_decision_tables, oracle_error_probability, unroll
 from .trees import TreeGraph, path_graph, rooted_arity_tree, star_graph
 
 ORACLE_TOL = 1e-10
 NORM_TOL = 1e-12
 FLIP_TOL = 1e-12
+FLIP_INPUTS = 48  # inputs per round the decision-flip check reads, at most
 
 
 @dataclass
@@ -53,8 +54,7 @@ class VerifyReport:
 
 
 def instance_family(max_nodes: int) -> list[tuple[str, TreeGraph]]:
-    if not is_int(max_nodes) or max_nodes < 2:
-        raise ModelError(f"max_nodes must be an int >= 2, not {max_nodes!r}")
+    check_int("max_nodes", max_nodes, 2)
     family = [(f"path{n}", path_graph(n)) for n in range(2, min(max_nodes, 6) + 1)]
     for n in (4, 5):
         if n <= max_nodes:
@@ -67,6 +67,7 @@ def instance_family(max_nodes: int) -> list[tuple[str, TreeGraph]]:
 def oracle_equivalence_suite(max_nodes: int = 8, max_t: int = 3,
                              noise: float = 0.15) -> VerifyReport:
     """Exact engine vs brute force on the fixed family, both update rules."""
+    check_int("max_t", max_t, 0)
     report = VerifyReport()
     model = SignalModel.binary_symmetric(noise)
     for name, graph in instance_family(max_nodes):
@@ -98,9 +99,8 @@ def oracle_equivalence_suite(max_nodes: int = 8, max_t: int = 3,
     return report
 
 
-def _flip_posteriors(engine: RegularTreeEngine, max_t: int,
-                     per_round: int = 48) -> tuple[int, int]:
-    """Inputs, up to ``per_round`` spread over each round's multisets, at
+def _flip_posteriors(engine: RegularTreeEngine, max_t: int) -> tuple[int, int]:
+    """Inputs, up to ``FLIP_INPUTS`` spread over each round's multisets, at
     which signal 1's posterior at the complemented input is not signal 0's
     reversed (or one of the two is refused), and the inputs checked, over
     rounds 2..max_t, where a posterior reads the own trajectory."""
@@ -108,7 +108,7 @@ def _flip_posteriors(engine: RegularTreeEngine, max_t: int,
     for t in range(2, max_t + 1):
         m = engine.channel.size ** t
         inputs = list(combinations_with_replacement(range(m), engine.d))
-        for observed in islice(inputs, 0, None, -(-len(inputs) // per_round)):
+        for observed in islice(inputs, 0, None, -(-len(inputs) // FLIP_INPUTS)):
             pair = []
             for x, codes in ((0, observed), (1, [m - 1 - c for c in observed])):
                 try:
@@ -126,6 +126,7 @@ def _flip_posteriors(engine: RegularTreeEngine, max_t: int,
 def invariant_suite(ds=(3, 5), noises=(0.15, 0.3),
                     max_t: int = 4) -> VerifyReport:
     """Cavity-table invariants on the homogeneous engine, both rules."""
+    check_int("max_t", max_t, 0)
     report = VerifyReport()
     for d in ds:
         for noise in noises:

@@ -120,10 +120,13 @@ def test_doubling_slope_rejects_boundary():
         doubling_slope([1.0, 0.5])
 
 
-@pytest.mark.parametrize("n,k0", [(2.5, 1), (True, 1), (5, 1.5), (-1, 0)])
-def test_binomial_tail_refuses_counts_that_are_not_ints(n, k0):
+@pytest.mark.parametrize("n,k0,message", [
+    (2.5, 1, "n must be an int >= 0"), (True, 1, "n must be an int >= 0"),
+    (5, 1.5, "k0 must be an int"), (-1, 0, "n must be an int >= 0")],
+    ids=["2.5-1", "True-1", "5-1.5", "-1-0"])
+def test_binomial_tail_refuses_counts_that_are_not_ints(n, k0, message):
     """2.5 used to leak a TypeError from math.comb, and True was read as 1."""
-    with pytest.raises(ModelError, match="needs ints n >= 0 and k0"):
+    with pytest.raises(ModelError, match=message):
         binomial_tail(n, k0, 0.3)
 
 

@@ -276,17 +276,33 @@ def test_bounds_bad_input_exit_code(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("simulate", "--tree", "3:2", "--rule", "majority", "--seed", "-1"),
-     "seed"),
+    (("simulate", "--tree", "3:2", "--rule", "majority", "--seed", "-1",
+      "--rounds", "1"), "seed"),
     (("simulate", "--tree", "3:2", "--rule", "majority", "--seed",
-      str(1 << 64)), "seed"),
-    (("table", "--d", "0"), "degree"),
-], ids=["negative-seed", "seed-past-64-bits", "table-degree-0"])
+      str(1 << 64), "--rounds", "1"), "seed"),
+    (("table", "--d", "0", "--rounds", "1"), "degree"),
+    (("table", "--rounds", "-1"), "rounds must be an int >= 0, not -1"),
+    (("curve", "--rounds", "-1"), "rounds must be an int >= 0, not -1"),
+    (("conjecture", "--rounds", "-1"), "rounds must be an int >= 0, not -1"),
+    (("bounds", "--rounds", "-1"), "rounds must be an int >= 0, not -1"),
+    (("simulate", "--tree", "3:2", "--rounds", "-1"),
+     "rounds must be an int >= 0, not -1"),
+    (("verify", "--max-t", "-1", "--out", "verify.txt"),
+     "max_t must be an int >= 0, not -1"),
+    (("verify", "--max-nodes", "1", "--out", "verify.txt"),
+     "max_nodes must be an int >= 2, not 1"),
+], ids=["negative-seed", "seed-past-64-bits", "table-degree-0",
+        "table-negative-rounds", "curve-negative-rounds",
+        "conjecture-negative-rounds", "bounds-negative-rounds",
+        "simulate-negative-rounds", "verify-negative-max-t",
+        "verify-one-node"])
 def test_out_of_range_input_exits_2_with_one_line(tmp_path, capsys, argv,
                                                   message):
     """A seed outside 0..2**64 - 1 would replay another seed's draws under
-    its own name, and a degree below 1 has no tree: each is refused."""
-    assert run(tmp_path, *argv, "--rounds", "1") == 2
+    its own name, and a degree below 1 has no tree: each is refused.  So is
+    a negative round count or horizon, and a family of fewer than two
+    nodes, by the library's own checks."""
+    assert run(tmp_path, *argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and message in err[0]
     assert not list(tmp_path.iterdir())

@@ -181,6 +181,16 @@ def test_single_sample_determinism(model15, majority):
     np.testing.assert_array_equal(runs[0].errors, runs[1].errors)
 
 
+@pytest.mark.parametrize("seed", [np.int64(9), np.uint64(9)])
+def test_numpy_seed_draws_as_its_int(model15, majority, seed):
+    """A NumPy seed used to pass the seed check and then overflow when the
+    stream masked it to 64 bits."""
+    graph = regular_tree(3, 2)
+    np.testing.assert_array_equal(
+        simulate(graph, model15, majority, 2, 500, seed=seed).errors,
+        simulate(graph, model15, majority, 2, 500, seed=9).errors)
+
+
 def test_chunking_does_not_change_results(model15, majority):
     graph = regular_tree(3, 2)
     a = simulate(graph, model15, majority, 2, 5000, seed=9, chunk=256)

@@ -147,7 +147,7 @@ def test_configuration_locally_treelike():
 @pytest.mark.parametrize("n", [-1, 2.5, True])
 def test_configuration_refuses_a_bad_node_count(n):
     rho = DegreeDistribution((2,), np.array([1.0]))
-    with pytest.raises(GraphError, match="n >= 0"):
+    with pytest.raises(GraphError, match="n must be an int >= 0"):
         sample_configuration_graph(rho, n, seed=0)
 
 
@@ -188,10 +188,10 @@ def test_graph_json_malformed(doc):
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"n": 2.7, "edges": [[0, 1]]}, "int n >= 0 nodes, not 2.7"),
+    ({"n": 2.7, "edges": [[0, 1]]}, "n must be an int >= 0, not 2.7"),
     ({"n": 2, "edges": [[0, 1.9]]}, r"bad edge \(0, 1.9\)"),
-    ({"n": "3"}, "int n >= 0 nodes, not '3'"),
-    ({"n": True}, "int n >= 0 nodes, not True"),
+    ({"n": "3"}, "n must be an int >= 0, not '3'"),
+    ({"n": True}, "n must be an int >= 0, not True"),
     ({"n": 3, "directed_edges": [[0, True]]}, r"bad edge \(0, True\)"),
     ({"n": 3, "hubs": [1.0]}, "hubs must be ints"),
 ], ids=["float-n", "float-endpoint", "string-n", "bool-n",
@@ -215,9 +215,9 @@ def test_graph_json_refuses_unread_fields(doc, key):
 
 
 def test_negative_node_count_refused():
-    with pytest.raises(GraphError, match="n >= 0"):
+    with pytest.raises(GraphError, match="n must be an int >= 0"):
         TreeGraph(n=-2)
-    with pytest.raises(GraphError, match="n >= 0"):
+    with pytest.raises(GraphError, match="n must be an int >= 0"):
         graph_from_json({"n": -2})
     assert TreeGraph(n=0).observed == ()
 
@@ -247,27 +247,29 @@ def test_ball_refuses_a_negative_radius():
         ball(path_graph(3), 0, -1)
 
 
-@pytest.mark.parametrize("d, depth", [(0, 2), (3, -1)])
-def test_regular_tree_refuses_bad_arguments(d, depth):
-    with pytest.raises(GraphError, match="d >= 1 and depth >= 0"):
+@pytest.mark.parametrize("d, depth, message", [
+    (0, 2, "d must be an int >= 1"), (3, -1, "depth must be an int >= 0")],
+    ids=["0-2", "3--1"])
+def test_regular_tree_refuses_bad_arguments(d, depth, message):
+    with pytest.raises(GraphError, match=message):
         regular_tree(d, depth)
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: TreeGraph(n=True), "int n >= 0"),
-    (lambda: TreeGraph(n=2.0, edges=((0, 1),)), "int n >= 0"),
+    (lambda: TreeGraph(n=True), "n must be an int >= 0"),
+    (lambda: TreeGraph(n=2.0, edges=((0, 1),)), "n must be an int >= 0"),
     (lambda: TreeGraph(n=3, hubs={1.0}), "hubs must be ints"),
     (lambda: TreeGraph(n=3, edges=((0, 1.0),)), "bad edge"),
     (lambda: TreeGraph(n=3, directed_edges=((0, "1"),)), "bad edge"),
     (lambda: ball(path_graph(3), 0, 1.5), "radius"),
     (lambda: ball(path_graph(3), 5, 1), "no node 5"),
     (lambda: ball(path_graph(3), 1.0, 1), "no node 1.0"),
-    (lambda: regular_tree(3, 1.5), "d >= 1 and depth >= 0"),
-    (lambda: path_graph(2.5), "int n >= 0"),
-    (lambda: star_graph("3"), "int n >= 0"),
-    (lambda: rooted_arity_tree(2, -1), "arity >= 1 and depth >= 0"),
-    (lambda: rooted_arity_tree(-2, 2), "arity >= 1 and depth >= 0"),
-    (lambda: rooted_arity_tree(2.0, 2), "arity >= 1 and depth >= 0"),
+    (lambda: regular_tree(3, 1.5), "depth must be an int >= 0"),
+    (lambda: path_graph(2.5), "n must be an int >= 0"),
+    (lambda: star_graph("3"), "n must be an int >= 0"),
+    (lambda: rooted_arity_tree(2, -1), "depth must be an int >= 0"),
+    (lambda: rooted_arity_tree(-2, 2), "arity must be an int >= 1"),
+    (lambda: rooted_arity_tree(2.0, 2), "arity must be an int >= 1"),
 ], ids=["bool-n", "float-n", "float-hub", "float-endpoint",
         "string-directed-endpoint", "float-radius", "ball-outside",
         "float-centre", "regular-float-depth", "path-float-n",
